@@ -39,8 +39,17 @@ from .errors import (
 )
 from .fhn import FhnParams, build_fhn, preset
 from .linalg import SvdResult, spectral_norm, svd_one_sided_jacobi
-from .ode import OdeSystem, Trajectory, integrate, sample_rhs
-from .pod import ErrorCurve, PodBasis, TruncationRule, error_curve, truncate_basis
+from .ode import OdeSystem, Trajectory, integrate
+from .pod import (
+    ErrorCurve,
+    SnapshotSet,
+    TruncationRule,
+    build_snapshot_matrix,
+    collect_snapshots,
+    error_curve,
+    solve_rom_lifted,
+    truncate_basis,
+)
 
 __all__ = [
     "RunConfig",
@@ -69,6 +78,10 @@ PLOT_SCRIPT_NAME = "plot_report.py"
 
 # Environment override for the output directory (the only env knob).
 OUT_DIR_ENV_VAR = "PODROM_OUT"
+
+# Wall-clock cap on rendering the emitted plot script; a hung renderer
+# counts as a failed render instead of blocking the run.
+PLOT_TIMEOUT_S = 300.0
 
 _DEFAULT_REL_TOL = 1e-11
 _DEFAULT_ABS_TOL = 1e-13
@@ -261,14 +274,6 @@ class RunReport:
     def cell_count(self) -> int:
         return len(self.cells)
 
-    def find_cell(
-        self, method: str, delta: float, rule: TruncationRule
-    ) -> Optional[CellResult]:
-        for cell in self.cells:
-            if cell.method == method and cell.delta == delta and cell.rule == rule:
-                return cell
-        return None
-
 
 def _interval_count(horizon: float, delta: float) -> int:
     if not float(delta) > 0.0:
@@ -288,11 +293,12 @@ def _uniform_grid(horizon: float, intervals: int) -> np.ndarray:
     return (horizon * np.arange(intervals + 1)) / intervals
 
 
-def _locate(union: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(union, grid)
-    if idx[-1] >= union.size or not np.array_equal(union[idx], grid):
+def _restrict(fom: Trajectory, grid: np.ndarray) -> Trajectory:
+    """The samples of ``fom`` on ``grid``, whose points must all be on its grid."""
+    idx = np.searchsorted(fom.times, grid)
+    if idx[-1] >= fom.times.size or not np.array_equal(fom.times[idx], grid):
         raise RuntimeError("internal grid alignment failure")
-    return idx
+    return Trajectory(times=grid, states=fom.states[idx])
 
 
 class _Timer:
@@ -303,45 +309,6 @@ class _Timer:
         self.totals[stage] = self.totals.get(stage, 0.0) + (time.perf_counter() - start)
 
 
-def _build_basis(svd: SvdResult, rule: TruncationRule, method: str, full_dim: int) -> PodBasis:
-    """Basis for one cell, honoring fixed dimensions past the numerical rank.
-
-    ``truncate_basis`` rejects a fixed l above the numerical rank; the sweep
-    still has to honor such requests (error curves are compared across a
-    fixed dimension schedule regardless of how fast the spectrum decays), so
-    columns past the rank are taken straight from the factorization.  They
-    are orthonormal but carry no snapshot information.  l equal to the full
-    state dimension short-circuits to the identity basis.
-    """
-    source = _SOURCE_BY_METHOD[method]
-    if rule.fixed_dimension is None:
-        return truncate_basis(svd, rule, source)
-    l = rule.fixed_dimension
-    if l == full_dim:
-        return PodBasis(
-            reduced_vectors=np.eye(full_dim),
-            all_singular_values=np.ones(full_dim),
-            l=full_dim,
-            sigma_next=0.0,
-            source_kind=source,
-        )
-    if l <= svd.numerical_rank:
-        return truncate_basis(svd, rule, source)
-    sigmas = svd.singular_values
-    if l > sigmas.size:
-        raise InvalidInputError(
-            f"dimension {l} exceeds the {sigmas.size} snapshot columns"
-        )
-    sigma_next = float(sigmas[l]) if l < sigmas.size else 0.0
-    return PodBasis(
-        reduced_vectors=svd.left_vectors[:, :l].copy(),
-        all_singular_values=sigmas.copy(),
-        l=l,
-        sigma_next=sigma_next,
-        source_kind=source,
-    )
-
-
 @dataclass
 class _RunContext:
     """Truth trajectory and per-delta slices shared by every stage."""
@@ -350,9 +317,7 @@ class _RunContext:
     x0: np.ndarray
     eval_times: np.ndarray
     fom_eval: Trajectory
-    snap_grids: Dict[float, np.ndarray]
-    solution_columns: Dict[float, np.ndarray]
-    derivative_columns: Dict[float, np.ndarray]
+    snapshots: Dict[float, SnapshotSet]
     dense_trajectories: Dict[float, Trajectory]
     timer: _Timer
     counters: Dict[str, int]
@@ -391,30 +356,21 @@ def _prepare(config: RunConfig) -> _RunContext:
     timer.add("fom", start)
 
     start = time.perf_counter()
-    solution_all = np.ascontiguousarray(fom.states.T)
-    derivative_all = sample_rhs(system, fom)
-    eval_idx = _locate(union, eval_times)
-    fom_eval = Trajectory(times=eval_times, states=fom.states[eval_idx])
-    solution_columns = {}
-    derivative_columns = {}
-    for delta, grid in snap_grids.items():
-        idx = _locate(union, grid)
-        solution_columns[delta] = np.ascontiguousarray(solution_all[:, idx])
-        derivative_columns[delta] = np.ascontiguousarray(derivative_all[:, idx])
-    dense_trajectories = {}
-    for delta, grid in dense_grids.items():
-        idx = _locate(union, grid)
-        dense_trajectories[delta] = Trajectory(times=grid, states=fom.states[idx])
+    snapshots = {
+        delta: collect_snapshots(system, _restrict(fom, grid))
+        for delta, grid in snap_grids.items()
+    }
+    dense_trajectories = {
+        delta: _restrict(fom, grid) for delta, grid in dense_grids.items()
+    }
     timer.add("snapshots", start)
 
     return _RunContext(
         system=system,
         x0=x0,
         eval_times=eval_times,
-        fom_eval=fom_eval,
-        snap_grids=snap_grids,
-        solution_columns=solution_columns,
-        derivative_columns=derivative_columns,
+        fom_eval=_restrict(fom, eval_times),
+        snapshots=snapshots,
         dense_trajectories=dense_trajectories,
         timer=timer,
         counters=counters,
@@ -428,9 +384,7 @@ def _compute_spectra(
     for method in config.methods:
         for delta in config.deltas:
             start = time.perf_counter()
-            matrix = ctx.solution_columns[delta]
-            if method == "Z":
-                matrix = np.hstack((matrix, ctx.derivative_columns[delta]))
+            matrix = build_snapshot_matrix(ctx.snapshots[delta], method)
             svds[(method, delta)] = svd_one_sided_jacobi(matrix)
             ctx.counters["svd_factorizations"] += 1
             ctx.timer.add("svd", start)
@@ -456,17 +410,41 @@ def _compute_constants(
         except ConvergenceError as err:
             sigma1 = float(err.best_estimate) * (1.0 + 1e-6)
         sigma1 *= 1.0 + _SIGMA1_TOL
-        for delta, grid in ctx.snap_grids.items():
+        for delta, snaps in ctx.snapshots.items():
             constants[delta] = linear_bound_constants(
-                matrix, ctx.dense_trajectories[delta], grid, sigma1=sigma1
+                matrix, ctx.dense_trajectories[delta], snaps.times, sigma1=sigma1
             )
     else:
-        for delta, grid in ctx.snap_grids.items():
+        for delta, snaps in ctx.snapshots.items():
             constants[delta] = sampled_bound_constants(
-                ctx.system, ctx.dense_trajectories[delta], grid, config.fd_step, rng=rng
+                ctx.system, ctx.dense_trajectories[delta], snaps.times, config.fd_step, rng=rng
             )
     ctx.timer.add("constants", start)
     return constants
+
+
+def _finish_report(
+    config: RunConfig,
+    ctx: _RunContext,
+    svds: Dict[Tuple[str, float], SvdResult],
+    total_start: float,
+    cells=(),
+    failures=(),
+) -> RunReport:
+    """Report with every spectrum cut at its numerical rank and the total time."""
+    ctx.timer.add("total", total_start)
+    return RunReport(
+        cells=tuple(cells),
+        failures=tuple(failures),
+        spectra={
+            key: svd.singular_values[: svd.numerical_rank].copy()
+            for key, svd in svds.items()
+        },
+        timings=dict(ctx.timer.totals),
+        counters=dict(ctx.counters),
+        eval_times=ctx.eval_times,
+        config=config,
+    )
 
 
 def run_experiment(config: RunConfig) -> RunReport:
@@ -486,7 +464,6 @@ def run_experiment(config: RunConfig) -> RunReport:
     if config.evaluate_bounds:
         constants = _compute_constants(config, ctx, rng)
 
-    n = config.params.dimension
     cells = []
     failures = []
     rom_cache: Dict[Tuple[str, float, int], Trajectory] = {}
@@ -495,14 +472,19 @@ def run_experiment(config: RunConfig) -> RunReport:
             for rule in config.rules:
                 stage = "basis"
                 try:
-                    basis = _build_basis(svds[(method, delta)], rule, method, n)
+                    basis = truncate_basis(
+                        svds[(method, delta)], rule, _SOURCE_BY_METHOD[method]
+                    )
 
                     stage = "rom"
                     cache_key = (method, delta, basis.l)
                     lifted = rom_cache.get(cache_key)
                     if lifted is None:
                         start = time.perf_counter()
-                        lifted = _solve_cell(config, ctx, basis)
+                        lifted = solve_rom_lifted(
+                            ctx.system, basis, ctx.x0, ctx.eval_times,
+                            config.rel_tol, config.abs_tol,
+                        )
                         rom_cache[cache_key] = lifted
                         ctx.counters["rom_solves"] += 1
                         ctx.timer.add("rom", start)
@@ -518,7 +500,7 @@ def run_experiment(config: RunConfig) -> RunReport:
                     if config.evaluate_bounds:
                         stage = "bound"
                         start = time.perf_counter()
-                        grid = ctx.snap_grids[delta]
+                        grid = ctx.snapshots[delta].times
                         if method == "Y":
                             bound = method1_bound(
                                 basis.sigma_next, constants[delta], grid, ctx.eval_times
@@ -549,27 +531,7 @@ def run_experiment(config: RunConfig) -> RunReport:
                         )
                     )
 
-    spectra = {
-        key: svd.singular_values[: svd.numerical_rank].copy() for key, svd in svds.items()
-    }
-    ctx.timer.totals["total"] = time.perf_counter() - total_start
-    return RunReport(
-        cells=tuple(cells),
-        failures=tuple(failures),
-        spectra=spectra,
-        timings=dict(ctx.timer.totals),
-        counters=dict(ctx.counters),
-        eval_times=ctx.eval_times,
-        config=config,
-    )
-
-
-def _solve_cell(config: RunConfig, ctx: _RunContext, basis: PodBasis) -> Trajectory:
-    from .pod import solve_rom_lifted
-
-    return solve_rom_lifted(
-        ctx.system, basis, ctx.x0, ctx.eval_times, config.rel_tol, config.abs_tol
-    )
+    return _finish_report(config, ctx, svds, total_start, cells, failures)
 
 
 # --- CSV artifacts -------------------------------------------------------
@@ -829,6 +791,12 @@ def _parse_int_list(text: str, name: str) -> Tuple[int, ...]:
         raise InvalidInputError(f"cannot parse {name} list {text!r}: {err}") from err
 
 
+def _parse_methods(text) -> Optional[Tuple[str, ...]]:
+    if text is None:
+        return None
+    return tuple(m for m in str(text).split(",") if m.strip())
+
+
 def _load_config_file(path: str) -> Dict[str, str]:
     """Flatten the INI file to {key: raw string}, rejecting unknown keys."""
     parser = configparser.ConfigParser()
@@ -910,12 +878,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if preset_id is None:
         raise InvalidInputError("a preset is required (--preset or config key run.preset)")
 
-    methods_raw = _pick(args.methods, file_map, "run.methods", None)
-    methods = (
-        tuple(m for m in str(methods_raw).split(",") if m.strip())
-        if methods_raw is not None
-        else None
-    )
+    methods = _parse_methods(_pick(args.methods, file_map, "run.methods", None))
     deltas_raw = _pick(args.deltas, file_map, "run.deltas", None)
     deltas = _parse_float_list(deltas_raw, "deltas") if deltas_raw is not None else None
     epsilons_raw = _pick(args.epsilons, file_map, "run.epsilons", None)
@@ -985,11 +948,16 @@ def _render_plots(script_path: str) -> bool:
     # the emitted script resolves every path against its own directory, so
     # no working-directory juggling is needed (or wanted: a relative out
     # dir must not be resolved twice)
-    result = subprocess.run(
-        [sys.executable, os.path.abspath(script_path)],
-        capture_output=True,
-        text=True,
-    )
+    try:
+        result = subprocess.run(
+            [sys.executable, os.path.abspath(script_path)],
+            capture_output=True,
+            text=True,
+            timeout=PLOT_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        sys.stderr.write(f"plot rendering timed out after {PLOT_TIMEOUT_S:g} s\n")
+        return False
     if result.returncode != 0:
         sys.stderr.write(f"plot rendering failed:\n{result.stderr}")
         return False
@@ -1043,12 +1011,7 @@ def _execute_run(config: RunConfig) -> int:
 
 def _execute_spectrum(args: argparse.Namespace) -> int:
     deltas = _parse_float_list(args.delta, "delta")
-    methods_raw = args.methods
-    methods = (
-        tuple(m for m in str(methods_raw).split(",") if m.strip())
-        if methods_raw is not None
-        else None
-    )
+    methods = _parse_methods(args.methods)
     env_out = os.environ.get(OUT_DIR_ENV_VAR)
     out_dir = args.out if args.out is not None else (env_out if env_out else "podrom_out")
     config = RunConfig.for_preset(
@@ -1064,19 +1027,7 @@ def _execute_spectrum(args: argparse.Namespace) -> int:
     total_start = time.perf_counter()
     ctx = _prepare(config)
     svds = _compute_spectra(config, ctx)
-    ctx.timer.totals["total"] = time.perf_counter() - total_start
-    report = RunReport(
-        cells=(),
-        failures=(),
-        spectra={
-            key: svd.singular_values[: svd.numerical_rank].copy()
-            for key, svd in svds.items()
-        },
-        timings=dict(ctx.timer.totals),
-        counters=dict(ctx.counters),
-        eval_times=ctx.eval_times,
-        config=config,
-    )
+    report = _finish_report(config, ctx, svds, total_start)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, SPECTRUM_CSV_NAME)
     write_spectrum_csv(report, path)

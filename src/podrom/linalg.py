@@ -1,11 +1,10 @@
 """Dense real linear algebra kernels.
 
-Provides the three primitives the rest of the toolkit is built on: a cyclic
-two-sided Jacobi eigensolver for symmetric matrices, a one-sided Jacobi SVD
-that preserves high relative accuracy of small singular values, and a
-power-iteration spectral norm. The SVD deliberately avoids forming the Gram
-matrix: squaring floors the accuracy of singular values near sqrt(eps) times
-the largest one, and the snapshot experiments truncate far below that.
+Provides a one-sided Jacobi SVD that preserves high relative accuracy of
+small singular values, and a power-iteration spectral norm. The SVD
+deliberately avoids forming the Gram matrix: squaring floors the accuracy of
+singular values near sqrt(eps) times the largest one, and the snapshot
+experiments truncate far below that.
 """
 
 from __future__ import annotations
@@ -89,91 +88,6 @@ def _jacobi_rotation(app: float, aqq: float, apq: float) -> tuple[float, float, 
             t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
     c = 1.0 / math.sqrt(1.0 + t * t)
     return c, t * c, t
-
-
-def jacobi_symmetric_eig(
-    S, sweep_tol: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic two-sided Jacobi.
-
-    Parameters
-    ----------
-    S : array_like
-        Square matrix, symmetric to within 1e-12 relative in max norm.
-    sweep_tol : float
-        Sweeping stops once the largest off-diagonal magnitude falls below
-        sweep_tol times the largest magnitude of the input.
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors)
-        Eigenvalues sorted descending; eigenvector k is column k of the
-        returned orthonormal matrix, so S @ Q ~ Q @ diag(w).
-
-    Raises
-    ------
-    InvalidInputError
-        Non-square or asymmetric input.
-    ConvergenceError
-        More than 60 sweeps needed.
-    """
-    A = as_matrix(S, "S")
-    n, m = A.shape
-    if n != m:
-        raise InvalidInputError("S must be square")
-    if sweep_tol <= 0.0:
-        raise InvalidInputError("sweep_tol must be positive")
-    scale = float(np.max(np.abs(A)))
-    asym = float(np.max(np.abs(A - A.T)))
-    if scale > 0.0 and asym > 1e-12 * scale:
-        raise InvalidInputError("S is not symmetric to within 1e-12 relative")
-    A = 0.5 * (A + A.T)
-    Q = np.eye(n)
-    if n == 1 or scale == 0.0:
-        return np.diag(A).copy(), Q
-
-    threshold = sweep_tol * scale
-    for _sweep in range(MAX_JACOBI_SWEEPS):
-        off = float(np.max(np.abs(A - np.diag(np.diag(A)))))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                app = A[p, p]
-                aqq = A[q, q]
-                # Skip rotations that cannot change anything at working
-                # precision; keeps the sweep from churning on round-off.
-                if abs(apq) <= _EPS * 0.5 * math.sqrt(abs(app * aqq) + apq * apq):
-                    continue
-                c, s, t = _jacobi_rotation(app, aqq, apq)
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                # The rotated pair is diagonal by construction.
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                qp = Q[:, p].copy()
-                qq = Q[:, q].copy()
-                Q[:, p] = c * qp - s * qq
-                Q[:, q] = s * qp + c * qq
-    else:
-        raise ConvergenceError(
-            f"symmetric Jacobi did not converge in {MAX_JACOBI_SWEEPS} sweeps"
-        )
-
-    w = np.diag(A).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], Q[:, order]
 
 
 def _orthonormal_completion(U: np.ndarray, fill_cols: list[int]) -> None:

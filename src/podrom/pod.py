@@ -1,9 +1,10 @@
 """POD bases from trajectory snapshots and Galerkin-reduced systems.
 
-Snapshots of a solution (and optionally of its time derivative) are stacked
-into matrices, factorized, and truncated into an orthonormal basis.  The
-reduced system z' = U^T f(t, U z) is built and integrated with the same
-driver as the full system, and lifted back for pointwise error curves.
+Snapshots of a solution and of its time derivative are stacked into a
+matrix (solutions only for method Y, both for method Z), factorized, and
+truncated into an orthonormal basis.  The reduced system z' = U^T f(t, U z)
+is built and integrated with the same driver as the full system, and lifted
+back for pointwise error curves.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ __all__ = [
     "collect_snapshots",
     "build_snapshot_matrix",
     "truncate_basis",
-    "apply_projector",
-    "apply_complement",
     "build_rom",
     "solve_rom_lifted",
     "error_curve",
@@ -217,27 +216,18 @@ class ErrorCurve:
         return float(np.max(self.norms))
 
 
-def collect_snapshots(
-    system: OdeSystem,
-    x0: np.ndarray,
-    snapshot_times,
-    rel_tol: float,
-    abs_tol: float,
-    with_derivatives: bool = True,
-) -> SnapshotSet:
-    """Run one accurate integration and sample it on the snapshot grid."""
-    times = np.array(snapshot_times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise InvalidInputError("snapshot_times must be 1-D with at least two entries")
-    if times[0] != 0.0:
-        raise InvalidInputError(f"snapshot grid must start at 0, got {times[0]!r}")
-    trajectory = integrate(system, x0, 0.0, float(times[-1]), rel_tol, abs_tol, times)
-    solution = np.ascontiguousarray(trajectory.states.T)
-    derivatives = sample_rhs(system, trajectory) if with_derivatives else None
+def collect_snapshots(system: OdeSystem, trajectory: Trajectory) -> SnapshotSet:
+    """Snapshot set of a computed trajectory: its states and f at each sample.
+
+    Column j holds the state at ``trajectory.times[j]`` and the right-hand
+    side there, so both Y and Z matrices can be stacked from the result.
+    Nothing is integrated here; the trajectory's grid is the snapshot grid
+    and must start at t = 0.
+    """
     return SnapshotSet(
         times=trajectory.times,
-        solution_columns=solution,
-        derivative_columns=derivatives,
+        solution_columns=np.ascontiguousarray(trajectory.states.T),
+        derivative_columns=sample_rhs(system, trajectory),
     )
 
 
@@ -260,19 +250,27 @@ def truncate_basis(
     The cutoff branch keeps every mode whose singular value is at least
     epsilon (values beyond the numerical rank count as zero); when even the
     leading value falls below epsilon the basis keeps one mode and the
-    ``cutoff_saturated`` flag is set.  A fixed dimension beyond the
-    numerical rank is rejected.
+    ``cutoff_saturated`` flag is set.
+
+    A fixed dimension l is honored past the numerical rank, so error curves
+    compare across a fixed schedule however fast the spectrum decays: up to
+    the column count the factorization's own vectors are taken (past the
+    rank these are orthonormal completions carrying no snapshot
+    information), and l equal to the state dimension gives the identity
+    basis.  Any other l above the column count is rejected.
     """
     sigmas = svd.singular_values
     rank = svd.numerical_rank
     if rank < 1:
         raise InvalidInputError("matrix is numerically zero; no basis can be built")
+    n = svd.left_vectors.shape[0]
+    identity = rule.fixed_dimension == n
     saturated = False
     if rule.fixed_dimension is not None:
         l = rule.fixed_dimension
-        if l > rank:
+        if not identity and l > sigmas.size:
             raise InvalidInputError(
-                f"requested dimension {l} exceeds numerical rank {rank}"
+                f"dimension {l} exceeds the {sigmas.size} snapshot columns"
             )
     else:
         kept = int(np.count_nonzero(sigmas[:rank] >= rule.cutoff_epsilon))
@@ -280,35 +278,13 @@ def truncate_basis(
         saturated = kept == 0
     sigma_next = float(sigmas[l]) if l < sigmas.size else 0.0
     return PodBasis(
-        reduced_vectors=svd.left_vectors[:, :l].copy(),
+        reduced_vectors=np.eye(n) if identity else svd.left_vectors[:, :l].copy(),
         all_singular_values=sigmas.copy(),
         l=l,
         sigma_next=sigma_next,
         source_kind=source_kind,
         cutoff_saturated=saturated,
     )
-
-
-def apply_projector(basis: PodBasis, x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the basis span, in factored form U (U^T x)."""
-    vec = as_vector(x, "x")
-    if vec.size != basis.dimension:
-        raise InvalidInputError(
-            f"vector length {vec.size} does not match basis dimension {basis.dimension}"
-        )
-    vectors = basis.reduced_vectors
-    return vectors @ (vectors.T @ vec)
-
-
-def apply_complement(basis: PodBasis, x: np.ndarray) -> np.ndarray:
-    """Complementary projection x - U (U^T x)."""
-    vec = as_vector(x, "x")
-    if vec.size != basis.dimension:
-        raise InvalidInputError(
-            f"vector length {vec.size} does not match basis dimension {basis.dimension}"
-        )
-    vectors = basis.reduced_vectors
-    return vec - vectors @ (vectors.T @ vec)
 
 
 def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:

@@ -22,7 +22,7 @@ from podrom.cli import (
 )
 from podrom.fhn import preset
 from podrom.linalg import svd_one_sided_jacobi
-from podrom.pod import SnapshotSet
+from podrom.pod import SnapshotSet, build_snapshot_matrix
 
 
 def _cutoff_cells(report, epsilon):
@@ -74,9 +74,7 @@ def test_criterion_02_projection_residuals(bundle_name, request):
     dims = preset(config.preset_id).l_list
     checked = 0
     for (method, delta), svd in svds.items():
-        columns = ctx.solution_columns[delta]
-        if method == "Z":
-            columns = np.hstack((columns, ctx.derivative_columns[delta]))
+        columns = build_snapshot_matrix(ctx.snapshots[delta], method)
         sigmas = svd.singular_values
         slack = 1e-10 * sigmas[0]
         for l in dims:

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from podrom import cli
 from podrom.cli import (
     BOUND_CSV_NAME,
     ERROR_CSV_NAME,
@@ -413,7 +414,7 @@ class TestCommandLine:
     def test_spectrum_subcommand(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main([
-            "spectrum", "--preset", "A", "--delta", "0.01", "--methods", "Y",
+            "spectrum", "--preset", "A", "--delta", "0.01", "--methods", "Y,Z",
             "--out", str(out),
         ])
         assert code == 0
@@ -421,6 +422,20 @@ class TestCommandLine:
         assert lines[0] == "index,log10_sigma,method,delta"
         assert len(lines) > 10
         assert "rank" in capsys.readouterr().out
+        # the subcommand shares run's truth solve and factorization path
+        assert main([
+            "run", "--preset", "A", "--methods", "Y,Z", "--deltas", "0.01",
+            "--dims", "5", "--out", str(tmp_path / "run"),
+        ]) == 0
+        spectra = (tmp_path / "run" / SPECTRUM_CSV_NAME).read_bytes()
+        assert (out / SPECTRUM_CSV_NAME).read_bytes() == spectra
+
+    def test_plot_rendering_times_out(self, tmp_path, monkeypatch, capsys):
+        script = tmp_path / PLOT_SCRIPT_NAME
+        script.write_text("import time\ntime.sleep(60)\n")
+        monkeypatch.setattr(cli, "PLOT_TIMEOUT_S", 0.5)
+        assert cli._render_plots(str(script)) is False
+        assert "plot rendering timed out" in capsys.readouterr().err
 
     def test_help_documents_config_keys(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,8 @@
 """Tests for the dense linear algebra kernels.
 
-The SVD oracle is the independent Gram route: eigenvalues of M^T M from the
-two-sided Jacobi eigensolver must match squared singular values for all but
-the tiny tail, where Gram squaring is known to lose accuracy.
+The SVD oracle is the independent Gram route: eigenvalues of M^T M from
+LAPACK's symmetric eigensolver must match squared singular values for all
+but the tiny tail, where Gram squaring is known to lose accuracy.
 """
 
 import math
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from podrom.errors import ConvergenceError, InvalidInputError
 from podrom.linalg import (
     SvdResult,
-    jacobi_symmetric_eig,
     spectral_norm,
     svd_one_sided_jacobi,
 )
@@ -28,48 +27,6 @@ def svd_defects(M: np.ndarray, result: SvdResult) -> tuple[float, float, float]:
     dv = np.max(np.abs(V.T @ V - np.eye(V.shape[1])))
     dr = np.max(np.abs(M - U @ np.diag(s) @ V.T))
     return float(du), float(dv), float(dr)
-
-
-class TestJacobiSymmetricEig:
-    def test_already_diagonal(self):
-        w, Q = jacobi_symmetric_eig(np.diag([3.0, 1.0]))
-        assert np.allclose(w, [3.0, 1.0], rtol=0, atol=0)
-        assert np.allclose(Q, np.eye(2), atol=1e-14)
-
-    def test_symmetry_forced_pair(self):
-        w, Q = jacobi_symmetric_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(w, [1.0, -1.0], atol=1e-14)
-        inv = 1.0 / math.sqrt(2.0)
-        # Eigenvectors are determined up to sign; compare componentwise magnitude.
-        assert np.allclose(np.abs(Q), inv * np.ones((2, 2)), atol=1e-14)
-        assert np.max(np.abs(Q.T @ Q - np.eye(2))) < 1e-14
-
-    def test_residual_on_random_symmetric(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            B = rng.standard_normal((5, 5))
-            S = B + B.T
-            w, Q = jacobi_symmetric_eig(S)
-            residual = np.max(np.abs(S @ Q - Q @ np.diag(w)))
-            assert residual <= 1e-10
-            assert np.all(np.diff(w) <= 1e-14)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(InvalidInputError):
-            jacobi_symmetric_eig(np.zeros((2, 3)))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(InvalidInputError):
-            jacobi_symmetric_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_rejects_nan(self):
-        with pytest.raises(InvalidInputError):
-            jacobi_symmetric_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_zero_matrix(self):
-        w, Q = jacobi_symmetric_eig(np.zeros((3, 3)))
-        assert np.all(w == 0.0)
-        assert np.allclose(Q, np.eye(3))
 
 
 class TestSvdOneSidedJacobi:
@@ -91,7 +48,7 @@ class TestSvdOneSidedJacobi:
         rng = np.random.default_rng(11)
         M = rng.standard_normal((8, 4))
         res = svd_one_sided_jacobi(M)
-        evals, _ = jacobi_symmetric_eig(M.T @ M)
+        evals = np.linalg.eigvalsh(M.T @ M)[::-1]
         sig1 = res.singular_values[0]
         for k, s in enumerate(res.singular_values):
             if s >= 1e-6 * sig1:

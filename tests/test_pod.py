@@ -15,8 +15,6 @@ from podrom.pod import (
     PodBasis,
     SnapshotSet,
     TruncationRule,
-    apply_complement,
-    apply_projector,
     build_rom,
     build_snapshot_matrix,
     collect_snapshots,
@@ -84,7 +82,8 @@ class TestCollectSnapshots:
     def test_constant_system(self):
         c = np.array([1.0, -2.0])
         system = OdeSystem(dimension=2, rhs=lambda t, x: np.zeros_like(x))
-        snapshots = collect_snapshots(system, c, [0.0, 0.5, 1.0], 1e-8, 1e-10, True)
+        traj = integrate(system, c, 0.0, 1.0, 1e-8, 1e-10, [0.0, 0.5, 1.0])
+        snapshots = collect_snapshots(system, traj)
         for j in range(3):
             assert np.array_equal(snapshots.solution_columns[:, j], c)
         assert np.all(snapshots.derivative_columns == 0.0)
@@ -92,16 +91,12 @@ class TestCollectSnapshots:
     def test_decay_columns(self):
         system = OdeSystem(dimension=1, rhs=lambda t, x: -x)
         rel = 1e-10
-        snapshots = collect_snapshots(system, np.array([1.0]), [0.0, 1.0], rel, 1e-12, True)
+        traj = integrate(system, np.array([1.0]), 0.0, 1.0, rel, 1e-12, [0.0, 1.0])
+        snapshots = collect_snapshots(system, traj)
         assert snapshots.solution_columns[0, 0] == 1.0
         assert abs(snapshots.solution_columns[0, 1] - math.exp(-1.0)) <= 10 * rel
         assert snapshots.derivative_columns[0, 0] == -1.0
         assert abs(snapshots.derivative_columns[0, 1] + math.exp(-1.0)) <= 10 * rel
-
-    def test_without_derivatives(self):
-        system = OdeSystem(dimension=1, rhs=lambda t, x: -x)
-        snapshots = collect_snapshots(system, np.array([1.0]), [0.0, 1.0], 1e-8, 1e-10, False)
-        assert snapshots.derivative_columns is None
 
 
 class TestBuildSnapshotMatrix:
@@ -168,10 +163,28 @@ class TestTruncateBasis:
         assert basis.cutoff_saturated
         assert basis.sigma_next == 1.0
 
-    def test_fixed_beyond_rank_rejected(self):
-        svd = svd_from_spectrum([3.0, 1.0, 1e-20], rank=2)
-        with pytest.raises(InvalidInputError):
-            truncate_basis(svd, TruncationRule.fixed(3))
+    def test_fixed_beyond_rank_takes_factorization_columns(self):
+        svd = svd_from_spectrum([3.0, 1.0, 1e-20, 1e-25], rank=2, n=6)
+        basis = truncate_basis(svd, TruncationRule.fixed(3))
+        assert basis.l == 3
+        assert np.array_equal(basis.reduced_vectors, svd.left_vectors[:, :3])
+        assert basis.sigma_next == 1e-25
+        basis = truncate_basis(svd, TruncationRule.fixed(4))
+        assert basis.l == 4
+        assert basis.sigma_next == 0.0
+
+    def test_fixed_full_dimension_is_identity_with_real_spectrum(self):
+        svd = svd_from_spectrum([3.0, 1.0, 1e-20], rank=2, n=5)
+        basis = truncate_basis(svd, TruncationRule.fixed(5))
+        assert basis.l == 5
+        assert np.array_equal(basis.reduced_vectors, np.eye(5))
+        assert np.array_equal(basis.all_singular_values, svd.singular_values)
+        assert basis.sigma_next == 0.0
+
+    def test_fixed_beyond_column_count_rejected(self):
+        svd = svd_from_spectrum([3.0, 1.0, 1e-20], rank=2, n=5)
+        with pytest.raises(InvalidInputError, match="exceeds the 3 snapshot columns"):
+            truncate_basis(svd, TruncationRule.fixed(4))
 
     def test_zero_matrix_rejected(self):
         svd = svd_from_spectrum([0.0, 0.0], rank=0)
@@ -214,57 +227,6 @@ class TestTruncateBasis:
             assert treated[basis.l - 1] >= epsilon
 
 
-class TestProjectors:
-    def test_vector_in_span_has_zero_complement(self):
-        basis = basis_from_columns(orthonormal_columns(10, 3, seed=1))
-        z = np.array([1.0, -2.0, 0.5])
-        x = basis.reduced_vectors @ z
-        assert np.linalg.norm(apply_complement(basis, x)) <= 1e-10 * np.linalg.norm(x)
-
-    def test_orthogonal_vector_has_zero_projection(self):
-        columns = orthonormal_columns(10, 9, seed=2)
-        basis = basis_from_columns(columns[:, :3])
-        x = columns[:, 8]
-        assert np.linalg.norm(apply_projector(basis, x)) <= 1e-10
-
-    def test_split_reassembles_and_pythagoras(self):
-        rng = np.random.default_rng(3)
-        basis = basis_from_columns(orthonormal_columns(10, 3, seed=3))
-        x = rng.standard_normal(10)
-        px = apply_projector(basis, x)
-        cx = apply_complement(basis, x)
-        assert np.max(np.abs(px + cx - x)) <= 1e-14 * np.max(np.abs(x))
-        lhs = np.linalg.norm(px) ** 2 + np.linalg.norm(cx) ** 2
-        rhs = np.linalg.norm(x) ** 2
-        assert abs(lhs - rhs) <= 1e-10 * rhs
-
-    def test_idempotent_and_nonexpansive(self):
-        rng = np.random.default_rng(4)
-        basis = basis_from_columns(orthonormal_columns(12, 4, seed=4))
-        for _ in range(10):
-            x = rng.standard_normal(12)
-            px = apply_projector(basis, x)
-            ppx = apply_projector(basis, px)
-            assert np.linalg.norm(ppx - px) <= 1e-10 * np.linalg.norm(x)
-            assert np.linalg.norm(px) <= np.linalg.norm(x) * (1.0 + 1e-12)
-
-    def test_dimension_mismatch(self):
-        basis = basis_from_columns(orthonormal_columns(10, 3))
-        with pytest.raises(InvalidInputError):
-            apply_projector(basis, np.ones(9))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_pythagoras_property(self, seed):
-        rng = np.random.default_rng(seed)
-        basis = basis_from_columns(orthonormal_columns(8, 3, seed=5))
-        x = rng.standard_normal(8)
-        px = apply_projector(basis, x)
-        cx = apply_complement(basis, x)
-        rhs = float(x @ x)
-        assert abs(float(px @ px) + float(cx @ cx) - rhs) <= 1e-10 * max(rhs, 1.0)
-
-
 class TestSnapshotReconstruction:
     def test_residual_bounded_by_next_sigma_for_all_l(self):
         rng = np.random.default_rng(6)
@@ -273,8 +235,10 @@ class TestSnapshotReconstruction:
         sigma_one = svd.singular_values[0]
         for l in range(1, svd.numerical_rank + 1):
             basis = truncate_basis(svd, TruncationRule.fixed(l))
+            U = basis.reduced_vectors
             for j in range(matrix.shape[1]):
-                residual = np.linalg.norm(apply_complement(basis, matrix[:, j]))
+                x = matrix[:, j]
+                residual = np.linalg.norm(x - U @ (U.T @ x))
                 assert residual <= basis.sigma_next + 1e-10 * sigma_one
 
     def test_full_rank_basis_annihilates_columns(self):
@@ -283,8 +247,10 @@ class TestSnapshotReconstruction:
         svd = svd_one_sided_jacobi(matrix)
         basis = truncate_basis(svd, TruncationRule.fixed(svd.numerical_rank))
         sigma_one = svd.singular_values[0]
+        U = basis.reduced_vectors
         for j in range(matrix.shape[1]):
-            residual = np.linalg.norm(apply_complement(basis, matrix[:, j]))
+            x = matrix[:, j]
+            residual = np.linalg.norm(x - U @ (U.T @ x))
             assert residual <= 1e-8 * sigma_one
 
 
