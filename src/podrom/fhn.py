@@ -16,7 +16,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .ode import OdeSystem
+from .ode import OdeSystem, RhsStructure
 
 __all__ = [
     "Waveform",
@@ -156,8 +156,10 @@ def build_fhn(params: FhnParams, boundary_stencil: str = "consistent") -> OdeSys
     ``boundary_stencil`` selects the one-sided difference used in the two
     wall rows of the voltage field: "consistent" anchors it at the wall
     node, "shifted" displaces it one node inward (kept for comparison
-    runs).  When ``lam`` is zero the system is affine and the assembled
-    matrix and forcing term are attached to the returned OdeSystem.
+    runs).  The returned OdeSystem carries its linear/cubic/forcing split
+    as ``structure`` for every ``lam``; only when ``lam`` is zero is the
+    system affine, and then the assembled matrix and forcing term are
+    attached as well.
     """
     if boundary_stencil not in _STENCILS:
         raise InvalidInputError(f"boundary_stencil must be one of {_STENCILS}")
@@ -199,10 +201,77 @@ def build_fhn(params: FhnParams, boundary_stencil: str = "consistent") -> OdeSys
         dw[L] = pin_right.derivative(t)
         return out
 
+    structure = _fhn_structure(params, boundary_stencil)
     if lam == 0.0:
         matrix, forcing = assemble_linear_matrix(params, boundary_stencil)
-        return OdeSystem(dimension=n, rhs=rhs, linear_matrix=matrix, affine_term=forcing)
-    return OdeSystem(dimension=n, rhs=rhs)
+        return OdeSystem(
+            dimension=n,
+            rhs=rhs,
+            linear_matrix=matrix,
+            affine_term=forcing,
+            structure=structure,
+        )
+    return OdeSystem(dimension=n, rhs=rhs, structure=structure)
+
+
+def _fhn_structure(params: FhnParams, boundary_stencil: str) -> RhsStructure:
+    """The cable right-hand side split into linear, cubic and forcing parts.
+
+    The cubic reaction lam * v(1-v)(v-a) expands to -lam*a*v (linear part)
+    plus -lam * v^2 (v - (1+a)) on the voltage rows; -lam*w joins the
+    linear part too.  The forcing is four wall vectors times I0(t), IX(t), w0'(t)
+    and wX'(t).  The linear operator works on a state vector or on an n x k
+    block of them, row-wise, without assembling a matrix.  It repeats the
+    stencil of ``build_fhn``'s ``rhs`` rather than sharing it, because the
+    truth trajectory depends on the operation order inside ``rhs``.
+    """
+    L = params.L
+    dx = params.dx
+    n = params.dimension
+    d1 = params.D1 / (dx * dx)
+    d2 = params.D2 / (dx * dx)
+    lam = params.lam
+    a = params.a
+    mu = params.mu
+    gamma = params.gamma
+    shifted = boundary_stencil == "shifted"
+
+    def apply_linear(x: np.ndarray) -> np.ndarray:
+        v = x[: L + 1]
+        w = x[L + 1 :]
+        out = np.empty(x.shape)
+        dv = out[: L + 1]
+        dw = out[L + 1 :]
+        dv[1:L] = d1 * (v[2:] - 2.0 * v[1:L] + v[: L - 1])
+        if shifted:
+            dv[0] = d1 * (v[2] - v[1])
+            dv[L] = d1 * (v[L - 2] - v[L - 1])
+        else:
+            dv[0] = d1 * (v[1] - v[0])
+            dv[L] = d1 * (v[L - 1] - v[L])
+        if lam != 0.0:
+            dv -= lam * (a * v + w)
+        dw[1:L] = (
+            d2 * (w[2:] - 2.0 * w[1:L] + w[: L - 1]) + mu * v[1:L] - gamma * w[1:L]
+        )
+        # Wall rows of w carry forcing only.
+        dw[0] = 0.0
+        dw[L] = 0.0
+        return out
+
+    forcing = np.zeros((n, 4))
+    forcing[0, 0] = d1 * dx
+    forcing[L, 1] = -d1 * dx
+    forcing[L + 1, 2] = 1.0
+    forcing[n - 1, 3] = 1.0
+    return RhsStructure(
+        apply_linear=apply_linear,
+        cubic_rows=slice(0, L + 1),
+        cubic_scale=-lam,
+        cubic_root=1.0 + a,
+        forcing_vectors=forcing,
+        forcing_signals=(params.I0, params.IX, params.w0.derivative, params.wX.derivative),
+    )
 
 
 def assemble_linear_matrix(

@@ -32,8 +32,12 @@ _DEAD_COLUMN_NORM = 1e-290
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Validate and return a nonempty 2-D float64 array with finite entries."""
-    arr = np.array(values, dtype=float, copy=True)
+    """Validate and return a nonempty 2-D float64 array with finite entries.
+
+    A float64 array comes back as is, not copied; a caller that modifies
+    the result or keeps it must copy it or take a read-only view.
+    """
+    arr = np.asarray(values, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise InvalidInputError(f"{name} must be a nonempty 2-D real matrix")
     if not np.all(np.isfinite(arr)):
@@ -121,7 +125,8 @@ def _one_sided_jacobi_tall(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     """Core one-sided Jacobi on a tall matrix (rows >= cols).
 
     Returns (U, s, V) with M = U diag(s) V^T, s sorted descending, U and V
-    having orthonormal columns. Singular values are the final column norms,
+    having orthonormal columns.  M itself is not modified; the rotations
+    work on a copy. Singular values are the final column norms,
     so small ones are not contaminated by Gram squaring.
     """
     n, m = M.shape
@@ -259,7 +264,7 @@ def svd_one_sided_jacobi(M, rank_tol_factor: float = 1.0) -> SvdResult:
         U, s, V = _one_sided_jacobi_tall(A)
     else:
         # Orthogonalize the rows instead, then swap the factors back.
-        Ut, s, Vt = _one_sided_jacobi_tall(A.T.copy())
+        Ut, s, Vt = _one_sided_jacobi_tall(A.T)
         U, V = Vt, Ut
     sigma1 = float(s[0]) if s.size else 0.0
     rank_tolerance = rank_tol_factor * max(n, m) * _EPS * sigma1

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import InvalidInputError, RhsEvaluationError, StiffnessError
 from .linalg import as_vector
 
 __all__ = [
+    "RhsStructure",
     "OdeSystem",
     "Trajectory",
     "integrate",
@@ -31,18 +32,64 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class RhsStructure:
+    """Split f(t, x) = A x + g(x) + sum_k b_k s_k(t) of a right-hand side.
+
+    ``apply_linear`` applies A to a state vector or, column by column, to an
+    n x k block.  The elementwise cubic g acts on the rows ``cubic_rows``
+    only: with v = x[cubic_rows], g puts scale * v^2 (v - root) there and
+    zero elsewhere, with scale = ``cubic_scale`` and root = ``cubic_root``.
+    The forcing is the n x k matrix ``forcing_vectors`` times the scalar
+    signals ``forcing_signals``, one per column.
+    """
+
+    apply_linear: Callable[[np.ndarray], np.ndarray]
+    cubic_rows: slice
+    cubic_scale: float
+    cubic_root: float
+    forcing_vectors: np.ndarray
+    forcing_signals: Tuple[Callable[[float], float], ...]
+
+    def __post_init__(self) -> None:
+        if not callable(self.apply_linear):
+            raise InvalidInputError("apply_linear must be callable")
+        if not isinstance(self.cubic_rows, slice):
+            raise InvalidInputError("cubic_rows must be a slice")
+        for name in ("cubic_scale", "cubic_root"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
+        vectors = np.array(self.forcing_vectors, dtype=float)
+        if vectors.ndim != 2 or not np.all(np.isfinite(vectors)):
+            raise InvalidInputError("forcing_vectors must be a finite 2-D array")
+        signals = tuple(self.forcing_signals)
+        if len(signals) != vectors.shape[1] or not all(callable(s) for s in signals):
+            raise InvalidInputError("need one callable forcing signal per forcing vector")
+        object.__setattr__(self, "forcing_vectors", vectors)
+        object.__setattr__(self, "forcing_signals", signals)
+
+
+@dataclass(frozen=True)
 class OdeSystem:
     """First-order system x' = f(t, x) of a fixed dimension.
 
-    ``linear_matrix`` and ``affine_term`` may be attached when the system is
-    known to have the form x' = A x + b(t); integration itself only ever
-    calls ``rhs``, the extra fields feed the error-bound machinery.
+    Integration only ever calls ``rhs``.  The optional fields describe the
+    same f and never replace it:
+
+    - ``linear_matrix`` and ``affine_term`` are attached only when the
+      system is affine, x' = A x + b(t); the exact error-bound constants
+      are taken from them.
+    - ``structure`` splits f into a linear operator, an elementwise cubic
+      and a fixed-vector forcing (:class:`RhsStructure`), so that a
+      Galerkin reduction can project each part once, offline.
     """
 
     dimension: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
     linear_matrix: Optional[np.ndarray] = None
     affine_term: Optional[Callable[[float], np.ndarray]] = None
+    structure: Optional[RhsStructure] = None
 
     def __post_init__(self) -> None:
         dim = int(self.dimension)
@@ -62,6 +109,16 @@ class OdeSystem:
             object.__setattr__(self, "linear_matrix", matrix)
         if self.affine_term is not None and not callable(self.affine_term):
             raise InvalidInputError("affine_term must be callable or None")
+        if self.structure is not None:
+            if not isinstance(self.structure, RhsStructure):
+                raise InvalidInputError("structure must be an RhsStructure or None")
+            if self.structure.forcing_vectors.shape[0] != dim:
+                raise InvalidInputError(
+                    f"forcing_vectors must have {dim} rows, "
+                    f"got {self.structure.forcing_vectors.shape[0]}"
+                )
+            if len(range(dim)[self.structure.cubic_rows]) == 0:
+                raise InvalidInputError("cubic_rows selects no state row")
 
 
 @dataclass(frozen=True)

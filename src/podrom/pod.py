@@ -5,6 +5,13 @@ matrix (solutions only for method Y, both for method Z), factorized, and
 truncated into an orthonormal basis.  The reduced system z' = U^T f(t, U z)
 is built and integrated with the same driver as the full system, and lifted
 back for pointwise error curves.
+
+A reduced model is built in two phases when the full system carries its
+``structure`` (linear operator, elementwise cubic, fixed-vector forcing):
+offline, each part is projected onto the basis once; online, a reduced
+right-hand-side call works with those small projected operators and never
+forms the full state.  A system without structure falls back to lifting:
+each reduced call evaluates the full right-hand side at U z.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import SvdResult, as_matrix, as_vector
-from .ode import OdeSystem, Trajectory, integrate, sample_rhs
+from .ode import OdeSystem, RhsStructure, Trajectory, integrate, sample_rhs
 
 __all__ = [
     "SnapshotSet",
@@ -35,12 +42,20 @@ SOURCE_KINDS = ("solution_only", "solution_and_derivative")
 _METHOD_BY_SOURCE = {"solution_only": "Y", "solution_and_derivative": "Z"}
 
 
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    """A view of ``matrix`` that cannot be written through; nothing is copied."""
+    view = matrix.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class SnapshotSet:
     """States (and optional derivatives) sampled on an increasing grid.
 
     ``solution_columns`` is n x m with one column per sample time; the grid
-    starts at t = 0.  ``spacings`` holds the m-1 interval lengths.
+    starts at t = 0.  ``spacings`` holds the m-1 interval lengths.  The
+    column arrays are kept as read-only views of the inputs, not copies.
     """
 
     times: np.ndarray
@@ -58,7 +73,7 @@ class SnapshotSet:
             raise InvalidInputError(f"snapshot grid must start at 0, got {times[0]!r}")
         if not np.all(np.diff(times) > 0.0):
             raise InvalidInputError("times must be strictly increasing")
-        solution = as_matrix(self.solution_columns, "solution_columns")
+        solution = _read_only(as_matrix(self.solution_columns, "solution_columns"))
         if solution.shape[1] != times.size:
             raise InvalidInputError(
                 f"solution_columns has {solution.shape[1]} columns "
@@ -67,7 +82,7 @@ class SnapshotSet:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "solution_columns", solution)
         if self.derivative_columns is not None:
-            derivative = as_matrix(self.derivative_columns, "derivative_columns")
+            derivative = _read_only(as_matrix(self.derivative_columns, "derivative_columns"))
             if derivative.shape != solution.shape:
                 raise InvalidInputError(
                     f"derivative_columns shape {derivative.shape} does not match "
@@ -102,7 +117,7 @@ class PodBasis:
     cutoff_saturated: bool = False
 
     def __post_init__(self) -> None:
-        vectors = as_matrix(self.reduced_vectors, "reduced_vectors")
+        vectors = _read_only(as_matrix(self.reduced_vectors, "reduced_vectors"))
         l = int(self.l)
         if l < 1 or l != vectors.shape[1]:
             raise InvalidInputError(
@@ -232,9 +247,12 @@ def collect_snapshots(system: OdeSystem, trajectory: Trajectory) -> SnapshotSet:
 
 
 def build_snapshot_matrix(snapshots: SnapshotSet, kind: str) -> np.ndarray:
-    """Stack snapshot columns: kind Y (solutions) or Z (solutions then derivatives)."""
+    """Stack snapshot columns: kind Y (solutions) or Z (solutions then derivatives).
+
+    Kind Y returns the set's own read-only solution columns, without a copy.
+    """
     if kind == "Y":
-        return snapshots.solution_columns.copy()
+        return snapshots.solution_columns
     if kind == "Z":
         if snapshots.derivative_columns is None:
             raise InvalidInputError("kind 'Z' requires derivative columns")
@@ -290,6 +308,17 @@ def truncate_basis(
 def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
     """Galerkin-reduced system z' = U^T f(t, U z).
 
+    When the full system carries its ``structure`` (linear operator A,
+    elementwise cubic g on some rows, forcing B s(t)), the reduction runs
+    in two phases.  Offline, once per basis: U^T A U from A applied to the
+    l basis columns, U_c = the basis rows the cubic acts on, and U^T B.
+    Online, per call:
+
+        z' = (U^T A U) z + (U^T B) s(t) + U_c^T g(U_c z),
+
+    so no call forms the full state.  A system without structure is
+    lifted instead: every call evaluates the full right-hand side at U z.
+
     When the full system carries linear metadata, the reduced matrix
     U^T A U and forcing U^T b(t) are attached to the reduced system too.
     """
@@ -300,8 +329,12 @@ def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
         )
     vectors = basis.reduced_vectors
 
-    def reduced_rhs(t: float, z: np.ndarray) -> np.ndarray:
-        return vectors.T @ np.asarray(system.rhs(t, vectors @ z), dtype=float)
+    if system.structure is not None:
+        reduced_rhs = _projected_rhs(system.structure, vectors)
+    else:
+
+        def reduced_rhs(t: float, z: np.ndarray) -> np.ndarray:
+            return vectors.T @ np.asarray(system.rhs(t, vectors @ z), dtype=float)
 
     reduced_matrix = None
     reduced_affine = None
@@ -319,6 +352,47 @@ def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
         linear_matrix=reduced_matrix,
         affine_term=reduced_affine,
     )
+
+
+def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):
+    """Online reduced right-hand side from operators projected here, once.
+
+    A call forms v = U_c z, then applies one l x (p + k + l) matrix
+    [scale U_c^T | U^T B | U^T A U] to the stacked vector
+    [v^2 (v - root); s(t); z], where p is the number of cubic rows and k
+    the number of forcing signals.  A system without cubic skips the first
+    block.
+    """
+    linear = vectors.T @ np.asarray(structure.apply_linear(vectors), dtype=float)
+    forcing = vectors.T @ structure.forcing_vectors
+    signals = structure.forcing_signals
+    root = structure.cubic_root
+    rows = vectors[structure.cubic_rows]
+    if structure.cubic_scale == 0.0:
+        rows = rows[:0]
+    p = rows.shape[0]
+    k = len(signals)
+    blocks = np.hstack((structure.cubic_scale * rows.T, forcing, linear))
+    stacked = np.empty(blocks.shape[1])
+    cubic = stacked[:p]
+    drive = stacked[p : p + k]
+    state = stacked[p + k :]
+    # np.dot has less call overhead than the @ operator on these small sizes.
+    dot = np.dot
+    subtract = np.subtract
+    multiply = np.multiply
+
+    def reduced_rhs(t: float, z: np.ndarray) -> np.ndarray:
+        if p:
+            v = dot(rows, z)
+            subtract(v, root, out=cubic)
+            multiply(cubic, v, out=cubic)
+            multiply(cubic, v, out=cubic)
+        drive[:] = [signal(t) for signal in signals]
+        state[:] = z
+        return dot(blocks, stacked)
+
+    return reduced_rhs
 
 
 def solve_rom_lifted(

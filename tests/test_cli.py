@@ -26,7 +26,7 @@ from podrom.cli import (
 )
 from podrom.bounds import BoundCurve
 from podrom.errors import InvalidInputError
-from podrom.fhn import preset
+from podrom.fhn import FhnParams, Waveform, preset
 from podrom.pod import ErrorCurve, TruncationRule
 
 
@@ -199,6 +199,49 @@ class TestRunExperiment:
         assert cell.bound.method_tag == "Y"
         assert cell.bound.times.shape == cell.curve.times.shape
         assert np.all(cell.bound.values >= cell.curve.norms)
+
+    @pytest.mark.parametrize(
+        "lam,route", [(0.0, "linear_exact"), (1.0, "sampled_estimate")]
+    )
+    def test_bound_constants_route(self, monkeypatch, lam, route):
+        # The structure attached to every cable system must not send a
+        # nonlinear one down the exact (certified) linear route.
+        params = FhnParams(
+            L=10,
+            X=1.0,
+            dx=0.1,
+            D1=0.1,
+            D2=0.05,
+            lam=lam,
+            a=0.1,
+            mu=1.0,
+            gamma=1.0,
+            I0=Waveform.sin_squared(1.0),
+            IX=Waveform.constant(0.5),
+        )
+        provenances = []
+        for name in ("linear_bound_constants", "sampled_bound_constants"):
+            original = getattr(cli, name)
+
+            def spy(*args, _original=original, **kwargs):
+                constants = _original(*args, **kwargs)
+                provenances.append(constants.provenance)
+                return constants
+
+            monkeypatch.setattr(cli, name, spy)
+        config = RunConfig(
+            params=params,
+            final_time=0.5,
+            methods=("Y", "Z"),
+            deltas=(0.1,),
+            rules=(TruncationRule.fixed(3),),
+            evaluate_bounds=True,
+            bound_samples_per_interval=8,
+        )
+        report = run_experiment(config)
+        assert report.failures == ()
+        assert all(cell.bound is not None for cell in report.cells)
+        assert provenances == [route]
 
     def test_deterministic_given_seed(self):
         config = tiny_config(seed=3)

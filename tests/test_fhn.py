@@ -150,6 +150,10 @@ class TestBuildFhn:
         assert build_fhn(tiny_params()).linear_matrix is not None
         assert build_fhn(tiny_params(lam=1.0)).linear_matrix is None
 
+    def test_structure_attached_for_every_reaction_strength(self):
+        for lam in (0.0, 1.0):
+            assert build_fhn(tiny_params(lam=lam)).structure is not None
+
     def test_shifted_stencil_variant(self):
         params = tiny_params(L=4, X=4.0, I0=Waveform.constant(1.0))
         system = build_fhn(params, boundary_stencil="shifted")
@@ -163,6 +167,85 @@ class TestBuildFhn:
     def test_rejects_unknown_stencil(self):
         with pytest.raises(InvalidInputError):
             build_fhn(tiny_params(), boundary_stencil="upwind")
+
+
+def structured_rhs(structure, t, x):
+    """Linear part plus cubic plus forcing, composed from the structure alone."""
+    out = structure.apply_linear(x)
+    v = x[structure.cubic_rows]
+    out[structure.cubic_rows] += structure.cubic_scale * v**2 * (v - structure.cubic_root)
+    drive = np.array([signal(t) for signal in structure.forcing_signals])
+    return out + structure.forcing_vectors @ drive
+
+
+def wall_driven_params(lam):
+    # Every coefficient and all four boundary signals nonzero.
+    return tiny_params(
+        L=5,
+        X=2.5,
+        dx=0.5,
+        D1=1.3,
+        D2=0.7,
+        lam=lam,
+        a=0.2,
+        mu=0.9,
+        gamma=0.4,
+        I0=Waveform.sin_squared(1.5),
+        IX=Waveform.constant(0.5),
+        w0=Waveform.sin_squared(2.0),
+        wX=Waveform.sin_squared(-0.8),
+    )
+
+
+class TestFhnStructure:
+    CASES = [
+        ("A", "consistent"),
+        ("B", "consistent"),
+        ("lam0", "consistent"),
+        ("lam0", "shifted"),
+        ("lam1", "consistent"),
+        ("lam1", "shifted"),
+    ]
+
+    @staticmethod
+    def params_for(name):
+        if name in ("A", "B"):
+            return preset(name).params
+        return wall_driven_params(lam=float(name[-1]))
+
+    @pytest.mark.parametrize("name,stencil", CASES)
+    def test_parts_reproduce_rhs(self, name, stencil):
+        params = self.params_for(name)
+        system = build_fhn(params, boundary_stencil=stencil)
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            t = float(rng.uniform(0.0, 5.0))
+            x = rng.uniform(-1.5, 1.5, size=params.dimension)
+            expect = system.rhs(t, x)
+            gap = structured_rhs(system.structure, t, x) - expect
+            assert np.max(np.abs(gap)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("name,stencil", CASES)
+    def test_linear_operator_acts_column_by_column(self, name, stencil):
+        params = self.params_for(name)
+        structure = build_fhn(params, boundary_stencil=stencil).structure
+        block = np.random.default_rng(4).standard_normal((params.dimension, 3))
+        applied = structure.apply_linear(block)
+        for j in range(3):
+            assert np.array_equal(applied[:, j], structure.apply_linear(block[:, j]))
+
+    @pytest.mark.parametrize("stencil", ["consistent", "shifted"])
+    def test_affine_operator_is_the_assembled_matrix(self, stencil):
+        params = wall_driven_params(lam=0.0)
+        system = build_fhn(params, boundary_stencil=stencil)
+        matrix, forcing = assemble_linear_matrix(params, stencil)
+        identity = np.eye(params.dimension)
+        assert np.array_equal(system.structure.apply_linear(identity), matrix)
+        structure = system.structure
+        for t in (0.0, 0.4, 2.3):
+            drive = np.array([signal(t) for signal in structure.forcing_signals])
+            gap = structure.forcing_vectors @ drive - forcing(t)
+            assert np.max(np.abs(gap)) <= 1e-15 * np.max(np.abs(forcing(t)))
 
 
 class TestAssembleLinearMatrix:

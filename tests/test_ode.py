@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podrom.errors import InvalidInputError, RhsEvaluationError, StiffnessError
-from podrom.ode import OdeSystem, Trajectory, integrate, integrate_rk4, sample_rhs
+from podrom.ode import (
+    OdeSystem,
+    RhsStructure,
+    Trajectory,
+    integrate,
+    integrate_rk4,
+    sample_rhs,
+)
 
 
 def constant_system(value):
@@ -245,3 +252,26 @@ class TestTypes:
     def test_system_rejects_bad_linear_matrix(self):
         with pytest.raises(InvalidInputError):
             OdeSystem(dimension=2, rhs=lambda t, x: x, linear_matrix=np.zeros((3, 3)))
+
+    def test_structure_needs_one_signal_per_forcing_vector(self):
+        with pytest.raises(InvalidInputError):
+            RhsStructure(
+                apply_linear=lambda x: x,
+                cubic_rows=slice(0, 1),
+                cubic_scale=-1.0,
+                cubic_root=1.0,
+                forcing_vectors=np.zeros((2, 2)),
+                forcing_signals=(math.sin,),
+            )
+
+    def test_system_rejects_structure_of_other_dimension(self):
+        structure = RhsStructure(
+            apply_linear=lambda x: x,
+            cubic_rows=slice(0, 1),
+            cubic_scale=-1.0,
+            cubic_root=1.0,
+            forcing_vectors=np.zeros((3, 1)),
+            forcing_signals=(math.sin,),
+        )
+        with pytest.raises(InvalidInputError):
+            OdeSystem(dimension=2, rhs=lambda t, x: x, structure=structure)

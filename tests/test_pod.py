@@ -1,5 +1,6 @@
 """Basis truncation, projector algebra, and reduced-system oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podrom.errors import InvalidInputError
+from podrom.fhn import build_fhn, preset
 from podrom.linalg import SvdResult, svd_one_sided_jacobi
-from podrom.ode import OdeSystem, Trajectory, integrate
+from podrom.ode import OdeSystem, RhsStructure, Trajectory, integrate
 from podrom.pod import (
     ErrorCurve,
     PodBasis,
@@ -64,6 +66,35 @@ class TestSnapshotSet:
         assert np.array_equal(snapshots.spacings, np.array([0.5, 1.0]))
         assert snapshots.dimension == 2
         assert snapshots.count == 3
+
+    def test_columns_kept_read_only_without_copy(self):
+        solution = np.arange(6.0).reshape(2, 3)
+        derivative = np.ones((2, 3))
+        snapshots = SnapshotSet(
+            times=np.array([0.0, 0.5, 1.5]),
+            solution_columns=solution,
+            derivative_columns=derivative,
+        )
+        assert np.shares_memory(snapshots.solution_columns, solution)
+        assert np.shares_memory(snapshots.derivative_columns, derivative)
+        assert build_snapshot_matrix(snapshots, "Y") is snapshots.solution_columns
+        with pytest.raises(ValueError):
+            snapshots.solution_columns[0, 0] = 1.0
+        # The factorization rotates a copy of its own.
+        svd_one_sided_jacobi(build_snapshot_matrix(snapshots, "Z"))
+        assert np.array_equal(solution, np.arange(6.0).reshape(2, 3))
+
+    def test_rejects_non_finite_columns(self):
+        columns = np.ones((2, 2))
+        columns[1, 0] = np.nan
+        with pytest.raises(InvalidInputError):
+            SnapshotSet(times=np.array([0.0, 1.0]), solution_columns=columns)
+        with pytest.raises(InvalidInputError):
+            SnapshotSet(
+                times=np.array([0.0, 1.0]),
+                solution_columns=np.ones((2, 2)),
+                derivative_columns=columns,
+            )
 
     def test_rejects_grid_not_starting_at_zero(self):
         with pytest.raises(InvalidInputError):
@@ -302,6 +333,82 @@ class TestBuildRom:
         basis = basis_from_columns(orthonormal_columns(4, 2))
         with pytest.raises(InvalidInputError):
             build_rom(system, basis)
+
+
+def counting(system):
+    """The same system with its full right-hand side counting its calls."""
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        return system.rhs(t, x)
+
+    return dataclasses.replace(system, rhs=rhs), calls
+
+
+class TestStructuredRom:
+    @pytest.mark.parametrize("preset_id", ["A", "B"])
+    @pytest.mark.parametrize("l", [1, 5, 25, 402])
+    def test_projected_rhs_matches_lifted(self, preset_id, l):
+        system = build_fhn(preset(preset_id).params)
+        n = system.dimension
+        columns = np.eye(n) if l == n else orthonormal_columns(n, l, seed=l)
+        basis = basis_from_columns(columns)
+        rom = build_rom(system, basis)
+        rng = np.random.default_rng(l)
+        for _ in range(10):
+            t = float(rng.uniform(0.0, 2.0))
+            z = columns.T @ rng.uniform(-1.0, 1.0, size=n)
+            lifted = columns.T @ system.rhs(t, columns @ z)
+            gap = rom.rhs(t, z) - lifted
+            assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(lifted))
+
+    @pytest.mark.parametrize("scale,root", [(-1.3, 1.1), (0.7, 0.0), (0.0, 0.5)])
+    def test_generic_structure_matches_lifted(self, scale, root):
+        rng = np.random.default_rng(6)
+        n = 7
+        A = rng.standard_normal((n, n))
+        B = rng.standard_normal((n, 2))
+        rows = slice(2, 6)
+
+        def rhs(t, x):
+            out = A @ x + B @ np.array([math.sin(t), math.cos(t)])
+            v = x[rows]
+            out[rows] += scale * v**2 * (v - root)
+            return out
+
+        structure = RhsStructure(
+            apply_linear=lambda x: A @ x,
+            cubic_rows=rows,
+            cubic_scale=scale,
+            cubic_root=root,
+            forcing_vectors=B,
+            forcing_signals=(math.sin, math.cos),
+        )
+        system = OdeSystem(dimension=n, rhs=rhs, structure=structure)
+        columns = orthonormal_columns(n, 3, seed=6)
+        rom = build_rom(system, basis_from_columns(columns))
+        for _ in range(5):
+            t = float(rng.uniform(0.0, 3.0))
+            z = rng.standard_normal(3)
+            lifted = columns.T @ rhs(t, columns @ z)
+            assert np.max(np.abs(rom.rhs(t, z) - lifted)) <= 1e-12 * np.max(np.abs(lifted))
+
+    def test_structured_solve_makes_no_full_rhs_call(self):
+        system, calls = counting(build_fhn(preset("B").params))
+        basis = basis_from_columns(orthonormal_columns(system.dimension, 3, seed=2))
+        x0 = np.zeros(system.dimension)
+        lifted = solve_rom_lifted(system, basis, x0, [0.01, 0.02], 1e-8, 1e-10)
+        assert lifted.states.shape == (2, system.dimension)
+        assert calls == []
+
+    def test_generic_system_is_still_lifted(self):
+        fhn = build_fhn(preset("B").params)
+        system, calls = counting(OdeSystem(dimension=fhn.dimension, rhs=fhn.rhs))
+        basis = basis_from_columns(orthonormal_columns(system.dimension, 3, seed=2))
+        x0 = np.zeros(system.dimension)
+        solve_rom_lifted(system, basis, x0, [0.01, 0.02], 1e-8, 1e-10)
+        assert len(calls) > 0
 
 
 class TestSolveRomLifted:
