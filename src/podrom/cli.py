@@ -396,15 +396,18 @@ def _compute_constants(
 ) -> Dict[float, BoundConstants]:
     """One set of bound constants per snapshot spacing.
 
-    The linear route is exact and is taken whenever the system carries its
-    matrix; sigma_1(A) is certified once by power iteration and shared
-    across spacings.  Otherwise the constants are finite-difference
-    estimates along the dense-sampled trajectory.
+    The linear route is exact and is taken when the system's cubic is off
+    (the test ``pod.build_rom`` uses to drop the cubic block): the matrix A is
+    the structure's linear operator applied to the identity, and
+    sigma_1(A) is certified once by power iteration and shared across
+    spacings.  Otherwise the constants are finite-difference estimates
+    along the dense-sampled trajectory.
     """
     constants: Dict[float, BoundConstants] = {}
     start = time.perf_counter()
-    if ctx.system.linear_matrix is not None:
-        matrix = ctx.system.linear_matrix
+    structure = ctx.system.structure
+    if structure.cubic_scale == 0.0:
+        matrix = structure.apply_linear(np.eye(ctx.system.dimension))
         try:
             sigma1 = spectral_norm(matrix, tol=_SIGMA1_TOL, rng=rng, max_iterations=500_000)
         except ConvergenceError as err:
@@ -856,7 +859,6 @@ def _build_parser() -> _ArgumentParser:
     spectrum.add_argument("--delta", required=True, help="comma list of snapshot spacings")
     spectrum.add_argument("--methods", help="comma list from {Y,Z} (default both)")
     spectrum.add_argument("--out", help="output directory (default podrom_out)")
-    spectrum.add_argument("--seed", type=int, help="random seed (default 0)")
     spectrum.add_argument("--rel-tol", type=float, help="integrator relative tolerance")
     spectrum.add_argument("--abs-tol", type=float, help="integrator absolute tolerance")
     return parser
@@ -917,8 +919,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     variant = file_map.get("bounds.variant", "consistent")
 
     extra = {}
-    eval_raw = _pick(args.eval_grid if hasattr(args, "eval_grid") else None,
-                     file_map, "grid.eval_size", None)
+    eval_raw = _pick(args.eval_grid, file_map, "grid.eval_size", None)
     if eval_raw is not None:
         try:
             extra["eval_grid_size"] = int(eval_raw)
@@ -1020,7 +1021,6 @@ def _execute_spectrum(args: argparse.Namespace) -> int:
         deltas=deltas,
         dims=(1,),
         out_dir=out_dir,
-        seed=args.seed if args.seed is not None else 0,
         rel_tol=args.rel_tol if args.rel_tol is not None else _DEFAULT_REL_TOL,
         abs_tol=args.abs_tol if args.abs_tol is not None else _DEFAULT_ABS_TOL,
     )

@@ -3,15 +3,18 @@
 Method-of-lines discretization of the two-field reaction-diffusion system
 with injected boundary currents on the voltage field v and pinned boundary
 values for the recovery field w.  State layout is [v_0..v_L, w_0..w_L], so
-the system dimension is 2(L+1).  Three experiment presets (A, B, C) bundle
-the coefficient sets and snapshot schedules used by the report driver.
+the system dimension is 2(L+1).  Besides its right-hand side, a built
+system carries its parts as an ``ode.RhsStructure`` (linear operator,
+cubic on the voltage rows, wall forcing).  Three experiment presets (A, B,
+C) bundle the coefficient sets and snapshot schedules used by the report
+driver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -23,11 +26,8 @@ __all__ = [
     "FhnParams",
     "ExperimentPreset",
     "build_fhn",
-    "assemble_linear_matrix",
     "preset",
 ]
-
-_STENCILS = ("consistent", "shifted")
 
 
 @dataclass(frozen=True)
@@ -150,19 +150,13 @@ class ExperimentPreset:
         object.__setattr__(self, "eval_grid_size", int(self.eval_grid_size))
 
 
-def build_fhn(params: FhnParams, boundary_stencil: str = "consistent") -> OdeSystem:
+def build_fhn(params: FhnParams) -> OdeSystem:
     """Assemble the method-of-lines system for the given coefficients.
 
-    ``boundary_stencil`` selects the one-sided difference used in the two
-    wall rows of the voltage field: "consistent" anchors it at the wall
-    node, "shifted" displaces it one node inward (kept for comparison
-    runs).  The returned OdeSystem carries its linear/cubic/forcing split
-    as ``structure`` for every ``lam``; only when ``lam`` is zero is the
-    system affine, and then the assembled matrix and forcing term are
-    attached as well.
+    The returned OdeSystem carries its linear/cubic/forcing split as
+    ``structure``.  With ``lam`` zero the cubic scale is zero, the system
+    is affine, x' = A x + b(t), and A is the structure's linear operator.
     """
-    if boundary_stencil not in _STENCILS:
-        raise InvalidInputError(f"boundary_stencil must be one of {_STENCILS}")
     L = params.L
     dx = params.dx
     n = params.dimension
@@ -176,7 +170,6 @@ def build_fhn(params: FhnParams, boundary_stencil: str = "consistent") -> OdeSys
     current_right = params.IX
     pin_left = params.w0
     pin_right = params.wX
-    shifted = boundary_stencil == "shifted"
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         v = state[: L + 1]
@@ -185,12 +178,8 @@ def build_fhn(params: FhnParams, boundary_stencil: str = "consistent") -> OdeSys
         dv = out[: L + 1]
         dw = out[L + 1 :]
         dv[1:L] = d1 * (v[2:] - 2.0 * v[1:L] + v[: L - 1])
-        if shifted:
-            dv[0] = d1 * (v[2] - v[1] + dx * current_left(t))
-            dv[L] = d1 * (v[L - 2] - v[L - 1] - dx * current_right(t))
-        else:
-            dv[0] = d1 * (v[1] - v[0] + dx * current_left(t))
-            dv[L] = d1 * (v[L - 1] - v[L] - dx * current_right(t))
+        dv[0] = d1 * (v[1] - v[0] + dx * current_left(t))
+        dv[L] = d1 * (v[L - 1] - v[L] - dx * current_right(t))
         if lam != 0.0:
             dv += lam * (v * (1.0 - v) * (v - a) - w)
         dw[1:L] = (
@@ -201,29 +190,20 @@ def build_fhn(params: FhnParams, boundary_stencil: str = "consistent") -> OdeSys
         dw[L] = pin_right.derivative(t)
         return out
 
-    structure = _fhn_structure(params, boundary_stencil)
-    if lam == 0.0:
-        matrix, forcing = assemble_linear_matrix(params, boundary_stencil)
-        return OdeSystem(
-            dimension=n,
-            rhs=rhs,
-            linear_matrix=matrix,
-            affine_term=forcing,
-            structure=structure,
-        )
-    return OdeSystem(dimension=n, rhs=rhs, structure=structure)
+    return OdeSystem(dimension=n, rhs=rhs, structure=_fhn_structure(params))
 
 
-def _fhn_structure(params: FhnParams, boundary_stencil: str) -> RhsStructure:
+def _fhn_structure(params: FhnParams) -> RhsStructure:
     """The cable right-hand side split into linear, cubic and forcing parts.
 
     The cubic reaction lam * v(1-v)(v-a) expands to -lam*a*v (linear part)
     plus -lam * v^2 (v - (1+a)) on the voltage rows; -lam*w joins the
     linear part too.  The forcing is four wall vectors times I0(t), IX(t), w0'(t)
     and wX'(t).  The linear operator works on a state vector or on an n x k
-    block of them, row-wise, without assembling a matrix.  It repeats the
-    stencil of ``build_fhn``'s ``rhs`` rather than sharing it, because the
-    truth trajectory depends on the operation order inside ``rhs``.
+    block of them, row-wise, without assembling a matrix; applied to the
+    identity it gives the matrix A itself.  It repeats the stencil of
+    ``build_fhn``'s ``rhs`` rather than sharing it, because the truth
+    trajectory depends on the operation order inside ``rhs``.
     """
     L = params.L
     dx = params.dx
@@ -234,7 +214,6 @@ def _fhn_structure(params: FhnParams, boundary_stencil: str) -> RhsStructure:
     a = params.a
     mu = params.mu
     gamma = params.gamma
-    shifted = boundary_stencil == "shifted"
 
     def apply_linear(x: np.ndarray) -> np.ndarray:
         v = x[: L + 1]
@@ -243,12 +222,8 @@ def _fhn_structure(params: FhnParams, boundary_stencil: str) -> RhsStructure:
         dv = out[: L + 1]
         dw = out[L + 1 :]
         dv[1:L] = d1 * (v[2:] - 2.0 * v[1:L] + v[: L - 1])
-        if shifted:
-            dv[0] = d1 * (v[2] - v[1])
-            dv[L] = d1 * (v[L - 2] - v[L - 1])
-        else:
-            dv[0] = d1 * (v[1] - v[0])
-            dv[L] = d1 * (v[L - 1] - v[L])
+        dv[0] = d1 * (v[1] - v[0])
+        dv[L] = d1 * (v[L - 1] - v[L])
         if lam != 0.0:
             dv -= lam * (a * v + w)
         dw[1:L] = (
@@ -272,60 +247,6 @@ def _fhn_structure(params: FhnParams, boundary_stencil: str) -> RhsStructure:
         forcing_vectors=forcing,
         forcing_signals=(params.I0, params.IX, params.w0.derivative, params.wX.derivative),
     )
-
-
-def assemble_linear_matrix(
-    params: FhnParams, boundary_stencil: str = "consistent"
-) -> Tuple[np.ndarray, Callable[[float], np.ndarray]]:
-    """Explicit matrix and forcing with rhs(t, x) = A x + b(t); needs lam = 0."""
-    if params.lam != 0.0:
-        raise InvalidInputError("assemble_linear_matrix requires lam = 0")
-    if boundary_stencil not in _STENCILS:
-        raise InvalidInputError(f"boundary_stencil must be one of {_STENCILS}")
-    L = params.L
-    dx = params.dx
-    n = params.dimension
-    d1 = params.D1 / (dx * dx)
-    d2 = params.D2 / (dx * dx)
-    matrix = np.zeros((n, n))
-
-    for j in range(1, L):
-        matrix[j, j - 1] = d1
-        matrix[j, j] = -2.0 * d1
-        matrix[j, j + 1] = d1
-    if boundary_stencil == "shifted":
-        matrix[0, 1] = -d1
-        matrix[0, 2] = d1
-        matrix[L, L - 2] = d1
-        matrix[L, L - 1] = -d1
-    else:
-        matrix[0, 0] = -d1
-        matrix[0, 1] = d1
-        matrix[L, L - 1] = d1
-        matrix[L, L] = -d1
-
-    offset = L + 1
-    for j in range(1, L):
-        matrix[offset + j, offset + j - 1] = d2
-        matrix[offset + j, offset + j] = -2.0 * d2 - params.gamma
-        matrix[offset + j, offset + j + 1] = d2
-        matrix[offset + j, j] = params.mu
-    # Wall rows of w are forcing-only (their signal derivative).
-
-    current_left = params.I0
-    current_right = params.IX
-    pin_left = params.w0
-    pin_right = params.wX
-
-    def forcing(t: float) -> np.ndarray:
-        vec = np.zeros(n)
-        vec[0] = d1 * (dx * current_left(t))
-        vec[L] = -d1 * (dx * current_right(t))
-        vec[offset] = pin_left.derivative(t)
-        vec[offset + L] = pin_right.derivative(t)
-        return vec
-
-    return matrix, forcing
 
 
 def _fhn_params_b() -> FhnParams:

@@ -74,21 +74,16 @@ class RhsStructure:
 class OdeSystem:
     """First-order system x' = f(t, x) of a fixed dimension.
 
-    Integration only ever calls ``rhs``.  The optional fields describe the
-    same f and never replace it:
-
-    - ``linear_matrix`` and ``affine_term`` are attached only when the
-      system is affine, x' = A x + b(t); the exact error-bound constants
-      are taken from them.
-    - ``structure`` splits f into a linear operator, an elementwise cubic
-      and a fixed-vector forcing (:class:`RhsStructure`), so that a
-      Galerkin reduction can project each part once, offline.
+    Integration only ever calls ``rhs``.  The optional ``structure``
+    describes the same f and never replaces it: it splits f into a linear
+    operator, an elementwise cubic and a fixed-vector forcing
+    (:class:`RhsStructure`), so that a Galerkin reduction can project each
+    part once, offline.  With a zero cubic scale the system is affine and
+    its linear operator gives the exact error-bound constants.
     """
 
     dimension: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    linear_matrix: Optional[np.ndarray] = None
-    affine_term: Optional[Callable[[float], np.ndarray]] = None
     structure: Optional[RhsStructure] = None
 
     def __post_init__(self) -> None:
@@ -98,17 +93,6 @@ class OdeSystem:
         object.__setattr__(self, "dimension", dim)
         if not callable(self.rhs):
             raise InvalidInputError("rhs must be callable")
-        if self.linear_matrix is not None:
-            matrix = np.array(self.linear_matrix, dtype=float)
-            if matrix.shape != (dim, dim):
-                raise InvalidInputError(
-                    f"linear_matrix must be {dim}x{dim}, got shape {matrix.shape}"
-                )
-            if not np.all(np.isfinite(matrix)):
-                raise InvalidInputError("linear_matrix contains non-finite entries")
-            object.__setattr__(self, "linear_matrix", matrix)
-        if self.affine_term is not None and not callable(self.affine_term):
-            raise InvalidInputError("affine_term must be callable or None")
         if self.structure is not None:
             if not isinstance(self.structure, RhsStructure):
                 raise InvalidInputError("structure must be an RhsStructure or None")

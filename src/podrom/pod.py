@@ -318,9 +318,7 @@ def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
 
     so no call forms the full state.  A system without structure is
     lifted instead: every call evaluates the full right-hand side at U z.
-
-    When the full system carries linear metadata, the reduced matrix
-    U^T A U and forcing U^T b(t) are attached to the reduced system too.
+    The reduced system carries its right-hand side only, no structure.
     """
     if basis.dimension != system.dimension:
         raise InvalidInputError(
@@ -336,22 +334,7 @@ def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
         def reduced_rhs(t: float, z: np.ndarray) -> np.ndarray:
             return vectors.T @ np.asarray(system.rhs(t, vectors @ z), dtype=float)
 
-    reduced_matrix = None
-    reduced_affine = None
-    if system.linear_matrix is not None:
-        reduced_matrix = vectors.T @ (system.linear_matrix @ vectors)
-        if system.affine_term is not None:
-            full_affine = system.affine_term
-
-            def reduced_affine(t: float) -> np.ndarray:
-                return vectors.T @ np.asarray(full_affine(t), dtype=float)
-
-    return OdeSystem(
-        dimension=basis.l,
-        rhs=reduced_rhs,
-        linear_matrix=reduced_matrix,
-        affine_term=reduced_affine,
-    )
+    return OdeSystem(dimension=basis.l, rhs=reduced_rhs)
 
 
 def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):

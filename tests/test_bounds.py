@@ -16,7 +16,7 @@ from podrom.bounds import (
     sampled_bound_constants,
 )
 from podrom.errors import InvalidInputError
-from podrom.fhn import assemble_linear_matrix, build_fhn, preset
+from podrom.fhn import build_fhn, preset
 from podrom.linalg import spectral_norm, svd_one_sided_jacobi
 from podrom.ode import OdeSystem, Trajectory, integrate_rk4
 from podrom.pod import SnapshotSet
@@ -358,8 +358,9 @@ class TestLinearConstants:
             linear_bound_constants(np.eye(1), fom, [0.0, 0.5, 1.0])
 
     def test_experiment_matrix_sigma_dual_backend(self):
-        # the stiff assembled matrix: power iteration against the Jacobi SVD
-        matrix, _ = assemble_linear_matrix(preset("A").params)
+        # the stiff preset-A operator: power iteration against the Jacobi SVD
+        params = preset("A").params
+        matrix = build_fhn(params).structure.apply_linear(np.eye(params.dimension))
         jacobi_sigma = float(svd_one_sided_jacobi(matrix).singular_values[0])
         power_sigma = spectral_norm(matrix, tol=1e-8, max_iterations=500_000)
         assert abs(power_sigma - jacobi_sigma) <= 1e-8 * jacobi_sigma

@@ -26,7 +26,7 @@ from podrom.cli import (
 )
 from podrom.bounds import BoundCurve
 from podrom.errors import InvalidInputError
-from podrom.fhn import FhnParams, Waveform, preset
+from podrom.fhn import FhnParams, Waveform, build_fhn, preset
 from podrom.pod import ErrorCurve, TruncationRule
 
 
@@ -205,7 +205,8 @@ class TestRunExperiment:
     )
     def test_bound_constants_route(self, monkeypatch, lam, route):
         # The structure attached to every cable system must not send a
-        # nonlinear one down the exact (certified) linear route.
+        # nonlinear one down the exact (certified) linear route, and the
+        # linear route must see the structure's operator as its matrix.
         params = FhnParams(
             L=10,
             X=1.0,
@@ -220,12 +221,15 @@ class TestRunExperiment:
             IX=Waveform.constant(0.5),
         )
         provenances = []
+        matrices = []
         for name in ("linear_bound_constants", "sampled_bound_constants"):
             original = getattr(cli, name)
 
             def spy(*args, _original=original, **kwargs):
                 constants = _original(*args, **kwargs)
                 provenances.append(constants.provenance)
+                if constants.provenance == "linear_exact":
+                    matrices.append(args[0])
                 return constants
 
             monkeypatch.setattr(cli, name, spy)
@@ -242,6 +246,10 @@ class TestRunExperiment:
         assert report.failures == ()
         assert all(cell.bound is not None for cell in report.cells)
         assert provenances == [route]
+        if lam == 0.0:
+            structure = build_fhn(params).structure
+            expect = structure.apply_linear(np.eye(params.dimension))
+            assert len(matrices) == 1 and np.array_equal(matrices[0], expect)
 
     def test_deterministic_given_seed(self):
         config = tiny_config(seed=3)
@@ -472,6 +480,11 @@ class TestCommandLine:
         ]) == 0
         spectra = (tmp_path / "run" / SPECTRUM_CSV_NAME).read_bytes()
         assert (out / SPECTRUM_CSV_NAME).read_bytes() == spectra
+        # spectra draw no random numbers, so the subcommand takes no seed
+        assert main([
+            "spectrum", "--preset", "A", "--delta", "0.01", "--seed", "3",
+            "--out", str(tmp_path / "seeded"),
+        ]) == 1
 
     def test_plot_rendering_times_out(self, tmp_path, monkeypatch, capsys):
         script = tmp_path / PLOT_SCRIPT_NAME

@@ -1,4 +1,4 @@
-"""Cable-system oracles: stencil assembly, affine consistency, presets."""
+"""Cable-system oracles: stencil, linear operator, affine consistency, presets."""
 
 import math
 
@@ -10,7 +10,6 @@ from podrom.fhn import (
     ExperimentPreset,
     FhnParams,
     Waveform,
-    assemble_linear_matrix,
     build_fhn,
     preset,
 )
@@ -32,6 +31,18 @@ def tiny_params(**overrides):
     )
     base.update(overrides)
     return FhnParams(**base)
+
+
+def linear_parts(params):
+    """A and b(t) of a lam = 0 system, x' = A x + b(t), from its structure."""
+    structure = build_fhn(params).structure
+    matrix = structure.apply_linear(np.eye(params.dimension))
+
+    def forcing(t):
+        drive = np.array([signal(t) for signal in structure.forcing_signals])
+        return structure.forcing_vectors @ drive
+
+    return matrix, forcing
 
 
 class TestWaveform:
@@ -122,7 +133,7 @@ class TestBuildFhn:
 
     @pytest.mark.parametrize("preset_id", ["A", "B"])
     def test_affine_consistency_on_linearized_presets(self, preset_id):
-        # Force lam = 0 so the assembled matrix route applies to both sets.
+        # Force lam = 0 so both sets are affine.
         source = preset(preset_id).params
         params = FhnParams(
             L=source.L,
@@ -138,7 +149,7 @@ class TestBuildFhn:
             IX=source.IX,
         )
         system = build_fhn(params)
-        matrix, forcing = assemble_linear_matrix(params)
+        matrix, forcing = linear_parts(params)
         rng = np.random.default_rng(3)
         for _ in range(100):
             t = float(rng.uniform(0.0, 2.0))
@@ -146,27 +157,9 @@ class TestBuildFhn:
             gap = system.rhs(t, x) - (matrix @ x + forcing(t))
             assert np.max(np.abs(gap)) <= 1e-12 * (1.0 + np.max(np.abs(x)))
 
-    def test_linear_metadata_attached_only_without_reaction(self):
-        assert build_fhn(tiny_params()).linear_matrix is not None
-        assert build_fhn(tiny_params(lam=1.0)).linear_matrix is None
-
     def test_structure_attached_for_every_reaction_strength(self):
         for lam in (0.0, 1.0):
             assert build_fhn(tiny_params(lam=lam)).structure is not None
-
-    def test_shifted_stencil_variant(self):
-        params = tiny_params(L=4, X=4.0, I0=Waveform.constant(1.0))
-        system = build_fhn(params, boundary_stencil="shifted")
-        state = np.zeros(10)
-        state[1] = 0.5
-        state[2] = 0.125
-        out = system.rhs(0.0, state)
-        # Wall row reads nodes 1 and 2 instead of 0 and 1.
-        assert abs(out[0] - (0.125 - 0.5 + 1.0)) <= 1e-15
-
-    def test_rejects_unknown_stencil(self):
-        with pytest.raises(InvalidInputError):
-            build_fhn(tiny_params(), boundary_stencil="upwind")
 
 
 def structured_rhs(structure, t, x):
@@ -198,14 +191,10 @@ def wall_driven_params(lam):
 
 
 class TestFhnStructure:
-    CASES = [
-        ("A", "consistent"),
-        ("B", "consistent"),
-        ("lam0", "consistent"),
-        ("lam0", "shifted"),
-        ("lam1", "consistent"),
-        ("lam1", "shifted"),
-    ]
+    # The ids name the wall stencil, the consistent one-sided difference.
+    CASES = pytest.mark.parametrize(
+        "name", ["A", "B", "lam0", "lam1"], ids=lambda name: f"{name}-consistent"
+    )
 
     @staticmethod
     def params_for(name):
@@ -213,10 +202,10 @@ class TestFhnStructure:
             return preset(name).params
         return wall_driven_params(lam=float(name[-1]))
 
-    @pytest.mark.parametrize("name,stencil", CASES)
-    def test_parts_reproduce_rhs(self, name, stencil):
+    @CASES
+    def test_parts_reproduce_rhs(self, name):
         params = self.params_for(name)
-        system = build_fhn(params, boundary_stencil=stencil)
+        system = build_fhn(params)
         rng = np.random.default_rng(17)
         for _ in range(50):
             t = float(rng.uniform(0.0, 5.0))
@@ -225,37 +214,26 @@ class TestFhnStructure:
             gap = structured_rhs(system.structure, t, x) - expect
             assert np.max(np.abs(gap)) <= 1e-13 * np.max(np.abs(expect))
 
-    @pytest.mark.parametrize("name,stencil", CASES)
-    def test_linear_operator_acts_column_by_column(self, name, stencil):
+    @CASES
+    def test_linear_operator_acts_column_by_column(self, name):
         params = self.params_for(name)
-        structure = build_fhn(params, boundary_stencil=stencil).structure
+        structure = build_fhn(params).structure
         block = np.random.default_rng(4).standard_normal((params.dimension, 3))
         applied = structure.apply_linear(block)
         for j in range(3):
             assert np.array_equal(applied[:, j], structure.apply_linear(block[:, j]))
 
-    @pytest.mark.parametrize("stencil", ["consistent", "shifted"])
-    def test_affine_operator_is_the_assembled_matrix(self, stencil):
-        params = wall_driven_params(lam=0.0)
-        system = build_fhn(params, boundary_stencil=stencil)
-        matrix, forcing = assemble_linear_matrix(params, stencil)
-        identity = np.eye(params.dimension)
-        assert np.array_equal(system.structure.apply_linear(identity), matrix)
-        structure = system.structure
-        for t in (0.0, 0.4, 2.3):
-            drive = np.array([signal(t) for signal in structure.forcing_signals])
-            gap = structure.forcing_vectors @ drive - forcing(t)
-            assert np.max(np.abs(gap)) <= 1e-15 * np.max(np.abs(forcing(t)))
-
 
 class TestAssembleLinearMatrix:
+    """The matrix A of a lam = 0 system: its linear operator on the identity."""
+
     def test_zero_coefficients_give_zero_matrix(self):
-        matrix, forcing = assemble_linear_matrix(tiny_params(D1=0.0))
+        matrix, forcing = linear_parts(tiny_params(D1=0.0))
         assert np.all(matrix == 0.0)
         assert np.all(forcing(1.0) == 0.0)
 
     def test_hand_assembled_voltage_block(self):
-        matrix, _ = assemble_linear_matrix(tiny_params())
+        matrix, _ = linear_parts(tiny_params())
         expect = np.array(
             [
                 [-1.0, 1.0, 0.0],
@@ -265,20 +243,16 @@ class TestAssembleLinearMatrix:
         )
         assert np.array_equal(matrix[:3, :3], expect)
 
-    def test_rejects_nonzero_reaction(self):
-        with pytest.raises(InvalidInputError):
-            assemble_linear_matrix(tiny_params(lam=0.5))
-
     def test_voltage_block_row_sums_vanish(self):
         params = preset("A").params
-        matrix, _ = assemble_linear_matrix(params)
+        matrix, _ = linear_parts(params)
         L = params.L
         sums = matrix[: L + 1, : L + 1].sum(axis=1)
         assert np.max(np.abs(sums)) <= 1e-9 * params.D1 / params.dx**2
 
     def test_interior_voltage_block_symmetric_tridiagonal(self):
         params = preset("A").params
-        matrix, _ = assemble_linear_matrix(params)
+        matrix, _ = linear_parts(params)
         L = params.L
         block = matrix[: L + 1, : L + 1]
         assert np.array_equal(block, block.T)
@@ -289,7 +263,7 @@ class TestAssembleLinearMatrix:
         # Applies to the voltage diffusion block; recovery rows carry the
         # mu coupling and are not expected to satisfy this.
         params = preset("A").params
-        matrix, _ = assemble_linear_matrix(params)
+        matrix, _ = linear_parts(params)
         block = matrix[: params.L + 1, : params.L + 1]
         centers = np.diagonal(block)
         radii = np.sum(np.abs(block), axis=1) - np.abs(centers)
@@ -297,7 +271,7 @@ class TestAssembleLinearMatrix:
 
     def test_forcing_hits_wall_components_only(self):
         params = preset("A").params
-        _, forcing = assemble_linear_matrix(params)
+        _, forcing = linear_parts(params)
         vec = forcing(0.3)
         L = params.L
         nonzero = np.nonzero(vec)[0]

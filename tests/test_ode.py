@@ -29,7 +29,7 @@ def decay_system():
 
 def rotation_system():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return OdeSystem(dimension=2, rhs=lambda t, x: A @ x, linear_matrix=A)
+    return OdeSystem(dimension=2, rhs=lambda t, x: A @ x)
 
 
 class TestIntegrate:
@@ -76,44 +76,6 @@ class TestIntegrate:
         traj = integrate(decay_system(), np.array([1.0]), 0.0, 1.0, 1e-9, 1e-12, out)
         assert traj.times.tobytes() == out.tobytes()
         assert np.allclose(traj.states[:, 0], np.exp(-out), rtol=1e-7, atol=1e-10)
-
-    def test_linear_consistency_with_affine_term(self):
-        rng = np.random.default_rng(7)
-        A = rng.standard_normal((3, 3))
-
-        def forcing(t):
-            return np.array([math.sin(t), math.cos(t), 1.0])
-
-        def rhs(t, x):
-            return A @ x + forcing(t)
-
-        x0 = rng.standard_normal(3)
-        out = [0.25, 0.5, 1.0]
-        with_meta = OdeSystem(dimension=3, rhs=rhs, linear_matrix=A, affine_term=forcing)
-        without_meta = OdeSystem(dimension=3, rhs=rhs)
-        traj_a = integrate(with_meta, x0, 0.0, 1.0, 1e-10, 1e-12, out)
-        traj_b = integrate(without_meta, x0, 0.0, 1.0, 1e-10, 1e-12, out)
-        assert np.max(np.abs(traj_a.states - traj_b.states)) <= 1e-10
-
-    def test_linear_metadata_matches_rhs_on_probes(self):
-        rng = np.random.default_rng(11)
-        A = rng.standard_normal((4, 4))
-
-        def forcing(t):
-            return np.array([1.0, t, t * t, math.sin(t)])
-
-        system = OdeSystem(
-            dimension=4,
-            rhs=lambda t, x: A @ x + forcing(t),
-            linear_matrix=A,
-            affine_term=forcing,
-        )
-        for _ in range(20):
-            t = float(rng.uniform(0.0, 2.0))
-            x = rng.standard_normal(4)
-            lhs = system.rhs(t, x)
-            rhs_lin = system.linear_matrix @ x + system.affine_term(t)
-            assert np.linalg.norm(lhs - rhs_lin) <= 1e-12 * max(1.0, np.linalg.norm(lhs))
 
     def test_blowup_raises_stiffness_error(self):
         system = OdeSystem(dimension=1, rhs=lambda t, x: np.array([1.0 / (0.5 - t)]))
@@ -248,10 +210,6 @@ class TestTypes:
     def test_system_rejects_bad_dimension(self):
         with pytest.raises(InvalidInputError):
             OdeSystem(dimension=0, rhs=lambda t, x: x)
-
-    def test_system_rejects_bad_linear_matrix(self):
-        with pytest.raises(InvalidInputError):
-            OdeSystem(dimension=2, rhs=lambda t, x: x, linear_matrix=np.zeros((3, 3)))
 
     def test_structure_needs_one_signal_per_forcing_vector(self):
         with pytest.raises(InvalidInputError):

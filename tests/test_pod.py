@@ -302,12 +302,11 @@ class TestBuildRom:
     def test_linear_system_reduces_to_projected_matrix(self):
         rng = np.random.default_rng(8)
         A = rng.standard_normal((6, 6))
-        system = OdeSystem(dimension=6, rhs=lambda t, x: A @ x, linear_matrix=A)
+        system = OdeSystem(dimension=6, rhs=lambda t, x: A @ x)
         columns = orthonormal_columns(6, 2, seed=8)
         basis = basis_from_columns(columns)
         rom = build_rom(system, basis)
         reduced = columns.T @ A @ columns
-        assert np.max(np.abs(rom.linear_matrix - reduced)) <= 1e-13
         for _ in range(5):
             z = rng.standard_normal(2)
             assert np.max(np.abs(rom.rhs(0.0, z) - reduced @ z)) <= 1e-12
@@ -317,16 +316,6 @@ class TestBuildRom:
         basis = basis_from_columns(orthonormal_columns(4, 2, seed=9))
         rom = build_rom(system, basis)
         assert np.all(rom.rhs(1.0, np.array([0.3, -0.4])) == 0.0)
-
-    def test_affine_term_projected(self):
-        A = -np.eye(3)
-        b = lambda t: np.array([1.0, t, 0.0])
-        system = OdeSystem(dimension=3, rhs=lambda t, x: A @ x + b(t), linear_matrix=A, affine_term=b)
-        columns = orthonormal_columns(3, 2, seed=10)
-        basis = basis_from_columns(columns)
-        rom = build_rom(system, basis)
-        t = 0.7
-        assert np.max(np.abs(rom.affine_term(t) - columns.T @ b(t))) <= 1e-14
 
     def test_dimension_mismatch(self):
         system = OdeSystem(dimension=5, rhs=lambda t, x: x)
@@ -440,7 +429,7 @@ class TestSolveRomLifted:
         B = np.array([[-0.5, 0.3], [0.0, -0.2]])
         C = -np.diag([1.0, 2.0, 0.5, 1.5])
         A = U @ B @ U.T + W @ C @ W.T
-        system = OdeSystem(dimension=6, rhs=lambda t, x: A @ x, linear_matrix=A)
+        system = OdeSystem(dimension=6, rhs=lambda t, x: A @ x)
         basis = basis_from_columns(U)
         x0 = U @ np.array([1.0, -0.5])
         out = [0.25, 0.5, 1.0]
