@@ -12,20 +12,23 @@ default; a "literal" variant with 4/27 is kept switchable because the two
 published forms of the with-derivative bound disagree by that factor of
 two, and the larger coefficient is the conservative choice.
 
-Constants come either exactly from a linear system matrix or from sampled
-finite-difference estimates along a dense reference trajectory.
+Constants come from the system's ``RhsStructure``: exactly from the linear
+operator A when the cubic is off (Lambda = ||A||_2), and otherwise from
+the exact Jacobian J(x) = A + diag(g'(x)) sampled along a dense reference
+trajectory (Lambda = max ||J||_2, Psi = max ||J f + B s'||).  Every
+spectral norm is LAPACK's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError
-from .linalg import as_matrix, spectral_norm, svd_one_sided_jacobi
+from .errors import InvalidInputError
+from .linalg import as_matrix
 from .ode import OdeSystem, Trajectory, sample_rhs
 from .pod import SnapshotSet
 
@@ -47,12 +50,10 @@ PROVENANCES = ("linear_exact", "sampled_estimate", "user_supplied")
 _EXP_ARG_CAP = 690.0
 _VALUE_CAP = 1e300
 
-# Sampled-estimate knobs: Jacobian norms are taken at a thinned set of
-# trajectory samples with a loose certificate; a spent budget still yields
-# a usable Rayleigh estimate.
-_LAMBDA_SAMPLE_COUNT = 9
-_LAMBDA_TOL = 1e-3
-_LAMBDA_MAX_ITERATIONS = 2500
+_EPS = float(np.finfo(float).eps)
+
+# The sampled Lambda takes Jacobian norms at this many trajectory samples.
+_JACOBIAN_SAMPLES = 9
 
 
 @dataclass(frozen=True)
@@ -178,6 +179,10 @@ def _validate_snapshot_times(snapshot_times) -> np.ndarray:
     return times
 
 
+def _interval_max(values: np.ndarray, slices: List[Tuple[int, int]]) -> np.ndarray:
+    return np.array([float(np.max(values[left:right])) for left, right in slices])
+
+
 def _interval_slices(
     fom_times: np.ndarray, snapshot_times: np.ndarray, min_count: int
 ) -> List[Tuple[int, int]]:
@@ -196,17 +201,12 @@ def _interval_slices(
     return slices
 
 
-def linear_bound_constants(
-    A,
-    fom: Trajectory,
-    snapshot_times,
-    sigma1: Optional[float] = None,
-) -> BoundConstants:
+def linear_bound_constants(A, fom: Trajectory, snapshot_times) -> BoundConstants:
     """Exact constants for x' = A x + b(t).
 
-    Lambda is the largest singular value of A (pass ``sigma1`` to reuse a
-    precomputed value), theta_i the max solution norm over the interval's
-    trajectory samples, Psi_i = Lambda theta_i, Phi_i = Lambda^3 theta_i.
+    Lambda is the largest singular value of A, padded for rounding; theta_i
+    the max solution norm over the interval's trajectory samples,
+    Psi_i = Lambda theta_i, Phi_i = Lambda^3 theta_i.
     """
     matrix = as_matrix(A, "A")
     if matrix.shape[0] != matrix.shape[1]:
@@ -218,14 +218,11 @@ def linear_bound_constants(
         )
     times = _validate_snapshot_times(snapshot_times)
     slices = _interval_slices(fom.times, times, 2)
-    if sigma1 is None:
-        lam = float(svd_one_sided_jacobi(matrix).singular_values[0])
-    else:
-        lam = float(sigma1)
-        if not (math.isfinite(lam) and lam >= 0.0):
-            raise InvalidInputError(f"sigma1 must be finite and >= 0, got {sigma1!r}")
-    norms = np.sqrt(np.sum(fom.states * fom.states, axis=1))
-    theta = np.array([float(np.max(norms[left:right])) for left, right in slices])
+    # LAPACK's sigma_1 is exact for some A + E with ||E|| of order n eps ||A||,
+    # and sigma_1 moves by at most ||E|| (Weyl), so the pad keeps Lambda at
+    # or above the true sigma_1(A).
+    lam = float(np.linalg.norm(matrix, 2)) * (1.0 + matrix.shape[0] * _EPS)
+    theta = _interval_max(np.linalg.norm(fom.states, axis=1), slices)
     return BoundConstants(
         lambda_=lam,
         psi=lam * theta,
@@ -236,55 +233,41 @@ def linear_bound_constants(
 
 
 def sampled_bound_constants(
-    system: OdeSystem,
-    fom: Trajectory,
-    snapshot_times,
-    fd_step: float,
-    rng: Optional[np.random.Generator] = None,
+    system: OdeSystem, fom: Trajectory, snapshot_times
 ) -> BoundConstants:
-    """Finite-difference estimates of the bound constants along a trajectory.
+    """Bound constants from the exact Jacobian, sampled along a trajectory.
 
-    All values are maxima over finitely many samples, so they are heuristic
-    lower approximations of the true suprema:
+    The system must carry an ``RhsStructure``; J(x) is its
+    ``apply_jacobian``.  All values are maxima over finitely many samples,
+    so they are heuristic lower approximations of the true suprema:
 
-    - Psi_i: central difference of s -> f(y + s f(y, t), t + s) at
-      s = +-fd_step per trajectory sample (the tangent line carries the
-      t-derivative of f along the solution to second order).
+    - Psi_i: max over the interval's samples of ||d/dt f|| =
+      ||J(x) f + B s'(t)||, with s' the structure's forcing rates.
     - Phi_i: third central differences of the sampled f columns, which
       requires a uniform sample grid of at least 5 points per interval.
-    - Lambda: spectral norm of forward-difference Jacobians at a thinned
-      set of trajectory samples; a spent power-iteration budget falls back
-      to the Rayleigh estimate.
+    - Lambda: the largest ||J(x)||_2 (LAPACK) over a thinned set of
+      trajectory samples.
     """
     if system.dimension != fom.dimension:
         raise InvalidInputError(
             f"system dimension {system.dimension} does not match trajectory "
             f"dimension {fom.dimension}"
         )
-    h = float(fd_step)
-    if not (math.isfinite(h) and h > 0.0):
-        raise InvalidInputError(f"fd_step must be finite and > 0, got {fd_step!r}")
-    if h < 1e-290:
-        raise InvalidInputError(f"fd_step = {fd_step!r} underflows the differences")
+    structure = system.structure
+    if structure is None:
+        raise InvalidInputError("sampled bound constants need a system with a structure")
     times = _validate_snapshot_times(snapshot_times)
     slices = _interval_slices(fom.times, times, 5)
 
     f_columns = sample_rhs(system, fom)
-    norms = np.sqrt(np.sum(fom.states * fom.states, axis=1))
-    theta = np.array([float(np.max(norms[left:right])) for left, right in slices])
+    states = fom.states.T
+    theta = _interval_max(np.linalg.norm(fom.states, axis=1), slices)
 
-    psi = np.empty(len(slices))
-    for pos, (left, right) in enumerate(slices):
-        best = 0.0
-        for j in range(left, right):
-            t_j = float(fom.times[j])
-            y_j = fom.states[j]
-            f_j = f_columns[:, j]
-            plus = np.asarray(system.rhs(t_j + h, y_j + h * f_j), dtype=float)
-            minus = np.asarray(system.rhs(t_j - h, y_j - h * f_j), dtype=float)
-            slope = (plus - minus) / (2.0 * h)
-            best = max(best, float(np.sqrt(slope @ slope)))
-        psi[pos] = best
+    rates = np.array([[rate(float(t)) for t in fom.times] for rate in structure.forcing_rates])
+    slopes = structure.apply_jacobian(states, f_columns)
+    # reshape: with no forcing vectors, rates must still be a 0 x m block
+    slopes += structure.forcing_vectors @ rates.reshape(-1, fom.times.size)
+    psi = _interval_max(np.linalg.norm(slopes, axis=0), slices)
 
     phi = np.empty(len(slices))
     for pos, (left, right) in enumerate(slices):
@@ -303,28 +286,14 @@ def sampled_bound_constants(
         phi[pos] = float(np.max(np.sqrt(np.sum(third * third, axis=0))))
 
     n = system.dimension
-    sample_count = min(_LAMBDA_SAMPLE_COUNT, fom.times.size)
+    sample_count = min(_JACOBIAN_SAMPLES, fom.times.size)
     picks = np.unique(np.linspace(0, fom.times.size - 1, sample_count).astype(int))
+    identity = np.eye(n)
     lam = 0.0
-    jac = np.empty((n, n))
     for idx in picks:
-        t_j = float(fom.times[idx])
-        y_j = fom.states[idx]
-        base = f_columns[:, idx]
-        for k in range(n):
-            h_k = h * max(1.0, abs(float(y_j[k])))
-            shifted = y_j.copy()
-            shifted[k] += h_k
-            jac[:, k] = (np.asarray(system.rhs(t_j, shifted), dtype=float) - base) / h_k
-        try:
-            value = spectral_norm(
-                jac, tol=_LAMBDA_TOL, rng=rng, max_iterations=_LAMBDA_MAX_ITERATIONS
-            )
-        except ConvergenceError as err:
-            if err.best_estimate is None:
-                raise
-            value = float(err.best_estimate)
-        lam = max(lam, value)
+        at_sample = np.broadcast_to(states[:, idx : idx + 1], (n, n))
+        jacobian = structure.apply_jacobian(at_sample, identity)
+        lam = max(lam, float(np.linalg.norm(jacobian, 2)))
 
     return BoundConstants(
         lambda_=lam,

@@ -3,8 +3,13 @@
 Runs the pipeline over a (method, spacing, rule) grid: one shared
 high-accuracy reference solve per run, a snapshot matrix and its SVD per
 (method, spacing), a reduced solve per cell, and optional a-priori bound
-curves.  Results are written as CSV files plus a generated plotting
-script; ``main`` exposes the whole thing as the ``podrom`` console tool.
+curves.  The bound constants come from the system's structure: exact
+from the linear operator when the cubic is off, else from the exact
+Jacobian sampled along the truth trajectory.  No stage draws random
+numbers, so a run's outputs depend on its configuration alone (``run
+--seed`` is accepted and ignored).  Results are written as CSV files plus
+a generated plotting script; ``main`` exposes the whole thing as the
+``podrom`` console tool.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .errors import (
     StiffnessError,
 )
 from .fhn import FhnParams, build_fhn, preset
-from .linalg import SvdResult, spectral_norm, svd_one_sided_jacobi
+from .linalg import SvdResult, svd_one_sided_jacobi
 from .ode import OdeSystem, Trajectory, integrate
 from .pod import (
     ErrorCurve,
@@ -86,11 +91,6 @@ PLOT_TIMEOUT_S = 300.0
 _DEFAULT_REL_TOL = 1e-11
 _DEFAULT_ABS_TOL = 1e-13
 
-# Pad on the power-iteration estimate of sigma_1(A): the Rayleigh quotient
-# converges from below, so a conservative Lambda needs the certificate
-# width added back on top.
-_SIGMA1_TOL = 1e-8
-
 
 def _as_float_tuple(values, name: str) -> Tuple[float, ...]:
     out = tuple(float(v) for v in values)
@@ -120,8 +120,6 @@ class RunConfig:
     out_dir: str = "podrom_out"
     emit_plots: bool = False
     evaluate_bounds: bool = False
-    seed: int = 0
-    fd_step: float = 1e-5
     bound_samples_per_interval: int = 64
     bound_variant: str = "consistent"
 
@@ -163,10 +161,6 @@ class RunConfig:
             raise InvalidInputError("eval_grid_size must be >= 2")
         object.__setattr__(self, "eval_grid_size", int(self.eval_grid_size))
 
-        object.__setattr__(self, "seed", int(self.seed))
-        if not float(self.fd_step) > 0.0:
-            raise InvalidInputError("fd_step must be positive")
-        object.__setattr__(self, "fd_step", float(self.fd_step))
         if int(self.bound_samples_per_interval) < 4:
             raise InvalidInputError("bound_samples_per_interval must be >= 4")
         object.__setattr__(
@@ -391,36 +385,28 @@ def _compute_spectra(
     return svds
 
 
-def _compute_constants(
-    config: RunConfig, ctx: _RunContext, rng: np.random.Generator
-) -> Dict[float, BoundConstants]:
+def _compute_constants(ctx: _RunContext) -> Dict[float, BoundConstants]:
     """One set of bound constants per snapshot spacing.
 
     The linear route is exact and is taken when the system's cubic is off
-    (the test ``pod.build_rom`` uses to drop the cubic block): the matrix A is
-    the structure's linear operator applied to the identity, and
-    sigma_1(A) is certified once by power iteration and shared across
-    spacings.  Otherwise the constants are finite-difference estimates
-    along the dense-sampled trajectory.
+    (the test ``pod.build_rom`` uses to drop the cubic block): the matrix A
+    is the structure's linear operator applied to the identity.  Otherwise
+    the constants come from the structure's exact Jacobian, sampled along
+    the dense trajectory.
     """
     constants: Dict[float, BoundConstants] = {}
     start = time.perf_counter()
     structure = ctx.system.structure
     if structure.cubic_scale == 0.0:
         matrix = structure.apply_linear(np.eye(ctx.system.dimension))
-        try:
-            sigma1 = spectral_norm(matrix, tol=_SIGMA1_TOL, rng=rng, max_iterations=500_000)
-        except ConvergenceError as err:
-            sigma1 = float(err.best_estimate) * (1.0 + 1e-6)
-        sigma1 *= 1.0 + _SIGMA1_TOL
         for delta, snaps in ctx.snapshots.items():
             constants[delta] = linear_bound_constants(
-                matrix, ctx.dense_trajectories[delta], snaps.times, sigma1=sigma1
+                matrix, ctx.dense_trajectories[delta], snaps.times
             )
     else:
         for delta, snaps in ctx.snapshots.items():
             constants[delta] = sampled_bound_constants(
-                ctx.system, ctx.dense_trajectories[delta], snaps.times, config.fd_step, rng=rng
+                ctx.system, ctx.dense_trajectories[delta], snaps.times
             )
     ctx.timer.add("constants", start)
     return constants
@@ -459,13 +445,12 @@ def run_experiment(config: RunConfig) -> RunReport:
     and message and the remaining cells still run.
     """
     total_start = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
 
     ctx = _prepare(config)
     svds = _compute_spectra(config, ctx)
     constants: Dict[float, BoundConstants] = {}
     if config.evaluate_bounds:
-        constants = _compute_constants(config, ctx, rng)
+        constants = _compute_constants(ctx)
 
     cells = []
     failures = []
@@ -737,7 +722,7 @@ _CONFIG_KEYS = {
     "run": ("preset", "methods", "deltas", "epsilons", "dims", "out", "bounds", "plots", "seed"),
     "integrator": ("rel_tol", "abs_tol"),
     "grid": ("eval_size",),
-    "bounds": ("fd_step", "samples_per_interval", "variant"),
+    "bounds": ("samples_per_interval", "variant"),
 }
 
 _CONFIG_HELP = """\
@@ -752,7 +737,7 @@ config file format (INI-style `key = value` with [section] headers):
   out        = output directory
   bounds     = true | false
   plots      = true | false
-  seed       = 0
+  seed       = 0        (accepted; no output depends on it)
 
   [integrator]
   rel_tol    = 1e-11
@@ -762,7 +747,6 @@ config file format (INI-style `key = value` with [section] headers):
   eval_size  = 400
 
   [bounds]
-  fd_step              = 1e-5
   samples_per_interval = 64
   variant              = consistent | literal
 
@@ -847,7 +831,8 @@ def _build_parser() -> _ArgumentParser:
                      help="evaluate a-priori bound curves")
     run.add_argument("--plots", action="store_true", default=None,
                      help="render the emitted plot script to PNG files")
-    run.add_argument("--seed", type=int, help="random seed (default 0)")
+    run.add_argument("--seed", type=int,
+                     help="accepted for compatibility; no output depends on it")
     run.add_argument("--rel-tol", type=float, help="integrator relative tolerance")
     run.add_argument("--abs-tol", type=float, help="integrator absolute tolerance")
     run.add_argument("--eval-grid", type=int, help="evaluation grid size (default 400)")
@@ -909,10 +894,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     plots = args.plots if args.plots is not None else file_bool("run.plots")
 
     try:
-        seed = int(_pick(args.seed, file_map, "run.seed", 0))
+        # still parsed, so a bad value stays an error; the run draws no
+        # random numbers
+        int(_pick(args.seed, file_map, "run.seed", 0))
         rel_tol = float(_pick(args.rel_tol, file_map, "integrator.rel_tol", _DEFAULT_REL_TOL))
         abs_tol = float(_pick(args.abs_tol, file_map, "integrator.abs_tol", _DEFAULT_ABS_TOL))
-        fd_step = float(file_map.get("bounds.fd_step", 1e-5))
         samples = int(file_map.get("bounds.samples_per_interval", 64))
     except ValueError as err:
         raise InvalidInputError(f"bad numeric config value: {err}") from err
@@ -935,10 +921,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         out_dir=out_dir,
         emit_plots=bool(plots),
         evaluate_bounds=bool(bounds),
-        seed=seed,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
-        fd_step=fd_step,
         bound_samples_per_interval=samples,
         bound_variant=variant,
         **extra,

@@ -6,15 +6,7 @@ class InvalidInputError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative kernel hit its iteration or sweep cap.
-
-    Carries the best estimate computed so far in ``best_estimate`` when the
-    kernel has one (the power iteration does; the Jacobi sweeps do not).
-    """
-
-    def __init__(self, message: str, best_estimate: float | None = None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
+    """An iterative kernel hit its iteration or sweep cap."""
 
 
 class StiffnessError(RuntimeError):

@@ -32,7 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Waveform:
-    """Scalar boundary signal with a closed-form derivative.
+    """Scalar boundary signal with closed-form first and second derivatives.
 
     Two shapes cover every preset: a constant, and amplitude * sin(t)^2.
     """
@@ -66,6 +66,11 @@ class Waveform:
         if self.kind == "constant":
             return 0.0
         return self.amplitude * math.sin(2.0 * t)
+
+    def second_derivative(self, t: float) -> float:
+        if self.kind == "constant":
+            return 0.0
+        return 2.0 * self.amplitude * math.cos(2.0 * t)
 
 
 @dataclass(frozen=True)
@@ -198,9 +203,10 @@ def _fhn_structure(params: FhnParams) -> RhsStructure:
 
     The cubic reaction lam * v(1-v)(v-a) expands to -lam*a*v (linear part)
     plus -lam * v^2 (v - (1+a)) on the voltage rows; -lam*w joins the
-    linear part too.  The forcing is four wall vectors times I0(t), IX(t), w0'(t)
-    and wX'(t).  The linear operator works on a state vector or on an n x k
-    block of them, row-wise, without assembling a matrix; applied to the
+    linear part too.  The forcing is four wall vectors times I0(t), IX(t),
+    w0'(t) and wX'(t), whose rates are I0', IX', w0'' and wX''.  The linear
+    operator works on a state vector or on an n x k block of them,
+    row-wise, without assembling a matrix; applied to the
     identity it gives the matrix A itself.  It repeats the stencil of
     ``build_fhn``'s ``rhs`` rather than sharing it, because the truth
     trajectory depends on the operation order inside ``rhs``.
@@ -246,6 +252,12 @@ def _fhn_structure(params: FhnParams) -> RhsStructure:
         cubic_root=1.0 + a,
         forcing_vectors=forcing,
         forcing_signals=(params.I0, params.IX, params.w0.derivative, params.wX.derivative),
+        forcing_rates=(
+            params.I0.derivative,
+            params.IX.derivative,
+            params.w0.second_derivative,
+            params.wX.second_derivative,
+        ),
     )
 
 

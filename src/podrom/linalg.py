@@ -1,10 +1,11 @@
 """Dense real linear algebra kernels.
 
 Provides a one-sided Jacobi SVD that preserves high relative accuracy of
-small singular values, and a power-iteration spectral norm. The SVD
-deliberately avoids forming the Gram matrix: squaring floors the accuracy of
-singular values near sqrt(eps) times the largest one, and the snapshot
-experiments truncate far below that.
+small singular values.  It deliberately avoids forming the Gram matrix:
+squaring floors the accuracy of singular values near sqrt(eps) times the
+largest one, and the snapshot experiments truncate far below that.  A
+spectral norm alone needs no such care; the bound constants take it from
+LAPACK (``np.linalg.norm(M, 2)``).
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ import numpy as np
 
 from podrom.errors import ConvergenceError, InvalidInputError
 
-# Sweep caps are part of the module contract: hitting a cap raises, never
+# The sweep cap is part of the module contract: hitting it raises, never
 # silently returns a half-converged factorization.  Matrices with a wide
 # near-machine noise plateau can spend scores of sweeps draining the last
 # cluster; those late sweeps skip almost every pair and cost little, so the
 # cap is generous and only guards against runaway.
 MAX_JACOBI_SWEEPS = 500
-MAX_POWER_ITERATIONS = 10_000
 
 _EPS = float(np.finfo(float).eps)
 # Columns with 2-norm below this are treated as numerically dead when forming
@@ -275,62 +275,4 @@ def svd_one_sided_jacobi(M, rank_tol_factor: float = 1.0) -> SvdResult:
         right_vectors=V,
         numerical_rank=numerical_rank,
         rank_tolerance=rank_tolerance,
-    )
-
-
-def spectral_norm(
-    M,
-    tol: float = 1e-8,
-    rng: np.random.Generator | None = None,
-    max_iterations: int | None = None,
-) -> float:
-    """Largest singular value by power iteration on G = M^T M.
-
-    The start vector is random; pass a seeded Generator for a reproducible
-    run (the default generator is seeded, so repeated calls agree). The stop
-    test is the residual certificate ||G v - theta v|| <= tol * theta with
-    theta the Rayleigh quotient, which bounds theta's distance to an exact
-    eigenvalue of G; with a random start that eigenvalue is the top one.
-    Raises ConvergenceError carrying the best estimate once the iteration
-    budget (default 10 000) is spent without certification.
-    """
-    A = as_matrix(M, "M")
-    if tol <= 0.0:
-        raise InvalidInputError("tol must be positive")
-    if max_iterations is None:
-        max_iterations = MAX_POWER_ITERATIONS
-    if int(max_iterations) < 1:
-        raise InvalidInputError("max_iterations must be >= 1")
-    if float(np.max(np.abs(A))) == 0.0:
-        return 0.0
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    v = rng.standard_normal(A.shape[1])
-    v /= float(np.linalg.norm(v))
-    sigma = None
-    for _k in range(int(max_iterations)):
-        u = A @ v
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            # v landed in the null space; redraw.
-            v = rng.standard_normal(A.shape[1])
-            v /= float(np.linalg.norm(v))
-            continue
-        w = A.T @ (u / nu)
-        gv = nu * w  # = G v
-        theta = float(v @ gv)  # Rayleigh quotient, >= 0 since nu > 0
-        sigma = math.sqrt(max(theta, 0.0))
-        residual = float(np.linalg.norm(gv - theta * v))
-        if residual <= tol * theta:
-            return sigma
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            v = rng.standard_normal(A.shape[1])
-            v /= float(np.linalg.norm(v))
-            continue
-        v = w / nw
-    raise ConvergenceError(
-        f"power iteration did not reach tol={tol:g} in {max_iterations} iterations",
-        best_estimate=sigma,
     )

@@ -40,7 +40,8 @@ class RhsStructure:
     only: with v = x[cubic_rows], g puts scale * v^2 (v - root) there and
     zero elsewhere, with scale = ``cubic_scale`` and root = ``cubic_root``.
     The forcing is the n x k matrix ``forcing_vectors`` times the scalar
-    signals ``forcing_signals``, one per column.
+    signals ``forcing_signals``, one per column; ``forcing_rates`` holds
+    their time derivatives, in the same order.
     """
 
     apply_linear: Callable[[np.ndarray], np.ndarray]
@@ -49,6 +50,7 @@ class RhsStructure:
     cubic_root: float
     forcing_vectors: np.ndarray
     forcing_signals: Tuple[Callable[[float], float], ...]
+    forcing_rates: Tuple[Callable[[float], float], ...]
 
     def __post_init__(self) -> None:
         if not callable(self.apply_linear):
@@ -63,11 +65,27 @@ class RhsStructure:
         vectors = np.array(self.forcing_vectors, dtype=float)
         if vectors.ndim != 2 or not np.all(np.isfinite(vectors)):
             raise InvalidInputError("forcing_vectors must be a finite 2-D array")
-        signals = tuple(self.forcing_signals)
-        if len(signals) != vectors.shape[1] or not all(callable(s) for s in signals):
-            raise InvalidInputError("need one callable forcing signal per forcing vector")
         object.__setattr__(self, "forcing_vectors", vectors)
-        object.__setattr__(self, "forcing_signals", signals)
+        for name in ("forcing_signals", "forcing_rates"):
+            funcs = tuple(getattr(self, name))
+            if len(funcs) != vectors.shape[1] or not all(callable(f) for f in funcs):
+                raise InvalidInputError(f"{name} needs one callable per forcing vector")
+            object.__setattr__(self, name, funcs)
+
+    def apply_jacobian(self, x: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """The Jacobian J(x) = A + diag(g'(x)) applied to ``directions``.
+
+        g'(v) = scale * (3 v^2 - 2 root v) on the cubic rows and zero
+        elsewhere.  ``x`` and ``directions`` have the same shape: one state
+        and one direction, or n x m blocks whose column j is taken at the
+        state in column j.
+        """
+        # a copy: apply_linear may hand back its argument
+        out = np.array(self.apply_linear(directions), dtype=float)
+        v = x[self.cubic_rows]
+        slope = self.cubic_scale * (3.0 * v - 2.0 * self.cubic_root) * v
+        out[self.cubic_rows] += slope * directions[self.cubic_rows]
+        return out
 
 
 @dataclass(frozen=True)

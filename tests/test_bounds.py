@@ -16,9 +16,9 @@ from podrom.bounds import (
     sampled_bound_constants,
 )
 from podrom.errors import InvalidInputError
-from podrom.fhn import build_fhn, preset
-from podrom.linalg import spectral_norm, svd_one_sided_jacobi
-from podrom.ode import OdeSystem, Trajectory, integrate_rk4
+from podrom.fhn import FhnParams, Waveform, build_fhn, preset
+from podrom.linalg import svd_one_sided_jacobi
+from podrom.ode import OdeSystem, RhsStructure, Trajectory, integrate_rk4
 from podrom.pod import SnapshotSet
 
 
@@ -315,6 +315,69 @@ def synthetic_trajectory(fn, count, t_end=1.0):
     return Trajectory(times=times, states=states)
 
 
+def linear_structure(matrix):
+    """Structure of x' = M x: no cubic and one forcing vector that is zero."""
+    n = matrix.shape[0]
+    return RhsStructure(
+        apply_linear=lambda x: matrix @ x,
+        cubic_rows=slice(0, n),
+        cubic_scale=0.0,
+        cubic_root=0.0,
+        forcing_vectors=np.zeros((n, 1)),
+        forcing_signals=(lambda t: 0.0,),
+        forcing_rates=(lambda t: 0.0,),
+    )
+
+
+def decay_system():
+    return OdeSystem(dimension=1, rhs=lambda t, x: -x, structure=linear_structure(-np.eye(1)))
+
+
+def tangent_difference_psi(system, fom, snapshot_times, h=1e-5):
+    """Psi_i by a central difference of s -> f(t + s, x + s f(t, x)) per sample.
+
+    The tangent line carries d/dt f along the solution to second order in h.
+    """
+    norms = []
+    for t, x in zip(fom.times, fom.states):
+        f = system.rhs(t, x)
+        slope = (system.rhs(t + h, x + h * f) - system.rhs(t - h, x - h * f)) / (2.0 * h)
+        norms.append(np.linalg.norm(slope))
+    norms = np.array(norms)
+    return np.array([
+        np.max(norms[(fom.times >= left) & (fom.times <= right)])
+        for left, right in zip(snapshot_times[:-1], snapshot_times[1:])
+    ])
+
+
+def reaction_diffusion_case(name):
+    """A cable system, an RK4 trajectory of it and a snapshot grid."""
+    if name == "preset_B":
+        spec = preset("B")
+        # 6400 steps keeps h * |diffusion eigenvalue| inside the RK4
+        # stability interval (h = 3.125e-4, |lambda| <= 4 * D1 / dx^2 = 8000)
+        params, horizon, steps, intervals = spec.params, spec.T, 6400, 50
+    else:
+        # the lam = 1 cable of test_cli's bound-constants route test
+        params = FhnParams(
+            L=10,
+            X=1.0,
+            dx=0.1,
+            D1=0.1,
+            D2=0.05,
+            lam=1.0,
+            a=0.1,
+            mu=1.0,
+            gamma=1.0,
+            I0=Waveform.sin_squared(1.0),
+            IX=Waveform.constant(0.5),
+        )
+        horizon, steps, intervals = 0.5, 40, 5
+    system = build_fhn(params)
+    fom = integrate_rk4(system, np.zeros(params.dimension), 0.0, horizon, steps)
+    return system, fom, (horizon * np.arange(intervals + 1)) / intervals
+
+
 class TestLinearConstants:
     def test_zero_matrix(self):
         fom = synthetic_trajectory(lambda t: np.array([3.0, 4.0]), 11)
@@ -341,11 +404,14 @@ class TestLinearConstants:
         np.testing.assert_allclose(constants.psi, 10.0, rtol=1e-12)
         np.testing.assert_allclose(constants.phi, 40.0, rtol=1e-12)
 
-    def test_sigma1_passthrough(self):
-        fom = synthetic_trajectory(lambda t: np.array([3.0, 4.0]), 11)
-        constants = linear_bound_constants(np.eye(2), fom, [0.0, 1.0], sigma1=5.0)
-        assert constants.lambda_ == 5.0
-        np.testing.assert_allclose(constants.psi, 25.0, rtol=1e-12)
+    def test_lambda_padded_above_lapack_norm(self):
+        matrix = np.random.default_rng(5).standard_normal((6, 6))
+        fom = synthetic_trajectory(lambda t: np.ones(6), 11)
+        constants = linear_bound_constants(matrix, fom, [0.0, 1.0])
+        sigma1 = float(np.linalg.norm(matrix, 2))
+        eps = np.finfo(float).eps
+        assert sigma1 < constants.lambda_ <= sigma1 * (1.0 + 2.0 * 6 * eps)
+        np.testing.assert_allclose(constants.psi, constants.lambda_ * math.sqrt(6.0), rtol=1e-15)
 
     def test_interval_max_includes_shared_endpoint(self):
         fom = synthetic_trajectory(lambda t: np.array([t]), 11)
@@ -358,19 +424,23 @@ class TestLinearConstants:
             linear_bound_constants(np.eye(1), fom, [0.0, 0.5, 1.0])
 
     def test_experiment_matrix_sigma_dual_backend(self):
-        # the stiff preset-A operator: power iteration against the Jacobi SVD
+        # the stiff preset-A operator: the linear route's Lambda (LAPACK)
+        # against the Jacobi SVD
         params = preset("A").params
         matrix = build_fhn(params).structure.apply_linear(np.eye(params.dimension))
         jacobi_sigma = float(svd_one_sided_jacobi(matrix).singular_values[0])
-        power_sigma = spectral_norm(matrix, tol=1e-8, max_iterations=500_000)
-        assert abs(power_sigma - jacobi_sigma) <= 1e-8 * jacobi_sigma
+        fom = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, params.dimension)))
+        lam = linear_bound_constants(matrix, fom, [0.0, 1.0]).lambda_
+        assert abs(lam - jacobi_sigma) <= 1e-8 * jacobi_sigma
 
 
 class TestSampledConstants:
     def test_zero_rhs(self):
-        system = OdeSystem(dimension=2, rhs=lambda t, x: np.zeros(2))
+        system = OdeSystem(
+            dimension=2, rhs=lambda t, x: np.zeros(2), structure=linear_structure(np.zeros((2, 2)))
+        )
         fom = synthetic_trajectory(lambda t: np.array([3.0, 4.0]), 129)
-        constants = sampled_bound_constants(system, fom, [0.0, 0.5, 1.0], 1e-5)
+        constants = sampled_bound_constants(system, fom, [0.0, 0.5, 1.0])
         assert constants.lambda_ == 0.0
         np.testing.assert_array_equal(constants.psi, 0.0)
         np.testing.assert_array_equal(constants.phi, 0.0)
@@ -378,9 +448,9 @@ class TestSampledConstants:
         assert constants.provenance == "sampled_estimate"
 
     def test_exponential_decay_oracle(self):
-        system = OdeSystem(dimension=1, rhs=lambda t, x: -x)
+        system = decay_system()
         fom = synthetic_trajectory(lambda t: np.exp(-t), 129)
-        constants = sampled_bound_constants(system, fom, [0.0, 0.5, 1.0], 1e-5)
+        constants = sampled_bound_constants(system, fom, [0.0, 0.5, 1.0])
         expected = np.exp([-0.0, -0.5])
         assert abs(constants.lambda_ - 1.0) <= 1e-4
         np.testing.assert_allclose(constants.psi, expected, rtol=1e-4)
@@ -390,12 +460,12 @@ class TestSampledConstants:
         np.testing.assert_allclose(constants.phi, expected, rtol=0.05)
 
     def test_sampling_density_robustness(self):
-        system = OdeSystem(dimension=1, rhs=lambda t, x: -x)
+        system = decay_system()
         coarse = sampled_bound_constants(
-            system, synthetic_trajectory(lambda t: np.exp(-t), 65), [0.0, 1.0], 1e-5
+            system, synthetic_trajectory(lambda t: np.exp(-t), 65), [0.0, 1.0]
         )
         fine = sampled_bound_constants(
-            system, synthetic_trajectory(lambda t: np.exp(-t), 129), [0.0, 1.0], 1e-5
+            system, synthetic_trajectory(lambda t: np.exp(-t), 129), [0.0, 1.0]
         )
         assert abs(coarse.lambda_ - fine.lambda_) <= 1e-3 * fine.lambda_
         np.testing.assert_allclose(coarse.psi, fine.psi, rtol=1e-3)
@@ -403,46 +473,59 @@ class TestSampledConstants:
         # boundary trim again: the stencil margin doubles on the coarse grid
         np.testing.assert_allclose(coarse.phi, fine.phi, rtol=0.05)
 
-    def test_fd_step_robustness_on_reaction_diffusion(self):
-        spec = preset("B")
-        system = build_fhn(spec.params)
-        # 6400 steps keeps h * |diffusion eigenvalue| inside the RK4
-        # stability interval (h = 3.125e-4, |lambda| <= 4 * D1 / dx^2 = 8000)
-        fom = integrate_rk4(system, np.zeros(spec.params.dimension), 0.0, spec.T, 6400)
-        snapshot_times = (spec.T * np.arange(51)) / 50
-        first = sampled_bound_constants(system, fom, snapshot_times, 1e-5)
-        second = sampled_bound_constants(system, fom, snapshot_times, 1e-6)
-        assert first.lambda_ > 0.0 and math.isfinite(first.lambda_)
-        assert abs(first.lambda_ - second.lambda_) <= 1e-3 * second.lambda_
-        scale = float(np.max(second.psi))
-        assert scale > 0.0
-        assert float(np.max(np.abs(first.psi - second.psi))) <= 1e-3 * scale
-        np.testing.assert_array_equal(first.theta, second.theta)
-        # phi comes from trajectory samples alone, not from fd_step
-        np.testing.assert_array_equal(first.phi, second.phi)
+    @pytest.mark.parametrize("case", ["preset_B", "lam1_cable"])
+    def test_exact_jacobian_oracle_on_reaction_diffusion(self, case):
+        system, fom, snapshot_times = reaction_diffusion_case(case)
+        structure = system.structure
+        rng = np.random.default_rng(31)
+        h = 1e-5
+        for j in np.linspace(0, fom.times.size - 1, 7).astype(int)[1:]:
+            t, x = float(fom.times[j]), fom.states[j]
+            v = rng.standard_normal(system.dimension)
+            fd = (system.rhs(t, x + h * v) - system.rhs(t, x - h * v)) / (2.0 * h)
+            exact = structure.apply_jacobian(x, v)
+            assert np.max(np.abs(exact - fd)) <= 1e-7 * np.max(np.abs(fd)), t
+        constants = sampled_bound_constants(system, fom, snapshot_times)
+        assert constants.lambda_ > 0.0 and math.isfinite(constants.lambda_)
+        oracle = tangent_difference_psi(system, fom, snapshot_times)
+        np.testing.assert_allclose(constants.psi, oracle, rtol=1e-6)
+
+    def test_matches_linear_route_without_cubic(self):
+        # preset A has its cubic off, so J(x) = A at every sample
+        params = preset("A").params
+        system = build_fhn(params)
+        fom = integrate_rk4(system, np.zeros(params.dimension), 0.0, 0.01, 100)
+        snapshot_times = [0.0, 0.005, 0.01]
+        matrix = system.structure.apply_linear(np.eye(params.dimension))
+        linear = linear_bound_constants(matrix, fom, snapshot_times)
+        sampled = sampled_bound_constants(system, fom, snapshot_times)
+        pad = params.dimension * np.finfo(float).eps
+        assert sampled.lambda_ < linear.lambda_ <= sampled.lambda_ * (1.0 + 2.0 * pad)
+        np.testing.assert_array_equal(sampled.theta, linear.theta)
 
     def test_nonuniform_grid_rejected(self):
-        system = OdeSystem(dimension=1, rhs=lambda t, x: -x)
+        system = decay_system()
         times = np.array([0.0, 0.1, 0.15, 0.35, 0.5])
         fom = Trajectory(times=times, states=np.exp(-times)[:, None])
         with pytest.raises(InvalidInputError):
-            sampled_bound_constants(system, fom, [0.0, 0.5], 1e-5)
+            sampled_bound_constants(system, fom, [0.0, 0.5])
 
     def test_sparse_interval_rejected(self):
-        system = OdeSystem(dimension=1, rhs=lambda t, x: -x)
+        system = decay_system()
         fom = synthetic_trajectory(lambda t: np.exp(-t), 4)
         with pytest.raises(InvalidInputError):
-            sampled_bound_constants(system, fom, [0.0, 1.0], 1e-5)
+            sampled_bound_constants(system, fom, [0.0, 1.0])
 
-    def test_fd_step_validation(self):
+    def test_requires_structure(self):
         system = OdeSystem(dimension=1, rhs=lambda t, x: -x)
         fom = synthetic_trajectory(lambda t: np.exp(-t), 9)
-        for step in (0.0, -1e-5, 1e-300, math.nan):
-            with pytest.raises(InvalidInputError):
-                sampled_bound_constants(system, fom, [0.0, 1.0], step)
+        with pytest.raises(InvalidInputError):
+            sampled_bound_constants(system, fom, [0.0, 1.0])
 
     def test_dimension_mismatch_rejected(self):
-        system = OdeSystem(dimension=2, rhs=lambda t, x: np.zeros(2))
+        system = OdeSystem(
+            dimension=2, rhs=lambda t, x: np.zeros(2), structure=linear_structure(np.zeros((2, 2)))
+        )
         fom = synthetic_trajectory(lambda t: np.array([1.0]), 9)
         with pytest.raises(InvalidInputError):
-            sampled_bound_constants(system, fom, [0.0, 1.0], 1e-5)
+            sampled_bound_constants(system, fom, [0.0, 1.0])

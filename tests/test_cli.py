@@ -252,7 +252,7 @@ class TestRunExperiment:
             assert len(matrices) == 1 and np.array_equal(matrices[0], expect)
 
     def test_deterministic_given_seed(self):
-        config = tiny_config(seed=3)
+        config = tiny_config()
         first = run_experiment(config)
         second = run_experiment(config)
         assert np.array_equal(first.cells[0].curve.norms, second.cells[0].curve.norms)
@@ -453,6 +453,23 @@ class TestCommandLine:
         config = tmp_path / "run.ini"
         config.write_text("[run]\npreset = A\nturbo = yes\n")
         assert main(["run", "--config", str(config)]) == 1
+
+    def test_removed_fd_step_key_rejected(self, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\npreset = A\n\n[bounds]\nfd_step = 1e-5\n")
+        assert main(["run", "--config", str(config)]) == 1
+
+    def test_seed_parsed_as_integer_without_effect(self, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\npreset = A\nseed = three\n")
+        assert main(["run", "--config", str(config)]) == 1
+        assert main(self.run_args(tmp_path / "flag", "--seed", "three")) == 1
+        first = tmp_path / "first"
+        second = tmp_path / "second"
+        assert main(self.run_args(first, "--seed", "1", "--bounds")) == 0
+        assert main(self.run_args(second, "--seed", "2", "--bounds")) == 0
+        for name in (ERROR_CSV_NAME, SPECTRUM_CSV_NAME, BOUND_CSV_NAME, PLOT_SCRIPT_NAME):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         first = tmp_path / "first"

@@ -62,6 +62,17 @@ class TestWaveform:
         approx = (wave(t + h) - wave(t - h)) / (2.0 * h)
         assert abs(wave.derivative(t) - approx) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "wave",
+        [Waveform.constant(2.5), Waveform.sin_squared(1.5)],
+        ids=["constant", "sin_squared"],
+    )
+    def test_second_derivative_by_central_difference(self, wave):
+        h = 1e-6
+        for t in (0.0, 0.7, 2.9):
+            approx = (wave.derivative(t + h) - wave.derivative(t - h)) / (2.0 * h)
+            assert abs(wave.second_derivative(t) - approx) <= 1e-8
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidInputError):
             Waveform(kind="sawtooth", amplitude=1.0)
@@ -213,6 +224,17 @@ class TestFhnStructure:
             expect = system.rhs(t, x)
             gap = structured_rhs(system.structure, t, x) - expect
             assert np.max(np.abs(gap)) <= 1e-13 * np.max(np.abs(expect))
+
+    @CASES
+    def test_forcing_rates_are_signal_derivatives(self, name):
+        # A has constant walls, B sine-squared currents, lam0/lam1 both kinds
+        # on all four walls.
+        structure = build_fhn(self.params_for(name)).structure
+        h = 1e-6
+        for signal, rate in zip(structure.forcing_signals, structure.forcing_rates):
+            for t in (0.0, 0.3, 1.7):
+                approx = (signal(t + h) - signal(t - h)) / (2.0 * h)
+                assert abs(rate(t) - approx) <= 1e-8
 
     @CASES
     def test_linear_operator_acts_column_by_column(self, name):

@@ -2,7 +2,8 @@
 
 The SVD oracle is the independent Gram route: eigenvalues of M^T M from
 LAPACK's symmetric eigensolver must match squared singular values for all
-but the tiny tail, where Gram squaring is known to lose accuracy.
+but the tiny tail, where Gram squaring is known to lose accuracy.  Spectral
+norms of residuals come from LAPACK (``np.linalg.norm(M, 2)``).
 """
 
 import math
@@ -12,12 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podrom.errors import ConvergenceError, InvalidInputError
-from podrom.linalg import (
-    SvdResult,
-    spectral_norm,
-    svd_one_sided_jacobi,
-)
+from podrom.errors import InvalidInputError
+from podrom.linalg import SvdResult, svd_one_sided_jacobi
 
 
 def svd_defects(M: np.ndarray, result: SvdResult) -> tuple[float, float, float]:
@@ -134,45 +131,6 @@ class TestSvdOneSidedJacobi:
         assert dr <= 1e-10 * max(res.singular_values[0], 1e-300)
 
 
-class TestSpectralNorm:
-    def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((3, 2))) == 0.0
-
-    def test_identity(self):
-        assert spectral_norm(np.eye(4)) == pytest.approx(1.0, rel=1e-12)
-
-    def test_matches_svd_on_random(self):
-        rng = np.random.default_rng(13)
-        for _ in range(5):
-            M = rng.standard_normal((6, 6))
-            want = svd_one_sided_jacobi(M).singular_values[0]
-            got = spectral_norm(M, tol=1e-10, rng=np.random.default_rng(1))
-            assert abs(got - want) <= 1e-8 * want
-
-    def test_rectangular(self):
-        rng = np.random.default_rng(17)
-        M = rng.standard_normal((9, 3))
-        want = svd_one_sided_jacobi(M).singular_values[0]
-        got = spectral_norm(M, tol=1e-10)
-        assert abs(got - want) <= 1e-8 * want
-
-    def test_convergence_error_carries_estimate(self):
-        # Two nearly equal top singular values force a tiny spectral gap, so
-        # the cap is reached before 1e-14 relative accuracy; the raised error
-        # must still carry a usable estimate.
-        gap = 1e-9
-        M = np.diag([1.0, 1.0 - gap, 0.1])
-        with pytest.raises(ConvergenceError) as excinfo:
-            spectral_norm(M, tol=1e-14, rng=np.random.default_rng(2))
-        best = excinfo.value.best_estimate
-        assert best is not None
-        assert abs(best - 1.0) <= 1e-6
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(InvalidInputError):
-            spectral_norm(np.eye(2), tol=0.0)
-
-
 class TestEckartYoung:
     def test_truncation_residual_equals_next_sigma(self):
         rng = np.random.default_rng(23)
@@ -182,6 +140,6 @@ class TestEckartYoung:
             U, s, V = res.left_vectors, res.singular_values, res.right_vectors
             for ell in range(1, res.numerical_rank):
                 X = U[:, :ell] @ np.diag(s[:ell]) @ V[:, :ell].T
-                got = spectral_norm(M - X, tol=1e-10)
+                got = np.linalg.norm(M - X, 2)
                 want = s[ell]
                 assert abs(got - want) <= 1e-8 * want

@@ -220,6 +220,22 @@ class TestTypes:
                 cubic_root=1.0,
                 forcing_vectors=np.zeros((2, 2)),
                 forcing_signals=(math.sin,),
+                forcing_rates=(math.cos, math.cos),
+            )
+
+    @pytest.mark.parametrize(
+        "rates", [(math.cos,), (math.cos, math.cos, math.cos), (math.cos, 0.0)]
+    )
+    def test_structure_needs_one_callable_rate_per_forcing_vector(self, rates):
+        with pytest.raises(InvalidInputError):
+            RhsStructure(
+                apply_linear=lambda x: x,
+                cubic_rows=slice(0, 1),
+                cubic_scale=-1.0,
+                cubic_root=1.0,
+                forcing_vectors=np.zeros((2, 2)),
+                forcing_signals=(math.sin, math.cos),
+                forcing_rates=rates,
             )
 
     def test_system_rejects_structure_of_other_dimension(self):
@@ -230,6 +246,7 @@ class TestTypes:
             cubic_root=1.0,
             forcing_vectors=np.zeros((3, 1)),
             forcing_signals=(math.sin,),
+            forcing_rates=(math.cos,),
         )
         with pytest.raises(InvalidInputError):
             OdeSystem(dimension=2, rhs=lambda t, x: x, structure=structure)

@@ -373,6 +373,7 @@ class TestStructuredRom:
             cubic_root=root,
             forcing_vectors=B,
             forcing_signals=(math.sin, math.cos),
+            forcing_rates=(math.cos, lambda t: -math.sin(t)),
         )
         system = OdeSystem(dimension=n, rhs=rhs, structure=structure)
         columns = orthonormal_columns(n, 3, seed=6)
