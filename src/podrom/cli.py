@@ -253,7 +253,8 @@ class RunReport:
     that snapshot matrix, cut at the numerical rank.  ``timings`` holds
     wall-clock seconds per stage and ``counters`` the stage-invocation
     counts; ``fom_solves`` stays at 1 because the truth trajectory is shared
-    across all cells.
+    across all cells.  ``jacobi_sweeps`` and ``jacobi_rotations`` sum the
+    Jacobi work over every factorization.
     """
 
     cells: Tuple[CellResult, ...]
@@ -319,7 +320,14 @@ class _RunContext:
 
 def _prepare(config: RunConfig) -> _RunContext:
     timer = _Timer()
-    counters = {"fom_solves": 0, "svd_factorizations": 0, "rom_solves": 0, "rom_cache_hits": 0}
+    counters = {
+        "fom_solves": 0,
+        "svd_factorizations": 0,
+        "jacobi_sweeps": 0,
+        "jacobi_rotations": 0,
+        "rom_solves": 0,
+        "rom_cache_hits": 0,
+    }
 
     system = build_fhn(config.params)
     n = config.params.dimension
@@ -379,8 +387,10 @@ def _compute_spectra(
         for delta in config.deltas:
             start = time.perf_counter()
             matrix = build_snapshot_matrix(ctx.snapshots[delta], method)
-            svds[(method, delta)] = svd_one_sided_jacobi(matrix)
+            svd = svds[(method, delta)] = svd_one_sided_jacobi(matrix)
             ctx.counters["svd_factorizations"] += 1
+            ctx.counters["jacobi_sweeps"] += svd.sweeps
+            ctx.counters["jacobi_rotations"] += svd.rotations
             ctx.timer.add("svd", start)
     return svds
 

@@ -61,7 +61,9 @@ class SvdResult:
 
     left_vectors is n x r, right_vectors is m x r, singular_values has
     length r = min(n, m) and is sorted descending. numerical_rank counts the
-    singular values above rank_tolerance.
+    singular values above rank_tolerance.  sweeps and rotations count the
+    Jacobi sweeps run and the rotations applied (0 for a factorization not
+    computed by Jacobi rotations).
     """
 
     left_vectors: np.ndarray
@@ -69,6 +71,8 @@ class SvdResult:
     right_vectors: np.ndarray
     numerical_rank: int
     rank_tolerance: float
+    sweeps: int = 0
+    rotations: int = 0
 
 
 def _jacobi_rotation(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
@@ -121,17 +125,29 @@ def _orthonormal_completion(U: np.ndarray, fill_cols: list[int]) -> None:
         placed.append(k)
 
 
-def _one_sided_jacobi_tall(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _one_sided_jacobi_tall(
+    M: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Core one-sided Jacobi on a tall matrix (rows >= cols).
 
-    Returns (U, s, V) with M = U diag(s) V^T, s sorted descending, U and V
-    having orthonormal columns.  M itself is not modified; the rotations
-    work on a copy. Singular values are the final column norms,
+    Returns (U, s, V, sweeps, rotations) with M = U diag(s) V^T, s sorted
+    descending, U and V having orthonormal columns, and the number of
+    sweeps run and rotations applied.  M itself is not modified; the
+    rotations work on a copy. Singular values are the final column norms,
     so small ones are not contaminated by Gram squaring.
     """
     n, m = M.shape
-    W = M.copy()
-    V = np.eye(m)
+    # W (the rotated copy of M, rows :n) and V (rows n:) share one array,
+    # so one column pair carries a rotation of both.  Its layout decides
+    # how the column dot products round, and with them every pair
+    # decision: numpy hands OpenBLAS's SIMD ddot a contiguous column and
+    # its scalar kernel a strided one, and the two round differently.  W is
+    # C-ordered (strided columns) until the first column sort and
+    # F-ordered (contiguous columns) after it, since ``WV[:, order]``
+    # returns an F-ordered copy; the results are pinned to that sequence.
+    WV = np.empty((n + m, m))
+    WV[:n] = M
+    WV[n:] = np.eye(m)
     # Pair tolerance is relative to the two column norms.  It must sit above
     # the inner-product round-off floor, which grows with the column length,
     # or the sweep keeps rotating through noise and never terminates.
@@ -143,9 +159,17 @@ def _one_sided_jacobi_tall(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     # matches the numerical_rank convention (those values never count toward
     # rank).  A genuinely tiny column in a graded or diagonal matrix never
     # trips this: its pairs fall under pair_tol instead.
+    W = WV[:n]
     noise_floor2 = (pair_tol * pair_tol) * float(np.max(np.sum(W * W, axis=0)))
-    noise_columns: set[int] = set()
-    for _sweep in range(MAX_JACOBI_SWEEPS):
+    noise = [False] * m
+    cosines = np.empty((2, 1))
+    sines = np.empty((2, 1))
+    scaled = np.empty((2, n + m))
+    crossed = np.empty((2, n + m))
+    multiply = np.multiply
+    add = np.add
+    rotations = 0
+    for sweep in range(1, MAX_JACOBI_SWEEPS + 1):
         rotated = False
         norms2 = np.sum(W * W, axis=0)
         # Sort columns heaviest-first every sweep (de Rijk's ordering): the
@@ -154,54 +178,68 @@ def _one_sided_jacobi_tall(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         # with their columns.
         order = np.argsort(-norms2, kind="stable")
         if not np.array_equal(order, np.arange(m)):
-            W = W[:, order]
-            V = V[:, order]
-            inverse = np.empty(m, dtype=np.intp)
-            inverse[order] = np.arange(m)
-            noise_columns = {int(inverse[k]) for k in noise_columns}
+            WV = WV[:, order]
+            W = WV[:n]
+            noise = [noise[k] for k in order]
             norms2 = norms2[order]
         # The heaviest column grows toward sigma_1 as sweeps progress, so the
         # floor tightens toward pair_tol * sigma_1 and ends up agreeing with
         # the numerical-rank tolerance.  Kept monotone so earlier marks stay
         # consistent with the final re-check.
         noise_floor2 = max(noise_floor2, (pair_tol * pair_tol) * float(norms2[0]))
+        columns = [W[:, k] for k in range(m)]
+        # Squared column norms exactly as a pair check computes them (the
+        # same dot product on the same column view), so a cached value
+        # equals a fresh one; only a rotation changes a column, and it
+        # refreshes both of its entries.
+        squares = [float(w @ w) for w in columns]
         for p in range(m - 1):
+            wp = columns[p]
             for q in range(p + 1, m):
-                wp = W[:, p]
-                wq = W[:, q]
-                app = float(wp @ wp)
-                aqq = float(wq @ wq)
+                app = squares[p]
+                aqq = squares[q]
                 if app == 0.0 or aqq == 0.0:
                     continue
-                apq = float(wp @ wq)
+                # Two marked columns under the floor end in "continue" below
+                # whatever their dot product is (a tolerance skip or a
+                # repeated mark), so the pair is skipped before computing it.
+                if noise[p] and noise[q] and app <= noise_floor2 and aqq <= noise_floor2:
+                    continue
+                apq = float(wp @ columns[q])
                 if abs(apq) <= pair_tol * math.sqrt(app) * math.sqrt(aqq):
                     continue
                 if app <= noise_floor2 and aqq <= noise_floor2:
-                    noise_columns.add(p)
-                    noise_columns.add(q)
+                    noise[p] = True
+                    noise[q] = True
                     continue
+                # Rows x, y of ``pair`` are columns p, q of W stacked on V.
+                pair = WV[:, p : q + 1 : q - p].T
                 if aqq > app:
                     # de Rijk pivot: keep the heavier column first so every
                     # rotation pushes norm mass leftward; without it tied
-                    # clusters can cycle through sweeps indefinitely.
-                    swap = W[:, p].copy()
-                    W[:, p] = W[:, q]
-                    W[:, q] = swap
-                    swap = V[:, p].copy()
-                    V[:, p] = V[:, q]
-                    V[:, q] = swap
-                    app, aqq = aqq, app
-                    wp = W[:, p]
-                    wq = W[:, q]
-                c, s, _t = _jacobi_rotation(app, aqq, apq)
-                new_p = c * wp - s * wq
-                new_q = s * wp + c * wq
-                W[:, p] = new_p
-                W[:, q] = new_q
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
+                    # clusters can cycle through sweeps indefinitely.  The
+                    # swap is not carried out: the rotation reads x and y in
+                    # swapped order instead.
+                    c, s, _t = _jacobi_rotation(aqq, app, apq)
+                    first = pair[::-1]
+                else:
+                    c, s, _t = _jacobi_rotation(app, aqq, apq)
+                    first = pair
+                # With (a, b) the rows of ``first``, row x becomes c*a - s*b
+                # and row y becomes s*a + c*b, formed as c*[a; b] plus
+                # [-s; s]*[b; a].  That rounds exactly like the two
+                # expressions: x - y is x + (-y), (-s)*b is -(s*b), a sum
+                # does not depend on the order of its terms, and
+                # elementwise operations round the same in any layout.
+                cosines[:] = c
+                sines[0] = -s
+                sines[1] = s
+                multiply(first, cosines, out=scaled)
+                multiply(first[::-1], sines, out=crossed)
+                add(scaled, crossed, out=pair)
+                squares[p] = float(wp @ wp)
+                squares[q] = float(columns[q] @ columns[q])
+                rotations += 1
                 rotated = True
         if not rotated:
             break
@@ -214,12 +252,12 @@ def _one_sided_jacobi_tall(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     values = norms.copy()
     values[norms <= _DEAD_COLUMN_NORM] = 0.0
     noise_floor = math.sqrt(noise_floor2)
-    for k in noise_columns:
-        if norms[k] <= noise_floor:
+    for k in range(m):
+        if noise[k] and norms[k] <= noise_floor:
             values[k] = 0.0
     order = np.argsort(-values, kind="stable")
     W = W[:, order]
-    V = V[:, order]
+    V = WV[n:, order]
     s = values[order]
     live = norms[order]
     U = np.zeros((n, m))
@@ -231,7 +269,7 @@ def _one_sided_jacobi_tall(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
             dead.append(k)
     if dead:
         _orthonormal_completion(U, dead)
-    return U, s, V
+    return U, s, V, sweep, rotations
 
 
 def svd_one_sided_jacobi(M, rank_tol_factor: float = 1.0) -> SvdResult:
@@ -261,10 +299,10 @@ def svd_one_sided_jacobi(M, rank_tol_factor: float = 1.0) -> SvdResult:
         raise InvalidInputError("rank_tol_factor must be positive")
     n, m = A.shape
     if n >= m:
-        U, s, V = _one_sided_jacobi_tall(A)
+        U, s, V, sweeps, rotations = _one_sided_jacobi_tall(A)
     else:
         # Orthogonalize the rows instead, then swap the factors back.
-        Ut, s, Vt = _one_sided_jacobi_tall(A.T)
+        Ut, s, Vt, sweeps, rotations = _one_sided_jacobi_tall(A.T)
         U, V = Vt, Ut
     sigma1 = float(s[0]) if s.size else 0.0
     rank_tolerance = rank_tol_factor * max(n, m) * _EPS * sigma1
@@ -275,4 +313,6 @@ def svd_one_sided_jacobi(M, rank_tol_factor: float = 1.0) -> SvdResult:
         right_vectors=V,
         numerical_rank=numerical_rank,
         rank_tolerance=rank_tolerance,
+        sweeps=sweeps,
+        rotations=rotations,
     )

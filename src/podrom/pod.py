@@ -318,6 +318,8 @@ def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
 
     so no call forms the full state.  A system without structure is
     lifted instead: every call evaluates the full right-hand side at U z.
+    The identity basis (U = I, for example the full-dimension basis that
+    ``truncate_basis`` builds) keeps the system's own right-hand side.
     The reduced system carries its right-hand side only, no structure.
     """
     if basis.dimension != system.dimension:
@@ -327,7 +329,11 @@ def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
         )
     vectors = basis.reduced_vectors
 
-    if system.structure is not None:
+    n = basis.dimension
+    if basis.l == n and np.array_equal(vectors, np.eye(n)):
+        # U = I: the Galerkin system is the system itself.
+        reduced_rhs = system.rhs
+    elif system.structure is not None:
         reduced_rhs = _projected_rhs(system.structure, vectors)
     else:
 

@@ -162,6 +162,19 @@ class TestRunExperiment:
         keys = {(c.method, c.delta, c.rule) for c in report.cells}
         assert len(keys) == 6
 
+    def test_jacobi_counters_sum_over_factorizations(self):
+        config = tiny_config(methods=("Y", "Z"))
+        ctx = cli._prepare(config)
+        svds = cli._compute_spectra(config, ctx)
+        assert all(svd.sweeps >= 2 and svd.rotations > 0 for svd in svds.values())
+        assert ctx.counters["jacobi_sweeps"] == sum(svd.sweeps for svd in svds.values())
+        assert ctx.counters["jacobi_rotations"] == sum(
+            svd.rotations for svd in svds.values()
+        )
+        report = run_experiment(config)
+        assert report.counters["jacobi_sweeps"] == ctx.counters["jacobi_sweeps"]
+        assert report.counters["jacobi_rotations"] == ctx.counters["jacobi_rotations"]
+
     def test_failed_cell_recorded_and_rest_continue(self):
         # 60 exceeds the 51 snapshot columns at delta 0.01, so that cell
         # cannot be built; the other cells must still be populated.

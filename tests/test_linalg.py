@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from podrom import linalg
 from podrom.errors import InvalidInputError
 from podrom.linalg import SvdResult, svd_one_sided_jacobi
 
@@ -24,6 +25,77 @@ def svd_defects(M: np.ndarray, result: SvdResult) -> tuple[float, float, float]:
     dv = np.max(np.abs(V.T @ V - np.eye(V.shape[1])))
     dr = np.max(np.abs(M - U @ np.diag(s) @ V.T))
     return float(du), float(dv), float(dr)
+
+
+def plain_jacobi(M: np.ndarray):
+    """Reference for the tall kernel: the plain pair loop it must reproduce.
+
+    Every pair check takes both squared norms from fresh dot products, and
+    a pivot swaps the columns of W and V before rotating them with
+    temporaries.  Returns (U, s, V, sweeps, rotations).
+    """
+    n, m = M.shape
+    W = M.copy()
+    V = np.eye(m)
+    pair_tol = max(1e-15, n * np.finfo(float).eps)
+    floor2 = pair_tol * pair_tol * float(np.max(np.sum(W * W, axis=0)))
+    noise = set()
+    rotations = 0
+    for sweep in range(1, linalg.MAX_JACOBI_SWEEPS + 1):
+        rotated = False
+        norms2 = np.sum(W * W, axis=0)
+        order = np.argsort(-norms2, kind="stable")
+        # Only a real reordering copies W, into the F-ordered layout whose
+        # contiguous columns the dot products then round on.
+        if not np.array_equal(order, np.arange(m)):
+            W = W[:, order]
+            V = V[:, order]
+            inverse = np.argsort(order)
+            noise = {int(inverse[k]) for k in noise}
+        floor2 = max(floor2, pair_tol * pair_tol * float(norms2[order][0]))
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                app = float(W[:, p] @ W[:, p])
+                aqq = float(W[:, q] @ W[:, q])
+                if app == 0.0 or aqq == 0.0:
+                    continue
+                apq = float(W[:, p] @ W[:, q])
+                if abs(apq) <= pair_tol * math.sqrt(app) * math.sqrt(aqq):
+                    continue
+                if app <= floor2 and aqq <= floor2:
+                    noise.update((p, q))
+                    continue
+                if aqq > app:
+                    W[:, [p, q]] = W[:, [q, p]]
+                    V[:, [p, q]] = V[:, [q, p]]
+                    app, aqq = aqq, app
+                c, s, _t = linalg._jacobi_rotation(app, aqq, apq)
+                for X in (W, V):
+                    xp = X[:, p].copy()
+                    xq = X[:, q].copy()
+                    X[:, p] = c * xp - s * xq
+                    X[:, q] = s * xp + c * xq
+                rotations += 1
+                rotated = True
+        if not rotated:
+            break
+    norms = np.sqrt(np.sum(W * W, axis=0))
+    values = norms.copy()
+    values[norms <= linalg._DEAD_COLUMN_NORM] = 0.0
+    for k in noise:
+        if norms[k] <= math.sqrt(floor2):
+            values[k] = 0.0
+    order = np.argsort(-values, kind="stable")
+    W = W[:, order]
+    s = values[order]
+    U = np.zeros((n, m))
+    dead = [k for k in range(m) if s[k] == 0.0]
+    for k in range(m):
+        if s[k] > 0.0:
+            U[:, k] = W[:, k] / norms[order][k]
+    if dead:
+        linalg._orthonormal_completion(U, dead)
+    return U, s, V[:, order], sweep, rotations
 
 
 class TestSvdOneSidedJacobi:
@@ -96,6 +168,55 @@ class TestSvdOneSidedJacobi:
         du, dv, dr = svd_defects(M, res)
         assert max(du, dv) <= 1e-10
         assert dr <= 1e-10 * res.singular_values[0]
+
+    def test_rank_deficient_with_round_off_tail(self):
+        # B C leaves 114 columns of cancellation debris, so most pair checks
+        # meet two noise columns; those pairs must still end deflated.
+        rng = np.random.default_rng(17)
+        M = rng.standard_normal((200, 6)) @ rng.standard_normal((6, 120))
+        res = svd_one_sided_jacobi(M)
+        assert res.numerical_rank == 6
+        assert np.all(res.singular_values[6:] == 0.0)
+        du, dv, dr = svd_defects(M, res)
+        assert max(du, dv) <= 1e-10
+        assert dr <= 1e-10 * res.singular_values[0]
+
+    def test_work_counters(self):
+        res = svd_one_sided_jacobi(np.eye(4))
+        assert (res.sweeps, res.rotations) == (1, 0)
+        rng = np.random.default_rng(2)
+        res = svd_one_sided_jacobi(rng.standard_normal((9, 5)))
+        assert res.sweeps >= 2
+        assert res.rotations >= 10  # every pair of a random matrix rotates at first
+        wide = svd_one_sided_jacobi(rng.standard_normal((3, 7)))
+        assert wide.sweeps >= 2 and wide.rotations >= 3
+
+    @pytest.mark.parametrize(
+        "case", ["random", "graded", "rank_six_tail", "tied", "zero_column"]
+    )
+    def test_bitwise_equal_to_plain_loop(self, case):
+        # The kernel caches norms, skips provably idle pairs and folds the
+        # pivot swap into the rotation; none of that may change a bit.
+        rng = np.random.default_rng(31)
+        if case == "random":
+            M = rng.standard_normal((40, 25))
+        elif case == "graded":
+            M = rng.standard_normal((50, 30)) * np.logspace(0, -16, 30)
+        elif case == "rank_six_tail":
+            M = rng.standard_normal((80, 6)) @ rng.standard_normal((6, 45))
+        elif case == "tied":
+            Q, _ = np.linalg.qr(rng.standard_normal((30, 12)))
+            M = Q * np.repeat([3.0, 1.0, 1e-12], 4)
+        else:
+            M = rng.standard_normal((20, 10))
+            M[:, 4] = 0.0
+        U, s, V, sweeps, rotations = plain_jacobi(M)
+        res = svd_one_sided_jacobi(M)
+        assert np.array_equal(res.left_vectors, U)
+        assert np.array_equal(res.singular_values, s)
+        assert np.array_equal(res.right_vectors, V)
+        assert res.right_vectors.strides == V.strides
+        assert (res.sweeps, res.rotations) == (sweeps, rotations)
 
     def test_zero_matrix_completion(self):
         res = svd_one_sided_jacobi(np.zeros((4, 2)))

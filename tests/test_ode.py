@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podrom.errors import InvalidInputError, RhsEvaluationError, StiffnessError
+from podrom import ode
+from podrom.errors import (
+    ConvergenceError,
+    InvalidInputError,
+    RhsEvaluationError,
+    StiffnessError,
+)
 from podrom.ode import (
     OdeSystem,
     RhsStructure,
@@ -87,6 +93,28 @@ class TestIntegrate:
         system = OdeSystem(dimension=1, rhs=lambda t, x: np.array([float("nan")]))
         with pytest.raises(RhsEvaluationError):
             integrate(system, np.array([1.0]), 0.0, 1.0, 1e-6, 1e-6, [1.0])
+
+    def test_step_attempt_cap_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(ode, "MAX_STEP_ATTEMPTS", 5)
+        with pytest.raises(ConvergenceError, match="cap of 5 step attempts at t="):
+            integrate(rotation_system(), np.array([1.0, 0.0]), 0.0, 10.0, 1e-10, 1e-12, [10.0])
+
+    def test_rhs_arguments_left_unchanged(self):
+        # Every state handed to the rhs is a fresh array that the integrator
+        # never writes again, so an rhs may keep its argument.
+        A = np.array([[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.5], [0.0, -0.5, -3.0]])
+        received = []
+
+        def rhs(t, x):
+            received.append((x, x.copy()))
+            return A @ x + np.sin(t)
+
+        system = OdeSystem(dimension=3, rhs=rhs)
+        integrate(system, np.array([1.0, -1.0, 0.5]), 0.0, 2.0, 1e-9, 1e-12, [0.5, 1.0, 2.0])
+        assert len(received) > 20
+        assert len({id(x) for x, _ in received}) == len(received)
+        for kept, copy in received:
+            assert np.array_equal(kept, copy)
 
     def test_rejects_bad_arguments(self):
         system = decay_system()

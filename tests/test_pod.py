@@ -23,6 +23,7 @@ from podrom.pod import (
     error_curve,
     solve_rom_lifted,
     truncate_basis,
+    _projected_rhs,
 )
 
 
@@ -342,14 +343,18 @@ class TestStructuredRom:
         system = build_fhn(preset(preset_id).params)
         n = system.dimension
         columns = np.eye(n) if l == n else orthonormal_columns(n, l, seed=l)
-        basis = basis_from_columns(columns)
-        rom = build_rom(system, basis)
+        if l == n:
+            # build_rom keeps the system's own rhs for the identity basis;
+            # the projected path must still hold there.
+            reduced_rhs = _projected_rhs(system.structure, columns)
+        else:
+            reduced_rhs = build_rom(system, basis_from_columns(columns)).rhs
         rng = np.random.default_rng(l)
         for _ in range(10):
             t = float(rng.uniform(0.0, 2.0))
             z = columns.T @ rng.uniform(-1.0, 1.0, size=n)
             lifted = columns.T @ system.rhs(t, columns @ z)
-            gap = rom.rhs(t, z) - lifted
+            gap = reduced_rhs(t, z) - lifted
             assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(lifted))
 
     @pytest.mark.parametrize("scale,root", [(-1.3, 1.1), (0.7, 0.0), (0.0, 0.5)])
@@ -383,6 +388,20 @@ class TestStructuredRom:
             z = rng.standard_normal(3)
             lifted = columns.T @ rhs(t, columns @ z)
             assert np.max(np.abs(rom.rhs(t, z) - lifted)) <= 1e-12 * np.max(np.abs(lifted))
+
+    def test_identity_basis_keeps_system_rhs(self):
+        system = build_fhn(preset("B").params)
+        n = system.dimension
+        rom = build_rom(system, basis_from_columns(np.eye(n)))
+        assert rom.rhs is system.rhs
+        # A full-dimension basis that is not the identity is still projected.
+        swapped = np.eye(n)[:, ::-1]
+        rom = build_rom(system, basis_from_columns(swapped))
+        assert rom.rhs is not system.rhs
+        rng = np.random.default_rng(4)
+        z = rng.uniform(-1.0, 1.0, size=n)
+        lifted = swapped.T @ system.rhs(0.3, swapped @ z)
+        assert np.max(np.abs(rom.rhs(0.3, z) - lifted)) <= 1e-12 * np.max(np.abs(lifted))
 
     def test_structured_solve_makes_no_full_rhs_call(self):
         system, calls = counting(build_fhn(preset("B").params))
