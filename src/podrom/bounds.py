@@ -263,10 +263,13 @@ def sampled_bound_constants(
     states = fom.states.T
     theta = _interval_max(np.linalg.norm(fom.states, axis=1), slices)
 
-    rates = np.array([[rate(float(t)) for t in fom.times] for rate in structure.forcing_rates])
+    m = fom.times.size
+    rates = np.array([structure.forcing_rates(float(t)) for t in fom.times], dtype=float)
+    # k x m and C-ordered, the layout the product has always been given;
+    # with no forcing vectors the block is 0 x m
+    rates = np.ascontiguousarray(rates.reshape(m, -1).T)
     slopes = structure.apply_jacobian(states, f_columns)
-    # reshape: with no forcing vectors, rates must still be a 0 x m block
-    slopes += structure.forcing_vectors @ rates.reshape(-1, fom.times.size)
+    slopes += structure.forcing_vectors @ rates
     psi = _interval_max(np.linalg.norm(slopes, axis=0), slices)
 
     phi = np.empty(len(slices))

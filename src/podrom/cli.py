@@ -254,7 +254,10 @@ class RunReport:
     wall-clock seconds per stage and ``counters`` the stage-invocation
     counts; ``fom_solves`` stays at 1 because the truth trajectory is shared
     across all cells.  ``jacobi_sweeps`` and ``jacobi_rotations`` sum the
-    Jacobi work over every factorization.
+    Jacobi work over every factorization.  The integrator's work counters
+    (``step_attempts``, ``rejected_steps``, ``rhs_calls``) appear with the
+    prefix ``fom_`` for the truth solve and ``rom_`` summed over the fresh
+    reduced solves (cache hits add nothing).
     """
 
     cells: Tuple[CellResult, ...]
@@ -296,6 +299,15 @@ def _restrict(fom: Trajectory, grid: np.ndarray) -> Trajectory:
     return Trajectory(times=grid, states=fom.states[idx])
 
 
+_WORK_COUNTERS = ("step_attempts", "rejected_steps", "rhs_calls")
+
+
+def _add_work(counters: Dict[str, int], prefix: str, trajectory: Trajectory) -> None:
+    """Add an integrated trajectory's work counters under ``prefix``."""
+    for name in _WORK_COUNTERS:
+        counters[prefix + name] += getattr(trajectory, name)
+
+
 class _Timer:
     def __init__(self) -> None:
         self.totals: Dict[str, float] = {}
@@ -327,6 +339,7 @@ def _prepare(config: RunConfig) -> _RunContext:
         "jacobi_rotations": 0,
         "rom_solves": 0,
         "rom_cache_hits": 0,
+        **{prefix + name: 0 for prefix in ("fom_", "rom_") for name in _WORK_COUNTERS},
     }
 
     system = build_fhn(config.params)
@@ -355,6 +368,7 @@ def _prepare(config: RunConfig) -> _RunContext:
     start = time.perf_counter()
     fom = integrate(system, x0, 0.0, horizon, config.rel_tol, config.abs_tol, union)
     counters["fom_solves"] += 1
+    _add_work(counters, "fom_", fom)
     timer.add("fom", start)
 
     start = time.perf_counter()
@@ -485,6 +499,7 @@ def run_experiment(config: RunConfig) -> RunReport:
                         )
                         rom_cache[cache_key] = lifted
                         ctx.counters["rom_solves"] += 1
+                        _add_work(ctx.counters, "rom_", lifted)
                         ctx.timer.add("rom", start)
                     else:
                         ctx.counters["rom_cache_hits"] += 1

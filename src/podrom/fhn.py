@@ -161,41 +161,115 @@ def build_fhn(params: FhnParams) -> OdeSystem:
     The returned OdeSystem carries its linear/cubic/forcing split as
     ``structure``.  With ``lam`` zero the cubic scale is zero, the system
     is affine, x' = A x + b(t), and A is the structure's linear operator.
+
+    ``rhs`` returns a fresh array on every call and never writes to its
+    argument; its scratch buffers stay inside the closure, so it is not
+    reentrant across threads.
     """
     L = params.L
     dx = params.dx
     n = params.dimension
     d1 = params.D1 / (dx * dx)
-    d2 = params.D2 / (dx * dx)
-    lam = params.lam
-    a = params.a
-    mu = params.mu
-    gamma = params.gamma
-    current_left = params.I0
-    current_right = params.IX
-    pin_left = params.w0
-    pin_right = params.wX
+    cubic = params.lam != 0.0
+    structure = _fhn_structure(params)
+    signals = structure.forcing_signals
+
+    # Constant operands as 0-d float64 arrays: numpy charges less per ufunc
+    # call for them than for Python floats, and the arithmetic is the same.
+    one, two, a, lam, mu, gamma = (
+        np.array(c) for c in (1.0, 2.0, params.a, params.lam, params.mu, params.gamma)
+    )
+    # Diffusion coefficient of rows 1..n-2: D1/dx^2 on v, D2/dx^2 on w.
+    coef = np.full(n - 2, params.D2 / (dx * dx))
+    coef[:L] = d1
+    second_diff = np.empty(n - 2)
+    reaction = np.empty(L + 1)
+    shifted = np.empty(L + 1)
+    coupling = np.empty(L - 1)
+    multiply = np.multiply
+    add = np.add
+    subtract = np.subtract
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        v = state[: L + 1]
-        w = state[L + 1 :]
         out = np.empty(n)
-        dv = out[: L + 1]
-        dw = out[L + 1 :]
-        dv[1:L] = d1 * (v[2:] - 2.0 * v[1:L] + v[: L - 1])
-        dv[0] = d1 * (v[1] - v[0] + dx * current_left(t))
-        dv[L] = d1 * (v[L - 1] - v[L] - dx * current_right(t))
-        if lam != 0.0:
-            dv += lam * (v * (1.0 - v) * (v - a) - w)
-        dw[1:L] = (
-            d2 * (w[2:] - 2.0 * w[1:L] + w[: L - 1]) + mu * v[1:L] - gamma * w[1:L]
-        )
+        # Every value below is formed by the same operations in the same
+        # order as the per-field expression in the comment beside it.
+        # coef * (x[i+1] - 2.0 * x[i] + x[i-1]) on rows 1..n-2; rows L and
+        # L+1 straddle the two fields and are overwritten by the walls.
+        multiply(two, state[1:-1], out=second_diff)
+        subtract(state[2:], second_diff, out=second_diff)
+        add(second_diff, state[:-2], out=second_diff)
+        multiply(coef, second_diff, out=out[1:-1])
+        current_left, current_right, pin_rate_left, pin_rate_right = signals(t)
+        out[0] = d1 * (state[1] - state[0] + dx * current_left)
+        out[L] = d1 * (state[L - 1] - state[L] - dx * current_right)
+        if cubic:
+            # dv += lam * (v * (1.0 - v) * (v - a) - w)
+            v = state[: L + 1]
+            subtract(one, v, out=reaction)
+            multiply(v, reaction, out=reaction)
+            subtract(v, a, out=shifted)
+            multiply(reaction, shifted, out=reaction)
+            subtract(reaction, state[L + 1 :], out=reaction)
+            multiply(lam, reaction, out=reaction)
+            dv = out[: L + 1]
+            add(dv, reaction, out=dv)
+        # dw[1:L] = d2 * (second difference) + mu * v[1:L] - gamma * w[1:L]
+        dw = out[L + 2 : -1]
+        multiply(mu, state[1:L], out=coupling)
+        add(dw, coupling, out=dw)
+        multiply(gamma, state[L + 2 : -1], out=coupling)
+        subtract(dw, coupling, out=dw)
         # Wall values of w follow their prescribed signal exactly.
-        dw[0] = pin_left.derivative(t)
-        dw[L] = pin_right.derivative(t)
+        out[L + 1] = pin_rate_left
+        out[-1] = pin_rate_right
         return out
 
-    return OdeSystem(dimension=n, rhs=rhs, structure=_fhn_structure(params))
+    return OdeSystem(dimension=n, rhs=rhs, structure=structure)
+
+
+def _wall_forcing(params: FhnParams):
+    """The four wall signals and their rates as two callables ``t -> 4 values``.
+
+    ``signals(t)`` gives (I0(t), IX(t), w0'(t), wX'(t)) and ``rates(t)``
+    their time derivatives (I0', IX', w0'', wX'').  Each waveform's kind is
+    resolved here: a constant one contributes its folded value, and the
+    varying ones share a single ``math.sin``/``math.cos`` per call.  Every
+    value is formed by the same operations as the matching ``Waveform``
+    method, so it is bit-equal to it.
+    """
+    sin = math.sin
+    cos = math.cos
+    waves = (params.I0, params.IX, params.w0, params.wX)
+    vary_i0, vary_ix, vary_w0, vary_wx = (w.kind == "sin_squared" for w in waves)
+    i0, ix, w0, wx = (w.amplitude for w in waves)
+    # Waveform.second_derivative is 2.0 * amplitude * cos(2t).
+    twice_w0 = 2.0 * w0
+    twice_wx = 2.0 * wx
+    currents_vary = vary_i0 or vary_ix
+    pins_vary = vary_w0 or vary_wx
+
+    def signals(t: float):
+        s = sin(t) if currents_vary else 0.0
+        c = sin(2.0 * t) if pins_vary else 0.0
+        return (
+            i0 * s * s if vary_i0 else i0,
+            ix * s * s if vary_ix else ix,
+            w0 * c if vary_w0 else 0.0,
+            wx * c if vary_wx else 0.0,
+        )
+
+    def rates(t: float):
+        s = sin(2.0 * t) if currents_vary else 0.0
+        c = cos(2.0 * t) if pins_vary else 0.0
+        return (
+            i0 * s if vary_i0 else 0.0,
+            ix * s if vary_ix else 0.0,
+            twice_w0 * c if vary_w0 else 0.0,
+            twice_wx * c if vary_wx else 0.0,
+        )
+
+    return signals, rates
 
 
 def _fhn_structure(params: FhnParams) -> RhsStructure:
@@ -203,13 +277,15 @@ def _fhn_structure(params: FhnParams) -> RhsStructure:
 
     The cubic reaction lam * v(1-v)(v-a) expands to -lam*a*v (linear part)
     plus -lam * v^2 (v - (1+a)) on the voltage rows; -lam*w joins the
-    linear part too.  The forcing is four wall vectors times I0(t), IX(t),
-    w0'(t) and wX'(t), whose rates are I0', IX', w0'' and wX''.  The linear
+    linear part too.  The forcing is four wall vectors times the values of
+    ``forcing_signals(t)`` = (I0, IX, w0', wX'), whose rates are
+    ``forcing_rates(t)``; both come from ``_wall_forcing``, and
+    ``build_fhn``'s ``rhs`` shares the signals callable.  The linear
     operator works on a state vector or on an n x k block of them,
-    row-wise, without assembling a matrix; applied to the
-    identity it gives the matrix A itself.  It repeats the stencil of
-    ``build_fhn``'s ``rhs`` rather than sharing it, because the truth
-    trajectory depends on the operation order inside ``rhs``.
+    row-wise, without assembling a matrix; applied to the identity it gives
+    the matrix A itself.  It repeats the stencil of ``rhs`` rather than
+    sharing it, because the truth trajectory depends on the operation order
+    inside ``rhs``.
     """
     L = params.L
     dx = params.dx
@@ -245,19 +321,15 @@ def _fhn_structure(params: FhnParams) -> RhsStructure:
     forcing[L, 1] = -d1 * dx
     forcing[L + 1, 2] = 1.0
     forcing[n - 1, 3] = 1.0
+    signals, rates = _wall_forcing(params)
     return RhsStructure(
         apply_linear=apply_linear,
         cubic_rows=slice(0, L + 1),
         cubic_scale=-lam,
         cubic_root=1.0 + a,
         forcing_vectors=forcing,
-        forcing_signals=(params.I0, params.IX, params.w0.derivative, params.wX.derivative),
-        forcing_rates=(
-            params.I0.derivative,
-            params.IX.derivative,
-            params.w0.second_derivative,
-            params.wX.second_derivative,
-        ),
+        forcing_signals=signals,
+        forcing_rates=rates,
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -39,9 +39,11 @@ class RhsStructure:
     n x k block.  The elementwise cubic g acts on the rows ``cubic_rows``
     only: with v = x[cubic_rows], g puts scale * v^2 (v - root) there and
     zero elsewhere, with scale = ``cubic_scale`` and root = ``cubic_root``.
-    The forcing is the n x k matrix ``forcing_vectors`` times the scalar
-    signals ``forcing_signals``, one per column; ``forcing_rates`` holds
-    their time derivatives, in the same order.
+    The forcing is the n x k matrix ``forcing_vectors`` times the k values
+    of ``forcing_signals(t)``, one per column; ``forcing_rates(t)`` gives
+    their time derivatives, in the same order.  Each is one callable
+    ``t -> k values``, so a right-hand-side call evaluates all signals at
+    once.  Both are checked once, at t = 0, for k finite values.
     """
 
     apply_linear: Callable[[np.ndarray], np.ndarray]
@@ -49,8 +51,8 @@ class RhsStructure:
     cubic_scale: float
     cubic_root: float
     forcing_vectors: np.ndarray
-    forcing_signals: Tuple[Callable[[float], float], ...]
-    forcing_rates: Tuple[Callable[[float], float], ...]
+    forcing_signals: Callable[[float], Sequence[float]]
+    forcing_rates: Callable[[float], Sequence[float]]
 
     def __post_init__(self) -> None:
         if not callable(self.apply_linear):
@@ -66,11 +68,17 @@ class RhsStructure:
         if vectors.ndim != 2 or not np.all(np.isfinite(vectors)):
             raise InvalidInputError("forcing_vectors must be a finite 2-D array")
         object.__setattr__(self, "forcing_vectors", vectors)
+        k = vectors.shape[1]
         for name in ("forcing_signals", "forcing_rates"):
-            funcs = tuple(getattr(self, name))
-            if len(funcs) != vectors.shape[1] or not all(callable(f) for f in funcs):
-                raise InvalidInputError(f"{name} needs one callable per forcing vector")
-            object.__setattr__(self, name, funcs)
+            func = getattr(self, name)
+            if not callable(func):
+                raise InvalidInputError(f"{name} must be callable")
+            values = np.asarray(func(0.0), dtype=float)
+            if values.shape != (k,) or not np.all(np.isfinite(values)):
+                raise InvalidInputError(
+                    f"{name} must give {k} finite values, one per forcing vector; "
+                    f"got {values.shape} at t=0"
+                )
 
     def apply_jacobian(self, x: np.ndarray, directions: np.ndarray) -> np.ndarray:
         """The Jacobian J(x) = A + diag(g'(x)) applied to ``directions``.
@@ -125,10 +133,18 @@ class OdeSystem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution: ``states[i]`` is the state vector at ``times[i]``."""
+    """Sampled solution: ``states[i]`` is the state vector at ``times[i]``.
+
+    The work counters are filled in by ``integrate``: trial steps
+    attempted (accepted or rejected), the rejected ones among them, and
+    right-hand-side calls.  They stay 0 on a trajectory built any other way.
+    """
 
     times: np.ndarray
     states: np.ndarray
+    step_attempts: int = 0
+    rejected_steps: int = 0
+    rhs_calls: int = 0
 
     def __post_init__(self) -> None:
         times = np.array(self.times, dtype=float)
@@ -147,6 +163,11 @@ class Trajectory:
             raise InvalidInputError("states contains non-finite entries")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
+        for name in ("step_attempts", "rejected_steps", "rhs_calls"):
+            count = int(getattr(self, name))
+            if count < 0:
+                raise InvalidInputError(f"{name} must be >= 0, got {count}")
+            object.__setattr__(self, name, count)
 
     @property
     def dimension(self) -> int:
@@ -218,11 +239,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate ``system`` from ``t0`` to the last requested output time.
 
-    The returned trajectory holds exactly ``output_times`` (bit-for-bit) and
-    the states the integrator produced there.  Steps are shortened so each
-    output time coincides with a step endpoint.  The local error per step is
-    controlled in a scaled RMS norm with per-component scale
-    ``abs_tol + rel_tol * max(|x_old|, |x_new|)``.
+    The returned trajectory holds exactly ``output_times`` (bit-for-bit),
+    the states the integrator produced there, and the work counters
+    (``step_attempts``, ``rejected_steps``, ``rhs_calls``).  Steps are
+    shortened so each output time coincides with a step endpoint.  The local
+    error per step is controlled in a scaled RMS norm with per-component
+    scale ``abs_tol + rel_tol * max(|x_old|, |x_new|)``.
 
     Raises :class:`StiffnessError` when the controller drives the step below
     ``1e-14 * (t1 - t0)`` (persistently failing trial steps end up here too),
@@ -275,11 +297,18 @@ def integrate(
     prev_err = 1e-4
     just_rejected = False
     attempts = 0
+    rejected = 0
 
     # Work buffers, written through ``out=``.  Each value is formed by the
     # same operations in the same order as the plain expression in the
     # comment beside it, so the results are bit-identical; every state that
     # reaches the rhs is a fresh array, so an rhs may keep its argument.
+    # The scalar operands are 0-d float64 arrays, which numpy takes with
+    # less per-call overhead than Python floats; h_step is copied into one
+    # at each attempt.
+    rel = np.array(rel_tol)
+    absolute = np.array(abs_tol)
+    step = np.empty(())
     combo = np.empty(n)
     scale = np.empty(n)
     abs_state = np.abs(state)
@@ -310,15 +339,16 @@ def integrate(
             )
         attempts += 1
         landing = h_step >= remaining
+        step[()] = h_step
 
         for i, c_i, a_i, previous in inner_stages:
             # state + h_step * (_RK_A[i] @ stages[:i])
             matmul(a_i, previous, out=combo)
-            multiply(combo, h_step, out=combo)
+            multiply(combo, step, out=combo)
             stages[i] = eval_rhs(t + c_i * h_step, add(state, combo))
         # trial = state + h_step * (_RK_A[6] @ stages[:6])
         matmul(_RK_A[6], first_six, out=combo)
-        multiply(combo, h_step, out=combo)
+        multiply(combo, step, out=combo)
         trial = add(state, combo)
         t_end = target if landing else t + h_step
         stages[6] = eval_rhs(t_end, trial)
@@ -328,11 +358,11 @@ def integrate(
         # np.add.reduce divided by the count, and |state| is the |trial|
         # of the step that accepted it.
         matmul(_RK_ERR, stages, out=combo)
-        multiply(combo, h_step, out=combo)
+        multiply(combo, step, out=combo)
         np.abs(trial, out=abs_trial)
         np.maximum(abs_state, abs_trial, out=scale)
-        multiply(scale, rel_tol, out=scale)
-        add(scale, abs_tol, out=scale)
+        multiply(scale, rel, out=scale)
+        add(scale, absolute, out=scale)
         np.divide(combo, scale, out=combo)
         multiply(combo, combo, out=combo)
         err = math.sqrt(float(add.reduce(combo)) / n)
@@ -340,10 +370,12 @@ def integrate(
         if not math.isfinite(err):
             h = h_step * _MIN_FACTOR
             just_rejected = True
+            rejected += 1
             continue
         if err > 1.0:
             h = h_step * min(max(_SAFETY * err**-0.2, 0.1), 1.0)
             just_rejected = True
+            rejected += 1
             continue
 
         state = trial
@@ -365,7 +397,14 @@ def integrate(
         prev_err = max(err, 1e-10)
         h = h_step * factor
 
-    return Trajectory(times=out, states=states_out)
+    # One start-up call, then six per attempt (the seventh stage is reused).
+    return Trajectory(
+        times=out,
+        states=states_out,
+        step_attempts=attempts,
+        rejected_steps=rejected,
+        rhs_calls=1 + 6 * attempts,
+    )
 
 
 def integrate_rk4(

@@ -316,8 +316,10 @@ def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
 
         z' = (U^T A U) z + (U^T B) s(t) + U_c^T g(U_c z),
 
-    so no call forms the full state.  A system without structure is
-    lifted instead: every call evaluates the full right-hand side at U z.
+    where s(t) is the k values of one ``forcing_signals`` call, so no call
+    forms the full state or evaluates a signal more than once.  A system
+    without structure is lifted instead: every call evaluates the full
+    right-hand side at U z.
     The identity basis (U = I, for example the full-dimension basis that
     ``truncate_basis`` builds) keeps the system's own right-hand side.
     The reduced system carries its right-hand side only, no structure.
@@ -349,18 +351,19 @@ def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):
     A call forms v = U_c z, then applies one l x (p + k + l) matrix
     [scale U_c^T | U^T B | U^T A U] to the stacked vector
     [v^2 (v - root); s(t); z], where p is the number of cubic rows and k
-    the number of forcing signals.  A system without cubic skips the first
-    block.
+    the number of forcing signals, all k from one ``forcing_signals`` call.
+    A system without cubic skips the first block.
     """
     linear = vectors.T @ np.asarray(structure.apply_linear(vectors), dtype=float)
     forcing = vectors.T @ structure.forcing_vectors
     signals = structure.forcing_signals
-    root = structure.cubic_root
+    # a 0-d array: numpy takes it with less per-call overhead than a float
+    root = np.array(structure.cubic_root)
     rows = vectors[structure.cubic_rows]
     if structure.cubic_scale == 0.0:
         rows = rows[:0]
     p = rows.shape[0]
-    k = len(signals)
+    k = forcing.shape[1]
     blocks = np.hstack((structure.cubic_scale * rows.T, forcing, linear))
     stacked = np.empty(blocks.shape[1])
     cubic = stacked[:p]
@@ -377,7 +380,7 @@ def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):
             subtract(v, root, out=cubic)
             multiply(cubic, v, out=cubic)
             multiply(cubic, v, out=cubic)
-        drive[:] = [signal(t) for signal in signals]
+        drive[:] = signals(t)
         state[:] = z
         return dot(blocks, stacked)
 
@@ -395,7 +398,8 @@ def solve_rom_lifted(
     """Integrate the reduced system from z(0) = U^T x0 and lift the result.
 
     The initial state is taken at t = 0; output times must lie in (0, T]
-    or include 0 itself.
+    or include 0 itself.  The lifted trajectory carries the reduced
+    solve's work counters.
     """
     rom = build_rom(system, basis)
     start = as_vector(x0, "x0")
@@ -410,7 +414,13 @@ def solve_rom_lifted(
     z0 = vectors.T @ start
     reduced = integrate(rom, z0, 0.0, float(out[-1]), rel_tol, abs_tol, out)
     lifted = reduced.states @ vectors.T
-    return Trajectory(times=reduced.times, states=lifted)
+    return Trajectory(
+        times=reduced.times,
+        states=lifted,
+        step_attempts=reduced.step_attempts,
+        rejected_steps=reduced.rejected_steps,
+        rhs_calls=reduced.rhs_calls,
+    )
 
 
 def error_curve(

@@ -9,6 +9,24 @@ import pytest
 
 from podrom.cli import RunConfig, run_experiment, _compute_spectra, _prepare
 
+# The session-wide sweep bundles below; a test that uses one is marked
+# ``slow``, so ``pytest -m "not slow"`` skips the sweeps.
+SLOW_FIXTURES = frozenset(
+    {"a_sweep_report", "b_crossover_report", "c_coarse_report", "a_raw", "b_raw"}
+)
+
+
+def pytest_collection_modifyitems(config, items):
+    for item in items:
+        used = set(getattr(item, "fixturenames", ()))
+        # A bundle fetched through request.getfixturevalue arrives by name as
+        # a parameter.
+        callspec = getattr(item, "callspec", None)
+        if callspec is not None:
+            used.update(v for v in callspec.params.values() if isinstance(v, str))
+        if used & SLOW_FIXTURES:
+            item.add_marker(pytest.mark.slow)
+
 
 def _tight(preset_id, **overrides):
     base = dict(rel_tol=1e-13, abs_tol=1e-15)

@@ -324,8 +324,8 @@ def linear_structure(matrix):
         cubic_scale=0.0,
         cubic_root=0.0,
         forcing_vectors=np.zeros((n, 1)),
-        forcing_signals=(lambda t: 0.0,),
-        forcing_rates=(lambda t: 0.0,),
+        forcing_signals=lambda t: (0.0,),
+        forcing_rates=lambda t: (0.0,),
     )
 
 

@@ -175,6 +175,36 @@ class TestRunExperiment:
         assert report.counters["jacobi_sweeps"] == ctx.counters["jacobi_sweeps"]
         assert report.counters["jacobi_rotations"] == ctx.counters["jacobi_rotations"]
 
+    def test_integrator_counters_sum_over_solves(self, monkeypatch):
+        # Two distinct bases and one cache hit (dims 5 and 5 share a solve).
+        config = tiny_config(dims=(5, 10, 5))
+        solved = {"fom": [], "rom": []}
+        integrate = cli.integrate
+        solve = cli.solve_rom_lifted
+
+        def recording_integrate(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            solved["fom"].append(traj)
+            return traj
+
+        def recording_solve(*args, **kwargs):
+            traj = solve(*args, **kwargs)
+            solved["rom"].append(traj)
+            return traj
+
+        monkeypatch.setattr(cli, "integrate", recording_integrate)
+        monkeypatch.setattr(cli, "solve_rom_lifted", recording_solve)
+        report = run_experiment(config)
+        assert report.counters["rom_cache_hits"] == 1
+        assert len(solved["fom"]) == 1 and len(solved["rom"]) == 2
+        for prefix, trajectories in solved.items():
+            for name in ("step_attempts", "rejected_steps", "rhs_calls"):
+                total = sum(getattr(traj, name) for traj in trajectories)
+                assert report.counters[f"{prefix}_{name}"] == total
+            attempts = report.counters[f"{prefix}_step_attempts"]
+            assert attempts > 0
+            assert report.counters[f"{prefix}_rhs_calls"] == len(trajectories) + 6 * attempts
+
     def test_failed_cell_recorded_and_rest_continue(self):
         # 60 exceeds the 51 snapshot columns at delta 0.01, so that cell
         # cannot be built; the other cells must still be populated.

@@ -13,6 +13,7 @@ from podrom.fhn import (
     build_fhn,
     preset,
 )
+from podrom.ode import OdeSystem, integrate
 
 
 def tiny_params(**overrides):
@@ -39,8 +40,7 @@ def linear_parts(params):
     matrix = structure.apply_linear(np.eye(params.dimension))
 
     def forcing(t):
-        drive = np.array([signal(t) for signal in structure.forcing_signals])
-        return structure.forcing_vectors @ drive
+        return structure.forcing_vectors @ np.array(structure.forcing_signals(t))
 
     return matrix, forcing
 
@@ -178,8 +178,7 @@ def structured_rhs(structure, t, x):
     out = structure.apply_linear(x)
     v = x[structure.cubic_rows]
     out[structure.cubic_rows] += structure.cubic_scale * v**2 * (v - structure.cubic_root)
-    drive = np.array([signal(t) for signal in structure.forcing_signals])
-    return out + structure.forcing_vectors @ drive
+    return out + structure.forcing_vectors @ np.array(structure.forcing_signals(t))
 
 
 def wall_driven_params(lam):
@@ -231,10 +230,10 @@ class TestFhnStructure:
         # on all four walls.
         structure = build_fhn(self.params_for(name)).structure
         h = 1e-6
-        for signal, rate in zip(structure.forcing_signals, structure.forcing_rates):
-            for t in (0.0, 0.3, 1.7):
-                approx = (signal(t + h) - signal(t - h)) / (2.0 * h)
-                assert abs(rate(t) - approx) <= 1e-8
+        signals = structure.forcing_signals
+        for t in (0.0, 0.3, 1.7):
+            approx = (np.array(signals(t + h)) - np.array(signals(t - h))) / (2.0 * h)
+            assert np.max(np.abs(np.array(structure.forcing_rates(t)) - approx)) <= 1e-8
 
     @CASES
     def test_linear_operator_acts_column_by_column(self, name):
@@ -244,6 +243,143 @@ class TestFhnStructure:
         applied = structure.apply_linear(block)
         for j in range(3):
             assert np.array_equal(applied[:, j], structure.apply_linear(block[:, j]))
+
+
+def reference_rhs(params):
+    """The cable right-hand side written field by field, as a plain oracle.
+
+    Each field is formed with whole-slice expressions and each waveform is
+    evaluated through its own methods.  ``build_fhn``'s ``rhs`` must match
+    it bit for bit, because every reference artifact is computed from it.
+    """
+    L = params.L
+    dx = params.dx
+    n = params.dimension
+    d1 = params.D1 / (dx * dx)
+    d2 = params.D2 / (dx * dx)
+    lam, a, mu, gamma = params.lam, params.a, params.mu, params.gamma
+
+    def rhs(t, state):
+        v = state[: L + 1]
+        w = state[L + 1 :]
+        out = np.empty(n)
+        dv = out[: L + 1]
+        dw = out[L + 1 :]
+        dv[1:L] = d1 * (v[2:] - 2.0 * v[1:L] + v[: L - 1])
+        dv[0] = d1 * (v[1] - v[0] + dx * params.I0(t))
+        dv[L] = d1 * (v[L - 1] - v[L] - dx * params.IX(t))
+        if lam != 0.0:
+            dv += lam * (v * (1.0 - v) * (v - a) - w)
+        dw[1:L] = (
+            d2 * (w[2:] - 2.0 * w[1:L] + w[: L - 1]) + mu * v[1:L] - gamma * w[1:L]
+        )
+        dw[0] = params.w0.derivative(t)
+        dw[L] = params.wX.derivative(t)
+        return out
+
+    return rhs
+
+
+def mirrored_wall_params():
+    # The other kind on each wall than wall_driven_params: constant I0 and w0.
+    return tiny_params(
+        L=7,
+        X=3.5,
+        dx=0.5,
+        D1=2.1,
+        D2=0.3,
+        lam=1.7,
+        a=0.15,
+        mu=1.1,
+        gamma=2.5,
+        I0=Waveform.constant(-0.75),
+        IX=Waveform.sin_squared(0.9),
+        w0=Waveform.constant(0.4),
+        wX=Waveform.sin_squared(1.3),
+    )
+
+
+class TestRhsKernel:
+    """``build_fhn``'s rhs and forcing callables against plain oracles, bit for bit."""
+
+    CASES = pytest.mark.parametrize("name", ["A", "B", "mixed", "mirrored"])
+
+    @staticmethod
+    def params_for(name):
+        if name in ("A", "B"):
+            return preset(name).params
+        if name == "mixed":
+            return wall_driven_params(lam=1.0)
+        return mirrored_wall_params()
+
+    @CASES
+    def test_rhs_bit_equal_to_reference(self, name):
+        params = self.params_for(name)
+        rhs = build_fhn(params).rhs
+        expect = reference_rhs(params)
+        rng = np.random.default_rng(23)
+        for _ in range(250):
+            t = float(rng.uniform(0.0, 5.0))
+            x = rng.uniform(-1.5, 1.5, size=params.dimension)
+            assert np.array_equal(rhs(t, x), expect(t, x))
+
+    @CASES
+    def test_forcing_callables_bit_equal_to_waveform_methods(self, name):
+        params = self.params_for(name)
+        structure = build_fhn(params).structure
+        rng = np.random.default_rng(29)
+        for t in [0.0, *rng.uniform(-3.0, 7.0, size=200)]:
+            t = float(t)
+            assert tuple(structure.forcing_signals(t)) == (
+                params.I0(t),
+                params.IX(t),
+                params.w0.derivative(t),
+                params.wX.derivative(t),
+            )
+            assert tuple(structure.forcing_rates(t)) == (
+                params.I0.derivative(t),
+                params.IX.derivative(t),
+                params.w0.second_derivative(t),
+                params.wX.second_derivative(t),
+            )
+
+    def test_truth_solve_bit_equal_to_reference(self):
+        # A short preset-B solve at the acceptance tolerances: every step and
+        # every state must match a solve on the reference rhs.
+        params = preset("B").params
+        system = build_fhn(params)
+        reference = OdeSystem(dimension=params.dimension, rhs=reference_rhs(params))
+        x0 = np.zeros(params.dimension)
+        out = np.linspace(0.0, 0.05, 6)
+        got = integrate(system, x0, 0.0, 0.05, 1e-13, 1e-15, out)
+        expect = integrate(reference, x0, 0.0, 0.05, 1e-13, 1e-15, out)
+        assert np.array_equal(got.states, expect.states)
+        assert got.step_attempts == expect.step_attempts > 0
+        assert got.rhs_calls == expect.rhs_calls
+
+    @pytest.mark.parametrize("name", ["A", "B"])
+    def test_rhs_results_never_alias(self, name):
+        # The rhs keeps scratch buffers in its closure; none may leak into a
+        # result, and the argument is only read.
+        params = self.params_for(name)
+        rhs = build_fhn(params).rhs
+        expect = reference_rhs(params)
+        rng = np.random.default_rng(31)
+        x = rng.uniform(-1.0, 1.0, size=params.dimension)
+        y = rng.uniform(-1.0, 1.0, size=params.dimension)
+        x_before = x.copy()
+        first = rhs(0.3, x)
+        first_before = first.copy()
+        assert np.array_equal(x, x_before)
+        second = rhs(1.1, y)
+        assert first is not second
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, x)
+        assert np.array_equal(first, first_before)
+        # Writing into a result changes nothing a later call returns.
+        second[:] = np.nan
+        assert np.array_equal(rhs(0.3, x), first_before)
+        assert np.array_equal(rhs(1.1, y), expect(1.1, y))
 
 
 class TestAssembleLinearMatrix:

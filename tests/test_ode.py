@@ -116,6 +116,34 @@ class TestIntegrate:
         for kept, copy in received:
             assert np.array_equal(kept, copy)
 
+    def test_work_counters_match_a_counting_rhs(self):
+        # Van der Pol at a loose tolerance rejects some trial steps.  The
+        # recorded call times give each attempt's start t (its second and
+        # sixth stages sit at t + 0.2 h and t + h); an attempt was rejected
+        # when the next one starts from the same t instead of its endpoint.
+        times = []
+
+        def rhs(t, x):
+            times.append(t)
+            return np.array([x[1], 5.0 * (1.0 - x[0] ** 2) * x[1] - x[0]])
+
+        system = OdeSystem(dimension=2, rhs=rhs)
+        traj = integrate(system, np.array([2.0, 0.0]), 0.0, 10.0, 1e-6, 1e-8, [5.0, 10.0])
+        assert traj.rhs_calls == len(times)
+        attempts = np.array(times[1:]).reshape(-1, 6)
+        assert traj.step_attempts == attempts.shape[0]
+        step = (attempts[:, 4] - attempts[:, 0]) / 0.8
+        start = attempts[:, 4] - step
+        end = attempts[:, 5]
+        rejected = np.abs(start[1:] - start[:-1]) < np.abs(start[1:] - end[:-1])
+        assert traj.rejected_steps == int(np.count_nonzero(rejected)) > 0
+
+    def test_work_counters_default_to_zero(self):
+        traj = Trajectory(times=np.array([0.0]), states=np.zeros((1, 2)))
+        assert (traj.step_attempts, traj.rejected_steps, traj.rhs_calls) == (0, 0, 0)
+        with pytest.raises(InvalidInputError):
+            Trajectory(times=np.array([0.0]), states=np.zeros((1, 2)), rhs_calls=-1)
+
     def test_rejects_bad_arguments(self):
         system = decay_system()
         x0 = np.array([1.0])
@@ -240,6 +268,7 @@ class TestTypes:
             OdeSystem(dimension=0, rhs=lambda t, x: x)
 
     def test_structure_needs_one_signal_per_forcing_vector(self):
+        # Evaluated once at t = 0: one value for two forcing vectors.
         with pytest.raises(InvalidInputError):
             RhsStructure(
                 apply_linear=lambda x: x,
@@ -247,14 +276,15 @@ class TestTypes:
                 cubic_scale=-1.0,
                 cubic_root=1.0,
                 forcing_vectors=np.zeros((2, 2)),
-                forcing_signals=(math.sin,),
-                forcing_rates=(math.cos, math.cos),
+                forcing_signals=lambda t: (math.sin(t),),
+                forcing_rates=lambda t: (math.cos(t), math.cos(t)),
             )
 
-    @pytest.mark.parametrize(
-        "rates", [(math.cos,), (math.cos, math.cos, math.cos), (math.cos, 0.0)]
-    )
+    @pytest.mark.parametrize("rates", [(0.5,), (0.5, 0.5, 0.5), (math.cos, math.cos)])
     def test_structure_needs_one_callable_rate_per_forcing_vector(self, rates):
+        # A callable giving one value or three for two forcing vectors, and
+        # the tuple-of-callables form, which is not one callable.
+        forcing_rates = rates if callable(rates[0]) else (lambda t: rates)
         with pytest.raises(InvalidInputError):
             RhsStructure(
                 apply_linear=lambda x: x,
@@ -262,8 +292,21 @@ class TestTypes:
                 cubic_scale=-1.0,
                 cubic_root=1.0,
                 forcing_vectors=np.zeros((2, 2)),
-                forcing_signals=(math.sin, math.cos),
-                forcing_rates=rates,
+                forcing_signals=lambda t: (math.sin(t), math.cos(t)),
+                forcing_rates=forcing_rates,
+            )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_structure_rejects_non_finite_signals(self, value):
+        with pytest.raises(InvalidInputError):
+            RhsStructure(
+                apply_linear=lambda x: x,
+                cubic_rows=slice(0, 1),
+                cubic_scale=-1.0,
+                cubic_root=1.0,
+                forcing_vectors=np.zeros((2, 1)),
+                forcing_signals=lambda t: (value,),
+                forcing_rates=lambda t: (0.0,),
             )
 
     def test_system_rejects_structure_of_other_dimension(self):
@@ -273,8 +316,8 @@ class TestTypes:
             cubic_scale=-1.0,
             cubic_root=1.0,
             forcing_vectors=np.zeros((3, 1)),
-            forcing_signals=(math.sin,),
-            forcing_rates=(math.cos,),
+            forcing_signals=lambda t: (math.sin(t),),
+            forcing_rates=lambda t: (math.cos(t),),
         )
         with pytest.raises(InvalidInputError):
             OdeSystem(dimension=2, rhs=lambda t, x: x, structure=structure)

@@ -377,8 +377,8 @@ class TestStructuredRom:
             cubic_scale=scale,
             cubic_root=root,
             forcing_vectors=B,
-            forcing_signals=(math.sin, math.cos),
-            forcing_rates=(math.cos, lambda t: -math.sin(t)),
+            forcing_signals=lambda t: (math.sin(t), math.cos(t)),
+            forcing_rates=lambda t: (math.cos(t), -math.sin(t)),
         )
         system = OdeSystem(dimension=n, rhs=rhs, structure=structure)
         columns = orthonormal_columns(n, 3, seed=6)
@@ -456,6 +456,20 @@ class TestSolveRomLifted:
         lifted = solve_rom_lifted(system, basis, x0, out, 1e-10, 1e-12)
         full = integrate(system, x0, 0.0, 1.0, 1e-10, 1e-12, out)
         assert np.max(np.abs(lifted.states - full.states)) <= 1e-8
+
+
+    def test_lifted_trajectory_carries_reduced_work_counters(self):
+        system = build_fhn(preset("B").params)
+        basis = basis_from_columns(orthonormal_columns(system.dimension, 4, seed=8))
+        x0 = np.zeros(system.dimension)
+        out = [0.01, 0.02]
+        lifted = solve_rom_lifted(system, basis, x0, out, 1e-10, 1e-12)
+        rom = build_rom(system, basis)
+        z0 = basis.reduced_vectors.T @ x0
+        reduced = integrate(rom, z0, 0.0, 0.02, 1e-10, 1e-12, out)
+        assert lifted.step_attempts == reduced.step_attempts > 0
+        assert lifted.rejected_steps == reduced.rejected_steps
+        assert lifted.rhs_calls == reduced.rhs_calls == 1 + 6 * reduced.step_attempts
 
 
 class TestErrorCurve:
