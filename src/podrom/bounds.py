@@ -102,7 +102,6 @@ class BoundCurve:
 
     times: np.ndarray
     values: np.ndarray
-    method_tag: str
     saturated: bool = False
 
     def __post_init__(self) -> None:
@@ -112,8 +111,6 @@ class BoundCurve:
             raise InvalidInputError("times and values must be 1-D of equal length")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise InvalidInputError("bound values must be finite and >= 0")
-        if self.method_tag not in ("Y", "Z"):
-            raise InvalidInputError(f"method_tag must be 'Y' or 'Z', got {self.method_tag!r}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -312,7 +309,6 @@ def _evaluate_bound(
     lam: float,
     snapshot_times: np.ndarray,
     eval_times: np.ndarray,
-    tag: str,
 ) -> BoundCurve:
     intervals = _bracket_indices(snapshot_times, eval_times)
     args = lam * eval_times
@@ -324,9 +320,7 @@ def _evaluate_bound(
     over = raw > _VALUE_CAP
     values = np.minimum(raw, _VALUE_CAP)
     saturated = bool(np.any((clamped & (pref > 0.0)) | over))
-    return BoundCurve(
-        times=eval_times.copy(), values=values, method_tag=tag, saturated=saturated
-    )
+    return BoundCurve(times=eval_times, values=values, saturated=saturated)
 
 
 def _validate_bound_inputs(
@@ -360,7 +354,7 @@ def method1_bound(
     )
     deltas = np.diff(times)
     prefactors = 2.0 * sigma + constants.psi * deltas**2 / 8.0
-    return _evaluate_bound(prefactors, constants.lambda_, times, evals, "Y")
+    return _evaluate_bound(prefactors, constants.lambda_, times, evals)
 
 
 def method2_bound(
@@ -386,4 +380,4 @@ def method2_bound(
     prefactors = (
         sigma * (59.0 / 54.0 + coefficient * deltas) + deltas**4 * constants.phi / 384.0
     )
-    return _evaluate_bound(prefactors, constants.lambda_, times, evals, "Z")
+    return _evaluate_bound(prefactors, constants.lambda_, times, evals)

@@ -1,15 +1,9 @@
-"""Experiment driver and command-line interface.
+"""Command-line interface: config handling, CSV artifacts and the plot script.
 
-Runs the pipeline over a (method, spacing, rule) grid: one shared
-high-accuracy reference solve per run, a snapshot matrix and its SVD per
-(method, spacing), a reduced solve per cell, and optional a-priori bound
-curves.  The bound constants come from the system's structure: exact
-from the linear operator when the cubic is off, else from the exact
-Jacobian sampled along the truth trajectory.  No stage draws random
-numbers, so a run's outputs depend on its configuration alone (``run
---seed`` is accepted and ignored).  Results are written as CSV files plus
-a generated plotting script; ``main`` exposes the whole thing as the
-``podrom`` console tool.
+``main`` exposes the experiment driver (``podrom.experiment``) as the
+``podrom`` console tool.  Results are written as CSV files plus a generated
+plotting script (``run --seed`` is accepted and ignored: no stage draws
+random numbers).
 """
 
 from __future__ import annotations
@@ -21,60 +15,18 @@ import math
 import os
 import subprocess
 import sys
-import time
-from dataclasses import dataclass
-from functools import reduce
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
-from .bounds import (
-    BoundConstants,
-    BoundCurve,
-    linear_bound_constants,
-    method1_bound,
-    method2_bound,
-    sampled_bound_constants,
-)
-from .errors import (
-    ConvergenceError,
-    InvalidInputError,
-    RhsEvaluationError,
-    StiffnessError,
-)
-from .fhn import FhnParams, build_fhn, preset
-from .linalg import SvdResult, svd_one_sided_jacobi
-from .ode import OdeSystem, Trajectory, integrate
-from .pod import (
-    ErrorCurve,
-    SnapshotSet,
-    TruncationRule,
-    build_snapshot_matrix,
-    collect_snapshots,
-    error_curve,
-    solve_rom_lifted,
-    truncate_basis,
-)
+from .errors import InvalidInputError
+from .experiment import RunConfig, RunReport, run_experiment, run_spectra
 
 __all__ = [
-    "RunConfig",
-    "CellResult",
-    "CellFailure",
-    "RunReport",
-    "run_experiment",
     "write_error_csv",
     "write_spectrum_csv",
     "write_bound_csv",
     "emit_plot_script",
     "main",
 ]
-
-METHODS = ("Y", "Z")
-
-_SOURCE_BY_METHOD = {"Y": "solution_only", "Z": "solution_and_derivative"}
-
-# Failure kinds that stay confined to one grid cell.
-_CELL_ERRORS = (InvalidInputError, ConvergenceError, StiffnessError, RhsEvaluationError)
 
 ERROR_CSV_NAME = "errors.csv"
 SPECTRUM_CSV_NAME = "spectra.csv"
@@ -87,464 +39,6 @@ OUT_DIR_ENV_VAR = "PODROM_OUT"
 # Wall-clock cap on rendering the emitted plot script; a hung renderer
 # counts as a failed render instead of blocking the run.
 PLOT_TIMEOUT_S = 300.0
-
-_DEFAULT_REL_TOL = 1e-11
-_DEFAULT_ABS_TOL = 1e-13
-
-
-def _as_float_tuple(values, name: str) -> Tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if not out:
-        raise InvalidInputError(f"{name} must be nonempty")
-    return out
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one experiment run depends on.
-
-    ``params``/``final_time`` are always populated; ``preset_id`` is kept
-    only as a label when the run came from a bundled preset.  Exactly the
-    grid cells (method, delta, rule) are produced, in that loop order.
-    """
-
-    params: FhnParams
-    final_time: float
-    methods: Tuple[str, ...] = METHODS
-    deltas: Tuple[float, ...] = ()
-    rules: Tuple[TruncationRule, ...] = ()
-    preset_id: Optional[str] = None
-    rel_tol: float = _DEFAULT_REL_TOL
-    abs_tol: float = _DEFAULT_ABS_TOL
-    eval_grid_size: int = 400
-    out_dir: str = "podrom_out"
-    emit_plots: bool = False
-    evaluate_bounds: bool = False
-    bound_samples_per_interval: int = 64
-    bound_variant: str = "consistent"
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.params, FhnParams):
-            raise InvalidInputError("params must be an FhnParams instance")
-        horizon = float(self.final_time)
-        if not horizon > 0.0 or not math.isfinite(horizon):
-            raise InvalidInputError(f"final_time must be positive, got {self.final_time!r}")
-        object.__setattr__(self, "final_time", horizon)
-
-        methods = tuple(dict.fromkeys(str(m).strip().upper() for m in self.methods))
-        if not methods:
-            raise InvalidInputError("at least one method is required")
-        for m in methods:
-            if m not in METHODS:
-                raise InvalidInputError(f"unknown method {m!r}; choose from {METHODS}")
-        object.__setattr__(self, "methods", methods)
-
-        deltas = _as_float_tuple(self.deltas, "deltas")
-        for delta in deltas:
-            _interval_count(horizon, delta)
-        object.__setattr__(self, "deltas", deltas)
-
-        rules = tuple(self.rules)
-        if not rules:
-            raise InvalidInputError("at least one truncation rule is required")
-        for rule in rules:
-            if not isinstance(rule, TruncationRule):
-                raise InvalidInputError(f"rules must be TruncationRule instances, got {rule!r}")
-        object.__setattr__(self, "rules", rules)
-
-        if not float(self.rel_tol) > 0.0 or not float(self.abs_tol) > 0.0:
-            raise InvalidInputError("integrator tolerances must be positive")
-        object.__setattr__(self, "rel_tol", float(self.rel_tol))
-        object.__setattr__(self, "abs_tol", float(self.abs_tol))
-
-        if int(self.eval_grid_size) < 2:
-            raise InvalidInputError("eval_grid_size must be >= 2")
-        object.__setattr__(self, "eval_grid_size", int(self.eval_grid_size))
-
-        if int(self.bound_samples_per_interval) < 4:
-            raise InvalidInputError("bound_samples_per_interval must be >= 4")
-        object.__setattr__(
-            self, "bound_samples_per_interval", int(self.bound_samples_per_interval)
-        )
-        if self.bound_variant not in ("consistent", "literal"):
-            raise InvalidInputError(
-                f"bound_variant must be 'consistent' or 'literal', got {self.bound_variant!r}"
-            )
-        object.__setattr__(self, "out_dir", str(self.out_dir))
-
-    @classmethod
-    def for_preset(
-        cls,
-        preset_id: str,
-        methods: Optional[Tuple[str, ...]] = None,
-        deltas: Optional[Tuple[float, ...]] = None,
-        epsilons: Optional[Tuple[float, ...]] = None,
-        dims: Optional[Tuple[int, ...]] = None,
-        **kwargs,
-    ) -> "RunConfig":
-        """Build a config from a bundled preset, optionally overriding its schedule.
-
-        When neither ``epsilons`` nor ``dims`` is given the preset's full rule
-        schedule (all cutoffs, then all fixed dimensions) is used; giving
-        either replaces the schedule with exactly the rules named.
-        """
-        spec = preset(preset_id)
-        rules: Tuple[TruncationRule, ...]
-        if epsilons is None and dims is None:
-            rules = tuple(TruncationRule.cutoff(e) for e in spec.epsilon_list) + tuple(
-                TruncationRule.fixed(l) for l in spec.l_list
-            )
-        else:
-            rules = tuple(TruncationRule.cutoff(float(e)) for e in (epsilons or ())) + tuple(
-                TruncationRule.fixed(int(l)) for l in (dims or ())
-            )
-        if "eval_grid_size" not in kwargs:
-            kwargs["eval_grid_size"] = spec.eval_grid_size
-        return cls(
-            params=spec.params,
-            final_time=spec.T,
-            methods=tuple(methods) if methods is not None else METHODS,
-            deltas=tuple(deltas) if deltas is not None else spec.delta_list,
-            rules=rules,
-            preset_id=spec.id,
-            **kwargs,
-        )
-
-
-@dataclass(frozen=True)
-class CellResult:
-    """One populated grid cell: the error curve plus its optional bound."""
-
-    method: str
-    delta: float
-    rule: TruncationRule
-    curve: ErrorCurve
-    bound: Optional[BoundCurve] = None
-
-    @property
-    def l(self) -> int:
-        return self.curve.l_used
-
-    @property
-    def sigma_next(self) -> float:
-        return self.curve.sigma_next_used
-
-    @property
-    def max_error(self) -> float:
-        return self.curve.max_norm
-
-
-@dataclass(frozen=True)
-class CellFailure:
-    """Record of a grid cell that could not be populated."""
-
-    method: str
-    delta: float
-    rule_label: str
-    stage: str
-    message: str
-
-
-@dataclass
-class RunReport:
-    """Everything a finished run produced, cell by cell.
-
-    ``spectra`` maps (method, delta) to the descending singular values of
-    that snapshot matrix, cut at the numerical rank.  ``timings`` holds
-    wall-clock seconds per stage and ``counters`` the stage-invocation
-    counts; ``fom_solves`` stays at 1 because the truth trajectory is shared
-    across all cells.  ``jacobi_sweeps`` and ``jacobi_rotations`` sum the
-    Jacobi work over every factorization.  The integrator's work counters
-    (``step_attempts``, ``rejected_steps``, ``rhs_calls``) appear with the
-    prefix ``fom_`` for the truth solve and ``rom_`` summed over the fresh
-    reduced solves (cache hits add nothing).
-    """
-
-    cells: Tuple[CellResult, ...]
-    failures: Tuple[CellFailure, ...]
-    spectra: Dict[Tuple[str, float], np.ndarray]
-    timings: Dict[str, float]
-    counters: Dict[str, int]
-    eval_times: np.ndarray
-    config: RunConfig
-
-    @property
-    def cell_count(self) -> int:
-        return len(self.cells)
-
-
-def _interval_count(horizon: float, delta: float) -> int:
-    if not float(delta) > 0.0:
-        raise InvalidInputError(f"delta must be positive, got {delta!r}")
-    ratio = horizon / float(delta)
-    count = round(ratio)
-    if count < 1 or abs(ratio - count) > 1e-9 * max(1.0, ratio):
-        raise InvalidInputError(
-            f"delta {delta!r} does not divide the time horizon {horizon!r}"
-        )
-    return int(count)
-
-
-def _uniform_grid(horizon: float, intervals: int) -> np.ndarray:
-    # (T * k) / D keeps shared points of nested refinements bit-identical,
-    # which is what lets every subgrid be sliced out of the union grid.
-    return (horizon * np.arange(intervals + 1)) / intervals
-
-
-def _restrict(fom: Trajectory, grid: np.ndarray) -> Trajectory:
-    """The samples of ``fom`` on ``grid``, whose points must all be on its grid."""
-    idx = np.searchsorted(fom.times, grid)
-    if idx[-1] >= fom.times.size or not np.array_equal(fom.times[idx], grid):
-        raise RuntimeError("internal grid alignment failure")
-    return Trajectory(times=grid, states=fom.states[idx])
-
-
-_WORK_COUNTERS = ("step_attempts", "rejected_steps", "rhs_calls")
-
-
-def _add_work(counters: Dict[str, int], prefix: str, trajectory: Trajectory) -> None:
-    """Add an integrated trajectory's work counters under ``prefix``."""
-    for name in _WORK_COUNTERS:
-        counters[prefix + name] += getattr(trajectory, name)
-
-
-class _Timer:
-    def __init__(self) -> None:
-        self.totals: Dict[str, float] = {}
-
-    def add(self, stage: str, start: float) -> None:
-        self.totals[stage] = self.totals.get(stage, 0.0) + (time.perf_counter() - start)
-
-
-@dataclass
-class _RunContext:
-    """Truth trajectory and per-delta slices shared by every stage."""
-
-    system: OdeSystem
-    x0: np.ndarray
-    eval_times: np.ndarray
-    fom_eval: Trajectory
-    snapshots: Dict[float, SnapshotSet]
-    dense_trajectories: Dict[float, Trajectory]
-    timer: _Timer
-    counters: Dict[str, int]
-
-
-def _prepare(config: RunConfig) -> _RunContext:
-    timer = _Timer()
-    counters = {
-        "fom_solves": 0,
-        "svd_factorizations": 0,
-        "jacobi_sweeps": 0,
-        "jacobi_rotations": 0,
-        "rom_solves": 0,
-        "rom_cache_hits": 0,
-        **{prefix + name: 0 for prefix in ("fom_", "rom_") for name in _WORK_COUNTERS},
-    }
-
-    system = build_fhn(config.params)
-    n = config.params.dimension
-    x0 = np.zeros(n)
-    horizon = config.final_time
-
-    size = config.eval_grid_size
-    eval_times = (horizon * np.arange(size)) / (size - 1)
-    snap_grids = {
-        delta: _uniform_grid(horizon, _interval_count(horizon, delta))
-        for delta in config.deltas
-    }
-    dense_grids: Dict[float, np.ndarray] = {}
-    if config.evaluate_bounds:
-        per = config.bound_samples_per_interval
-        dense_grids = {
-            delta: _uniform_grid(horizon, per * _interval_count(horizon, delta))
-            for delta in config.deltas
-        }
-
-    union = reduce(
-        np.union1d, list(snap_grids.values()) + list(dense_grids.values()), eval_times
-    )
-
-    start = time.perf_counter()
-    fom = integrate(system, x0, 0.0, horizon, config.rel_tol, config.abs_tol, union)
-    counters["fom_solves"] += 1
-    _add_work(counters, "fom_", fom)
-    timer.add("fom", start)
-
-    start = time.perf_counter()
-    snapshots = {
-        delta: collect_snapshots(system, _restrict(fom, grid))
-        for delta, grid in snap_grids.items()
-    }
-    dense_trajectories = {
-        delta: _restrict(fom, grid) for delta, grid in dense_grids.items()
-    }
-    timer.add("snapshots", start)
-
-    return _RunContext(
-        system=system,
-        x0=x0,
-        eval_times=eval_times,
-        fom_eval=_restrict(fom, eval_times),
-        snapshots=snapshots,
-        dense_trajectories=dense_trajectories,
-        timer=timer,
-        counters=counters,
-    )
-
-
-def _compute_spectra(
-    config: RunConfig, ctx: _RunContext
-) -> Dict[Tuple[str, float], SvdResult]:
-    svds: Dict[Tuple[str, float], SvdResult] = {}
-    for method in config.methods:
-        for delta in config.deltas:
-            start = time.perf_counter()
-            matrix = build_snapshot_matrix(ctx.snapshots[delta], method)
-            svd = svds[(method, delta)] = svd_one_sided_jacobi(matrix)
-            ctx.counters["svd_factorizations"] += 1
-            ctx.counters["jacobi_sweeps"] += svd.sweeps
-            ctx.counters["jacobi_rotations"] += svd.rotations
-            ctx.timer.add("svd", start)
-    return svds
-
-
-def _compute_constants(ctx: _RunContext) -> Dict[float, BoundConstants]:
-    """One set of bound constants per snapshot spacing.
-
-    The linear route is exact and is taken when the system's cubic is off
-    (the test ``pod.build_rom`` uses to drop the cubic block): the matrix A
-    is the structure's linear operator applied to the identity.  Otherwise
-    the constants come from the structure's exact Jacobian, sampled along
-    the dense trajectory.
-    """
-    constants: Dict[float, BoundConstants] = {}
-    start = time.perf_counter()
-    structure = ctx.system.structure
-    if structure.cubic_scale == 0.0:
-        matrix = structure.apply_linear(np.eye(ctx.system.dimension))
-        for delta, snaps in ctx.snapshots.items():
-            constants[delta] = linear_bound_constants(
-                matrix, ctx.dense_trajectories[delta], snaps.times
-            )
-    else:
-        for delta, snaps in ctx.snapshots.items():
-            constants[delta] = sampled_bound_constants(
-                ctx.system, ctx.dense_trajectories[delta], snaps.times
-            )
-    ctx.timer.add("constants", start)
-    return constants
-
-
-def _finish_report(
-    config: RunConfig,
-    ctx: _RunContext,
-    svds: Dict[Tuple[str, float], SvdResult],
-    total_start: float,
-    cells=(),
-    failures=(),
-) -> RunReport:
-    """Report with every spectrum cut at its numerical rank and the total time."""
-    ctx.timer.add("total", total_start)
-    return RunReport(
-        cells=tuple(cells),
-        failures=tuple(failures),
-        spectra={
-            key: svd.singular_values[: svd.numerical_rank].copy()
-            for key, svd in svds.items()
-        },
-        timings=dict(ctx.timer.totals),
-        counters=dict(ctx.counters),
-        eval_times=ctx.eval_times,
-        config=config,
-    )
-
-
-def run_experiment(config: RunConfig) -> RunReport:
-    """Run the full sweep and collect every cell (or its failure record).
-
-    The truth trajectory is integrated once on the union of the evaluation
-    grid, all snapshot grids, and (with bounds on) the dense sampling grids;
-    every later stage slices it.  A cell failure is recorded with its stage
-    and message and the remaining cells still run.
-    """
-    total_start = time.perf_counter()
-
-    ctx = _prepare(config)
-    svds = _compute_spectra(config, ctx)
-    constants: Dict[float, BoundConstants] = {}
-    if config.evaluate_bounds:
-        constants = _compute_constants(ctx)
-
-    cells = []
-    failures = []
-    rom_cache: Dict[Tuple[str, float, int], Trajectory] = {}
-    for method in config.methods:
-        for delta in config.deltas:
-            for rule in config.rules:
-                stage = "basis"
-                try:
-                    basis = truncate_basis(
-                        svds[(method, delta)], rule, _SOURCE_BY_METHOD[method]
-                    )
-
-                    stage = "rom"
-                    cache_key = (method, delta, basis.l)
-                    lifted = rom_cache.get(cache_key)
-                    if lifted is None:
-                        start = time.perf_counter()
-                        lifted = solve_rom_lifted(
-                            ctx.system, basis, ctx.x0, ctx.eval_times,
-                            config.rel_tol, config.abs_tol,
-                        )
-                        rom_cache[cache_key] = lifted
-                        ctx.counters["rom_solves"] += 1
-                        _add_work(ctx.counters, "rom_", lifted)
-                        ctx.timer.add("rom", start)
-                    else:
-                        ctx.counters["rom_cache_hits"] += 1
-
-                    stage = "error"
-                    curve = error_curve(
-                        ctx.fom_eval, lifted, method, delta, basis.l, basis.sigma_next
-                    )
-
-                    bound = None
-                    if config.evaluate_bounds:
-                        stage = "bound"
-                        start = time.perf_counter()
-                        grid = ctx.snapshots[delta].times
-                        if method == "Y":
-                            bound = method1_bound(
-                                basis.sigma_next, constants[delta], grid, ctx.eval_times
-                            )
-                        else:
-                            bound = method2_bound(
-                                basis.sigma_next,
-                                constants[delta],
-                                grid,
-                                ctx.eval_times,
-                                variant=config.bound_variant,
-                            )
-                        ctx.timer.add("bounds", start)
-
-                    cells.append(
-                        CellResult(
-                            method=method, delta=delta, rule=rule, curve=curve, bound=bound
-                        )
-                    )
-                except _CELL_ERRORS as err:
-                    failures.append(
-                        CellFailure(
-                            method=method,
-                            delta=delta,
-                            rule_label=rule.label(),
-                            stage=stage,
-                            message=str(err),
-                        )
-                    )
-
-    return _finish_report(config, ctx, svds, total_start, cells, failures)
 
 
 # --- CSV artifacts -------------------------------------------------------
@@ -866,43 +360,46 @@ def _build_parser() -> _ArgumentParser:
         "spectrum", help="compute snapshot-matrix spectra only"
     )
     spectrum.add_argument("--preset", required=True, help="bundled experiment id")
-    spectrum.add_argument("--delta", required=True, help="comma list of snapshot spacings")
+    spectrum.add_argument("--delta", dest="deltas", required=True,
+                          help="comma list of snapshot spacings")
     spectrum.add_argument("--methods", help="comma list from {Y,Z} (default both)")
     spectrum.add_argument("--out", help="output directory (default podrom_out)")
     spectrum.add_argument("--rel-tol", type=float, help="integrator relative tolerance")
     spectrum.add_argument("--abs-tol", type=float, help="integrator absolute tolerance")
+    # run's other options, unset, so both subcommands build their config alike
+    spectrum.set_defaults(config=None, epsilons=None, dims=None, bounds=None,
+                          plots=None, seed=None, eval_grid=None)
     return parser
 
 
-def _pick(cli_value, file_map: Dict[str, str], file_key: str, fallback):
-    """CLI flag > config file > fallback (the env var slots in for out dirs)."""
-    if cli_value is not None:
-        return cli_value
-    if file_key in file_map:
-        return file_map[file_key]
-    return fallback
+def _pick(cli_value, file_map: Dict[str, str], file_key: str):
+    """The CLI flag if given, else the config file's value, else None."""
+    return cli_value if cli_value is not None else file_map.get(file_key)
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> Tuple[RunConfig, str, bool]:
+    """The run config, the output directory and whether to render plots.
+
+    A setting given nowhere takes ``RunConfig``'s default.
+    """
     file_map = _load_config_file(args.config) if args.config else {}
 
-    preset_id = args.preset if args.preset is not None else file_map.get("run.preset")
+    preset_id = _pick(args.preset, file_map, "run.preset")
     if preset_id is None:
         raise InvalidInputError("a preset is required (--preset or config key run.preset)")
 
-    methods = _parse_methods(_pick(args.methods, file_map, "run.methods", None))
-    deltas_raw = _pick(args.deltas, file_map, "run.deltas", None)
+    methods = _parse_methods(_pick(args.methods, file_map, "run.methods"))
+    deltas_raw = _pick(args.deltas, file_map, "run.deltas")
     deltas = _parse_float_list(deltas_raw, "deltas") if deltas_raw is not None else None
-    epsilons_raw = _pick(args.epsilons, file_map, "run.epsilons", None)
+    epsilons_raw = _pick(args.epsilons, file_map, "run.epsilons")
     epsilons = (
         _parse_float_list(epsilons_raw, "epsilons") if epsilons_raw is not None else None
     )
-    dims_raw = _pick(args.dims, file_map, "run.dims", None)
+    dims_raw = _pick(args.dims, file_map, "run.dims")
     dims = _parse_int_list(dims_raw, "dims") if dims_raw is not None else None
 
-    env_out = os.environ.get(OUT_DIR_ENV_VAR)
     out_dir = args.out if args.out is not None else (
-        env_out if env_out else file_map.get("run.out", "podrom_out")
+        os.environ.get(OUT_DIR_ENV_VAR) or file_map.get("run.out", "podrom_out")
     )
 
     def file_bool(key: str) -> Optional[bool]:
@@ -918,40 +415,35 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     bounds = args.bounds if args.bounds is not None else file_bool("run.bounds")
     plots = args.plots if args.plots is not None else file_bool("run.plots")
 
+    numeric = (
+        ("rel_tol", float, _pick(args.rel_tol, file_map, "integrator.rel_tol")),
+        ("abs_tol", float, _pick(args.abs_tol, file_map, "integrator.abs_tol")),
+        ("eval_grid_size", int, _pick(args.eval_grid, file_map, "grid.eval_size")),
+        ("bound_samples_per_interval", int, file_map.get("bounds.samples_per_interval")),
+    )
+    options = {}
     try:
         # still parsed, so a bad value stays an error; the run draws no
         # random numbers
-        int(_pick(args.seed, file_map, "run.seed", 0))
-        rel_tol = float(_pick(args.rel_tol, file_map, "integrator.rel_tol", _DEFAULT_REL_TOL))
-        abs_tol = float(_pick(args.abs_tol, file_map, "integrator.abs_tol", _DEFAULT_ABS_TOL))
-        samples = int(file_map.get("bounds.samples_per_interval", 64))
+        int(_pick(args.seed, file_map, "run.seed") or 0)
+        for name, cast, raw in numeric:
+            if raw is not None:
+                options[name] = cast(raw)
     except ValueError as err:
         raise InvalidInputError(f"bad numeric config value: {err}") from err
-    variant = file_map.get("bounds.variant", "consistent")
+    if "bounds.variant" in file_map:
+        options["bound_variant"] = file_map["bounds.variant"]
 
-    extra = {}
-    eval_raw = _pick(args.eval_grid, file_map, "grid.eval_size", None)
-    if eval_raw is not None:
-        try:
-            extra["eval_grid_size"] = int(eval_raw)
-        except ValueError as err:
-            raise InvalidInputError(f"bad eval grid size {eval_raw!r}") from err
-
-    return RunConfig.for_preset(
+    config = RunConfig.for_preset(
         preset_id,
         methods=methods,
         deltas=deltas,
         epsilons=epsilons,
         dims=dims,
-        out_dir=out_dir,
-        emit_plots=bool(plots),
         evaluate_bounds=bool(bounds),
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        bound_samples_per_interval=samples,
-        bound_variant=variant,
-        **extra,
+        **options,
     )
+    return config, out_dir, bool(plots)
 
 
 def _render_plots(script_path: str) -> bool:
@@ -974,9 +466,8 @@ def _render_plots(script_path: str) -> bool:
     return True
 
 
-def _execute_run(config: RunConfig) -> int:
+def _execute_run(config: RunConfig, out_dir: str, render_plots: bool) -> int:
     report = run_experiment(config)
-    out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
     error_path = os.path.join(out_dir, ERROR_CSV_NAME)
@@ -993,7 +484,7 @@ def _execute_run(config: RunConfig) -> int:
     written.append(script_path)
 
     plots_ok = True
-    if config.emit_plots:
+    if render_plots:
         plots_ok = _render_plots(script_path)
 
     for cell in report.cells:
@@ -1019,24 +510,8 @@ def _execute_run(config: RunConfig) -> int:
     return 0
 
 
-def _execute_spectrum(args: argparse.Namespace) -> int:
-    deltas = _parse_float_list(args.delta, "delta")
-    methods = _parse_methods(args.methods)
-    env_out = os.environ.get(OUT_DIR_ENV_VAR)
-    out_dir = args.out if args.out is not None else (env_out if env_out else "podrom_out")
-    config = RunConfig.for_preset(
-        args.preset,
-        methods=methods,
-        deltas=deltas,
-        dims=(1,),
-        out_dir=out_dir,
-        rel_tol=args.rel_tol if args.rel_tol is not None else _DEFAULT_REL_TOL,
-        abs_tol=args.abs_tol if args.abs_tol is not None else _DEFAULT_ABS_TOL,
-    )
-    total_start = time.perf_counter()
-    ctx = _prepare(config)
-    svds = _compute_spectra(config, ctx)
-    report = _finish_report(config, ctx, svds, total_start)
+def _execute_spectrum(config: RunConfig, out_dir: str) -> int:
+    report, svds = run_spectra(config)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, SPECTRUM_CSV_NAME)
     write_spectrum_csv(report, path)
@@ -1058,9 +533,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        config, out_dir, render_plots = _config_from_args(args)
         if args.command == "run":
-            return _execute_run(_config_from_args(args))
-        return _execute_spectrum(args)
+            return _execute_run(config, out_dir, render_plots)
+        return _execute_spectrum(config, out_dir)
     except InvalidInputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

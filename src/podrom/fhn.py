@@ -135,7 +135,6 @@ class ExperimentPreset:
     delta_list: Tuple[float, ...]
     epsilon_list: Tuple[float, ...]
     l_list: Tuple[int, ...]
-    eval_grid_size: int = 400
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta_list", tuple(float(d) for d in self.delta_list))
@@ -146,13 +145,6 @@ class ExperimentPreset:
         if not float(self.T) > 0.0:
             raise InvalidInputError("T must be positive")
         object.__setattr__(self, "T", float(self.T))
-        for delta in self.delta_list:
-            ratio = self.T / delta
-            if not ratio >= 1.0 or abs(ratio - round(ratio)) > 1e-9:
-                raise InvalidInputError(f"delta {delta!r} does not divide T = {self.T!r}")
-        if int(self.eval_grid_size) < 2:
-            raise InvalidInputError("eval_grid_size must be >= 2")
-        object.__setattr__(self, "eval_grid_size", int(self.eval_grid_size))
 
 
 def build_fhn(params: FhnParams) -> OdeSystem:

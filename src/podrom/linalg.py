@@ -45,6 +45,13 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that cannot be written through; nothing is copied."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 def as_vector(values, name: str = "vector") -> np.ndarray:
     """Validate and return a 1-D float64 array with finite entries."""
     arr = np.array(values, dtype=float, copy=True)
@@ -272,31 +279,28 @@ def _one_sided_jacobi_tall(
     return U, s, V, sweep, rotations
 
 
-def svd_one_sided_jacobi(M, rank_tol_factor: float = 1.0) -> SvdResult:
+def svd_one_sided_jacobi(M) -> SvdResult:
     """Thin SVD by one-sided Jacobi rotations, accurate for tiny singular values.
 
     Parameters
     ----------
     M : array_like
         Nonempty real matrix.
-    rank_tol_factor : float
-        numerical_rank counts singular values above
-        rank_tol_factor * max(rows, cols) * machine_eps * sigma_1.
 
     Returns
     -------
     SvdResult
+        Its numerical_rank counts the singular values above
+        max(rows, cols) * machine_eps * sigma_1.
 
     Raises
     ------
     InvalidInputError
-        Empty input or nonpositive rank_tol_factor.
+        Empty input.
     ConvergenceError
         Sweep cap reached.
     """
     A = as_matrix(M, "M")
-    if rank_tol_factor <= 0.0:
-        raise InvalidInputError("rank_tol_factor must be positive")
     n, m = A.shape
     if n >= m:
         U, s, V, sweeps, rotations = _one_sided_jacobi_tall(A)
@@ -305,7 +309,7 @@ def svd_one_sided_jacobi(M, rank_tol_factor: float = 1.0) -> SvdResult:
         Ut, s, Vt, sweeps, rotations = _one_sided_jacobi_tall(A.T)
         U, V = Vt, Ut
     sigma1 = float(s[0]) if s.size else 0.0
-    rank_tolerance = rank_tol_factor * max(n, m) * _EPS * sigma1
+    rank_tolerance = max(n, m) * _EPS * sigma1
     numerical_rank = int(np.count_nonzero(s > rank_tolerance))
     return SvdResult(
         left_vectors=U,

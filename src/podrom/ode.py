@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, RhsEvaluationError, StiffnessError
-from .linalg import as_vector
+from .linalg import as_vector, read_only
 
 __all__ = [
     "RhsStructure",
@@ -138,6 +138,8 @@ class Trajectory:
     The work counters are filled in by ``integrate``: trial steps
     attempted (accepted or rejected), the rejected ones among them, and
     right-hand-side calls.  They stay 0 on a trajectory built any other way.
+    ``times`` and ``states`` are kept as read-only views of the inputs, not
+    copies.
     """
 
     times: np.ndarray
@@ -147,8 +149,8 @@ class Trajectory:
     rhs_calls: int = 0
 
     def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=float)
-        states = np.array(self.states, dtype=float)
+        times = read_only(np.asarray(self.times, dtype=float))
+        states = read_only(np.asarray(self.states, dtype=float))
         if times.ndim != 1 or times.size == 0:
             raise InvalidInputError("times must be a nonempty 1-D array")
         if not np.all(np.isfinite(times)):

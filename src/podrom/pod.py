@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import SvdResult, as_matrix, as_vector
+from .linalg import SvdResult, as_matrix, as_vector, read_only
 from .ode import OdeSystem, RhsStructure, Trajectory, integrate, sample_rhs
 
 __all__ = [
@@ -38,15 +38,8 @@ __all__ = [
     "error_curve",
 ]
 
-SOURCE_KINDS = ("solution_only", "solution_and_derivative")
-_METHOD_BY_SOURCE = {"solution_only": "Y", "solution_and_derivative": "Z"}
-
-
-def _read_only(matrix: np.ndarray) -> np.ndarray:
-    """A view of ``matrix`` that cannot be written through; nothing is copied."""
-    view = matrix.view()
-    view.flags.writeable = False
-    return view
+# Snapshot methods: Y stacks solutions only, Z solutions then derivatives.
+METHODS = ("Y", "Z")
 
 
 @dataclass(frozen=True)
@@ -73,7 +66,7 @@ class SnapshotSet:
             raise InvalidInputError(f"snapshot grid must start at 0, got {times[0]!r}")
         if not np.all(np.diff(times) > 0.0):
             raise InvalidInputError("times must be strictly increasing")
-        solution = _read_only(as_matrix(self.solution_columns, "solution_columns"))
+        solution = read_only(as_matrix(self.solution_columns, "solution_columns"))
         if solution.shape[1] != times.size:
             raise InvalidInputError(
                 f"solution_columns has {solution.shape[1]} columns "
@@ -82,7 +75,7 @@ class SnapshotSet:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "solution_columns", solution)
         if self.derivative_columns is not None:
-            derivative = _read_only(as_matrix(self.derivative_columns, "derivative_columns"))
+            derivative = read_only(as_matrix(self.derivative_columns, "derivative_columns"))
             if derivative.shape != solution.shape:
                 raise InvalidInputError(
                     f"derivative_columns shape {derivative.shape} does not match "
@@ -105,19 +98,21 @@ class PodBasis:
     """Orthonormal reduced basis plus the spectrum it was cut from.
 
     ``sigma_next`` is the first discarded singular value (0 when nothing
-    was discarded).  ``cutoff_saturated`` flags the degenerate case where
-    the requested cutoff exceeded the whole spectrum and l fell back to 1.
+    was discarded).  ``method`` (one of ``METHODS``) names the snapshot
+    matrix it was cut from.  ``cutoff_saturated`` flags the degenerate case
+    where the requested cutoff exceeded the whole spectrum and l fell back
+    to 1.
     """
 
     reduced_vectors: np.ndarray
     all_singular_values: np.ndarray
     l: int
     sigma_next: float
-    source_kind: str
+    method: str
     cutoff_saturated: bool = False
 
     def __post_init__(self) -> None:
-        vectors = _read_only(as_matrix(self.reduced_vectors, "reduced_vectors"))
+        vectors = read_only(as_matrix(self.reduced_vectors, "reduced_vectors"))
         l = int(self.l)
         if l < 1 or l != vectors.shape[1]:
             raise InvalidInputError(
@@ -135,8 +130,8 @@ class PodBasis:
         sigma_next = float(self.sigma_next)
         if not sigma_next >= 0.0:
             raise InvalidInputError(f"sigma_next must be >= 0, got {self.sigma_next!r}")
-        if self.source_kind not in SOURCE_KINDS:
-            raise InvalidInputError(f"source_kind must be one of {SOURCE_KINDS}")
+        if self.method not in METHODS:
+            raise InvalidInputError(f"method must be one of {METHODS}, got {self.method!r}")
         gram = vectors.T @ vectors
         defect = np.max(np.abs(gram - np.eye(l)))
         if defect > 1e-10:
@@ -151,10 +146,6 @@ class PodBasis:
     @property
     def dimension(self) -> int:
         return int(self.reduced_vectors.shape[0])
-
-    @property
-    def method_tag(self) -> str:
-        return _METHOD_BY_SOURCE[self.source_kind]
 
 
 @dataclass(frozen=True)
@@ -202,10 +193,6 @@ class ErrorCurve:
 
     times: np.ndarray
     norms: np.ndarray
-    method_tag: str
-    delta: float
-    l_used: int
-    sigma_next_used: float
 
     def __post_init__(self) -> None:
         times = np.array(self.times, dtype=float)
@@ -214,17 +201,8 @@ class ErrorCurve:
             raise InvalidInputError("times and norms must be 1-D of equal length")
         if not np.all(np.isfinite(norms)) or np.any(norms < 0.0):
             raise InvalidInputError("norms must be finite and nonnegative")
-        if self.method_tag not in ("Y", "Z"):
-            raise InvalidInputError(f"method_tag must be 'Y' or 'Z', got {self.method_tag!r}")
-        if not float(self.delta) > 0.0:
-            raise InvalidInputError("delta must be positive")
-        if not float(self.sigma_next_used) >= 0.0:
-            raise InvalidInputError("sigma_next_used must be >= 0")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "norms", norms)
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "l_used", int(self.l_used))
-        object.__setattr__(self, "sigma_next_used", float(self.sigma_next_used))
 
     @property
     def max_norm(self) -> float:
@@ -246,22 +224,22 @@ def collect_snapshots(system: OdeSystem, trajectory: Trajectory) -> SnapshotSet:
     )
 
 
-def build_snapshot_matrix(snapshots: SnapshotSet, kind: str) -> np.ndarray:
-    """Stack snapshot columns: kind Y (solutions) or Z (solutions then derivatives).
+def build_snapshot_matrix(snapshots: SnapshotSet, method: str) -> np.ndarray:
+    """Stack snapshot columns: method Y (solutions) or Z (solutions then derivatives).
 
-    Kind Y returns the set's own read-only solution columns, without a copy.
+    Method Y returns the set's own read-only solution columns, without a copy.
     """
-    if kind == "Y":
+    if method == "Y":
         return snapshots.solution_columns
-    if kind == "Z":
+    if method == "Z":
         if snapshots.derivative_columns is None:
-            raise InvalidInputError("kind 'Z' requires derivative columns")
+            raise InvalidInputError("method 'Z' requires derivative columns")
         return np.hstack((snapshots.solution_columns, snapshots.derivative_columns))
-    raise InvalidInputError(f"kind must be 'Y' or 'Z', got {kind!r}")
+    raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
 
 
 def truncate_basis(
-    svd: SvdResult, rule: TruncationRule, source_kind: str = "solution_only"
+    svd: SvdResult, rule: TruncationRule, method: str = "Y"
 ) -> PodBasis:
     """Cut a factorization down to a basis according to the truncation rule.
 
@@ -300,7 +278,7 @@ def truncate_basis(
         all_singular_values=sigmas.copy(),
         l=l,
         sigma_next=sigma_next,
-        source_kind=source_kind,
+        method=method,
         cutoff_saturated=saturated,
     )
 
@@ -423,14 +401,7 @@ def solve_rom_lifted(
     )
 
 
-def error_curve(
-    fom: Trajectory,
-    rom_lifted: Trajectory,
-    tag: str,
-    delta: float,
-    l: int,
-    sigma_next: float,
-) -> ErrorCurve:
+def error_curve(fom: Trajectory, rom_lifted: Trajectory) -> ErrorCurve:
     """Pointwise Euclidean norms of the trajectory difference."""
     if fom.times.shape != rom_lifted.times.shape or not np.array_equal(
         fom.times, rom_lifted.times
@@ -442,11 +413,4 @@ def error_curve(
         )
     diff = fom.states - rom_lifted.states
     norms = np.sqrt(np.sum(diff * diff, axis=1))
-    return ErrorCurve(
-        times=fom.times.copy(),
-        norms=norms,
-        method_tag=tag,
-        delta=delta,
-        l_used=l,
-        sigma_next_used=sigma_next,
-    )
+    return ErrorCurve(times=fom.times, norms=norms)

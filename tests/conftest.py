@@ -7,7 +7,7 @@ integrator error sits well below the quantities being compared.
 
 import pytest
 
-from podrom.cli import RunConfig, run_experiment, _compute_spectra, _prepare
+from podrom.experiment import RunConfig, run_experiment, _compute_spectra, _prepare
 
 # The session-wide sweep bundles below; a test that uses one is marked
 # ``slow``, so ``pytest -m "not slow"`` skips the sweeps.

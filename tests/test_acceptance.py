@@ -16,10 +16,9 @@ from podrom.cli import (
     ERROR_CSV_NAME,
     PLOT_SCRIPT_NAME,
     SPECTRUM_CSV_NAME,
-    RunConfig,
     main,
-    run_experiment,
 )
+from podrom.experiment import RunConfig, run_experiment
 from podrom.fhn import preset
 from podrom.linalg import svd_one_sided_jacobi
 from podrom.pod import SnapshotSet, build_snapshot_matrix

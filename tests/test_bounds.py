@@ -205,9 +205,7 @@ class TestConstantsValidation:
 
     def test_curve_rejects_bad_values(self):
         with pytest.raises(InvalidInputError):
-            BoundCurve(times=np.array([0.0, 1.0]), values=np.array([1.0, -1.0]), method_tag="Y")
-        with pytest.raises(InvalidInputError):
-            BoundCurve(times=np.array([0.0]), values=np.array([1.0]), method_tag="W")
+            BoundCurve(times=np.array([0.0, 1.0]), values=np.array([1.0, -1.0]))
 
 
 class TestBoundFormulas:
@@ -217,7 +215,6 @@ class TestBoundFormulas:
     def test_method1_flat_value(self):
         curve = method1_bound(0.25, flat_constants([3.0], [0.0]), self.GRID, self.EVALS)
         np.testing.assert_allclose(curve.values, 2.0 * 0.25 + 3.0 / 8.0, rtol=1e-15)
-        assert curve.method_tag == "Y"
         assert not curve.saturated
 
     def test_method2_flat_value_and_variant(self):
@@ -230,7 +227,6 @@ class TestBoundFormulas:
         np.testing.assert_allclose(
             literal.values, 0.25 * (59.0 / 54.0 + 4.0 / 27.0) + 5.0 / 384.0, rtol=1e-15
         )
-        assert consistent.method_tag == "Z"
         assert np.all(literal.values < consistent.values)
         with pytest.raises(InvalidInputError):
             method2_bound(0.25, constants, self.GRID, self.EVALS, variant="midway")

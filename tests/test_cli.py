@@ -8,24 +8,21 @@ import sys
 import numpy as np
 import pytest
 
-from podrom import cli
+from podrom import cli, experiment
 from podrom.cli import (
     BOUND_CSV_NAME,
     ERROR_CSV_NAME,
     PLOT_SCRIPT_NAME,
     SPECTRUM_CSV_NAME,
-    CellResult,
-    RunConfig,
-    RunReport,
     emit_plot_script,
     main,
-    run_experiment,
     write_bound_csv,
     write_error_csv,
     write_spectrum_csv,
 )
 from podrom.bounds import BoundCurve
 from podrom.errors import InvalidInputError
+from podrom.experiment import CellResult, RunConfig, RunReport, run_experiment
 from podrom.fhn import FhnParams, Waveform, build_fhn, preset
 from podrom.pod import ErrorCurve, TruncationRule
 
@@ -43,26 +40,17 @@ def synthetic_report(with_bound=False, cells=1):
     params = preset("A").params
     cell_list = []
     for k in range(cells):
-        curve = ErrorCurve(
-            times=times,
-            norms=np.array([0.0, 1.5e-3 * (k + 1), 2.5e-5]),
-            method_tag="Y" if k % 2 == 0 else "Z",
-            delta=0.01 * (k + 1),
-            l_used=5 + k,
-            sigma_next_used=1e-9,
-        )
+        curve = ErrorCurve(times=times, norms=np.array([0.0, 1.5e-3 * (k + 1), 2.5e-5]))
         bound = None
         if with_bound:
-            bound = BoundCurve(
-                times=times,
-                values=np.array([1e-2, 2e-2, 4e-2]),
-                method_tag=curve.method_tag,
-            )
+            bound = BoundCurve(times=times, values=np.array([1e-2, 2e-2, 4e-2]))
         cell_list.append(
             CellResult(
-                method=curve.method_tag,
-                delta=curve.delta,
+                method="Y" if k % 2 == 0 else "Z",
+                delta=0.01 * (k + 1),
                 rule=TruncationRule.fixed(5 + k),
+                l=5 + k,
+                sigma_next=1e-9,
                 curve=curve,
                 bound=bound,
             )
@@ -109,6 +97,17 @@ class TestRunConfig:
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidInputError):
             tiny_config(methods=("Y", "Q"))
+
+    def test_repeated_spacings_factorized_once(self):
+        # Repeated rules stay (they share one reduced solve); a repeated
+        # spacing would only factorize the same matrix twice.
+        config = tiny_config(deltas=(0.01, 0.01), dims=(5, 5))
+        assert config.deltas == (0.01,)
+        assert len(config.rules) == 2
+        report = run_experiment(config)
+        assert report.counters["svd_factorizations"] == 1
+        assert report.cell_count == 2
+        assert report.counters["rom_cache_hits"] == 1
 
     def test_delta_must_divide_horizon(self):
         with pytest.raises(InvalidInputError):
@@ -164,8 +163,8 @@ class TestRunExperiment:
 
     def test_jacobi_counters_sum_over_factorizations(self):
         config = tiny_config(methods=("Y", "Z"))
-        ctx = cli._prepare(config)
-        svds = cli._compute_spectra(config, ctx)
+        ctx = experiment._prepare(config)
+        svds = experiment._compute_spectra(config, ctx)
         assert all(svd.sweeps >= 2 and svd.rotations > 0 for svd in svds.values())
         assert ctx.counters["jacobi_sweeps"] == sum(svd.sweeps for svd in svds.values())
         assert ctx.counters["jacobi_rotations"] == sum(
@@ -179,8 +178,8 @@ class TestRunExperiment:
         # Two distinct bases and one cache hit (dims 5 and 5 share a solve).
         config = tiny_config(dims=(5, 10, 5))
         solved = {"fom": [], "rom": []}
-        integrate = cli.integrate
-        solve = cli.solve_rom_lifted
+        integrate = experiment.integrate
+        solve = experiment.solve_rom_lifted
 
         def recording_integrate(*args, **kwargs):
             traj = integrate(*args, **kwargs)
@@ -192,8 +191,8 @@ class TestRunExperiment:
             solved["rom"].append(traj)
             return traj
 
-        monkeypatch.setattr(cli, "integrate", recording_integrate)
-        monkeypatch.setattr(cli, "solve_rom_lifted", recording_solve)
+        monkeypatch.setattr(experiment, "integrate", recording_integrate)
+        monkeypatch.setattr(experiment, "solve_rom_lifted", recording_solve)
         report = run_experiment(config)
         assert report.counters["rom_cache_hits"] == 1
         assert len(solved["fom"]) == 1 and len(solved["rom"]) == 2
@@ -239,7 +238,6 @@ class TestRunExperiment:
         report = run_experiment(config)
         cell = report.cells[0]
         assert cell.bound is not None
-        assert cell.bound.method_tag == "Y"
         assert cell.bound.times.shape == cell.curve.times.shape
         assert np.all(cell.bound.values >= cell.curve.norms)
 
@@ -266,7 +264,7 @@ class TestRunExperiment:
         provenances = []
         matrices = []
         for name in ("linear_bound_constants", "sampled_bound_constants"):
-            original = getattr(cli, name)
+            original = getattr(experiment, name)
 
             def spy(*args, _original=original, **kwargs):
                 constants = _original(*args, **kwargs)
@@ -275,7 +273,7 @@ class TestRunExperiment:
                     matrices.append(args[0])
                 return constants
 
-            monkeypatch.setattr(cli, name, spy)
+            monkeypatch.setattr(experiment, name, spy)
         config = RunConfig(
             params=params,
             final_time=0.5,

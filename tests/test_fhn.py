@@ -455,7 +455,6 @@ class TestPresets:
         assert config.delta_list == (0.01, 0.005, 0.0025)
         assert config.epsilon_list == (1e-15, 1e-9, 1e-1)
         assert config.l_list == (5, 10, 15, 20, 35, 50)
-        assert config.eval_grid_size == 400
 
     def test_preset_b_values(self):
         config = preset("B")
@@ -509,7 +508,7 @@ class TestPresets:
                 id="X",
                 params=params,
                 T=1.0,
-                delta_list=(0.3,),
+                delta_list=(),
                 epsilon_list=(1e-6,),
                 l_list=(2,),
             )

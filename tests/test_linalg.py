@@ -231,7 +231,7 @@ class TestSvdOneSidedJacobi:
 
     def test_rank_tolerance_definition(self):
         M = np.diag([1.0, 1e-10, 1e-20])
-        res = svd_one_sided_jacobi(M, rank_tol_factor=1.0)
+        res = svd_one_sided_jacobi(M)
         expected_tol = 1.0 * 3 * np.finfo(float).eps * 1.0
         assert res.rank_tolerance == pytest.approx(expected_tol, rel=1e-12)
         assert res.numerical_rank == 2

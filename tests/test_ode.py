@@ -251,6 +251,19 @@ class TestSampleRhs:
 
 
 class TestTypes:
+    def test_trajectory_keeps_read_only_views(self):
+        c = np.array([2.5, -1.0])
+        traj = integrate(constant_system(c), c, 0.0, 1.0, 1e-8, 1e-10, [0.5, 1.0])
+        for array in (traj.times, traj.states):
+            # a view of the integrator's own buffer, not a copy of it
+            assert not array.flags.owndata
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        wrapped = Trajectory(times=traj.times, states=traj.states)
+        assert np.shares_memory(wrapped.times, traj.times)
+        assert np.shares_memory(wrapped.states, traj.states)
+
     def test_trajectory_rejects_unsorted_times(self):
         with pytest.raises(InvalidInputError):
             Trajectory(times=np.array([0.0, 0.5, 0.4]), states=np.zeros((3, 1)))

@@ -47,14 +47,14 @@ def orthonormal_columns(n, l, seed=0):
     return result.left_vectors[:, :l]
 
 
-def basis_from_columns(columns, source_kind="solution_only"):
+def basis_from_columns(columns, method="Y"):
     l = columns.shape[1]
     return PodBasis(
         reduced_vectors=columns,
         all_singular_values=np.linspace(2.0, 1.0, l),
         l=l,
         sigma_next=0.0,
-        source_kind=source_kind,
+        method=method,
     )
 
 
@@ -228,10 +228,10 @@ class TestTruncateBasis:
         basis = truncate_basis(svd, TruncationRule.cutoff(1e-30))
         assert basis.l == 2
 
-    def test_source_kind_sets_method_tag(self):
+    def test_method_passed_through(self):
         svd = svd_from_spectrum([3.0, 1.0], rank=2)
-        basis = truncate_basis(svd, TruncationRule.fixed(1), "solution_and_derivative")
-        assert basis.method_tag == "Z"
+        basis = truncate_basis(svd, TruncationRule.fixed(1), "Z")
+        assert basis.method == "Z"
 
     def test_rule_requires_exactly_one_variant(self):
         with pytest.raises(InvalidInputError):
@@ -294,7 +294,7 @@ class TestBuildRom:
             all_singular_values=np.array([1.0, 1.0, 1.0]),
             l=3,
             sigma_next=0.0,
-            source_kind="solution_only",
+            method="Y",
         )
         rom = build_rom(system, basis)
         z = np.array([0.1, -0.7, 2.0])
@@ -429,7 +429,7 @@ class TestSolveRomLifted:
             all_singular_values=np.array([1.0, 1.0]),
             l=2,
             sigma_next=0.0,
-            source_kind="solution_only",
+            method="Y",
         )
         x0 = np.array([1.0, 0.0])
         out = [0.5, 1.0]
@@ -475,7 +475,7 @@ class TestSolveRomLifted:
 class TestErrorCurve:
     def test_identical_trajectories_give_zero(self):
         traj = Trajectory(times=np.array([0.0, 1.0]), states=np.ones((2, 3)))
-        curve = error_curve(traj, traj, "Y", 0.5, 2, 0.0)
+        curve = error_curve(traj, traj)
         assert np.all(curve.norms == 0.0)
         assert curve.max_norm == 0.0
 
@@ -485,37 +485,18 @@ class TestErrorCurve:
         offset = np.array([3.0, 4.0])
         a = Trajectory(times=times, states=base)
         b = Trajectory(times=times, states=base + offset)
-        curve = error_curve(a, b, "Z", 0.5, 1, 0.1)
+        curve = error_curve(a, b)
         assert np.allclose(curve.norms, 5.0)
-        assert curve.method_tag == "Z"
-        assert curve.l_used == 1
-        assert curve.sigma_next_used == 0.1
 
     def test_grid_mismatch_rejected(self):
         a = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 2)))
         b = Trajectory(times=np.array([0.0, 2.0]), states=np.zeros((2, 2)))
         with pytest.raises(InvalidInputError):
-            error_curve(a, b, "Y", 0.5, 1, 0.0)
+            error_curve(a, b)
 
     def test_curve_validation(self):
         with pytest.raises(InvalidInputError):
-            ErrorCurve(
-                times=np.array([0.0, 1.0]),
-                norms=np.array([-1.0, 0.0]),
-                method_tag="Y",
-                delta=0.5,
-                l_used=1,
-                sigma_next_used=0.0,
-            )
-        with pytest.raises(InvalidInputError):
-            ErrorCurve(
-                times=np.array([0.0, 1.0]),
-                norms=np.array([0.0, 0.0]),
-                method_tag="X",
-                delta=0.5,
-                l_used=1,
-                sigma_next_used=0.0,
-            )
+            ErrorCurve(times=np.array([0.0, 1.0]), norms=np.array([-1.0, 0.0]))
 
 
 class TestPodBasisValidation:
@@ -526,7 +507,7 @@ class TestPodBasisValidation:
                 all_singular_values=np.array([2.0, 1.0]),
                 l=2,
                 sigma_next=0.0,
-                source_kind="solution_only",
+                method="Y",
             )
 
     def test_rejects_unsorted_spectrum(self):
@@ -536,15 +517,15 @@ class TestPodBasisValidation:
                 all_singular_values=np.array([1.0, 2.0]),
                 l=2,
                 sigma_next=0.0,
-                source_kind="solution_only",
+                method="Y",
             )
 
-    def test_rejects_unknown_source_kind(self):
+    def test_rejects_unknown_method(self):
         with pytest.raises(InvalidInputError):
             PodBasis(
                 reduced_vectors=np.eye(2),
                 all_singular_values=np.array([1.0, 0.5]),
                 l=2,
                 sigma_next=0.0,
-                source_kind="mixed",
+                method="X",
             )
