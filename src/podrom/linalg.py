@@ -110,21 +110,18 @@ def _orthonormal_completion(U: np.ndarray, fill_cols: list[int]) -> None:
 
     Deterministic: each fill starts from the standard basis vector least
     covered by the columns already in place (its residual norm is at least
-    1/sqrt(n); ties break at the lowest index), orthogonalized twice.
+    1/sqrt(n); ties break at the lowest index), orthogonalized twice against
+    the block B of those columns, v -= B (B^T v).
     """
     n = U.shape[0]
     placed = [k for k in range(U.shape[1]) if k not in set(fill_cols)]
     for k in fill_cols:
-        if placed:
-            block = U[:, placed]
-            coverage = np.sum(block * block, axis=1)
-        else:
-            coverage = np.zeros(n)
+        block = U[:, placed]
+        coverage = np.sum(block * block, axis=1)
         v = np.zeros(n)
         v[int(np.argmin(coverage))] = 1.0
         for _ in range(2):
-            for j in placed:
-                v -= (U[:, j] @ v) * U[:, j]
+            v -= block @ (block.T @ v)
         norm = float(np.linalg.norm(v))
         if norm <= math.sqrt(0.5 / n):
             raise ConvergenceError("orthonormal completion found no candidate")

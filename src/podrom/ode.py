@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, RhsEvaluationError, StiffnessError
-from .linalg import as_vector, read_only
+from .linalg import as_matrix, as_vector, read_only
 
 __all__ = [
     "RhsStructure",
@@ -106,11 +106,18 @@ class OdeSystem:
     (:class:`RhsStructure`), so that a Galerkin reduction can project each
     part once, offline.  With a zero cubic scale the system is affine and
     its linear operator gives the exact error-bound constants.
+
+    The optional ``lift`` is an N x ``dimension`` matrix (N >= dimension)
+    that maps a state into the space it stands for; a Galerkin reduced
+    system carries its basis U here.  ``integrate`` then applies its error
+    test to the lifted local error and state, so a reduced solve is held to
+    the standard of the full solve it approximates.
     """
 
     dimension: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
     structure: Optional[RhsStructure] = None
+    lift: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         dim = int(self.dimension)
@@ -129,6 +136,14 @@ class OdeSystem:
                 )
             if len(range(dim)[self.structure.cubic_rows]) == 0:
                 raise InvalidInputError("cubic_rows selects no state row")
+        if self.lift is not None:
+            lift = read_only(as_matrix(self.lift, "lift"))
+            if lift.shape[1] != dim or lift.shape[0] < dim:
+                raise InvalidInputError(
+                    f"lift must have {dim} columns and at least {dim} rows, "
+                    f"got shape {lift.shape}"
+                )
+            object.__setattr__(self, "lift", lift)
 
 
 @dataclass(frozen=True)
@@ -246,7 +261,10 @@ def integrate(
     (``step_attempts``, ``rejected_steps``, ``rhs_calls``).  Steps are
     shortened so each output time coincides with a step endpoint.  The local
     error per step is controlled in a scaled RMS norm with per-component
-    scale ``abs_tol + rel_tol * max(|x_old|, |x_new|)``.
+    scale ``abs_tol + rel_tol * max(|x_old|, |x_new|)``.  A system with a
+    ``lift`` is measured in the lifted space: the norm runs over the
+    components of ``lift @ error`` and the scale takes ``|lift @ x_old|``
+    and ``|lift @ x_new|``, so a reduced solve meets the full solve's test.
 
     Raises :class:`StiffnessError` when the controller drives the step below
     ``1e-14 * (t1 - t0)`` (persistently failing trial steps end up here too),
@@ -312,9 +330,18 @@ def integrate(
     absolute = np.array(abs_tol)
     step = np.empty(())
     combo = np.empty(n)
-    scale = np.empty(n)
-    abs_state = np.abs(state)
-    abs_trial = np.empty(n)
+    # With a lift, the error test runs on its m lifted components.
+    lift = system.lift
+    if lift is None:
+        m = n
+        error = combo
+        abs_state = np.abs(state)
+    else:
+        m = lift.shape[0]
+        error = np.empty(m)
+        abs_state = np.abs(lift @ state)
+    scale = np.empty(m)
+    abs_trial = np.empty(m)
     matmul = np.matmul
     multiply = np.multiply
     add = np.add
@@ -358,16 +385,22 @@ def integrate(
         # err = sqrt(mean((h_step * (_RK_ERR @ stages) / scale) ** 2)) with
         # scale = abs_tol + rel_tol * max(|state|, |trial|); np.mean is
         # np.add.reduce divided by the count, and |state| is the |trial|
-        # of the step that accepted it.
+        # of the step that accepted it.  With a lift, the error vector and
+        # both states are multiplied by it first.
         matmul(_RK_ERR, stages, out=combo)
         multiply(combo, step, out=combo)
-        np.abs(trial, out=abs_trial)
+        if lift is None:
+            np.abs(trial, out=abs_trial)
+        else:
+            matmul(lift, combo, out=error)
+            matmul(lift, trial, out=abs_trial)
+            np.abs(abs_trial, out=abs_trial)
         np.maximum(abs_state, abs_trial, out=scale)
         multiply(scale, rel, out=scale)
         add(scale, absolute, out=scale)
-        np.divide(combo, scale, out=combo)
-        multiply(combo, combo, out=combo)
-        err = math.sqrt(float(add.reduce(combo)) / n)
+        np.divide(error, scale, out=error)
+        multiply(error, error, out=error)
+        err = math.sqrt(float(add.reduce(error)) / m)
 
         if not math.isfinite(err):
             h = h_step * _MIN_FACTOR

@@ -16,6 +16,7 @@ each reduced call evaluates the full right-hand side at U z.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -300,7 +301,9 @@ def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
     right-hand side at U z.
     The identity basis (U = I, for example the full-dimension basis that
     ``truncate_basis`` builds) keeps the system's own right-hand side.
-    The reduced system carries its right-hand side only, no structure.
+    The reduced system carries no structure.  Its ``lift`` is U, so
+    ``integrate`` holds it to the full system's error test on U z; the
+    identity basis needs no lift.
     """
     if basis.dimension != system.dimension:
         raise InvalidInputError(
@@ -312,15 +315,15 @@ def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
     n = basis.dimension
     if basis.l == n and np.array_equal(vectors, np.eye(n)):
         # U = I: the Galerkin system is the system itself.
-        reduced_rhs = system.rhs
-    elif system.structure is not None:
+        return OdeSystem(dimension=n, rhs=system.rhs)
+    if system.structure is not None:
         reduced_rhs = _projected_rhs(system.structure, vectors)
     else:
 
         def reduced_rhs(t: float, z: np.ndarray) -> np.ndarray:
             return vectors.T @ np.asarray(system.rhs(t, vectors @ z), dtype=float)
 
-    return OdeSystem(dimension=basis.l, rhs=reduced_rhs)
+    return OdeSystem(dimension=basis.l, rhs=reduced_rhs, lift=vectors)
 
 
 def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):
@@ -345,8 +348,14 @@ def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):
     blocks = np.hstack((structure.cubic_scale * rows.T, forcing, linear))
     stacked = np.empty(blocks.shape[1])
     cubic = stacked[:p]
-    drive = stacked[p : p + k]
     state = stacked[p + k :]
+    # The k signal values are packed straight into the bytes of
+    # stacked[p : p + k]; a slice store would take the tuple through numpy's
+    # sequence path, and pack_into writes to a byte view faster than to the
+    # array itself.
+    store_drive = struct.Struct(f"{k}d").pack_into
+    stacked_bytes = memoryview(stacked).cast("B")
+    drive_offset = p * stacked.itemsize
     # np.dot has less call overhead than the @ operator on these small sizes.
     dot = np.dot
     subtract = np.subtract
@@ -358,7 +367,7 @@ def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):
             subtract(v, root, out=cubic)
             multiply(cubic, v, out=cubic)
             multiply(cubic, v, out=cubic)
-        drive[:] = signals(t)
+        store_drive(stacked_bytes, drive_offset, *signals(t))
         state[:] = z
         return dot(blocks, stacked)
 

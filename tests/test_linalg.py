@@ -27,6 +27,21 @@ def svd_defects(M: np.ndarray, result: SvdResult) -> tuple[float, float, float]:
     return float(du), float(dv), float(dr)
 
 
+def loop_completion(U: np.ndarray, fill_cols: list[int]) -> None:
+    """Reference for the completion: one column at a time, modified Gram-Schmidt."""
+    n = U.shape[0]
+    placed = [k for k in range(U.shape[1]) if k not in fill_cols]
+    for k in fill_cols:
+        coverage = np.sum(U[:, placed] ** 2, axis=1)
+        v = np.zeros(n)
+        v[int(np.argmin(coverage))] = 1.0
+        for _ in range(2):
+            for j in placed:
+                v -= (U[:, j] @ v) * U[:, j]
+        U[:, k] = v / np.linalg.norm(v)
+        placed.append(k)
+
+
 def plain_jacobi(M: np.ndarray):
     """Reference for the tall kernel: the plain pair loop it must reproduce.
 
@@ -224,6 +239,27 @@ class TestSvdOneSidedJacobi:
         assert res.numerical_rank == 0
         du, dv, _ = svd_defects(np.zeros((4, 2)), res)
         assert max(du, dv) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["zero", "rank_one"])
+    def test_completed_columns_orthonormal_to_every_column(self, case):
+        n, m = 402, 202
+        if case == "zero":
+            M = np.zeros((n, m))
+        else:
+            rng = np.random.default_rng(5)
+            M = np.outer(rng.standard_normal(n), rng.standard_normal(m))
+        res = svd_one_sided_jacobi(M)
+        U = res.left_vectors
+        filled = res.singular_values == 0.0
+        assert np.count_nonzero(filled) >= m - 1
+        gram = U.T @ U[:, filled]
+        assert np.max(np.abs(gram - np.eye(m)[:, filled])) <= 1e-12
+        # The same start vectors as the column loop, so the same columns up
+        # to rounding.
+        reference = U.copy()
+        reference[:, filled] = 0.0
+        loop_completion(reference, list(np.flatnonzero(filled)))
+        assert np.max(np.abs(reference - U)) <= 1e-12
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidInputError):

@@ -280,6 +280,26 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             OdeSystem(dimension=0, rhs=lambda t, x: x)
 
+    @pytest.mark.parametrize(
+        "lift",
+        [
+            np.zeros((1, 2)),  # fewer rows than columns
+            np.zeros((4, 3)),  # a column count other than the dimension
+            np.zeros(4),  # not 2-D
+            np.array([[1.0, 0.0], [0.0, float("nan")], [0.0, 0.0]]),
+            np.array([[float("inf"), 0.0], [0.0, 1.0], [0.0, 0.0]]),
+        ],
+    )
+    def test_system_rejects_bad_lift(self, lift):
+        with pytest.raises(InvalidInputError):
+            OdeSystem(dimension=2, rhs=lambda t, x: x, lift=lift)
+
+    def test_system_keeps_lift_read_only(self):
+        lift = np.eye(3)[:, :2]
+        system = OdeSystem(dimension=2, rhs=lambda t, x: x, lift=lift)
+        assert np.array_equal(system.lift, lift)
+        assert not system.lift.flags.writeable
+
     def test_structure_needs_one_signal_per_forcing_vector(self):
         # Evaluated once at t = 0: one value for two forcing vectors.
         with pytest.raises(InvalidInputError):

@@ -394,10 +394,12 @@ class TestStructuredRom:
         n = system.dimension
         rom = build_rom(system, basis_from_columns(np.eye(n)))
         assert rom.rhs is system.rhs
+        assert rom.lift is None
         # A full-dimension basis that is not the identity is still projected.
         swapped = np.eye(n)[:, ::-1]
         rom = build_rom(system, basis_from_columns(swapped))
         assert rom.rhs is not system.rhs
+        assert np.array_equal(rom.lift, swapped)
         rng = np.random.default_rng(4)
         z = rng.uniform(-1.0, 1.0, size=n)
         lifted = swapped.T @ system.rhs(0.3, swapped @ z)
@@ -457,6 +459,44 @@ class TestSolveRomLifted:
         full = integrate(system, x0, 0.0, 1.0, 1e-10, 1e-12, out)
         assert np.max(np.abs(lifted.states - full.states)) <= 1e-8
 
+    def test_invariant_coordinates_take_the_full_solve_steps(self):
+        # Forcing and initial state sit on 4 of 12 coordinates of a diagonal
+        # system, so the other 8 stay exactly 0 and the identity columns of
+        # those 4 span an invariant subspace.  The lifted error test then
+        # sees the full solve's numbers, step for step.  The forcing stops
+        # at t = 1.1, between output times, so some steps are rejected.
+        n = 12
+        kept = [1, 4, 7, 10]
+        rates = -np.linspace(0.5, 6.0, n)
+        drive = np.zeros(n)
+        drive[kept] = [1.0, -2.0, 0.5, 3.0]
+
+        def rhs(t, x):
+            return rates * x + drive * (math.cos(2.0 * t) if t < 1.1 else 0.0)
+
+        system = OdeSystem(dimension=n, rhs=rhs)
+        basis = basis_from_columns(np.eye(n)[:, kept])
+        x0 = np.zeros(n)
+        x0[kept] = [0.3, -0.1, 1.0, 0.0]
+        out = np.linspace(0.0, 2.0, 9)[1:]
+        full = integrate(system, x0, 0.0, 2.0, 1e-10, 1e-12, out)
+        lifted = solve_rom_lifted(system, basis, x0, out, 1e-10, 1e-12)
+        assert lifted.step_attempts == full.step_attempts
+        assert lifted.rejected_steps == full.rejected_steps > 0
+        np.testing.assert_allclose(lifted.states, full.states, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("method", ["Y", "Z"])
+    def test_lifted_error_test_keeps_preset_b_accuracy(self, b_raw, method):
+        # An l = 25 POD basis of preset B at the acceptance tolerances,
+        # against the same reduced solve at 100x tighter ones.
+        _, ctx, svds = b_raw
+        basis = truncate_basis(svds[(method, 0.04)], TruncationRule.fixed(25), method)
+        out = np.linspace(0.0, 0.05, 6)[1:]
+        got = solve_rom_lifted(ctx.system, basis, ctx.x0, out, 1e-13, 1e-15)
+        tight = solve_rom_lifted(ctx.system, basis, ctx.x0, out, 1e-15, 1e-17)
+        gap = np.max(np.abs(got.states - tight.states))
+        assert gap <= 1e-12
+        assert gap <= 1e-10 * np.max(np.abs(tight.states))
 
     def test_lifted_trajectory_carries_reduced_work_counters(self):
         system = build_fhn(preset("B").params)
