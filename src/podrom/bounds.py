@@ -7,16 +7,18 @@ drive two bound families evaluated per snapshot interval:
     with-derivative basis:   [s (59/54 + c Delta_i) + Delta_i^4 Phi_i / 384]
                              exp(Lambda t)
 
-with s the first discarded singular value.  The coefficient c is 8/27 by
-default; a "literal" variant with 4/27 is kept switchable because the two
-published forms of the with-derivative bound disagree by that factor of
-two, and the larger coefficient is the conservative choice.
+with s the first discarded singular value.  ``VARIANTS`` holds c: 8/27 for
+the default "consistent" variant and 4/27 for "literal", kept switchable
+because the two published forms of the with-derivative bound disagree by
+that factor of two, and the larger coefficient is the conservative choice.
 
-Constants come from the system's ``RhsStructure``: exactly from the linear
-operator A when the cubic is off (Lambda = ||A||_2), and otherwise from
-the exact Jacobian J(x) = A + diag(g'(x)) sampled along a dense reference
-trajectory (Lambda = max ||J||_2, Psi = max ||J f + B s'||).  Every
-spectral norm is LAPACK's.
+Constants carry the snapshot grid they were built on, with one Psi_i,
+Phi_i and theta_i per interval, and a bound takes its Delta_i from that
+grid.  They come from the system's ``RhsStructure``: exactly from the
+linear operator A when the cubic is off (Lambda = ||A||_2), and otherwise
+from the exact Jacobian J(x) = A + diag(g'(x)) sampled along a dense
+reference trajectory (Lambda = max ||J||_2, Psi = max ||J f + B s'||).
+Every spectral norm is LAPACK's.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_matrix
+from .linalg import as_matrix, as_time_grid, read_only
 from .ode import OdeSystem, Trajectory, sample_rhs
 from .pod import SnapshotSet
 
 __all__ = [
+    "VARIANTS",
     "BoundConstants",
     "BoundCurve",
     "lagrange_piecewise",
@@ -43,7 +46,10 @@ __all__ = [
     "method2_bound",
 ]
 
-PROVENANCES = ("linear_exact", "sampled_estimate", "user_supplied")
+PROVENANCES = ("linear_exact", "sampled_estimate")
+
+# The coefficient c of the with-derivative bound, by variant name.
+VARIANTS = {"consistent": 8.0 / 27.0, "literal": 4.0 / 27.0}
 
 # exp arguments are clamped at ln(1e300) and bound values at 1e300; the
 # curve carries a flag when either clamp fires.
@@ -60,11 +66,14 @@ _JACOBIAN_SAMPLES = 9
 class BoundConstants:
     """Per-interval constants entering the bound formulas.
 
-    ``lambda_`` bounds the Jacobian norm, ``psi``/``phi`` bound the first
-    and third time derivative of f along the solution, ``theta`` the
-    solution norm; ``provenance`` records how they were obtained.
+    ``snapshot_times`` is the grid they were built on, kept read-only, with
+    one ``psi``, ``phi`` and ``theta`` entry per interval.  ``lambda_``
+    bounds the Jacobian norm, ``psi``/``phi`` bound the first and third
+    time derivative of f along the solution, ``theta`` the solution norm;
+    ``provenance`` records how they were obtained.
     """
 
+    snapshot_times: np.ndarray
     lambda_: float
     psi: np.ndarray
     phi: np.ndarray
@@ -76,24 +85,17 @@ class BoundConstants:
         if not (math.isfinite(lam) and lam >= 0.0):
             raise InvalidInputError(f"lambda_ must be finite and >= 0, got {self.lambda_!r}")
         object.__setattr__(self, "lambda_", lam)
-        arrays = {}
+        times = read_only(as_time_grid(self.snapshot_times, "snapshot_times", 2))
+        object.__setattr__(self, "snapshot_times", times)
         for name in ("psi", "phi", "theta"):
             arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 1 or arr.size == 0:
-                raise InvalidInputError(f"{name} must be a nonempty 1-D array")
+            if arr.shape != (times.size - 1,):
+                raise InvalidInputError(f"{name} needs one entry per snapshot interval")
             if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
                 raise InvalidInputError(f"{name} entries must be finite and >= 0")
-            arrays[name] = arr
-        if not (arrays["psi"].size == arrays["phi"].size == arrays["theta"].size):
-            raise InvalidInputError("psi, phi, and theta must have equal length")
+            object.__setattr__(self, name, arr)
         if self.provenance not in PROVENANCES:
             raise InvalidInputError(f"provenance must be one of {PROVENANCES}")
-        for name, arr in arrays.items():
-            object.__setattr__(self, name, arr)
-
-    @property
-    def interval_count(self) -> int:
-        return int(self.psi.size)
 
 
 @dataclass(frozen=True)
@@ -165,17 +167,6 @@ def hermite_piecewise(snapshots: SnapshotSet, t: float) -> np.ndarray:
     )
 
 
-def _validate_snapshot_times(snapshot_times) -> np.ndarray:
-    times = np.array(snapshot_times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise InvalidInputError("snapshot_times must be 1-D with at least two entries")
-    if not np.all(np.isfinite(times)):
-        raise InvalidInputError("snapshot_times contains non-finite entries")
-    if not np.all(np.diff(times) > 0.0):
-        raise InvalidInputError("snapshot_times must be strictly increasing")
-    return times
-
-
 def _interval_max(values: np.ndarray, slices: List[Tuple[int, int]]) -> np.ndarray:
     return np.array([float(np.max(values[left:right])) for left, right in slices])
 
@@ -213,7 +204,7 @@ def linear_bound_constants(A, fom: Trajectory, snapshot_times) -> BoundConstants
             f"A dimension {matrix.shape[0]} does not match trajectory "
             f"dimension {fom.dimension}"
         )
-    times = _validate_snapshot_times(snapshot_times)
+    times = as_time_grid(snapshot_times, "snapshot_times", 2)
     slices = _interval_slices(fom.times, times, 2)
     # LAPACK's sigma_1 is exact for some A + E with ||E|| of order n eps ||A||,
     # and sigma_1 moves by at most ||E|| (Weyl), so the pad keeps Lambda at
@@ -221,6 +212,7 @@ def linear_bound_constants(A, fom: Trajectory, snapshot_times) -> BoundConstants
     lam = float(np.linalg.norm(matrix, 2)) * (1.0 + matrix.shape[0] * _EPS)
     theta = _interval_max(np.linalg.norm(fom.states, axis=1), slices)
     return BoundConstants(
+        snapshot_times=times,
         lambda_=lam,
         psi=lam * theta,
         phi=lam**3 * theta,
@@ -245,15 +237,10 @@ def sampled_bound_constants(
     - Lambda: the largest ||J(x)||_2 (LAPACK) over a thinned set of
       trajectory samples.
     """
-    if system.dimension != fom.dimension:
-        raise InvalidInputError(
-            f"system dimension {system.dimension} does not match trajectory "
-            f"dimension {fom.dimension}"
-        )
     structure = system.structure
     if structure is None:
         raise InvalidInputError("sampled bound constants need a system with a structure")
-    times = _validate_snapshot_times(snapshot_times)
+    times = as_time_grid(snapshot_times, "snapshot_times", 2)
     slices = _interval_slices(fom.times, times, 5)
 
     f_columns = sample_rhs(system, fom)
@@ -296,6 +283,7 @@ def sampled_bound_constants(
         lam = max(lam, float(np.linalg.norm(jacobian, 2)))
 
     return BoundConstants(
+        snapshot_times=times,
         lambda_=lam,
         psi=psi,
         phi=phi,
@@ -305,13 +293,10 @@ def sampled_bound_constants(
 
 
 def _evaluate_bound(
-    prefactors: np.ndarray,
-    lam: float,
-    snapshot_times: np.ndarray,
-    eval_times: np.ndarray,
+    prefactors: np.ndarray, constants: BoundConstants, eval_times: np.ndarray
 ) -> BoundCurve:
-    intervals = _bracket_indices(snapshot_times, eval_times)
-    args = lam * eval_times
+    intervals = _bracket_indices(constants.snapshot_times, eval_times)
+    args = constants.lambda_ * eval_times
     clamped = args > _EXP_ARG_CAP
     pref = prefactors[intervals]
     # overflow to inf is fine here; the cap right below turns it into 1e300
@@ -324,17 +309,12 @@ def _evaluate_bound(
 
 
 def _validate_bound_inputs(
-    sigma_next: float, constants: BoundConstants, snapshot_times, eval_times
-) -> Tuple[float, np.ndarray, np.ndarray]:
+    sigma_next: float, constants: BoundConstants, eval_times
+) -> Tuple[float, np.ndarray]:
     sigma = float(sigma_next)
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise InvalidInputError(f"sigma_next must be finite and >= 0, got {sigma_next!r}")
-    times = _validate_snapshot_times(snapshot_times)
-    if constants.interval_count != times.size - 1:
-        raise InvalidInputError(
-            f"constants cover {constants.interval_count} intervals, "
-            f"snapshot grid has {times.size - 1}"
-        )
+    times = constants.snapshot_times
     evals = np.array(eval_times, dtype=float)
     if evals.ndim != 1 or evals.size == 0:
         raise InvalidInputError("eval_times must be a nonempty 1-D array")
@@ -342,25 +322,20 @@ def _validate_bound_inputs(
         raise InvalidInputError("eval_times contains non-finite entries")
     if np.min(evals) < times[0] or np.max(evals) > times[-1]:
         raise InvalidInputError("eval_times must lie within the snapshot range")
-    return sigma, times, evals
+    return sigma, evals
 
 
-def method1_bound(
-    sigma_next: float, constants: BoundConstants, snapshot_times, eval_times
-) -> BoundCurve:
+def method1_bound(sigma_next: float, constants: BoundConstants, eval_times) -> BoundCurve:
     """Bound for the solution-only basis: [2 s + Psi_i Delta_i^2 / 8] exp(Lambda t)."""
-    sigma, times, evals = _validate_bound_inputs(
-        sigma_next, constants, snapshot_times, eval_times
-    )
-    deltas = np.diff(times)
+    sigma, evals = _validate_bound_inputs(sigma_next, constants, eval_times)
+    deltas = np.diff(constants.snapshot_times)
     prefactors = 2.0 * sigma + constants.psi * deltas**2 / 8.0
-    return _evaluate_bound(prefactors, constants.lambda_, times, evals)
+    return _evaluate_bound(prefactors, constants, evals)
 
 
 def method2_bound(
     sigma_next: float,
     constants: BoundConstants,
-    snapshot_times,
     eval_times,
     variant: str = "consistent",
 ) -> BoundCurve:
@@ -370,14 +345,12 @@ def method2_bound(
     c = 8/27 for the default "consistent" variant and 4/27 for "literal"
     (the smaller published coefficient, kept for comparison).
     """
-    if variant not in ("consistent", "literal"):
-        raise InvalidInputError(f"variant must be 'consistent' or 'literal', got {variant!r}")
-    sigma, times, evals = _validate_bound_inputs(
-        sigma_next, constants, snapshot_times, eval_times
-    )
-    coefficient = 8.0 / 27.0 if variant == "consistent" else 4.0 / 27.0
-    deltas = np.diff(times)
+    if variant not in VARIANTS:
+        raise InvalidInputError(f"variant must be one of {tuple(VARIANTS)}, got {variant!r}")
+    sigma, evals = _validate_bound_inputs(sigma_next, constants, eval_times)
+    coefficient = VARIANTS[variant]
+    deltas = np.diff(constants.snapshot_times)
     prefactors = (
         sigma * (59.0 / 54.0 + coefficient * deltas) + deltas**4 * constants.phi / 384.0
     )
-    return _evaluate_bound(prefactors, constants.lambda_, times, evals)
+    return _evaluate_bound(prefactors, constants, evals)

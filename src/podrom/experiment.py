@@ -19,6 +19,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .bounds import (
+    VARIANTS,
     BoundConstants,
     BoundCurve,
     linear_bound_constants,
@@ -104,7 +105,7 @@ class RunConfig:
         if not deltas:
             raise InvalidInputError("deltas must be nonempty")
         for delta in deltas:
-            _interval_count(horizon, delta)
+            _grid_intervals(horizon, delta)
         object.__setattr__(self, "deltas", deltas)
 
         rules = tuple(self.rules)
@@ -129,9 +130,9 @@ class RunConfig:
         object.__setattr__(
             self, "bound_samples_per_interval", int(self.bound_samples_per_interval)
         )
-        if self.bound_variant not in ("consistent", "literal"):
+        if self.bound_variant not in VARIANTS:
             raise InvalidInputError(
-                f"bound_variant must be 'consistent' or 'literal', got {self.bound_variant!r}"
+                f"bound_variant must be one of {tuple(VARIANTS)}, got {self.bound_variant!r}"
             )
 
     @classmethod
@@ -227,7 +228,7 @@ class RunReport:
         return len(self.cells)
 
 
-def _interval_count(horizon: float, delta: float) -> int:
+def _grid_intervals(horizon: float, delta: float) -> int:
     if not float(delta) > 0.0:
         raise InvalidInputError(f"delta must be positive, got {delta!r}")
     ratio = horizon / float(delta)
@@ -304,14 +305,14 @@ def _prepare(config: RunConfig) -> _RunContext:
     size = config.eval_grid_size
     eval_times = (horizon * np.arange(size)) / (size - 1)
     snap_grids = {
-        delta: _uniform_grid(horizon, _interval_count(horizon, delta))
+        delta: _uniform_grid(horizon, _grid_intervals(horizon, delta))
         for delta in config.deltas
     }
     dense_grids: Dict[float, np.ndarray] = {}
     if config.evaluate_bounds:
         per = config.bound_samples_per_interval
         dense_grids = {
-            delta: _uniform_grid(horizon, per * _interval_count(horizon, delta))
+            delta: _uniform_grid(horizon, per * _grid_intervals(horizon, delta))
             for delta in config.deltas
         }
 
@@ -452,7 +453,7 @@ def run_experiment(config: RunConfig) -> RunReport:
             for rule in config.rules:
                 stage = "basis"
                 try:
-                    basis = truncate_basis(svds[(method, delta)], rule, method)
+                    basis = truncate_basis(svds[(method, delta)], rule)
 
                     stage = "rom"
                     cache_key = (method, delta, basis.l)
@@ -477,16 +478,14 @@ def run_experiment(config: RunConfig) -> RunReport:
                     if config.evaluate_bounds:
                         stage = "bound"
                         start = time.perf_counter()
-                        grid = ctx.snapshots[delta].times
                         if method == "Y":
                             bound = method1_bound(
-                                basis.sigma_next, constants[delta], grid, ctx.eval_times
+                                basis.sigma_next, constants[delta], ctx.eval_times
                             )
                         else:
                             bound = method2_bound(
                                 basis.sigma_next,
                                 constants[delta],
-                                grid,
                                 ctx.eval_times,
                                 variant=config.bound_variant,
                             )

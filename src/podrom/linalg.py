@@ -17,6 +17,16 @@ import numpy as np
 
 from podrom.errors import ConvergenceError, InvalidInputError
 
+__all__ = [
+    "MAX_JACOBI_SWEEPS",
+    "SvdResult",
+    "as_matrix",
+    "as_time_grid",
+    "as_vector",
+    "read_only",
+    "svd_one_sided_jacobi",
+]
+
 # The sweep cap is part of the module contract: hitting it raises, never
 # silently returns a half-converged factorization.  Matrices with a wide
 # near-machine noise plateau can spend scores of sweeps draining the last
@@ -59,6 +69,22 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
         raise InvalidInputError(f"{name} must be a nonempty 1-D real vector")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains NaN or infinite entries")
+    return arr
+
+
+def as_time_grid(values, name: str = "times", min_size: int = 1) -> np.ndarray:
+    """Validate and return a 1-D float64 time grid, each entry above the last.
+
+    It needs ``min_size`` or more finite entries.  Like :func:`as_matrix`,
+    a float64 array comes back as is, not copied.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size < min_size:
+        raise InvalidInputError(f"{name} must be 1-D with {min_size} or more entries")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{name} contains NaN or infinite entries")
+    if not np.all(np.diff(arr) > 0.0):
+        raise InvalidInputError(f"{name} must be strictly increasing")
     return arr
 
 

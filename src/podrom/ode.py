@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, RhsEvaluationError, StiffnessError
-from .linalg import as_matrix, as_vector, read_only
+from .linalg import as_matrix, as_time_grid, as_vector, read_only
 
 __all__ = [
     "RhsStructure",
@@ -164,14 +164,8 @@ class Trajectory:
     rhs_calls: int = 0
 
     def __post_init__(self) -> None:
-        times = read_only(np.asarray(self.times, dtype=float))
+        times = read_only(as_time_grid(self.times))
         states = read_only(np.asarray(self.states, dtype=float))
-        if times.ndim != 1 or times.size == 0:
-            raise InvalidInputError("times must be a nonempty 1-D array")
-        if not np.all(np.isfinite(times)):
-            raise InvalidInputError("times contains non-finite entries")
-        if times.size > 1 and not np.all(np.diff(times) > 0.0):
-            raise InvalidInputError("times must be strictly increasing")
         if states.ndim != 2 or states.shape[0] != times.size:
             raise InvalidInputError(
                 f"states must be 2-D with one row per time, got shape {states.shape}"
@@ -285,13 +279,8 @@ def integrate(
     n = system.dimension
     if state.shape != (n,):
         raise InvalidInputError(f"x0 has length {state.size}, system dimension is {n}")
-    out = np.array(output_times, dtype=float)
-    if out.ndim != 1 or out.size == 0:
-        raise InvalidInputError("output_times must be a nonempty 1-D array")
-    if not np.all(np.isfinite(out)):
-        raise InvalidInputError("output_times contains non-finite entries")
-    if out.size > 1 and not np.all(np.diff(out) > 0.0):
-        raise InvalidInputError("output_times must be strictly increasing")
+    # a copy: the trajectory keeps a view of it
+    out = as_time_grid(output_times, "output_times").copy()
     if out[0] < t0 or out[-1] > t1:
         raise InvalidInputError("output_times must lie within [t0, t1]")
 

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import SvdResult, as_matrix, as_vector, read_only
+from .linalg import SvdResult, as_matrix, as_time_grid, as_vector, read_only
 from .ode import OdeSystem, RhsStructure, Trajectory, integrate, sample_rhs
 
 __all__ = [
@@ -49,7 +49,8 @@ class SnapshotSet:
 
     ``solution_columns`` is n x m with one column per sample time; the grid
     starts at t = 0.  ``spacings`` holds the m-1 interval lengths.  The
-    column arrays are kept as read-only views of the inputs, not copies.
+    grid and column arrays are kept as read-only views of the inputs, not
+    copies.
     """
 
     times: np.ndarray
@@ -58,15 +59,9 @@ class SnapshotSet:
     spacings: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise InvalidInputError("times must be 1-D with at least two entries")
-        if not np.all(np.isfinite(times)):
-            raise InvalidInputError("times contains non-finite entries")
+        times = read_only(as_time_grid(self.times, "times", 2))
         if times[0] != 0.0:
             raise InvalidInputError(f"snapshot grid must start at 0, got {times[0]!r}")
-        if not np.all(np.diff(times) > 0.0):
-            raise InvalidInputError("times must be strictly increasing")
         solution = read_only(as_matrix(self.solution_columns, "solution_columns"))
         if solution.shape[1] != times.size:
             raise InvalidInputError(
@@ -89,27 +84,19 @@ class SnapshotSet:
     def dimension(self) -> int:
         return int(self.solution_columns.shape[0])
 
-    @property
-    def count(self) -> int:
-        return int(self.times.size)
-
 
 @dataclass(frozen=True)
 class PodBasis:
-    """Orthonormal reduced basis plus the spectrum it was cut from.
+    """Orthonormal reduced basis of l columns.
 
     ``sigma_next`` is the first discarded singular value (0 when nothing
-    was discarded).  ``method`` (one of ``METHODS``) names the snapshot
-    matrix it was cut from.  ``cutoff_saturated`` flags the degenerate case
-    where the requested cutoff exceeded the whole spectrum and l fell back
-    to 1.
+    was discarded).  ``cutoff_saturated`` flags the degenerate case where
+    the requested cutoff exceeded the whole spectrum and l fell back to 1.
     """
 
     reduced_vectors: np.ndarray
-    all_singular_values: np.ndarray
     l: int
     sigma_next: float
-    method: str
     cutoff_saturated: bool = False
 
     def __post_init__(self) -> None:
@@ -121,18 +108,9 @@ class PodBasis:
             )
         if vectors.shape[0] < vectors.shape[1]:
             raise InvalidInputError("basis cannot have more columns than rows")
-        sigmas = np.array(self.all_singular_values, dtype=float)
-        if sigmas.ndim != 1 or sigmas.size == 0:
-            raise InvalidInputError("all_singular_values must be a nonempty 1-D array")
-        if not np.all(np.isfinite(sigmas)) or np.any(sigmas < 0.0):
-            raise InvalidInputError("singular values must be finite and nonnegative")
-        if np.any(np.diff(sigmas) > 0.0):
-            raise InvalidInputError("singular values must be in descending order")
         sigma_next = float(self.sigma_next)
         if not sigma_next >= 0.0:
             raise InvalidInputError(f"sigma_next must be >= 0, got {self.sigma_next!r}")
-        if self.method not in METHODS:
-            raise InvalidInputError(f"method must be one of {METHODS}, got {self.method!r}")
         gram = vectors.T @ vectors
         defect = np.max(np.abs(gram - np.eye(l)))
         if defect > 1e-10:
@@ -140,7 +118,6 @@ class PodBasis:
                 f"basis columns are not orthonormal (defect {defect:.3e})"
             )
         object.__setattr__(self, "reduced_vectors", vectors)
-        object.__setattr__(self, "all_singular_values", sigmas)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "sigma_next", sigma_next)
 
@@ -239,9 +216,7 @@ def build_snapshot_matrix(snapshots: SnapshotSet, method: str) -> np.ndarray:
     raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
 
 
-def truncate_basis(
-    svd: SvdResult, rule: TruncationRule, method: str = "Y"
-) -> PodBasis:
+def truncate_basis(svd: SvdResult, rule: TruncationRule) -> PodBasis:
     """Cut a factorization down to a basis according to the truncation rule.
 
     The cutoff branch keeps every mode whose singular value is at least
@@ -276,10 +251,8 @@ def truncate_basis(
     sigma_next = float(sigmas[l]) if l < sigmas.size else 0.0
     return PodBasis(
         reduced_vectors=np.eye(n) if identity else svd.left_vectors[:, :l].copy(),
-        all_singular_values=sigmas.copy(),
         l=l,
         sigma_next=sigma_next,
-        method=method,
         cutoff_saturated=saturated,
     )
 
@@ -394,9 +367,7 @@ def solve_rom_lifted(
         raise InvalidInputError(
             f"x0 length {start.size} does not match basis dimension {basis.dimension}"
         )
-    out = np.array(output_times, dtype=float)
-    if out.ndim != 1 or out.size == 0:
-        raise InvalidInputError("output_times must be a nonempty 1-D array")
+    out = as_time_grid(output_times, "output_times")
     vectors = basis.reduced_vectors
     z0 = vectors.T @ start
     reduced = integrate(rom, z0, 0.0, float(out[-1]), rel_tol, abs_tol, out)
@@ -412,9 +383,7 @@ def solve_rom_lifted(
 
 def error_curve(fom: Trajectory, rom_lifted: Trajectory) -> ErrorCurve:
     """Pointwise Euclidean norms of the trajectory difference."""
-    if fom.times.shape != rom_lifted.times.shape or not np.array_equal(
-        fom.times, rom_lifted.times
-    ):
+    if not np.array_equal(fom.times, rom_lifted.times):
         raise InvalidInputError("trajectories are on different time grids")
     if fom.states.shape != rom_lifted.states.shape:
         raise InvalidInputError(

@@ -49,11 +49,19 @@ def max_interp_error(interp, snapshots, fn, points=501):
     return worst
 
 
-def flat_constants(psi, phi, lam=0.0, provenance="user_supplied"):
+def flat_constants(psi, phi, lam=0.0, provenance="linear_exact", grid=None):
+    """Constants on ``grid``, by default a uniform grid on [0, 1]."""
     psi = np.asarray(psi, dtype=float)
     phi = np.asarray(phi, dtype=float)
+    if grid is None:
+        grid = np.linspace(0.0, 1.0, psi.size + 1)
     return BoundConstants(
-        lambda_=lam, psi=psi, phi=phi, theta=np.ones_like(psi), provenance=provenance
+        snapshot_times=grid,
+        lambda_=lam,
+        psi=psi,
+        phi=phi,
+        theta=np.ones_like(psi),
+        provenance=provenance,
     )
 
 
@@ -188,12 +196,38 @@ class TestConstantsValidation:
     def test_rejects_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             BoundConstants(
+                snapshot_times=np.array([0.0, 1.0, 2.0, 3.0]),
                 lambda_=0.0,
                 psi=np.ones(3),
                 phi=np.ones(2),
                 theta=np.ones(3),
-                provenance="user_supplied",
+                provenance="linear_exact",
             )
+
+    @pytest.mark.parametrize("name", ["psi", "phi", "theta"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_rejects_entries_off_the_interval_count(self, name, count):
+        # the grid has two intervals; one array holds count entries instead
+        arrays = {key: np.ones(2) for key in ("psi", "phi", "theta")}
+        arrays[name] = np.ones(count)
+        with pytest.raises(InvalidInputError):
+            BoundConstants(
+                snapshot_times=np.array([0.0, 1.0, 2.0]),
+                lambda_=0.0,
+                provenance="linear_exact",
+                **arrays,
+            )
+
+    @pytest.mark.parametrize("grid", [[0.0, 2.0, 1.0], [2.0, 1.0, 0.0]], ids=str)
+    def test_rejects_grid_not_increasing(self, grid):
+        with pytest.raises(InvalidInputError):
+            flat_constants([1.0, 1.0], [1.0, 1.0], grid=np.array(grid))
+
+    def test_keeps_grid_read_only(self):
+        grid = np.array([0.0, 0.5, 1.0])
+        constants = flat_constants([1.0, 2.0], [1.0, 2.0], grid=grid)
+        np.testing.assert_array_equal(constants.snapshot_times, grid)
+        assert not constants.snapshot_times.flags.writeable
 
     def test_rejects_unknown_provenance(self):
         with pytest.raises(InvalidInputError):
@@ -209,18 +243,17 @@ class TestConstantsValidation:
 
 
 class TestBoundFormulas:
-    GRID = np.array([0.0, 1.0])
     EVALS = np.array([0.0, 0.25, 0.5, 1.0])
 
     def test_method1_flat_value(self):
-        curve = method1_bound(0.25, flat_constants([3.0], [0.0]), self.GRID, self.EVALS)
+        curve = method1_bound(0.25, flat_constants([3.0], [0.0]), self.EVALS)
         np.testing.assert_allclose(curve.values, 2.0 * 0.25 + 3.0 / 8.0, rtol=1e-15)
         assert not curve.saturated
 
     def test_method2_flat_value_and_variant(self):
         constants = flat_constants([0.0], [5.0])
-        consistent = method2_bound(0.25, constants, self.GRID, self.EVALS)
-        literal = method2_bound(0.25, constants, self.GRID, self.EVALS, variant="literal")
+        consistent = method2_bound(0.25, constants, self.EVALS)
+        literal = method2_bound(0.25, constants, self.EVALS, variant="literal")
         np.testing.assert_allclose(
             consistent.values, 0.25 * (59.0 / 54.0 + 8.0 / 27.0) + 5.0 / 384.0, rtol=1e-15
         )
@@ -229,26 +262,26 @@ class TestBoundFormulas:
         )
         assert np.all(literal.values < consistent.values)
         with pytest.raises(InvalidInputError):
-            method2_bound(0.25, constants, self.GRID, self.EVALS, variant="midway")
+            method2_bound(0.25, constants, self.EVALS, variant="midway")
 
     def test_bounds_vanish_without_truncation_error(self):
         constants = flat_constants([0.0], [0.0], lam=3.0)
         for curve in (
-            method1_bound(0.0, constants, self.GRID, self.EVALS),
-            method2_bound(0.0, constants, self.GRID, self.EVALS),
+            method1_bound(0.0, constants, self.EVALS),
+            method2_bound(0.0, constants, self.EVALS),
         ):
             np.testing.assert_array_equal(curve.values, 0.0)
             assert not curve.saturated
 
     def test_method1_growth_factor(self):
         constants = flat_constants([0.0], [0.0], lam=2.0)
-        curve = method1_bound(1.0, constants, self.GRID, self.EVALS)
+        curve = method1_bound(1.0, constants, self.EVALS)
         np.testing.assert_allclose(curve.values, 2.0 * np.exp(2.0 * self.EVALS), rtol=1e-12)
 
     def test_per_interval_prefactors(self):
         grid = np.array([0.0, 1.0, 3.0])
-        constants = flat_constants([8.0, 16.0], [0.0, 0.0])
-        curve = method1_bound(0.0, constants, grid, np.array([0.5, 2.0]))
+        constants = flat_constants([8.0, 16.0], [0.0, 0.0], grid=grid)
+        curve = method1_bound(0.0, constants, np.array([0.5, 2.0]))
         # Delta_0 = 1, Delta_1 = 2: psi * Delta^2 / 8 per interval
         np.testing.assert_allclose(curve.values, [1.0, 8.0], rtol=1e-14)
 
@@ -257,10 +290,10 @@ class TestBoundFormulas:
         for count in (3, 5):
             grid = np.linspace(0.0, 1.0, count)
             ones = np.ones(count - 1)
-            constants = flat_constants(ones, ones)
+            constants = flat_constants(ones, ones, grid=grid)
             evals = np.array([0.5])
-            m1 = method1_bound(0.0, constants, grid, evals).values[0]
-            m2 = method2_bound(0.0, constants, grid, evals).values[0]
+            m1 = method1_bound(0.0, constants, evals).values[0]
+            m2 = method2_bound(0.0, constants, evals).values[0]
             ratios.append(m2 / m1)
         assert math.isclose(ratios[0] / ratios[1], 4.0, rel_tol=1e-12)
 
@@ -271,38 +304,34 @@ class TestBoundFormulas:
         psi = rng.uniform(0.5, 2.0, 2)
         phi = rng.uniform(0.5, 2.0, 2)
         sigma = 0.125
-        base1 = method1_bound(sigma, flat_constants(psi, phi, lam=1.5), grid, evals)
-        base2 = method2_bound(sigma, flat_constants(psi, phi, lam=1.5), grid, evals)
+        base1 = method1_bound(sigma, flat_constants(psi, phi, 1.5, grid=grid), evals)
+        base2 = method2_bound(sigma, flat_constants(psi, phi, 1.5, grid=grid), evals)
         doubled1 = method1_bound(
-            2.0 * sigma, flat_constants(2.0 * psi, phi, lam=1.5), grid, evals
+            2.0 * sigma, flat_constants(2.0 * psi, phi, 1.5, grid=grid), evals
         )
         doubled2 = method2_bound(
-            2.0 * sigma, flat_constants(psi, 2.0 * phi, lam=1.5), grid, evals
+            2.0 * sigma, flat_constants(psi, 2.0 * phi, 1.5, grid=grid), evals
         )
         np.testing.assert_array_equal(doubled1.values, 2.0 * base1.values)
         np.testing.assert_array_equal(doubled2.values, 2.0 * base2.values)
 
     def test_saturation_flag(self):
         constants = flat_constants([0.0], [0.0], lam=1e6)
-        curve = method1_bound(1.0, constants, self.GRID, np.array([0.0, 1.0]))
+        curve = method1_bound(1.0, constants, np.array([0.0, 1.0]))
         assert curve.saturated
         assert np.all(np.isfinite(curve.values))
         assert curve.values[1] == 2.0 * math.exp(690.0)
         # a huge prefactor overflows the exponential product and hits the cap
-        huge = method1_bound(1e20, constants, self.GRID, np.array([1.0]))
+        huge = method1_bound(1e20, constants, np.array([1.0]))
         assert huge.saturated
         assert huge.values[0] == 1e300
 
     def test_input_validation(self):
         constants = flat_constants([1.0], [1.0])
         with pytest.raises(InvalidInputError):
-            method1_bound(-1.0, constants, self.GRID, self.EVALS)
+            method1_bound(-1.0, constants, self.EVALS)
         with pytest.raises(InvalidInputError):
-            method1_bound(0.0, constants, self.GRID, np.array([1.5]))
-        with pytest.raises(InvalidInputError):
-            method1_bound(0.0, constants, np.array([0.0, 1.0, 2.0]), np.array([0.5]))
-        with pytest.raises(InvalidInputError):
-            method1_bound(0.0, constants, np.array([1.0, 0.0]), np.array([0.5]))
+            method1_bound(0.0, constants, np.array([1.5]))
 
 
 def synthetic_trajectory(fn, count, t_end=1.0):
@@ -383,7 +412,7 @@ class TestLinearConstants:
         np.testing.assert_array_equal(constants.phi, 0.0)
         np.testing.assert_allclose(constants.theta, 5.0)
         assert constants.provenance == "linear_exact"
-        assert constants.interval_count == 2
+        np.testing.assert_array_equal(constants.snapshot_times, [0.0, 0.5, 1.0])
 
     def test_identity_constant_trajectory(self):
         fom = synthetic_trajectory(lambda t: np.array([3.0, 4.0]), 11)

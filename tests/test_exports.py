@@ -1,5 +1,5 @@
-"""Each public name is defined once: every module's ``__all__`` is real and
-no two modules export the same name."""
+"""Each public name is defined once: every module declares an ``__all__``,
+every name in it is real, and no two modules export the same name."""
 
 import importlib
 import pkgutil
@@ -7,18 +7,32 @@ import pkgutil
 import podrom
 
 
-def _exporting_modules():
+# The package root re-exports the exception types, so ``errors`` declares none.
+UNEXPORTED = {"podrom.errors"}
+
+
+def _all_modules():
     names = ["podrom"] + [
         f"podrom.{info.name}" for info in pkgutil.iter_modules(podrom.__path__)
     ]
-    modules = [importlib.import_module(name) for name in names]
-    return {module.__name__: module for module in modules if hasattr(module, "__all__")}
+    return {name: importlib.import_module(name) for name in names}
+
+
+def _exporting_modules():
+    return {
+        name: module for name, module in _all_modules().items() if hasattr(module, "__all__")
+    }
 
 
 def test_driver_and_cli_declare_exports():
     modules = _exporting_modules()
     assert "podrom.experiment" in modules
     assert "podrom.cli" in modules
+
+
+def test_every_module_declares_exports():
+    missing = sorted(set(_all_modules()) - set(_exporting_modules()) - UNEXPORTED)
+    assert missing == []
 
 
 def test_every_exported_name_exists():

@@ -14,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podrom import linalg
+from podrom.bounds import BoundConstants, linear_bound_constants
 from podrom.errors import InvalidInputError
 from podrom.linalg import SvdResult, svd_one_sided_jacobi
+from podrom.ode import OdeSystem, Trajectory, integrate
+from podrom.pod import PodBasis, SnapshotSet, solve_rom_lifted
 
 
 def svd_defects(M: np.ndarray, result: SvdResult) -> tuple[float, float, float]:
@@ -300,3 +303,75 @@ class TestEckartYoung:
                 got = np.linalg.norm(M - X, 2)
                 want = s[ell]
                 assert abs(got - want) <= 1e-8 * want
+
+
+class TestTimeGrid:
+    def test_returns_float_grid_without_copy(self):
+        grid = np.array([0.0, 0.5, 2.0])
+        assert linalg.as_time_grid(grid) is grid
+        np.testing.assert_array_equal(linalg.as_time_grid([0, 1, 2]), [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "values, min_size",
+        [
+            ([[0.0, 1.0]], 1),
+            ([0.0, float("nan")], 1),
+            ([0.0, float("inf")], 1),
+            ([0.0, 1.0, 1.0], 1),
+            ([1.0, 0.0], 1),
+            ([], 1),
+            ([0.0], 2),
+        ],
+        ids=["2d", "nan", "inf", "repeated", "decreasing", "empty", "too_short"],
+    )
+    def test_rejects(self, values, min_size):
+        with pytest.raises(InvalidInputError):
+            linalg.as_time_grid(np.array(values), "grid", min_size)
+
+
+def _decay():
+    return OdeSystem(dimension=1, rhs=lambda t, x: -x)
+
+
+# Every owner of a time grid, each called with everything but the grid valid.
+GRID_OWNERS = {
+    "Trajectory": lambda g: Trajectory(times=g, states=np.zeros((np.size(g), 1))),
+    "integrate": lambda g: integrate(_decay(), [1.0], 0.0, 1.0, 1e-8, 1e-10, g),
+    "SnapshotSet": lambda g: SnapshotSet(times=g, solution_columns=np.ones((2, np.size(g)))),
+    "BoundConstants": lambda g: BoundConstants(
+        snapshot_times=g,
+        lambda_=0.0,
+        psi=np.ones(np.size(g) - 1),
+        phi=np.ones(np.size(g) - 1),
+        theta=np.ones(np.size(g) - 1),
+        provenance="linear_exact",
+    ),
+    "linear_bound_constants": lambda g: linear_bound_constants(
+        np.zeros((1, 1)),
+        Trajectory(times=np.linspace(0.0, 1.0, 11), states=np.ones((11, 1))),
+        g,
+    ),
+    "solve_rom_lifted": lambda g: solve_rom_lifted(
+        _decay(), PodBasis(reduced_vectors=np.eye(1), l=1, sigma_next=0.0),
+        [1.0], g, 1e-8, 1e-10,
+    ),
+}
+
+# Grids inside [0, 1] and starting at 0, so only the grid check can object.
+BAD_GRIDS = {
+    "2d": [[0.0, 0.5, 1.0]],
+    "nan": [0.0, float("nan"), 1.0],
+    "repeated": [0.0, 0.5, 0.5, 1.0],
+}
+
+
+@pytest.mark.parametrize("grid", list(BAD_GRIDS.values()), ids=list(BAD_GRIDS))
+@pytest.mark.parametrize("owner", list(GRID_OWNERS.values()), ids=list(GRID_OWNERS))
+def test_every_grid_owner_rejects_bad_grid(owner, grid):
+    with pytest.raises(InvalidInputError):
+        owner(np.array(grid))
+
+
+@pytest.mark.parametrize("owner", list(GRID_OWNERS.values()), ids=list(GRID_OWNERS))
+def test_every_grid_owner_accepts_good_grid(owner):
+    owner(np.array([0.0, 0.5, 1.0]))

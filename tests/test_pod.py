@@ -47,15 +47,8 @@ def orthonormal_columns(n, l, seed=0):
     return result.left_vectors[:, :l]
 
 
-def basis_from_columns(columns, method="Y"):
-    l = columns.shape[1]
-    return PodBasis(
-        reduced_vectors=columns,
-        all_singular_values=np.linspace(2.0, 1.0, l),
-        l=l,
-        sigma_next=0.0,
-        method=method,
-    )
+def basis_from_columns(columns):
+    return PodBasis(reduced_vectors=columns, l=columns.shape[1], sigma_next=0.0)
 
 
 class TestSnapshotSet:
@@ -66,7 +59,7 @@ class TestSnapshotSet:
         )
         assert np.array_equal(snapshots.spacings, np.array([0.5, 1.0]))
         assert snapshots.dimension == 2
-        assert snapshots.count == 3
+        assert snapshots.times.size == 3
 
     def test_columns_kept_read_only_without_copy(self):
         solution = np.arange(6.0).reshape(2, 3)
@@ -81,6 +74,8 @@ class TestSnapshotSet:
         assert build_snapshot_matrix(snapshots, "Y") is snapshots.solution_columns
         with pytest.raises(ValueError):
             snapshots.solution_columns[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            snapshots.times[1] = 0.25
         # The factorization rotates a copy of its own.
         svd_one_sided_jacobi(build_snapshot_matrix(snapshots, "Z"))
         assert np.array_equal(solution, np.arange(6.0).reshape(2, 3))
@@ -210,7 +205,6 @@ class TestTruncateBasis:
         basis = truncate_basis(svd, TruncationRule.fixed(5))
         assert basis.l == 5
         assert np.array_equal(basis.reduced_vectors, np.eye(5))
-        assert np.array_equal(basis.all_singular_values, svd.singular_values)
         assert basis.sigma_next == 0.0
 
     def test_fixed_beyond_column_count_rejected(self):
@@ -227,11 +221,6 @@ class TestTruncateBasis:
         svd = svd_from_spectrum([3.0, 1.0, 1e-20], rank=2)
         basis = truncate_basis(svd, TruncationRule.cutoff(1e-30))
         assert basis.l == 2
-
-    def test_method_passed_through(self):
-        svd = svd_from_spectrum([3.0, 1.0], rank=2)
-        basis = truncate_basis(svd, TruncationRule.fixed(1), "Z")
-        assert basis.method == "Z"
 
     def test_rule_requires_exactly_one_variant(self):
         with pytest.raises(InvalidInputError):
@@ -289,13 +278,7 @@ class TestSnapshotReconstruction:
 class TestBuildRom:
     def test_identity_basis_reproduces_rhs(self):
         system = OdeSystem(dimension=3, rhs=lambda t, x: np.sin(x) + t)
-        basis = PodBasis(
-            reduced_vectors=np.eye(3),
-            all_singular_values=np.array([1.0, 1.0, 1.0]),
-            l=3,
-            sigma_next=0.0,
-            method="Y",
-        )
+        basis = PodBasis(reduced_vectors=np.eye(3), l=3, sigma_next=0.0)
         rom = build_rom(system, basis)
         z = np.array([0.1, -0.7, 2.0])
         assert np.array_equal(rom.rhs(0.3, z), system.rhs(0.3, z))
@@ -426,13 +409,7 @@ class TestSolveRomLifted:
     def test_identity_basis_matches_full_solve(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         system = OdeSystem(dimension=2, rhs=lambda t, x: A @ x)
-        basis = PodBasis(
-            reduced_vectors=np.eye(2),
-            all_singular_values=np.array([1.0, 1.0]),
-            l=2,
-            sigma_next=0.0,
-            method="Y",
-        )
+        basis = PodBasis(reduced_vectors=np.eye(2), l=2, sigma_next=0.0)
         x0 = np.array([1.0, 0.0])
         out = [0.5, 1.0]
         rel, abs_ = 1e-9, 1e-11
@@ -490,7 +467,7 @@ class TestSolveRomLifted:
         # An l = 25 POD basis of preset B at the acceptance tolerances,
         # against the same reduced solve at 100x tighter ones.
         _, ctx, svds = b_raw
-        basis = truncate_basis(svds[(method, 0.04)], TruncationRule.fixed(25), method)
+        basis = truncate_basis(svds[(method, 0.04)], TruncationRule.fixed(25))
         out = np.linspace(0.0, 0.05, 6)[1:]
         got = solve_rom_lifted(ctx.system, basis, ctx.x0, out, 1e-13, 1e-15)
         tight = solve_rom_lifted(ctx.system, basis, ctx.x0, out, 1e-15, 1e-17)
@@ -542,30 +519,4 @@ class TestErrorCurve:
 class TestPodBasisValidation:
     def test_rejects_non_orthonormal_columns(self):
         with pytest.raises(InvalidInputError):
-            PodBasis(
-                reduced_vectors=np.ones((4, 2)),
-                all_singular_values=np.array([2.0, 1.0]),
-                l=2,
-                sigma_next=0.0,
-                method="Y",
-            )
-
-    def test_rejects_unsorted_spectrum(self):
-        with pytest.raises(InvalidInputError):
-            PodBasis(
-                reduced_vectors=np.eye(3)[:, :2],
-                all_singular_values=np.array([1.0, 2.0]),
-                l=2,
-                sigma_next=0.0,
-                method="Y",
-            )
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(InvalidInputError):
-            PodBasis(
-                reduced_vectors=np.eye(2),
-                all_singular_values=np.array([1.0, 0.5]),
-                l=2,
-                sigma_next=0.0,
-                method="X",
-            )
+            PodBasis(reduced_vectors=np.ones((4, 2)), l=2, sigma_next=0.0)
