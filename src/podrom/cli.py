@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .errors import InvalidInputError
 from .experiment import RunConfig, RunReport, run_experiment, run_spectra
@@ -237,42 +238,67 @@ if __name__ == "__main__":
 
 # --- Command-line interface ----------------------------------------------
 
-_CONFIG_KEYS = {
-    "run": ("preset", "methods", "deltas", "epsilons", "dims", "out", "bounds", "plots", "seed"),
-    "integrator": ("rel_tol", "abs_tol"),
-    "grid": ("eval_size",),
-    "bounds": ("samples_per_interval", "variant"),
+def _comma_list(cast):
+    def parse(text: str) -> tuple:
+        return tuple(cast(part) for part in text.split(",") if part.strip())
+    return parse
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError("expected a boolean") from None
+
+
+# One row per run setting, keyed by its RunConfig.for_preset keyword (out,
+# plots and seed are the CLI's own): (INI key "section.key", the parser that
+# reads the flag's text and the file's alike, run's flag or None, help text).
+_SETTINGS = {
+    "preset": ("run.preset", str, "--preset", "bundled experiment id: A, B, or C"),
+    "methods": ("run.methods", _comma_list(str), "--methods", "comma list from {Y,Z}"),
+    "deltas": ("run.deltas", _comma_list(float), "--deltas", "comma list of snapshot spacings"),
+    "epsilons": ("run.epsilons", _comma_list(float), "--epsilons",
+                 "comma list of spectrum cutoffs"),
+    "dims": ("run.dims", _comma_list(int), "--dims", "comma list of fixed basis dimensions"),
+    "out": ("run.out", str, "--out", "output directory"),
+    "evaluate_bounds": ("run.bounds", _boolean, "--bounds", "evaluate a-priori bound curves"),
+    "plots": ("run.plots", _boolean, "--plots", "render the emitted plot script to PNG files"),
+    "seed": ("run.seed", int, "--seed", "accepted for compatibility; no output depends on it"),
+    "rel_tol": ("integrator.rel_tol", float, "--rel-tol", "integrator relative tolerance"),
+    "abs_tol": ("integrator.abs_tol", float, "--abs-tol", "integrator absolute tolerance"),
+    "eval_grid_size": ("grid.eval_size", int, "--eval-grid", "evaluation grid size"),
+    "bound_samples_per_interval": ("bounds.samples_per_interval", int, None,
+                                   "dense samples per snapshot interval"),
+    "bound_variant": ("bounds.variant", str, None, "consistent | literal"),
 }
 
-_CONFIG_HELP = """\
-config file format (INI-style `key = value` with [section] headers):
+# Defaults of the CLI's own settings; every other default is RunConfig's.
+_DEFAULTS = {"out": "podrom_out", "plots": False}
+_DEFAULTS.update(
+    (field.name, field.default)
+    for field in dataclasses.fields(RunConfig)
+    if field.default is not dataclasses.MISSING
+)
 
-  [run]
-  preset     = A | B | C
-  methods    = Y,Z
-  deltas     = 0.01, 0.005
-  epsilons   = 1e-15, 1e-9
-  dims       = 5, 10, 20
-  out        = output directory
-  bounds     = true | false
-  plots      = true | false
-  seed       = 0        (accepted; no output depends on it)
 
-  [integrator]
-  rel_tol    = 1e-11
-  abs_tol    = 1e-13
+def _help(name: str) -> str:
+    text = _SETTINGS[name][3]
+    default = _DEFAULTS.get(name, ())
+    if isinstance(default, tuple):
+        default = ",".join(default)
+    return f"{text} (default {default})" if default != "" else text
 
-  [grid]
-  eval_size  = 400
 
-  [bounds]
-  samples_per_interval = 64
-  variant              = consistent | literal
-
-precedence: command-line flags beat the %s environment variable
-(output directory only), which beats the config file, which beats
-built-in defaults.
-""" % OUT_DIR_ENV_VAR
+def _config_help() -> str:
+    keys = "".join(f"  {key:<27} = {_help(name)}\n" for name, (key, *_) in _SETTINGS.items())
+    return (
+        "config file (INI): each key section.key is set by `key = value` under a\n"
+        f"[section] header:\n\n{keys}\n"
+        f"precedence: command-line flags beat the {OUT_DIR_ENV_VAR} environment variable\n"
+        "(output directory only), which beats the config file, which beats\n"
+        "built-in defaults.\n"
+    )
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -283,28 +309,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
-def _parse_float_list(text: str, name: str) -> Tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as err:
-        raise InvalidInputError(f"cannot parse {name} list {text!r}: {err}") from err
-
-
-def _parse_int_list(text: str, name: str) -> Tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as err:
-        raise InvalidInputError(f"cannot parse {name} list {text!r}: {err}") from err
-
-
-def _parse_methods(text) -> Optional[Tuple[str, ...]]:
-    if text is None:
-        return None
-    return tuple(m for m in str(text).split(",") if m.strip())
-
-
 def _load_config_file(path: str) -> Dict[str, str]:
-    """Flatten the INI file to {key: raw string}, rejecting unknown keys."""
+    """Flatten the INI file to {"section.key": raw string}, rejecting unknown keys."""
     parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as handle:
@@ -313,17 +319,26 @@ def _load_config_file(path: str) -> Dict[str, str]:
         raise InvalidInputError(f"cannot read config file {path}: {err}") from err
     except configparser.Error as err:
         raise InvalidInputError(f"cannot parse config file {path}: {err}") from err
+    keys = {key for key, *_ in _SETTINGS.values()}
     flat: Dict[str, str] = {}
     for section in parser.sections():
-        if section not in _CONFIG_KEYS:
+        if not any(key.startswith(section + ".") for key in keys):
             raise InvalidInputError(f"unknown config section [{section}] in {path}")
         for key, value in parser.items(section):
-            if key not in _CONFIG_KEYS[section]:
+            if f"{section}.{key}" not in keys:
                 raise InvalidInputError(
                     f"unknown config key {key!r} in section [{section}] of {path}"
                 )
             flat[f"{section}.{key}"] = value.strip()
     return flat
+
+
+def _add_flag(parser: argparse.ArgumentParser, name: str, flag=None, **kwargs) -> None:
+    """Add a setting's flag (run's unless ``flag`` is given), stored as text."""
+    _, parse, run_flag, _ = _SETTINGS[name]
+    if parse is _boolean:
+        kwargs.update(action="store_const", const="true")
+    parser.add_argument(flag or run_flag, dest=name, help=_help(name), **kwargs)
 
 
 def _build_parser() -> _ArgumentParser:
@@ -336,114 +351,53 @@ def _build_parser() -> _ArgumentParser:
     run = sub.add_parser(
         "run",
         help="run an experiment sweep and write CSV reports",
-        epilog=_CONFIG_HELP,
+        epilog=_config_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    run.add_argument("--preset", help="bundled experiment id: A, B, or C")
     run.add_argument("--config", help="INI config file (see epilog for keys)")
-    run.add_argument("--out", help="output directory (default podrom_out)")
-    run.add_argument("--methods", help="comma list from {Y,Z} (default both)")
-    run.add_argument("--deltas", help="comma list of snapshot spacings")
-    run.add_argument("--epsilons", help="comma list of spectrum cutoffs")
-    run.add_argument("--dims", help="comma list of fixed basis dimensions")
-    run.add_argument("--bounds", action="store_true", default=None,
-                     help="evaluate a-priori bound curves")
-    run.add_argument("--plots", action="store_true", default=None,
-                     help="render the emitted plot script to PNG files")
-    run.add_argument("--seed", type=int,
-                     help="accepted for compatibility; no output depends on it")
-    run.add_argument("--rel-tol", type=float, help="integrator relative tolerance")
-    run.add_argument("--abs-tol", type=float, help="integrator absolute tolerance")
-    run.add_argument("--eval-grid", type=int, help="evaluation grid size (default 400)")
+    for name, (_, _, flag, _) in _SETTINGS.items():
+        if flag is not None:
+            _add_flag(run, name)
 
     spectrum = sub.add_parser(
         "spectrum", help="compute snapshot-matrix spectra only"
     )
-    spectrum.add_argument("--preset", required=True, help="bundled experiment id")
-    spectrum.add_argument("--delta", dest="deltas", required=True,
-                          help="comma list of snapshot spacings")
-    spectrum.add_argument("--methods", help="comma list from {Y,Z} (default both)")
-    spectrum.add_argument("--out", help="output directory (default podrom_out)")
-    spectrum.add_argument("--rel-tol", type=float, help="integrator relative tolerance")
-    spectrum.add_argument("--abs-tol", type=float, help="integrator absolute tolerance")
-    # run's other options, unset, so both subcommands build their config alike
-    spectrum.set_defaults(config=None, epsilons=None, dims=None, bounds=None,
-                          plots=None, seed=None, eval_grid=None)
+    _add_flag(spectrum, "preset", required=True)
+    _add_flag(spectrum, "deltas", "--delta", required=True)
+    for name in ("methods", "out", "rel_tol", "abs_tol"):
+        _add_flag(spectrum, name)
     return parser
-
-
-def _pick(cli_value, file_map: Dict[str, str], file_key: str):
-    """The CLI flag if given, else the config file's value, else None."""
-    return cli_value if cli_value is not None else file_map.get(file_key)
 
 
 def _config_from_args(args: argparse.Namespace) -> Tuple[RunConfig, str, bool]:
     """The run config, the output directory and whether to render plots.
 
-    A setting given nowhere takes ``RunConfig``'s default.
+    Each setting comes from its flag, else (output directory only) the
+    environment, else the config file, each parsed by the setting's one
+    parser; a setting given nowhere takes its default.
     """
-    file_map = _load_config_file(args.config) if args.config else {}
+    config_path = getattr(args, "config", None)
+    file_map = _load_config_file(config_path) if config_path else {}
+    settings = {}
+    for name, (key, parse, _, _) in _SETTINGS.items():
+        raw = getattr(args, name, None)
+        if raw is None and name == "out":
+            raw = os.environ.get(OUT_DIR_ENV_VAR) or None
+        if raw is None:
+            raw = file_map.get(key)
+        if raw is not None:
+            try:
+                settings[name] = parse(raw)
+            except ValueError as err:
+                raise InvalidInputError(f"bad value {raw!r} for {key}: {err}") from err
 
-    preset_id = _pick(args.preset, file_map, "run.preset")
+    preset_id = settings.pop("preset", None)
     if preset_id is None:
         raise InvalidInputError("a preset is required (--preset or config key run.preset)")
-
-    methods = _parse_methods(_pick(args.methods, file_map, "run.methods"))
-    deltas_raw = _pick(args.deltas, file_map, "run.deltas")
-    deltas = _parse_float_list(deltas_raw, "deltas") if deltas_raw is not None else None
-    epsilons_raw = _pick(args.epsilons, file_map, "run.epsilons")
-    epsilons = (
-        _parse_float_list(epsilons_raw, "epsilons") if epsilons_raw is not None else None
-    )
-    dims_raw = _pick(args.dims, file_map, "run.dims")
-    dims = _parse_int_list(dims_raw, "dims") if dims_raw is not None else None
-
-    out_dir = args.out if args.out is not None else (
-        os.environ.get(OUT_DIR_ENV_VAR) or file_map.get("run.out", "podrom_out")
-    )
-
-    def file_bool(key: str) -> Optional[bool]:
-        if key not in file_map:
-            return None
-        text = file_map[key].lower()
-        if text in ("1", "true", "yes", "on"):
-            return True
-        if text in ("0", "false", "no", "off"):
-            return False
-        raise InvalidInputError(f"config key {key} must be boolean, got {file_map[key]!r}")
-
-    bounds = args.bounds if args.bounds is not None else file_bool("run.bounds")
-    plots = args.plots if args.plots is not None else file_bool("run.plots")
-
-    numeric = (
-        ("rel_tol", float, _pick(args.rel_tol, file_map, "integrator.rel_tol")),
-        ("abs_tol", float, _pick(args.abs_tol, file_map, "integrator.abs_tol")),
-        ("eval_grid_size", int, _pick(args.eval_grid, file_map, "grid.eval_size")),
-        ("bound_samples_per_interval", int, file_map.get("bounds.samples_per_interval")),
-    )
-    options = {}
-    try:
-        # still parsed, so a bad value stays an error; the run draws no
-        # random numbers
-        int(_pick(args.seed, file_map, "run.seed") or 0)
-        for name, cast, raw in numeric:
-            if raw is not None:
-                options[name] = cast(raw)
-    except ValueError as err:
-        raise InvalidInputError(f"bad numeric config value: {err}") from err
-    if "bounds.variant" in file_map:
-        options["bound_variant"] = file_map["bounds.variant"]
-
-    config = RunConfig.for_preset(
-        preset_id,
-        methods=methods,
-        deltas=deltas,
-        epsilons=epsilons,
-        dims=dims,
-        evaluate_bounds=bool(bounds),
-        **options,
-    )
-    return config, out_dir, bool(plots)
+    out_dir = settings.pop("out", _DEFAULTS["out"])
+    plots = settings.pop("plots", _DEFAULTS["plots"])
+    settings.pop("seed", None)  # parsed so that a bad value is an error; unused
+    return RunConfig.for_preset(preset_id, **settings), out_dir, plots
 
 
 def _render_plots(script_path: str) -> bool:

@@ -139,7 +139,6 @@ class RunConfig:
     def for_preset(
         cls,
         preset_id: str,
-        methods: Optional[Tuple[str, ...]] = None,
         deltas: Optional[Tuple[float, ...]] = None,
         epsilons: Optional[Tuple[float, ...]] = None,
         dims: Optional[Tuple[int, ...]] = None,
@@ -149,24 +148,18 @@ class RunConfig:
 
         When neither ``epsilons`` nor ``dims`` is given the preset's full rule
         schedule (all cutoffs, then all fixed dimensions) is used; giving
-        either replaces the schedule with exactly the rules named.
+        either replaces the schedule with exactly the rules named.  Other
+        keywords, ``methods`` among them, are ``RunConfig`` fields.
         """
         spec = preset(preset_id)
-        rules: Tuple[TruncationRule, ...]
         if epsilons is None and dims is None:
-            rules = tuple(TruncationRule.cutoff(e) for e in spec.epsilon_list) + tuple(
-                TruncationRule.fixed(l) for l in spec.l_list
-            )
-        else:
-            rules = tuple(TruncationRule.cutoff(float(e)) for e in (epsilons or ())) + tuple(
-                TruncationRule.fixed(int(l)) for l in (dims or ())
-            )
+            epsilons, dims = spec.epsilon_list, spec.l_list
         return cls(
             params=spec.params,
             final_time=spec.T,
-            methods=tuple(methods) if methods is not None else METHODS,
-            deltas=tuple(deltas) if deltas is not None else spec.delta_list,
-            rules=rules,
+            deltas=spec.delta_list if deltas is None else deltas,
+            rules=tuple(TruncationRule.cutoff(e) for e in epsilons or ())
+            + tuple(TruncationRule.fixed(l) for l in dims or ()),
             preset_id=spec.id,
             **kwargs,
         )
@@ -302,8 +295,7 @@ def _prepare(config: RunConfig) -> _RunContext:
     x0 = np.zeros(n)
     horizon = config.final_time
 
-    size = config.eval_grid_size
-    eval_times = (horizon * np.arange(size)) / (size - 1)
+    eval_times = _uniform_grid(horizon, config.eval_grid_size - 1)
     snap_grids = {
         delta: _uniform_grid(horizon, _grid_intervals(horizon, delta))
         for delta in config.deltas
@@ -447,7 +439,7 @@ def run_experiment(config: RunConfig) -> RunReport:
 
     cells = []
     failures = []
-    rom_cache: Dict[Tuple[str, float, int], Trajectory] = {}
+    curve_cache: Dict[Tuple[str, float, int], ErrorCurve] = {}
     for method in config.methods:
         for delta in config.deltas:
             for rule in config.rules:
@@ -457,22 +449,21 @@ def run_experiment(config: RunConfig) -> RunReport:
 
                     stage = "rom"
                     cache_key = (method, delta, basis.l)
-                    lifted = rom_cache.get(cache_key)
-                    if lifted is None:
+                    curve = curve_cache.get(cache_key)
+                    if curve is None:
                         start = time.perf_counter()
                         lifted = solve_rom_lifted(
                             ctx.system, basis, ctx.x0, ctx.eval_times,
                             config.rel_tol, config.abs_tol,
                         )
-                        rom_cache[cache_key] = lifted
                         ctx.counters["rom_solves"] += 1
                         _add_work(ctx.counters, "rom_", lifted)
                         ctx.timer.add("rom", start)
+
+                        stage = "error"
+                        curve = curve_cache[cache_key] = error_curve(ctx.fom_eval, lifted)
                     else:
                         ctx.counters["rom_cache_hits"] += 1
-
-                    stage = "error"
-                    curve = error_curve(ctx.fom_eval, lifted)
 
                     bound = None
                     if config.evaluate_bounds:

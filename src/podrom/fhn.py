@@ -77,8 +77,8 @@ class Waveform:
 class FhnParams:
     """Coefficients of the semidiscretized cable system.
 
-    ``L`` counts grid intervals, so there are L+1 nodes per field and
-    dx * L must equal the domain length X.  ``lam`` scales the cubic
+    ``L`` counts grid intervals of the domain length X, so there are L+1
+    nodes per field, a spacing ``dx`` = X / L apart.  ``lam`` scales the cubic
     reaction f1 = lam * (v(1-v)(v-a) - w); the recovery reaction is
     f2 = mu*v - gamma*w.  ``I0``/``IX`` are the injected currents at the
     left and right wall; ``w0``/``wX`` pin the recovery field there.
@@ -86,7 +86,6 @@ class FhnParams:
 
     L: int
     X: float
-    dx: float
     D1: float
     D2: float
     lam: float
@@ -103,22 +102,22 @@ class FhnParams:
         if L < 2:
             raise InvalidInputError(f"L must be >= 2, got {self.L}")
         object.__setattr__(self, "L", L)
-        for name in ("X", "dx", "D1", "D2", "lam", "a", "mu", "gamma"):
+        for name in ("X", "D1", "D2", "lam", "a", "mu", "gamma"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise InvalidInputError(f"{name} must be finite")
             object.__setattr__(self, name, value)
-        if self.dx <= 0.0:
-            raise InvalidInputError(f"dx must be positive, got {self.dx}")
-        if abs(self.dx * L - self.X) > 1e-12 * max(1.0, abs(self.X)):
-            raise InvalidInputError(
-                f"dx * L = {self.dx * L!r} does not match X = {self.X!r}"
-            )
+        if self.X <= 0.0:
+            raise InvalidInputError(f"X must be positive, got {self.X}")
         if self.D1 < 0.0 or self.D2 < 0.0:
             raise InvalidInputError("diffusion coefficients must be >= 0")
         for name in ("I0", "IX", "w0", "wX"):
             if not isinstance(getattr(self, name), Waveform):
                 raise InvalidInputError(f"{name} must be a Waveform")
+
+    @property
+    def dx(self) -> float:
+        return self.X / self.L
 
     @property
     def dimension(self) -> int:
@@ -329,7 +328,6 @@ def _fhn_params_b() -> FhnParams:
     return FhnParams(
         L=200,
         X=10.0,
-        dx=10.0 / 200.0,
         D1=5.0,
         D2=1.0,
         lam=2.0,
@@ -348,7 +346,6 @@ def preset(preset_id: str) -> ExperimentPreset:
         params = FhnParams(
             L=200,
             X=10.0,
-            dx=10.0 / 200.0,
             D1=15.0,
             D2=10.0,
             lam=0.0,

@@ -387,7 +387,6 @@ def reaction_diffusion_case(name):
         params = FhnParams(
             L=10,
             X=1.0,
-            dx=0.1,
             D1=0.1,
             D2=0.05,
             lam=1.0,

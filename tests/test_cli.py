@@ -1,5 +1,6 @@
 """Driver tests: config handling, the sweep loop, CSV artifacts, CLI glue."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -73,6 +74,39 @@ def synthetic_report(with_bound=False, cells=1):
     )
 
 
+# A value other than the default for every setting, as flag and file text.
+NON_DEFAULT_TEXT = {
+    "preset": "B",
+    "methods": "Z",
+    "deltas": "0.02",
+    "epsilons": "1e-3",
+    "dims": "7,9",
+    "out": "elsewhere",
+    "evaluate_bounds": "true",
+    "plots": "true",
+    "seed": "5",
+    "rel_tol": "1e-9",
+    "abs_tol": "1e-12",
+    "eval_grid_size": "50",
+    "bound_samples_per_interval": "16",
+    "bound_variant": "literal",
+}
+
+# What the file-only keys above set on RunConfig.
+FILE_ONLY_VALUES = {"bound_samples_per_interval": 16, "bound_variant": "literal"}
+
+
+def settings_from(tmp_path, file_keys, *flags):
+    """(RunConfig, output directory, plot flag) of ``run`` with this INI file and flags."""
+    path = tmp_path / "settings.ini"
+    path.write_text("".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for section, keys in file_keys.items()
+    ))
+    args = cli._build_parser().parse_args(["run", "--config", str(path), *flags])
+    return cli._config_from_args(args)
+
+
 class TestRunConfig:
     def test_preset_defaults(self):
         config = RunConfig.for_preset("A")
@@ -128,6 +162,31 @@ class TestRunConfig:
     def test_unknown_preset_rejected(self):
         with pytest.raises(InvalidInputError):
             RunConfig.for_preset("D")
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"params": "A"},
+            {"final_time": 0.0},
+            {"methods": ()},
+            {"deltas": ()},
+            {"rules": ("l=5",)},
+            {"eval_grid_size": 1},
+            {"bound_samples_per_interval": 3},
+            {"deltas": (-0.01,)},
+        ],
+        ids=lambda override: next(iter(override)),
+    )
+    def test_rejects_bad_field(self, override):
+        fields = dict(
+            params=preset("A").params,
+            final_time=0.5,
+            deltas=(0.01,),
+            rules=(TruncationRule.fixed(5),),
+        )
+        RunConfig(**fields)
+        with pytest.raises(InvalidInputError):
+            RunConfig(**{**fields, **override})
 
 
 class TestRunExperiment:
@@ -251,7 +310,6 @@ class TestRunExperiment:
         params = FhnParams(
             L=10,
             X=1.0,
-            dx=0.1,
             D1=0.1,
             D2=0.05,
             lam=lam,
@@ -493,6 +551,40 @@ class TestCommandLine:
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "run.ini"
         config.write_text("[run]\npreset = A\nturbo = yes\n")
+        assert main(["run", "--config", str(config)]) == 1
+        # an unknown section is rejected even when it sets nothing
+        config.write_text("[run]\npreset = A\n\n[turbo]\n")
+        assert main(["run", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("name", list(cli._SETTINGS))
+    def test_flag_and_file_key_mean_the_same(self, tmp_path, monkeypatch, name):
+        monkeypatch.delenv("PODROM_OUT", raising=False)
+        key, _, flag, _ = cli._SETTINGS[name]
+        section, option = key.split(".")
+        text = NON_DEFAULT_TEXT[name]
+        file_keys = {"run": {"preset": "A"}}
+        file_keys.setdefault(section, {})[option] = text
+        default = settings_from(tmp_path, {"run": {"preset": "A"}})
+        from_file = settings_from(tmp_path, file_keys)
+        if name == "seed":
+            assert from_file == default  # parsed, and no output depends on it
+        else:
+            assert from_file != default
+        if flag is None:
+            config = dataclasses.replace(default[0], **{name: FILE_ONLY_VALUES[name]})
+            assert from_file == (config, *default[1:])
+        else:
+            flag_args = [flag] if text == "true" else [flag, text]
+            assert settings_from(tmp_path, {"run": {"preset": "A"}}, *flag_args) == from_file
+
+    @pytest.mark.parametrize("text,expect", [("true", True), ("off", False)])
+    def test_bounds_key_is_boolean(self, tmp_path, text, expect):
+        config, _, _ = settings_from(tmp_path, {"run": {"preset": "A", "bounds": text}})
+        assert config.evaluate_bounds is expect
+
+    def test_non_boolean_bounds_key_rejected(self, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\npreset = A\nbounds = maybe\n")
         assert main(["run", "--config", str(config)]) == 1
 
     def test_removed_fd_step_key_rejected(self, tmp_path):

@@ -20,7 +20,6 @@ def tiny_params(**overrides):
     base = dict(
         L=2,
         X=2.0,
-        dx=1.0,
         D1=1.0,
         D2=0.0,
         lam=0.0,
@@ -86,9 +85,11 @@ class TestFhnParams:
         with pytest.raises(InvalidInputError):
             tiny_params(L=1, X=1.0)
 
-    def test_rejects_inconsistent_spacing(self):
-        with pytest.raises(InvalidInputError):
-            tiny_params(dx=0.9)
+    def test_spacing_is_length_over_intervals(self):
+        assert tiny_params(L=7, X=3.5).dx == 0.5
+        for length in (0.0, -2.0):
+            with pytest.raises(InvalidInputError):
+                tiny_params(X=length)
 
     def test_rejects_negative_diffusion(self):
         with pytest.raises(InvalidInputError):
@@ -149,7 +150,6 @@ class TestBuildFhn:
         params = FhnParams(
             L=source.L,
             X=source.X,
-            dx=source.dx,
             D1=source.D1,
             D2=source.D2,
             lam=0.0,
@@ -186,7 +186,6 @@ def wall_driven_params(lam):
     return tiny_params(
         L=5,
         X=2.5,
-        dx=0.5,
         D1=1.3,
         D2=0.7,
         lam=lam,
@@ -285,7 +284,6 @@ def mirrored_wall_params():
     return tiny_params(
         L=7,
         X=3.5,
-        dx=0.5,
         D1=2.1,
         D2=0.3,
         lam=1.7,

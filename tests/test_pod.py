@@ -511,6 +511,12 @@ class TestErrorCurve:
         with pytest.raises(InvalidInputError):
             error_curve(a, b)
 
+    def test_state_shape_mismatch_rejected(self):
+        a = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 2)))
+        b = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 3)))
+        with pytest.raises(InvalidInputError, match="state shapes differ"):
+            error_curve(a, b)
+
     def test_curve_validation(self):
         with pytest.raises(InvalidInputError):
             ErrorCurve(times=np.array([0.0, 1.0]), norms=np.array([-1.0, 0.0]))
