@@ -7,10 +7,9 @@ drive two bound families evaluated per snapshot interval:
     with-derivative basis:   [s (59/54 + c Delta_i) + Delta_i^4 Phi_i / 384]
                              exp(Lambda t)
 
-with s the first discarded singular value.  ``VARIANTS`` holds c: 8/27 for
-the default "consistent" variant and 4/27 for "literal", kept switchable
-because the two published forms of the with-derivative bound disagree by
-that factor of two, and the larger coefficient is the conservative choice.
+with s the first discarded singular value and c = 8/27: the two published
+forms of the with-derivative bound disagree on c by a factor of two, and
+8/27 is the conservative one.
 
 Constants carry the snapshot grid they were built on, with one Psi_i,
 Phi_i and theta_i per interval, and a bound takes its Delta_i from that
@@ -35,7 +34,6 @@ from .ode import OdeSystem, Trajectory, sample_rhs
 from .pod import SnapshotSet
 
 __all__ = [
-    "VARIANTS",
     "BoundConstants",
     "BoundCurve",
     "lagrange_piecewise",
@@ -48,8 +46,8 @@ __all__ = [
 
 PROVENANCES = ("linear_exact", "sampled_estimate")
 
-# The coefficient c of the with-derivative bound, by variant name.
-VARIANTS = {"consistent": 8.0 / 27.0, "literal": 4.0 / 27.0}
+# The coefficient c of the with-derivative bound.
+_C = 8.0 / 27.0
 
 # exp arguments are clamped at ln(1e300) and bound values at 1e300; the
 # curve carries a flag when either clamp fires.
@@ -107,10 +105,10 @@ class BoundCurve:
     saturated: bool = False
 
     def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=float)
+        times = read_only(as_time_grid(self.times))
         values = np.array(self.values, dtype=float)
-        if times.ndim != 1 or values.shape != times.shape:
-            raise InvalidInputError("times and values must be 1-D of equal length")
+        if values.shape != times.shape:
+            raise InvalidInputError("times and values must be of equal length")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise InvalidInputError("bound values must be finite and >= 0")
         object.__setattr__(self, "times", times)
@@ -315,12 +313,8 @@ def _validate_bound_inputs(
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise InvalidInputError(f"sigma_next must be finite and >= 0, got {sigma_next!r}")
     times = constants.snapshot_times
-    evals = np.array(eval_times, dtype=float)
-    if evals.ndim != 1 or evals.size == 0:
-        raise InvalidInputError("eval_times must be a nonempty 1-D array")
-    if not np.all(np.isfinite(evals)):
-        raise InvalidInputError("eval_times contains non-finite entries")
-    if np.min(evals) < times[0] or np.max(evals) > times[-1]:
+    evals = as_time_grid(eval_times, "eval_times")
+    if evals[0] < times[0] or evals[-1] > times[-1]:
         raise InvalidInputError("eval_times must lie within the snapshot range")
     return sigma, evals
 
@@ -333,24 +327,12 @@ def method1_bound(sigma_next: float, constants: BoundConstants, eval_times) -> B
     return _evaluate_bound(prefactors, constants, evals)
 
 
-def method2_bound(
-    sigma_next: float,
-    constants: BoundConstants,
-    eval_times,
-    variant: str = "consistent",
-) -> BoundCurve:
+def method2_bound(sigma_next: float, constants: BoundConstants, eval_times) -> BoundCurve:
     """Bound for the with-derivative basis.
 
-    [s (59/54 + c Delta_i) + Delta_i^4 Phi_i / 384] exp(Lambda t), where
-    c = 8/27 for the default "consistent" variant and 4/27 for "literal"
-    (the smaller published coefficient, kept for comparison).
+    [s (59/54 + c Delta_i) + Delta_i^4 Phi_i / 384] exp(Lambda t), c = 8/27.
     """
-    if variant not in VARIANTS:
-        raise InvalidInputError(f"variant must be one of {tuple(VARIANTS)}, got {variant!r}")
     sigma, evals = _validate_bound_inputs(sigma_next, constants, eval_times)
-    coefficient = VARIANTS[variant]
     deltas = np.diff(constants.snapshot_times)
-    prefactors = (
-        sigma * (59.0 / 54.0 + coefficient * deltas) + deltas**4 * constants.phi / 384.0
-    )
+    prefactors = sigma * (59.0 / 54.0 + _C * deltas) + deltas**4 * constants.phi / 384.0
     return _evaluate_bound(prefactors, constants, evals)

@@ -101,13 +101,7 @@ def _write_text(path: str, text: str) -> None:
 
 # --- Plot script ---------------------------------------------------------
 
-def emit_plot_script(
-    report: RunReport,
-    path: str,
-    error_csv: str = ERROR_CSV_NAME,
-    spectrum_csv: str = SPECTRUM_CSV_NAME,
-    bound_csv: str = BOUND_CSV_NAME,
-) -> None:
+def emit_plot_script(report: RunReport, path: str) -> None:
     """Write a standalone script that renders the run's figures.
 
     The script reads the CSVs by relative path (it resolves them against its
@@ -142,9 +136,9 @@ def emit_plot_script(
         'matplotlib.use("Agg")\n'
         "import matplotlib.pyplot as plt\n\n"
         "HERE = os.path.dirname(os.path.abspath(__file__))\n"
-        f"ERROR_CSV = {error_csv!r}\n"
-        f"SPECTRUM_CSV = {spectrum_csv!r}\n"
-        f"BOUND_CSV = {bound_csv if has_bounds else None!r}\n"
+        f"ERROR_CSV = {ERROR_CSV_NAME!r}\n"
+        f"SPECTRUM_CSV = {SPECTRUM_CSV_NAME!r}\n"
+        f"BOUND_CSV = {BOUND_CSV_NAME if has_bounds else None!r}\n"
         f"PANELS = {json.dumps(panels, sort_keys=True)}\n"
         f"SPECTRUM_KEYS = {json.dumps(spectrum_keys)}\n"
     )
@@ -253,7 +247,7 @@ def _boolean(text: str) -> bool:
 
 # One row per run setting, keyed by its RunConfig.for_preset keyword (out,
 # plots and seed are the CLI's own): (INI key "section.key", the parser that
-# reads the flag's text and the file's alike, run's flag or None, help text).
+# reads the flag's text and the file's alike, run's flag, help text).
 _SETTINGS = {
     "preset": ("run.preset", str, "--preset", "bundled experiment id: A, B, or C"),
     "methods": ("run.methods", _comma_list(str), "--methods", "comma list from {Y,Z}"),
@@ -268,9 +262,6 @@ _SETTINGS = {
     "rel_tol": ("integrator.rel_tol", float, "--rel-tol", "integrator relative tolerance"),
     "abs_tol": ("integrator.abs_tol", float, "--abs-tol", "integrator absolute tolerance"),
     "eval_grid_size": ("grid.eval_size", int, "--eval-grid", "evaluation grid size"),
-    "bound_samples_per_interval": ("bounds.samples_per_interval", int, None,
-                                   "dense samples per snapshot interval"),
-    "bound_variant": ("bounds.variant", str, None, "consistent | literal"),
 }
 
 # Defaults of the CLI's own settings; every other default is RunConfig's.
@@ -355,9 +346,8 @@ def _build_parser() -> _ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     run.add_argument("--config", help="INI config file (see epilog for keys)")
-    for name, (_, _, flag, _) in _SETTINGS.items():
-        if flag is not None:
-            _add_flag(run, name)
+    for name in _SETTINGS:
+        _add_flag(run, name)
 
     spectrum = sub.add_parser(
         "spectrum", help="compute snapshot-matrix spectra only"
@@ -395,6 +385,8 @@ def _config_from_args(args: argparse.Namespace) -> Tuple[RunConfig, str, bool]:
     if preset_id is None:
         raise InvalidInputError("a preset is required (--preset or config key run.preset)")
     out_dir = settings.pop("out", _DEFAULTS["out"])
+    if not out_dir:
+        raise InvalidInputError("the output directory must not be empty")
     plots = settings.pop("plots", _DEFAULTS["plots"])
     settings.pop("seed", None)  # parsed so that a bad value is an error; unused
     return RunConfig.for_preset(preset_id, **settings), out_dir, plots
@@ -421,8 +413,8 @@ def _render_plots(script_path: str) -> bool:
 
 
 def _execute_run(config: RunConfig, out_dir: str, render_plots: bool) -> int:
-    report = run_experiment(config)
     os.makedirs(out_dir, exist_ok=True)
+    report = run_experiment(config)
 
     error_path = os.path.join(out_dir, ERROR_CSV_NAME)
     spectrum_path = os.path.join(out_dir, SPECTRUM_CSV_NAME)
@@ -465,8 +457,8 @@ def _execute_run(config: RunConfig, out_dir: str, render_plots: bool) -> int:
 
 
 def _execute_spectrum(config: RunConfig, out_dir: str) -> int:
-    report, svds = run_spectra(config)
     os.makedirs(out_dir, exist_ok=True)
+    report, svds = run_spectra(config)
     path = os.path.join(out_dir, SPECTRUM_CSV_NAME)
     write_spectrum_csv(report, path)
     for (method, delta), svd in svds.items():

@@ -19,7 +19,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .bounds import (
-    VARIANTS,
     BoundConstants,
     BoundCurve,
     linear_bound_constants,
@@ -60,14 +59,16 @@ __all__ = [
 # Failure kinds that stay confined to one grid cell.
 _CELL_ERRORS = (InvalidInputError, ConvergenceError, StiffnessError, RhsEvaluationError)
 
+# Dense trajectory samples per snapshot interval for the bound constants;
+# the sampled route's third differences need at least 5 per interval.
+_BOUND_SAMPLES_PER_INTERVAL = 64
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one experiment run depends on.
 
-    ``params``/``final_time`` are always populated; ``preset_id`` is kept
-    only as a label when the run came from a bundled preset.  Exactly the
-    grid cells (method, delta, rule) are produced, in that loop order.
+    Exactly the grid cells (method, delta, rule) are produced, in that loop order.
     Repeated methods and spacings are dropped; repeated rules are kept and
     share their reduced solve.
     """
@@ -77,13 +78,10 @@ class RunConfig:
     methods: Tuple[str, ...] = METHODS
     deltas: Tuple[float, ...] = ()
     rules: Tuple[TruncationRule, ...] = ()
-    preset_id: Optional[str] = None
     rel_tol: float = 1e-11
     abs_tol: float = 1e-13
     eval_grid_size: int = 400
     evaluate_bounds: bool = False
-    bound_samples_per_interval: int = 64
-    bound_variant: str = "consistent"
 
     def __post_init__(self) -> None:
         if not isinstance(self.params, FhnParams):
@@ -125,16 +123,6 @@ class RunConfig:
             raise InvalidInputError("eval_grid_size must be >= 2")
         object.__setattr__(self, "eval_grid_size", int(self.eval_grid_size))
 
-        if int(self.bound_samples_per_interval) < 4:
-            raise InvalidInputError("bound_samples_per_interval must be >= 4")
-        object.__setattr__(
-            self, "bound_samples_per_interval", int(self.bound_samples_per_interval)
-        )
-        if self.bound_variant not in VARIANTS:
-            raise InvalidInputError(
-                f"bound_variant must be one of {tuple(VARIANTS)}, got {self.bound_variant!r}"
-            )
-
     @classmethod
     def for_preset(
         cls,
@@ -160,7 +148,6 @@ class RunConfig:
             deltas=spec.delta_list if deltas is None else deltas,
             rules=tuple(TruncationRule.cutoff(e) for e in epsilons or ())
             + tuple(TruncationRule.fixed(l) for l in dims or ()),
-            preset_id=spec.id,
             **kwargs,
         )
 
@@ -302,9 +289,10 @@ def _prepare(config: RunConfig) -> _RunContext:
     }
     dense_grids: Dict[float, np.ndarray] = {}
     if config.evaluate_bounds:
-        per = config.bound_samples_per_interval
         dense_grids = {
-            delta: _uniform_grid(horizon, per * _grid_intervals(horizon, delta))
+            delta: _uniform_grid(
+                horizon, _BOUND_SAMPLES_PER_INTERVAL * _grid_intervals(horizon, delta)
+            )
             for delta in config.deltas
         }
 
@@ -469,17 +457,8 @@ def run_experiment(config: RunConfig) -> RunReport:
                     if config.evaluate_bounds:
                         stage = "bound"
                         start = time.perf_counter()
-                        if method == "Y":
-                            bound = method1_bound(
-                                basis.sigma_next, constants[delta], ctx.eval_times
-                            )
-                        else:
-                            bound = method2_bound(
-                                basis.sigma_next,
-                                constants[delta],
-                                ctx.eval_times,
-                                variant=config.bound_variant,
-                            )
+                        bound_of = method1_bound if method == "Y" else method2_bound
+                        bound = bound_of(basis.sigma_next, constants[delta], ctx.eval_times)
                         ctx.timer.add("bounds", start)
 
                     cells.append(

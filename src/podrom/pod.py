@@ -173,10 +173,10 @@ class ErrorCurve:
     norms: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=float)
+        times = read_only(as_time_grid(self.times))
         norms = np.array(self.norms, dtype=float)
-        if times.ndim != 1 or norms.shape != times.shape:
-            raise InvalidInputError("times and norms must be 1-D of equal length")
+        if norms.shape != times.shape:
+            raise InvalidInputError("times and norms must be of equal length")
         if not np.all(np.isfinite(norms)) or np.any(norms < 0.0):
             raise InvalidInputError("norms must be finite and nonnegative")
         object.__setattr__(self, "times", times)

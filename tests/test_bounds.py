@@ -19,7 +19,7 @@ from podrom.errors import InvalidInputError
 from podrom.fhn import FhnParams, Waveform, build_fhn, preset
 from podrom.linalg import svd_one_sided_jacobi
 from podrom.ode import OdeSystem, RhsStructure, Trajectory, integrate_rk4
-from podrom.pod import SnapshotSet
+from podrom.pod import ErrorCurve, SnapshotSet
 
 
 def trig_pair(t):
@@ -241,6 +241,23 @@ class TestConstantsValidation:
         with pytest.raises(InvalidInputError):
             BoundCurve(times=np.array([0.0, 1.0]), values=np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize(
+        "grid",
+        [[], [math.nan], [[0.0, 0.5]], [0.5, 0.25]],
+        ids=["empty", "nan", "2-D", "decreasing"],
+    )
+    def test_bad_time_grid_rejected(self, grid):
+        # evaluation times and both curves' times share the one grid check
+        zeros = np.zeros_like(np.asarray(grid, dtype=float))
+        constants = flat_constants([1.0], [1.0])
+        for build in (
+            lambda: method1_bound(0.0, constants, grid),
+            lambda: ErrorCurve(times=grid, norms=zeros),
+            lambda: BoundCurve(times=grid, values=zeros),
+        ):
+            with pytest.raises(InvalidInputError):
+                build()
+
 
 class TestBoundFormulas:
     EVALS = np.array([0.0, 0.25, 0.5, 1.0])
@@ -252,17 +269,10 @@ class TestBoundFormulas:
 
     def test_method2_flat_value_and_variant(self):
         constants = flat_constants([0.0], [5.0])
-        consistent = method2_bound(0.25, constants, self.EVALS)
-        literal = method2_bound(0.25, constants, self.EVALS, variant="literal")
+        curve = method2_bound(0.25, constants, self.EVALS)
         np.testing.assert_allclose(
-            consistent.values, 0.25 * (59.0 / 54.0 + 8.0 / 27.0) + 5.0 / 384.0, rtol=1e-15
+            curve.values, 0.25 * (59.0 / 54.0 + 8.0 / 27.0) + 5.0 / 384.0, rtol=1e-15
         )
-        np.testing.assert_allclose(
-            literal.values, 0.25 * (59.0 / 54.0 + 4.0 / 27.0) + 5.0 / 384.0, rtol=1e-15
-        )
-        assert np.all(literal.values < consistent.values)
-        with pytest.raises(InvalidInputError):
-            method2_bound(0.25, constants, self.EVALS, variant="midway")
 
     def test_bounds_vanish_without_truncation_error(self):
         constants = flat_constants([0.0], [0.0], lam=3.0)

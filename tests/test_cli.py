@@ -1,6 +1,5 @@
 """Driver tests: config handling, the sweep loop, CSV artifacts, CLI glue."""
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -35,7 +34,7 @@ def tiny_config(**overrides):
     return RunConfig.for_preset("A", **base)
 
 
-def synthetic_report(with_bound=False, cells=1):
+def synthetic_report(with_bound=False, cells=1, saturated=False):
     """Hand-built three-point report for exercising the writers alone."""
     times = np.array([0.0, 0.5, 1.0])
     params = preset("A").params
@@ -44,7 +43,9 @@ def synthetic_report(with_bound=False, cells=1):
         curve = ErrorCurve(times=times, norms=np.array([0.0, 1.5e-3 * (k + 1), 2.5e-5]))
         bound = None
         if with_bound:
-            bound = BoundCurve(times=times, values=np.array([1e-2, 2e-2, 4e-2]))
+            bound = BoundCurve(
+                times=times, values=np.array([1e-2, 2e-2, 4e-2]), saturated=saturated
+            )
         cell_list.append(
             CellResult(
                 method="Y" if k % 2 == 0 else "Z",
@@ -88,12 +89,7 @@ NON_DEFAULT_TEXT = {
     "rel_tol": "1e-9",
     "abs_tol": "1e-12",
     "eval_grid_size": "50",
-    "bound_samples_per_interval": "16",
-    "bound_variant": "literal",
 }
-
-# What the file-only keys above set on RunConfig.
-FILE_ONLY_VALUES = {"bound_samples_per_interval": 16, "bound_variant": "literal"}
 
 
 def settings_from(tmp_path, file_keys, *flags):
@@ -110,7 +106,6 @@ def settings_from(tmp_path, file_keys, *flags):
 class TestRunConfig:
     def test_preset_defaults(self):
         config = RunConfig.for_preset("A")
-        assert config.preset_id == "A"
         assert config.methods == ("Y", "Z")
         assert config.deltas == (0.01, 0.005, 0.0025)
         # three cutoff rules then six fixed dimensions
@@ -155,10 +150,6 @@ class TestRunConfig:
         with pytest.raises(InvalidInputError):
             tiny_config(rel_tol=0.0)
 
-    def test_bad_variant_rejected(self):
-        with pytest.raises(InvalidInputError):
-            tiny_config(bound_variant="exact")
-
     def test_unknown_preset_rejected(self):
         with pytest.raises(InvalidInputError):
             RunConfig.for_preset("D")
@@ -172,7 +163,6 @@ class TestRunConfig:
             {"deltas": ()},
             {"rules": ("l=5",)},
             {"eval_grid_size": 1},
-            {"bound_samples_per_interval": 3},
             {"deltas": (-0.01,)},
         ],
         ids=lambda override: next(iter(override)),
@@ -339,7 +329,6 @@ class TestRunExperiment:
             deltas=(0.1,),
             rules=(TruncationRule.fixed(3),),
             evaluate_bounds=True,
-            bound_samples_per_interval=8,
         )
         report = run_experiment(config)
         assert report.failures == ()
@@ -408,6 +397,11 @@ class TestCsvWriters:
         assert lines[0] == "t,log10_bound,method,delta,l,saturated"
         assert len(lines) == 4
         assert lines[1].endswith(",0")
+        # a saturated curve carries the flag on every one of its rows
+        write_bound_csv(synthetic_report(with_bound=True, saturated=True), str(path))
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(row.endswith(",1") for row in rows)
 
     def test_write_failure_names_path(self):
         report = synthetic_report()
@@ -555,6 +549,33 @@ class TestCommandLine:
         # an unknown section is rejected even when it sets nothing
         config.write_text("[run]\npreset = A\n\n[turbo]\n")
         assert main(["run", "--config", str(config)]) == 1
+        # the [bounds] section and its keys are gone
+        for removed in ("variant = literal", "samples_per_interval = 16"):
+            config.write_text(f"[run]\npreset = A\n\n[bounds]\n{removed}\n")
+            assert main(["run", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize(
+        "argv,ini",
+        [
+            (["run", "--preset", "A", "--out", ""], None),
+            (["spectrum", "--preset", "A", "--delta", "0.01", "--out", ""], None),
+            (["run"], "[run]\npreset = A\nout =\n"),
+        ],
+        ids=["run-flag", "spectrum-flag", "run-file"],
+    )
+    def test_empty_output_directory_rejected_before_the_sweep(
+        self, tmp_path, monkeypatch, argv, ini
+    ):
+        monkeypatch.delenv("PODROM_OUT", raising=False)
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", calls.append)
+        monkeypatch.setattr(cli, "run_spectra", calls.append)
+        if ini is not None:
+            path = tmp_path / "run.ini"
+            path.write_text(ini)
+            argv = [*argv, "--config", str(path)]
+        assert main(argv) == 1
+        assert calls == []
 
     @pytest.mark.parametrize("name", list(cli._SETTINGS))
     def test_flag_and_file_key_mean_the_same(self, tmp_path, monkeypatch, name):
@@ -570,12 +591,8 @@ class TestCommandLine:
             assert from_file == default  # parsed, and no output depends on it
         else:
             assert from_file != default
-        if flag is None:
-            config = dataclasses.replace(default[0], **{name: FILE_ONLY_VALUES[name]})
-            assert from_file == (config, *default[1:])
-        else:
-            flag_args = [flag] if text == "true" else [flag, text]
-            assert settings_from(tmp_path, {"run": {"preset": "A"}}, *flag_args) == from_file
+        flag_args = [flag] if text == "true" else [flag, text]
+        assert settings_from(tmp_path, {"run": {"preset": "A"}}, *flag_args) == from_file
 
     @pytest.mark.parametrize("text,expect", [("true", True), ("off", False)])
     def test_bounds_key_is_boolean(self, tmp_path, text, expect):
@@ -648,6 +665,5 @@ class TestCommandLine:
             main(["run", "--help"])
         assert exc.value.code == 0
         text = capsys.readouterr().out
-        for key in ("preset", "epsilons", "rel_tol", "eval_size",
-                    "samples_per_interval", "PODROM_OUT"):
+        for key in ("preset", "epsilons", "rel_tol", "eval_size", "PODROM_OUT"):
             assert key in text
