@@ -474,7 +474,8 @@ def main(argv=None) -> int:
     """Entry point; returns the process exit code.
 
     0 on full success, 2 when some grid cells failed (or plots failed to
-    render), 1 on configuration errors.
+    render), 1 on configuration errors and on an output directory that
+    cannot be created or written.
     """
     parser = _build_parser()
     try:
@@ -483,7 +484,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _execute_run(config, out_dir, render_plots)
         return _execute_spectrum(config, out_dir)
-    except InvalidInputError as err:
+    except (InvalidInputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

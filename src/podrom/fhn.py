@@ -271,7 +271,8 @@ def _fhn_structure(params: FhnParams) -> RhsStructure:
     linear part too.  The forcing is four wall vectors times the values of
     ``forcing_signals(t)`` = (I0, IX, w0', wX'), whose rates are
     ``forcing_rates(t)``; both come from ``_wall_forcing``, and
-    ``build_fhn``'s ``rhs`` shares the signals callable.  The linear
+    ``build_fhn``'s ``rhs`` shares the signals callable.  The forcing is
+    constant exactly when none of the four waveforms varies.  The linear
     operator works on a state vector or on an n x k block of them,
     row-wise, without assembling a matrix; applied to the identity it gives
     the matrix A itself.  It repeats the stencil of ``rhs`` rather than
@@ -321,6 +322,9 @@ def _fhn_structure(params: FhnParams) -> RhsStructure:
         forcing_vectors=forcing,
         forcing_signals=signals,
         forcing_rates=rates,
+        forcing_constant=all(
+            w.kind == "constant" for w in (params.I0, params.IX, params.w0, params.wX)
+        ),
     )
 
 

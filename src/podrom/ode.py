@@ -5,9 +5,11 @@ coefficients) with proportional-integral step control and first-same-as-last
 stage reuse.  Integration steps are truncated so that every requested output
 time is hit exactly by a step endpoint; states are never interpolated.
 
-A fixed-step classical RK4 integrator is included as an independent
-cross-check backend, together with a helper that evaluates the right-hand
-side along a stored trajectory (used for derivative snapshots).
+A linear time-invariant system x' = K x + c is also solved exactly in time
+(``affine_flow``): one matrix exponential per distinct interval length, with
+no step control.  A fixed-step classical RK4 integrator is included as an
+independent cross-check backend, together with a helper that evaluates the
+right-hand side along a stored trajectory (used for derivative snapshots).
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, RhsEvaluationError, StiffnessError
-from .linalg import as_matrix, as_time_grid, as_vector, read_only
+from .linalg import as_matrix, as_time_grid, as_vector, expm, read_only
 
 __all__ = [
     "RhsStructure",
     "OdeSystem",
     "Trajectory",
+    "affine_flow",
     "integrate",
     "integrate_rk4",
     "sample_rhs",
@@ -44,6 +47,9 @@ class RhsStructure:
     their time derivatives, in the same order.  Each is one callable
     ``t -> k values``, so a right-hand-side call evaluates all signals at
     once.  Both are checked once, at t = 0, for k finite values.
+    ``forcing_constant`` states that no signal varies in time, so that
+    ``forcing_signals(0)`` holds for every t; the rates at t = 0 must then
+    be zero.
     """
 
     apply_linear: Callable[[np.ndarray], np.ndarray]
@@ -53,6 +59,7 @@ class RhsStructure:
     forcing_vectors: np.ndarray
     forcing_signals: Callable[[float], Sequence[float]]
     forcing_rates: Callable[[float], Sequence[float]]
+    forcing_constant: bool = False
 
     def __post_init__(self) -> None:
         if not callable(self.apply_linear):
@@ -79,6 +86,9 @@ class RhsStructure:
                     f"{name} must give {k} finite values, one per forcing vector; "
                     f"got {values.shape} at t=0"
                 )
+        object.__setattr__(self, "forcing_constant", bool(self.forcing_constant))
+        if self.forcing_constant and np.any(np.asarray(self.forcing_rates(0.0)) != 0.0):
+            raise InvalidInputError("a constant forcing must have zero rates")
 
     def apply_jacobian(self, x: np.ndarray, directions: np.ndarray) -> np.ndarray:
         """The Jacobian J(x) = A + diag(g'(x)) applied to ``directions``.
@@ -429,6 +439,59 @@ def integrate(
         rejected_steps=rejected,
         rhs_calls=1 + 6 * attempts,
     )
+
+
+def affine_flow(matrix, shift, x0, t0: float, output_times) -> Trajectory:
+    """Exact solution of x' = K x + c, x(t0) = ``x0``, on ``output_times``.
+
+    K is the square ``matrix`` and c the constant ``shift``.  Each interval
+    between consecutive times (the first starting at ``t0``) of length h is
+    one step x -> E x + F, where [E F; 0 1] = exp(h [K c; 0 0]) (Van Loan,
+    IEEE Trans. Automat. Control 23(3), 1978).  One exponential is computed
+    per distinct interval length, keyed by its exact float value; a uniform
+    grid of computed times has only a few.  The trajectory holds exactly
+    ``output_times`` and its work counters stay 0: nothing is controlled.
+
+    Raises :class:`RhsEvaluationError` when the flow leaves float range
+    (a non-finite step or state), and no trajectory is returned.
+    """
+    K = as_matrix(matrix, "matrix")
+    n = K.shape[0]
+    if K.shape != (n, n):
+        raise InvalidInputError(f"matrix must be square, got shape {K.shape}")
+    c = as_vector(shift, "shift")
+    state = as_vector(x0, "x0")
+    if c.shape != (n,) or state.shape != (n,):
+        raise InvalidInputError(
+            f"shift and x0 must have length {n}, got {c.size} and {state.size}"
+        )
+    t = float(t0)
+    if not math.isfinite(t):
+        raise InvalidInputError(f"t0 must be finite, got {t0!r}")
+    # a copy: the trajectory keeps a view of it
+    out = as_time_grid(output_times, "output_times").copy()
+    if out[0] < t:
+        raise InvalidInputError("output_times must not start before t0")
+
+    generator = np.zeros((n + 1, n + 1))
+    generator[:n, :n] = K
+    generator[:n, n] = c
+    steps = {}
+    states = np.empty((out.size, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, target in enumerate(out.tolist()):
+            h = target - t
+            if h > 0.0:
+                step = steps.get(h)
+                if step is None:
+                    flow = expm(h * generator)
+                    step = steps[h] = (flow[:n, :n].copy(), flow[:n, n].copy())
+                state = step[0] @ state + step[1]
+            states[i] = state
+            t = target
+    if not np.all(np.isfinite(states)):
+        raise RhsEvaluationError("the affine flow left float range")
+    return Trajectory(times=out, states=states)
 
 
 def integrate_rk4(

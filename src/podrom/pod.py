@@ -11,7 +11,10 @@ A reduced model is built in two phases when the full system carries its
 offline, each part is projected onto the basis once; online, a reduced
 right-hand-side call works with those small projected operators and never
 forms the full state.  A system without structure falls back to lifting:
-each reduced call evaluates the full right-hand side at U z.
+each reduced call evaluates the full right-hand side at U z.  A linear
+time-invariant reduced model, z' = (U^T A U) z + U^T b with b constant, is
+not integrated at all: its exact flow is stepped with one matrix
+exponential per interval length.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import SvdResult, as_matrix, as_time_grid, as_vector, read_only
-from .ode import OdeSystem, RhsStructure, Trajectory, integrate, sample_rhs
+from .ode import OdeSystem, RhsStructure, Trajectory, affine_flow, integrate, sample_rhs
 
 __all__ = [
     "SnapshotSet",
@@ -35,6 +38,7 @@ __all__ = [
     "build_snapshot_matrix",
     "truncate_basis",
     "build_rom",
+    "exact_in_time",
     "solve_rom_lifted",
     "error_curve",
 ]
@@ -299,6 +303,12 @@ def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
     return OdeSystem(dimension=basis.l, rhs=reduced_rhs, lift=vectors)
 
 
+def _projected_operators(structure: RhsStructure, vectors: np.ndarray):
+    """The offline projections (U^T A U, U^T B) of a structured system."""
+    linear = vectors.T @ np.asarray(structure.apply_linear(vectors), dtype=float)
+    return linear, vectors.T @ structure.forcing_vectors
+
+
 def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):
     """Online reduced right-hand side from operators projected here, once.
 
@@ -308,8 +318,7 @@ def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):
     the number of forcing signals, all k from one ``forcing_signals`` call.
     A system without cubic skips the first block.
     """
-    linear = vectors.T @ np.asarray(structure.apply_linear(vectors), dtype=float)
-    forcing = vectors.T @ structure.forcing_vectors
+    linear, forcing = _projected_operators(structure, vectors)
     signals = structure.forcing_signals
     # a 0-d array: numpy takes it with less per-call overhead than a float
     root = np.array(structure.cubic_root)
@@ -347,6 +356,20 @@ def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):
     return reduced_rhs
 
 
+def exact_in_time(system: OdeSystem) -> bool:
+    """Whether ``solve_rom_lifted`` solves ``system``'s reduced models exactly.
+
+    True when its structure has no cubic and a constant forcing: then
+    every Galerkin reduction is linear and time-invariant.
+    """
+    structure = system.structure
+    return (
+        structure is not None
+        and structure.cubic_scale == 0.0
+        and structure.forcing_constant
+    )
+
+
 def solve_rom_lifted(
     system: OdeSystem,
     basis: PodBasis,
@@ -355,13 +378,22 @@ def solve_rom_lifted(
     rel_tol: float,
     abs_tol: float,
 ) -> Trajectory:
-    """Integrate the reduced system from z(0) = U^T x0 and lift the result.
+    """Solve the reduced system from z(0) = U^T x0 and lift the result.
 
     The initial state is taken at t = 0; output times must lie in (0, T]
-    or include 0 itself.  The lifted trajectory carries the reduced
-    solve's work counters.
+    or include 0 itself.  When ``exact_in_time(system)``, the reduced model
+    is z' = K z + c with K = U^T A U and c = U^T B s(0), projected as
+    ``build_rom`` projects them, and ``ode.affine_flow`` gives its exact
+    solution: the tolerances are not used and the work counters stay 0.
+    Any other system's reduced model (``build_rom``) is integrated by
+    ``ode.integrate``, and the lifted trajectory carries that solve's work
+    counters.
     """
-    rom = build_rom(system, basis)
+    if basis.dimension != system.dimension:
+        raise InvalidInputError(
+            f"basis dimension {basis.dimension} does not match "
+            f"system dimension {system.dimension}"
+        )
     start = as_vector(x0, "x0")
     if start.size != basis.dimension:
         raise InvalidInputError(
@@ -370,7 +402,14 @@ def solve_rom_lifted(
     out = as_time_grid(output_times, "output_times")
     vectors = basis.reduced_vectors
     z0 = vectors.T @ start
-    reduced = integrate(rom, z0, 0.0, float(out[-1]), rel_tol, abs_tol, out)
+    if exact_in_time(system):
+        structure = system.structure
+        linear, forcing = _projected_operators(structure, vectors)
+        shift = forcing @ np.asarray(structure.forcing_signals(0.0), dtype=float)
+        reduced = affine_flow(linear, shift, z0, 0.0, out)
+    else:
+        rom = build_rom(system, basis)
+        reduced = integrate(rom, z0, 0.0, float(out[-1]), rel_tol, abs_tol, out)
     lifted = reduced.states @ vectors.T
     return Trajectory(
         times=reduced.times,

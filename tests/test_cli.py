@@ -224,8 +224,15 @@ class TestRunExperiment:
         assert report.counters["jacobi_rotations"] == ctx.counters["jacobi_rotations"]
 
     def test_integrator_counters_sum_over_solves(self, monkeypatch):
-        # Two distinct bases and one cache hit (dims 5 and 5 share a solve).
-        config = tiny_config(dims=(5, 10, 5))
+        # Preset B's cubic keeps its reduced solves on DP5.  Two distinct
+        # bases and one cache hit (dims 5 and 5 share a solve).
+        config = RunConfig(
+            params=preset("B").params,
+            final_time=0.5,
+            methods=("Y",),
+            deltas=(0.05,),
+            rules=tuple(TruncationRule.fixed(l) for l in (5, 10, 5)),
+        )
         solved = {"fom": [], "rom": []}
         integrate = experiment.integrate
         solve = experiment.solve_rom_lifted
@@ -252,6 +259,29 @@ class TestRunExperiment:
             attempts = report.counters[f"{prefix}_step_attempts"]
             assert attempts > 0
             assert report.counters[f"{prefix}_rhs_calls"] == len(trajectories) + 6 * attempts
+        assert report.counters["rom_exact_solves"] == 0
+
+    def test_exact_solves_counted_without_integrator_work(self, monkeypatch):
+        # Preset A's reduced models are linear and time-invariant: each
+        # fresh solve is exact in time and adds no DP5 work.
+        config = tiny_config(dims=(5, 10, 5))
+        solved = []
+        solve = experiment.solve_rom_lifted
+
+        def recording_solve(*args, **kwargs):
+            traj = solve(*args, **kwargs)
+            solved.append(traj)
+            return traj
+
+        monkeypatch.setattr(experiment, "solve_rom_lifted", recording_solve)
+        report = run_experiment(config)
+        assert report.counters["rom_cache_hits"] == 1
+        assert report.counters["rom_solves"] == report.counters["rom_exact_solves"] == 2
+        assert len(solved) == 2
+        for name in ("step_attempts", "rejected_steps", "rhs_calls"):
+            assert all(getattr(traj, name) == 0 for traj in solved)
+            assert report.counters[f"rom_{name}"] == 0
+        assert report.counters["fom_step_attempts"] > 0
 
     def test_failed_cell_recorded_and_rest_continue(self):
         # 60 exceeds the 51 snapshot columns at delta 0.01, so that cell
@@ -487,6 +517,32 @@ class TestCommandLine:
         assert main(["bogus"]) == 1
         err = capsys.readouterr().err
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--preset", "A", "--methods", "Y", "--deltas", "0.01", "--dims", "5"],
+            ["spectrum", "--preset", "A", "--delta", "0.01"],
+        ],
+        ids=["run", "spectrum"],
+    )
+    def test_output_directory_that_is_a_file(self, tmp_path, monkeypatch, capsys, argv):
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", calls.append)
+        monkeypatch.setattr(cli, "run_spectra", calls.append)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        assert main([*argv, "--out", str(blocker)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert calls == []
+
+    def test_unwritable_artifact_is_an_error_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / ERROR_CSV_NAME).mkdir(parents=True)
+        assert main(self.run_args(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write")
+        assert ERROR_CSV_NAME in err
 
     def test_plots_flag_renders_pngs(self, tmp_path):
         out = tmp_path / "out"

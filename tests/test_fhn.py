@@ -234,6 +234,21 @@ class TestFhnStructure:
             approx = (np.array(signals(t + h)) - np.array(signals(t - h))) / (2.0 * h)
             assert np.max(np.abs(np.array(structure.forcing_rates(t)) - approx)) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "wall,constant",
+        [(None, True), ("I0", False), ("IX", False), ("w0", False), ("wX", False)],
+    )
+    def test_forcing_constant_exactly_when_no_waveform_varies(self, wall, constant):
+        overrides = {} if wall is None else {wall: Waveform.sin_squared(0.5)}
+        structure = build_fhn(tiny_params(**overrides)).structure
+        assert structure.forcing_constant is constant
+        assert build_fhn(preset("A").params).structure.forcing_constant
+        assert not build_fhn(preset("B").params).structure.forcing_constant
+        if constant:
+            signals = np.array(structure.forcing_signals(0.0))
+            for t in (0.3, 1.7):
+                assert np.array_equal(structure.forcing_signals(t), signals)
+
     @CASES
     def test_linear_operator_acts_column_by_column(self, name):
         params = self.params_for(name)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from podrom import linalg
 from podrom.bounds import BoundConstants, linear_bound_constants
 from podrom.errors import InvalidInputError
-from podrom.linalg import SvdResult, svd_one_sided_jacobi
+from podrom.linalg import SvdResult, expm, svd_one_sided_jacobi
 from podrom.ode import OdeSystem, Trajectory, integrate
 from podrom.pod import PodBasis, SnapshotSet, solve_rom_lifted
 
@@ -289,6 +289,76 @@ class TestSvdOneSidedJacobi:
         assert du <= 1e-10
         assert dv <= 1e-10
         assert dr <= 1e-10 * max(res.singular_values[0], 1e-300)
+
+
+class TestExpm:
+    def test_diagonal(self):
+        d = np.array([-30.0, -1.5, 0.0, 0.25, 3.0])
+        # exp is a condition-|d| function of d: -30 costs about 30 ulps.
+        np.testing.assert_allclose(expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-13, atol=0.0)
+
+    def test_nilpotent_jordan_block(self):
+        # J = lam I + N with N^4 = 0: exp(J) = e^lam (I + N + N^2/2 + N^3/6).
+        lam = -0.7
+        N = np.diag(np.ones(3), k=1)
+        J = lam * np.eye(4) + N
+        exact = math.exp(lam) * (np.eye(4) + N + N @ N / 2.0 + N @ N @ N / 6.0)
+        np.testing.assert_allclose(expm(J), exact, rtol=1e-14, atol=1e-16)
+
+    @pytest.mark.parametrize("theta", [1.3, 30.0])
+    def test_rotation_generator(self, theta):
+        # At theta = 30 the 1-norm is 30 > theta_13 = 5.37: three squarings.
+        got = expm(np.array([[0.0, -theta], [theta, 0.0]]))
+        c, s = math.cos(theta), math.sin(theta)
+        np.testing.assert_allclose(got, [[c, -s], [s, c]], rtol=0.0, atol=1e-13)
+
+    def test_large_norm_against_eigendecomposition(self):
+        # A = S diag(lam) S^-1 with a well-conditioned S and ||A||_1 near 30.
+        S = np.array([[1.0, 0.2, 0.0], [0.1, 1.0, 0.3], [0.0, -0.2, 1.0]])
+        lam = np.array([-28.0, -1.0, 2.0])
+        A = S @ np.diag(lam) @ np.linalg.inv(S)
+        assert 25.0 < np.max(np.sum(np.abs(A), axis=0)) < 40.0
+        exact = S @ np.diag(np.exp(lam)) @ np.linalg.inv(S)
+        np.testing.assert_allclose(expm(A), exact, rtol=1e-13, atol=1e-15)
+
+    def test_zero_matrix_is_identity(self):
+        np.testing.assert_allclose(expm(np.zeros((3, 3))), np.eye(3), rtol=0.0, atol=1e-15)
+
+    def test_overflow_comes_back_infinite(self):
+        assert expm([[1000.0]])[0, 0] == math.inf
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            [[math.nan]],
+            [[0.0, math.inf], [0.0, 0.0]],
+            np.zeros((2, 3)),
+            np.zeros((0, 0)),
+            [[1e308, 1e308], [1e308, 1e308]],
+        ],
+        ids=["nan", "inf", "non-square", "empty", "norm-overflow"],
+    )
+    def test_rejects(self, A):
+        with pytest.raises(InvalidInputError):
+            expm(A)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.floats(min_value=0.01, max_value=40.0),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_property_group_law(self, n, scale, seed):
+        # exp(2A) = exp(A)^2 and exp(A) exp(-A) = I for a decaying A, whose
+        # exponentials stay of order one.
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n, n))
+        A = scale * (M - M.T) / (2.0 * n) - 0.1 * scale * np.eye(n)
+        E = expm(A)
+        np.testing.assert_allclose(expm(2.0 * A), E @ E, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            E @ expm(-A), np.eye(n), rtol=0.0, atol=1e-11 * math.exp(0.1 * scale)
+        )
 
 
 class TestEckartYoung:

@@ -14,10 +14,12 @@ from podrom.errors import (
     RhsEvaluationError,
     StiffnessError,
 )
+from podrom.fhn import build_fhn, preset
 from podrom.ode import (
     OdeSystem,
     RhsStructure,
     Trajectory,
+    affine_flow,
     integrate,
     integrate_rk4,
     sample_rhs,
@@ -181,6 +183,113 @@ class TestIntegrate:
         assert np.all(traj.states[:, 0] == 3.0)
 
 
+class TestAffineFlow:
+    @pytest.mark.parametrize("a", [-1.7, 0.8])
+    def test_scalar_closed_form(self, a):
+        # x' = a x + c: x(t) = e^{at} x0 + (e^{at} - 1) c / a.
+        c, x0 = 0.9, 0.4
+        times = np.linspace(0.0, 2.0, 101)
+        traj = affine_flow([[a]], [c], [x0], 0.0, times)
+        growth = np.exp(a * times)
+        exact = growth * x0 + (growth - 1.0) * c / a
+        np.testing.assert_allclose(traj.states[:, 0], exact, rtol=1e-13, atol=0.0)
+        assert np.array_equal(traj.times, times)
+        assert traj.states[0, 0] == x0
+        assert (traj.step_attempts, traj.rejected_steps, traj.rhs_calls) == (0, 0, 0)
+
+    def test_non_uniform_grid(self):
+        # K = -0.3 I + 2 J with J the rotation generator, so
+        # e^{tK} = e^{-0.3 t} R(2t), and x(t) = e^{tK} (x0 + K^-1 c) - K^-1 c.
+        K = np.array([[-0.3, 2.0], [-2.0, -0.3]])
+        c = np.array([1.0, -0.5])
+        x0 = np.array([0.2, 0.7])
+        times = np.array([0.1, 0.15, 0.4, 1.0, 1.01, 2.5, 7.0])
+        traj = affine_flow(K, c, x0, -0.2, times)
+        rest = np.linalg.solve(K, c)
+        for t, state in zip(times, traj.states):
+            s = t + 0.2
+            rot = np.array([[math.cos(2 * s), math.sin(2 * s)], [-math.sin(2 * s), math.cos(2 * s)]])
+            exact = math.exp(-0.3 * s) * rot @ (x0 + rest) - rest
+            np.testing.assert_allclose(state, exact, rtol=0.0, atol=1e-14)
+
+    def test_one_exponential_per_interval_length(self, monkeypatch):
+        calls = []
+        original = ode.expm
+
+        def counting_expm(A):
+            calls.append(A.shape)
+            return original(A)
+
+        monkeypatch.setattr(ode, "expm", counting_expm)
+        times = (0.5 * np.arange(400)) / 399
+        affine_flow(-np.eye(3), np.ones(3), np.zeros(3), 0.0, times)
+        assert len(calls) == np.unique(np.diff(times)).size == 3
+        assert calls[0] == (4, 4)
+
+    @pytest.mark.parametrize(
+        "rate,times",
+        [
+            (50.0, np.linspace(0.0, 20.0, 41)),  # finite steps, the state overflows
+            (1e3, np.array([1.0])),  # the step itself overflows
+        ],
+        ids=["state", "step"],
+    )
+    def test_unstable_flow_raises_evaluation_error(self, rate, times):
+        with pytest.raises(RhsEvaluationError):
+            affine_flow([[rate]], [0.0], [1.0], 0.0, times)
+
+    @pytest.mark.parametrize(
+        "matrix,shift,x0,t0,times",
+        [
+            (np.zeros((2, 3)), [0.0, 0.0], [0.0, 0.0], 0.0, [1.0]),
+            (np.zeros((2, 2)), [0.0], [0.0, 0.0], 0.0, [1.0]),
+            (np.zeros((2, 2)), [0.0, 0.0], [0.0], 0.0, [1.0]),
+            (np.zeros((2, 2)), [0.0, math.nan], [0.0, 0.0], 0.0, [1.0]),
+            (np.zeros((2, 2)), [0.0, 0.0], [0.0, 0.0], 0.5, [0.25, 1.0]),
+            (np.zeros((2, 2)), [0.0, 0.0], [0.0, 0.0], math.inf, [1.0]),
+            (np.zeros((2, 2)), [0.0, 0.0], [0.0, 0.0], 0.0, [1.0, 0.5]),
+        ],
+        ids=["non-square", "shift", "x0", "nan-shift", "before-t0", "t0", "grid"],
+    )
+    def test_rejects_bad_arguments(self, matrix, shift, x0, t0, times):
+        with pytest.raises(InvalidInputError):
+            affine_flow(matrix, shift, x0, t0, times)
+
+
+class TestExactOracle:
+    def test_preset_a_truth_within_its_error_control(self):
+        # Preset A is x' = A x + b with b constant, so its exact flow is an
+        # oracle for the DP5 truth at the acceptance tolerances, on the
+        # evaluation grid.  Each accepted step's local error d has scaled
+        # RMS at most 1, so |d|_inf <= sqrt(n) (abs_tol + rel_tol max|x|);
+        # the error propagates by e^{tA}, and |e^{tA}|_inf <= e^{mu t} with
+        # mu the infinity-norm logarithmic norm of A.  The global error is
+        # at most the sum of the propagated local errors.  (The step is set
+        # by stability, not accuracy, so the gap sits far below this: 3.4e-12
+        # against max|x| = 15.3.)  At least the controller's target must
+        # hold too: a controlled solve lands within a modest multiple of
+        # rel_tol max|x|, here 100.
+        spec = preset("A")
+        system = build_fhn(spec.params)
+        structure = system.structure
+        assert structure.cubic_scale == 0.0 and structure.forcing_constant
+        n = system.dimension
+        A = structure.apply_linear(np.eye(n))
+        b = structure.forcing_vectors @ np.asarray(structure.forcing_signals(0.0))
+        times = (spec.T * np.arange(400)) / 399
+        rel_tol, abs_tol = 1e-13, 1e-15
+        truth = integrate(system, np.zeros(n), 0.0, spec.T, rel_tol, abs_tol, times)
+        exact = affine_flow(A, b, np.zeros(n), 0.0, times)
+
+        gap = np.max(np.abs(truth.states - exact.states))
+        peak = np.max(np.abs(exact.states))
+        mu = np.max(np.diag(A) + np.sum(np.abs(A), axis=1) - np.abs(np.diag(A)))
+        accepted = truth.step_attempts - truth.rejected_steps
+        local = math.sqrt(n) * (abs_tol + rel_tol * peak)
+        assert gap <= math.exp(mu * spec.T) * accepted * local
+        assert gap <= 100.0 * rel_tol * peak
+
+
 class TestIntegrateRk4:
     def test_fourth_order_convergence(self):
         # Endpoint error on x' = -x should shrink 16x per halving, within 20%.
@@ -341,6 +450,23 @@ class TestTypes:
                 forcing_signals=lambda t: (value,),
                 forcing_rates=lambda t: (0.0,),
             )
+
+    def test_constant_forcing_needs_zero_rates(self):
+        kwargs = dict(
+            apply_linear=lambda x: x,
+            cubic_rows=slice(0, 1),
+            cubic_scale=0.0,
+            cubic_root=1.0,
+            forcing_vectors=np.ones((2, 1)),
+            forcing_signals=lambda t: (2.0,),
+            forcing_constant=True,
+        )
+        assert RhsStructure(forcing_rates=lambda t: (0.0,), **kwargs).forcing_constant
+        assert not RhsStructure(
+            forcing_rates=lambda t: (0.0,), **{**kwargs, "forcing_constant": False}
+        ).forcing_constant
+        with pytest.raises(InvalidInputError):
+            RhsStructure(forcing_rates=lambda t: (0.5,), **kwargs)
 
     def test_system_rejects_structure_of_other_dimension(self):
         structure = RhsStructure(

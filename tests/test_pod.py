@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podrom.errors import InvalidInputError
-from podrom.fhn import build_fhn, preset
+from podrom import pod
+from podrom.fhn import Waveform, build_fhn, preset
 from podrom.linalg import SvdResult, svd_one_sided_jacobi
 from podrom.ode import OdeSystem, RhsStructure, Trajectory, integrate
 from podrom.pod import (
@@ -21,6 +22,7 @@ from podrom.pod import (
     build_snapshot_matrix,
     collect_snapshots,
     error_curve,
+    exact_in_time,
     solve_rom_lifted,
     truncate_basis,
     _projected_rhs,
@@ -487,6 +489,68 @@ class TestSolveRomLifted:
         assert lifted.step_attempts == reduced.step_attempts > 0
         assert lifted.rejected_steps == reduced.rejected_steps
         assert lifted.rhs_calls == reduced.rhs_calls == 1 + 6 * reduced.step_attempts
+
+
+def refuse(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} must not be called")
+
+    return call
+
+
+class TestExactInTimeDispatch:
+    EVAL = (0.5 * np.arange(400)) / 399
+
+    def test_preset_a_takes_the_exact_flow(self, monkeypatch):
+        # A small linear time-invariant reduced model: the exact flow
+        # against DP5 on the same reduced system at tight tolerances, which
+        # lands within a modest multiple (here 1000) of its rel_tol.
+        system = build_fhn(preset("A").params)
+        assert exact_in_time(system)
+        basis = basis_from_columns(orthonormal_columns(system.dimension, 5, seed=3))
+        x0 = np.zeros(system.dimension)
+        rom = build_rom(system, basis)
+        dp5 = integrate(rom, basis.reduced_vectors.T @ x0, 0.0, 0.5, 1e-13, 1e-15, self.EVAL)
+        monkeypatch.setattr(pod, "integrate", refuse("integrate"))
+        monkeypatch.setattr(pod, "build_rom", refuse("build_rom"))
+        lifted = solve_rom_lifted(system, basis, x0, self.EVAL, 1e-13, 1e-15)
+        assert (lifted.step_attempts, lifted.rejected_steps, lifted.rhs_calls) == (0, 0, 0)
+        expect = dp5.states @ basis.reduced_vectors.T
+        gap = np.max(np.abs(lifted.states - expect))
+        assert gap <= 1e-10 * np.max(np.abs(expect))
+
+    def test_identity_basis_takes_the_exact_flow(self, monkeypatch):
+        system = build_fhn(preset("A").params)
+        n = system.dimension
+        monkeypatch.setattr(pod, "integrate", refuse("integrate"))
+        lifted = solve_rom_lifted(
+            system, basis_from_columns(np.eye(n)), np.zeros(n), self.EVAL[:40], 1e-9, 1e-11
+        )
+        assert lifted.step_attempts == 0
+
+    @pytest.mark.parametrize("case", ["B", "A-unstructured", "A-varying-forcing"])
+    def test_other_systems_keep_dp5(self, monkeypatch, case):
+        if case == "B":
+            system = build_fhn(preset("B").params)
+        elif case == "A-unstructured":
+            system = OdeSystem(dimension=402, rhs=build_fhn(preset("A").params).rhs)
+        else:
+            params = dataclasses.replace(preset("A").params, IX=Waveform.sin_squared(5.0))
+            system = build_fhn(params)
+        assert not exact_in_time(system)
+        monkeypatch.setattr(pod, "affine_flow", refuse("affine_flow"))
+        basis = basis_from_columns(orthonormal_columns(system.dimension, 3, seed=2))
+        lifted = solve_rom_lifted(
+            system, basis, np.zeros(system.dimension), [0.01, 0.02], 1e-8, 1e-10
+        )
+        assert lifted.step_attempts > 0
+        assert lifted.rhs_calls == 1 + 6 * lifted.step_attempts
+
+    def test_basis_of_other_dimension_rejected(self):
+        system = build_fhn(preset("A").params)
+        basis = basis_from_columns(orthonormal_columns(10, 2, seed=1))
+        with pytest.raises(InvalidInputError):
+            solve_rom_lifted(system, basis, np.zeros(10), [0.1], 1e-8, 1e-10)
 
 
 class TestErrorCurve:
