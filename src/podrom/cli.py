@@ -261,7 +261,6 @@ _SETTINGS = {
     "seed": ("run.seed", int, "--seed", "accepted for compatibility; no output depends on it"),
     "rel_tol": ("integrator.rel_tol", float, "--rel-tol", "integrator relative tolerance"),
     "abs_tol": ("integrator.abs_tol", float, "--abs-tol", "integrator absolute tolerance"),
-    "eval_grid_size": ("grid.eval_size", int, "--eval-grid", "evaluation grid size"),
 }
 
 # Defaults of the CLI's own settings; every other default is RunConfig's.

@@ -3,13 +3,13 @@
 The driver is an adaptive embedded Runge-Kutta 5(4) pair (Dormand-Prince
 coefficients) with proportional-integral step control and first-same-as-last
 stage reuse.  Integration steps are truncated so that every requested output
-time is hit exactly by a step endpoint; states are never interpolated.
+time is hit exactly by a step endpoint; states are never interpolated, and a
+solve ends at its last output time.
 
 A linear time-invariant system x' = K x + c is also solved exactly in time
 (``affine_flow``): one matrix exponential per distinct interval length, with
-no step control.  A fixed-step classical RK4 integrator is included as an
-independent cross-check backend, together with a helper that evaluates the
-right-hand side along a stored trajectory (used for derivative snapshots).
+no step control.  A helper evaluates the right-hand side along a stored
+trajectory (used for derivative snapshots).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "Trajectory",
     "affine_flow",
     "integrate",
-    "integrate_rk4",
     "sample_rhs",
 ]
 
@@ -161,8 +160,9 @@ class Trajectory:
     """Sampled solution: ``states[i]`` is the state vector at ``times[i]``.
 
     The work counters are filled in by ``integrate``: trial steps
-    attempted (accepted or rejected), the rejected ones among them, and
-    right-hand-side calls.  They stay 0 on a trajectory built any other way.
+    attempted (accepted or rejected) and the rejected ones among them.  Such
+    a solve makes 1 + 6 * ``step_attempts`` right-hand-side calls.  The
+    counters stay 0 on a trajectory built any other way.
     ``times`` and ``states`` are kept as read-only views of the inputs, not
     copies.
     """
@@ -171,7 +171,6 @@ class Trajectory:
     states: np.ndarray
     step_attempts: int = 0
     rejected_steps: int = 0
-    rhs_calls: int = 0
 
     def __post_init__(self) -> None:
         times = read_only(as_time_grid(self.times))
@@ -184,7 +183,7 @@ class Trajectory:
             raise InvalidInputError("states contains non-finite entries")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
-        for name in ("step_attempts", "rejected_steps", "rhs_calls"):
+        for name in ("step_attempts", "rejected_steps"):
             count = int(getattr(self, name))
             if count < 0:
                 raise InvalidInputError(f"{name} must be >= 0, got {count}")
@@ -253,46 +252,47 @@ def integrate(
     system: OdeSystem,
     x0: np.ndarray,
     t0: float,
-    t1: float,
     rel_tol: float,
     abs_tol: float,
     output_times,
 ) -> Trajectory:
-    """Integrate ``system`` from ``t0`` to the last requested output time.
+    """Integrate ``system`` from ``t0`` to its last output time.
 
+    The solve ends at ``output_times[-1]``, which must lie after ``t0``.
     The returned trajectory holds exactly ``output_times`` (bit-for-bit),
     the states the integrator produced there, and the work counters
-    (``step_attempts``, ``rejected_steps``, ``rhs_calls``).  Steps are
-    shortened so each output time coincides with a step endpoint.  The local
-    error per step is controlled in a scaled RMS norm with per-component
-    scale ``abs_tol + rel_tol * max(|x_old|, |x_new|)``.  A system with a
-    ``lift`` is measured in the lifted space: the norm runs over the
-    components of ``lift @ error`` and the scale takes ``|lift @ x_old|``
-    and ``|lift @ x_new|``, so a reduced solve meets the full solve's test.
+    (``step_attempts``, ``rejected_steps``).  Steps are shortened so each
+    output time coincides with a step endpoint.  The local error per step
+    is controlled in a scaled RMS norm with per-component scale
+    ``abs_tol + rel_tol * max(|x_old|, |x_new|)``; both tolerances must be
+    positive and finite.  A system with a ``lift`` is measured in the
+    lifted space: the norm runs over the components of ``lift @ error`` and
+    the scale takes ``|lift @ x_old|`` and ``|lift @ x_new|``, so a reduced
+    solve meets the full solve's test.
 
     Raises :class:`StiffnessError` when the controller drives the step below
-    ``1e-14 * (t1 - t0)`` (persistently failing trial steps end up here too),
-    :class:`ConvergenceError` when ``MAX_STEP_ATTEMPTS`` trial steps
-    (accepted or rejected) did not reach the last output time, and
-    :class:`RhsEvaluationError` when the right-hand side is non-finite at the
-    initial state.
+    ``1e-14 * (output_times[-1] - t0)`` (persistently failing trial steps
+    end up here too), :class:`ConvergenceError` when ``MAX_STEP_ATTEMPTS``
+    trial steps (accepted or rejected) did not reach the last output time,
+    and :class:`RhsEvaluationError` when the right-hand side is non-finite
+    at the initial state.
     """
     t0 = float(t0)
-    t1 = float(t1)
-    if not (math.isfinite(t0) and math.isfinite(t1)) or not t0 < t1:
-        raise InvalidInputError(f"need t0 < t1, got t0={t0!r}, t1={t1!r}")
+    if not math.isfinite(t0):
+        raise InvalidInputError(f"t0 must be finite, got {t0!r}")
     rel_tol = float(rel_tol)
     abs_tol = float(abs_tol)
-    if not (rel_tol > 0.0 and abs_tol > 0.0):
-        raise InvalidInputError("tolerances must be positive")
+    if not all(math.isfinite(tol) and tol > 0.0 for tol in (rel_tol, abs_tol)):
+        raise InvalidInputError("tolerances must be positive and finite")
     state = as_vector(x0, "x0")
     n = system.dimension
     if state.shape != (n,):
         raise InvalidInputError(f"x0 has length {state.size}, system dimension is {n}")
     # a copy: the trajectory keeps a view of it
     out = as_time_grid(output_times, "output_times").copy()
-    if out[0] < t0 or out[-1] > t1:
-        raise InvalidInputError("output_times must lie within [t0, t1]")
+    t1 = float(out[-1])
+    if out[0] < t0 or not t1 > t0:
+        raise InvalidInputError("output_times must start at or after t0 and end after it")
 
     span = t1 - t0
     min_step = 1e-14 * span
@@ -431,13 +431,11 @@ def integrate(
         prev_err = max(err, 1e-10)
         h = h_step * factor
 
-    # One start-up call, then six per attempt (the seventh stage is reused).
     return Trajectory(
         times=out,
         states=states_out,
         step_attempts=attempts,
         rejected_steps=rejected,
-        rhs_calls=1 + 6 * attempts,
     )
 
 
@@ -492,40 +490,6 @@ def affine_flow(matrix, shift, x0, t0: float, output_times) -> Trajectory:
     if not np.all(np.isfinite(states)):
         raise RhsEvaluationError("the affine flow left float range")
     return Trajectory(times=out, states=states)
-
-
-def integrate_rk4(
-    system: OdeSystem, x0: np.ndarray, t0: float, t1: float, num_steps: int
-) -> Trajectory:
-    """Fixed-step classical RK4 over a uniform grid; cross-check backend."""
-    t0 = float(t0)
-    t1 = float(t1)
-    if not (math.isfinite(t0) and math.isfinite(t1)) or not t0 < t1:
-        raise InvalidInputError(f"need t0 < t1, got t0={t0!r}, t1={t1!r}")
-    num_steps = int(num_steps)
-    if num_steps < 1:
-        raise InvalidInputError(f"num_steps must be >= 1, got {num_steps}")
-    state = as_vector(x0, "x0")
-    n = system.dimension
-    if state.shape != (n,):
-        raise InvalidInputError(f"x0 has length {state.size}, system dimension is {n}")
-
-    times = np.linspace(t0, t1, num_steps + 1)
-    states = np.empty((num_steps + 1, n))
-    states[0] = state
-    eval_rhs = _checked_rhs(system)
-    for i in range(num_steps):
-        t = float(times[i])
-        h = float(times[i + 1]) - t
-        k1 = eval_rhs(t, state)
-        k2 = eval_rhs(t + 0.5 * h, state + (0.5 * h) * k1)
-        k3 = eval_rhs(t + 0.5 * h, state + (0.5 * h) * k2)
-        k4 = eval_rhs(float(times[i + 1]), state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise RhsEvaluationError(f"state became non-finite at t={times[i + 1]!r}")
-        states[i + 1] = state
-    return Trajectory(times=times, states=states)
 
 
 def sample_rhs(system: OdeSystem, trajectory: Trajectory) -> np.ndarray:

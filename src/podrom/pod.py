@@ -409,14 +409,13 @@ def solve_rom_lifted(
         reduced = affine_flow(linear, shift, z0, 0.0, out)
     else:
         rom = build_rom(system, basis)
-        reduced = integrate(rom, z0, 0.0, float(out[-1]), rel_tol, abs_tol, out)
+        reduced = integrate(rom, z0, 0.0, rel_tol, abs_tol, out)
     lifted = reduced.states @ vectors.T
     return Trajectory(
         times=reduced.times,
         states=lifted,
         step_attempts=reduced.step_attempts,
         rejected_steps=reduced.rejected_steps,
-        rhs_calls=reduced.rhs_calls,
     )
 
 

@@ -18,7 +18,7 @@ from podrom.bounds import (
 from podrom.errors import InvalidInputError
 from podrom.fhn import FhnParams, Waveform, build_fhn, preset
 from podrom.linalg import svd_one_sided_jacobi
-from podrom.ode import OdeSystem, RhsStructure, Trajectory, integrate_rk4
+from podrom.ode import OdeSystem, RhsStructure, Trajectory, integrate
 from podrom.pod import ErrorCurve, SnapshotSet
 
 
@@ -386,11 +386,9 @@ def tangent_difference_psi(system, fom, snapshot_times, h=1e-5):
 
 
 def reaction_diffusion_case(name):
-    """A cable system, an RK4 trajectory of it and a snapshot grid."""
+    """A cable system, its trajectory on a uniform grid and a snapshot grid."""
     if name == "preset_B":
         spec = preset("B")
-        # 6400 steps keeps h * |diffusion eigenvalue| inside the RK4
-        # stability interval (h = 3.125e-4, |lambda| <= 4 * D1 / dx^2 = 8000)
         params, horizon, steps, intervals = spec.params, spec.T, 6400, 50
     else:
         # the lam = 1 cable of test_cli's bound-constants route test
@@ -408,7 +406,8 @@ def reaction_diffusion_case(name):
         )
         horizon, steps, intervals = 0.5, 40, 5
     system = build_fhn(params)
-    fom = integrate_rk4(system, np.zeros(params.dimension), 0.0, horizon, steps)
+    grid = np.linspace(0.0, horizon, steps + 1)
+    fom = integrate(system, np.zeros(params.dimension), 0.0, 1e-10, 1e-12, grid)
     return system, fom, (horizon * np.arange(intervals + 1)) / intervals
 
 
@@ -528,7 +527,8 @@ class TestSampledConstants:
         # preset A has its cubic off, so J(x) = A at every sample
         params = preset("A").params
         system = build_fhn(params)
-        fom = integrate_rk4(system, np.zeros(params.dimension), 0.0, 0.01, 100)
+        grid = np.linspace(0.0, 0.01, 101)
+        fom = integrate(system, np.zeros(params.dimension), 0.0, 1e-10, 1e-12, grid)
         snapshot_times = [0.0, 0.005, 0.01]
         matrix = system.structure.apply_linear(np.eye(params.dimension))
         linear = linear_bound_constants(matrix, fom, snapshot_times)

@@ -364,11 +364,10 @@ class TestRhsKernel:
         reference = OdeSystem(dimension=params.dimension, rhs=reference_rhs(params))
         x0 = np.zeros(params.dimension)
         out = np.linspace(0.0, 0.05, 6)
-        got = integrate(system, x0, 0.0, 0.05, 1e-13, 1e-15, out)
-        expect = integrate(reference, x0, 0.0, 0.05, 1e-13, 1e-15, out)
+        got = integrate(system, x0, 0.0, 1e-13, 1e-15, out)
+        expect = integrate(reference, x0, 0.0, 1e-13, 1e-15, out)
         assert np.array_equal(got.states, expect.states)
         assert got.step_attempts == expect.step_attempts > 0
-        assert got.rhs_calls == expect.rhs_calls
 
     @pytest.mark.parametrize("name", ["A", "B"])
     def test_rhs_results_never_alias(self, name):

@@ -17,7 +17,7 @@ from podrom import linalg
 from podrom.bounds import BoundConstants, linear_bound_constants
 from podrom.errors import InvalidInputError
 from podrom.linalg import SvdResult, expm, svd_one_sided_jacobi
-from podrom.ode import OdeSystem, Trajectory, integrate
+from podrom.ode import OdeSystem, Trajectory, affine_flow, integrate
 from podrom.pod import PodBasis, SnapshotSet, solve_rom_lifted
 
 
@@ -406,7 +406,8 @@ def _decay():
 # Every owner of a time grid, each called with everything but the grid valid.
 GRID_OWNERS = {
     "Trajectory": lambda g: Trajectory(times=g, states=np.zeros((np.size(g), 1))),
-    "integrate": lambda g: integrate(_decay(), [1.0], 0.0, 1.0, 1e-8, 1e-10, g),
+    "integrate": lambda g: integrate(_decay(), [1.0], 0.0, 1e-8, 1e-10, g),
+    "affine_flow": lambda g: affine_flow([[-1.0]], [0.0], [1.0], 0.0, g),
     "SnapshotSet": lambda g: SnapshotSet(times=g, solution_columns=np.ones((2, np.size(g)))),
     "BoundConstants": lambda g: BoundConstants(
         snapshot_times=g,

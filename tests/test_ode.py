@@ -21,7 +21,6 @@ from podrom.ode import (
     Trajectory,
     affine_flow,
     integrate,
-    integrate_rk4,
     sample_rhs,
 )
 
@@ -44,28 +43,36 @@ class TestIntegrate:
     def test_constant_solution_is_exact(self):
         c = np.array([2.5, -1.0, 0.25])
         out = [0.1, 0.37, 1.0]
-        traj = integrate(constant_system(c), c, 0.0, 1.0, 1e-8, 1e-10, out)
+        traj = integrate(constant_system(c), c, 0.0, 1e-8, 1e-10, out)
         assert traj.states.shape == (3, 3)
         for row in traj.states:
             assert np.array_equal(row, c)
 
     def test_exponential_decay_endpoint(self):
         rel = 1e-8
-        traj = integrate(decay_system(), np.array([1.0]), 0.0, 1.0, rel, 1e-12, [1.0])
+        traj = integrate(decay_system(), np.array([1.0]), 0.0, rel, 1e-12, [1.0])
         assert abs(traj.states[-1, 0] - math.exp(-1.0)) <= 10.0 * rel
 
     @pytest.mark.parametrize("rel", [1e-6, 1e-10])
     def test_rotation_half_turn(self, rel):
         # x' = Ax with A = [[0,1],[-1,0]] rotates clockwise: x(t) = (cos t, -sin t).
         traj = integrate(
-            rotation_system(), np.array([1.0, 0.0]), 0.0, math.pi, rel, rel * 1e-2, [math.pi]
+            rotation_system(), np.array([1.0, 0.0]), 0.0, rel, rel * 1e-2, [math.pi]
         )
         err = np.linalg.norm(traj.states[-1] - np.array([-1.0, 0.0]))
         assert err <= 10.0 * rel
 
+    def test_rotation_matches_exact_flow(self):
+        system = rotation_system()
+        x0 = np.array([1.0, 0.0])
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        exact = affine_flow(A, np.zeros(2), x0, 0.0, [1.0])
+        adaptive = integrate(system, x0, 0.0, 1e-10, 1e-12, [1.0])
+        assert np.linalg.norm(exact.states[-1] - adaptive.states[-1]) <= 1e-9
+
     def test_output_times_returned_bit_for_bit(self):
         out = np.array([0.1 * i for i in range(1, 11)])
-        traj = integrate(decay_system(), np.array([1.0]), 0.0, 1.0, 1e-9, 1e-12, out)
+        traj = integrate(decay_system(), np.array([1.0]), 0.0, 1e-9, 1e-12, out)
         assert traj.times.tobytes() == out.tobytes()
         expected = np.exp(-out)
         assert np.allclose(traj.states[:, 0], expected, rtol=1e-7, atol=1e-10)
@@ -73,7 +80,7 @@ class TestIntegrate:
     def test_initial_time_in_output_times(self):
         x0 = np.array([1.0, 2.0])
         traj = integrate(
-            constant_system(x0), x0, 0.0, 1.0, 1e-8, 1e-10, [0.0, 0.5, 1.0]
+            constant_system(x0), x0, 0.0, 1e-8, 1e-10, [0.0, 0.5, 1.0]
         )
         assert traj.times[0] == 0.0
         assert np.array_equal(traj.states[0], x0)
@@ -81,25 +88,25 @@ class TestIntegrate:
     def test_clustered_output_times(self):
         # Forces repeated step truncation far below the natural step size.
         out = np.array([0.5, 0.5 + 1e-7, 0.5 + 2e-7, 0.5 + 3e-7, 1.0])
-        traj = integrate(decay_system(), np.array([1.0]), 0.0, 1.0, 1e-9, 1e-12, out)
+        traj = integrate(decay_system(), np.array([1.0]), 0.0, 1e-9, 1e-12, out)
         assert traj.times.tobytes() == out.tobytes()
         assert np.allclose(traj.states[:, 0], np.exp(-out), rtol=1e-7, atol=1e-10)
 
     def test_blowup_raises_stiffness_error(self):
         system = OdeSystem(dimension=1, rhs=lambda t, x: np.array([1.0 / (0.5 - t)]))
         with pytest.raises(StiffnessError) as info:
-            integrate(system, np.array([0.0]), 0.0, 1.0, 1e-6, 1e-6, [1.0])
+            integrate(system, np.array([0.0]), 0.0, 1e-6, 1e-6, [1.0])
         assert 0.4 < info.value.t < 0.6
 
     def test_nan_rhs_at_start_raises_evaluation_error(self):
         system = OdeSystem(dimension=1, rhs=lambda t, x: np.array([float("nan")]))
         with pytest.raises(RhsEvaluationError):
-            integrate(system, np.array([1.0]), 0.0, 1.0, 1e-6, 1e-6, [1.0])
+            integrate(system, np.array([1.0]), 0.0, 1e-6, 1e-6, [1.0])
 
     def test_step_attempt_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(ode, "MAX_STEP_ATTEMPTS", 5)
         with pytest.raises(ConvergenceError, match="cap of 5 step attempts at t="):
-            integrate(rotation_system(), np.array([1.0, 0.0]), 0.0, 10.0, 1e-10, 1e-12, [10.0])
+            integrate(rotation_system(), np.array([1.0, 0.0]), 0.0, 1e-10, 1e-12, [10.0])
 
     def test_rhs_arguments_left_unchanged(self):
         # Every state handed to the rhs is a fresh array that the integrator
@@ -112,7 +119,7 @@ class TestIntegrate:
             return A @ x + np.sin(t)
 
         system = OdeSystem(dimension=3, rhs=rhs)
-        integrate(system, np.array([1.0, -1.0, 0.5]), 0.0, 2.0, 1e-9, 1e-12, [0.5, 1.0, 2.0])
+        integrate(system, np.array([1.0, -1.0, 0.5]), 0.0, 1e-9, 1e-12, [0.5, 1.0, 2.0])
         assert len(received) > 20
         assert len({id(x) for x, _ in received}) == len(received)
         for kept, copy in received:
@@ -130,8 +137,8 @@ class TestIntegrate:
             return np.array([x[1], 5.0 * (1.0 - x[0] ** 2) * x[1] - x[0]])
 
         system = OdeSystem(dimension=2, rhs=rhs)
-        traj = integrate(system, np.array([2.0, 0.0]), 0.0, 10.0, 1e-6, 1e-8, [5.0, 10.0])
-        assert traj.rhs_calls == len(times)
+        traj = integrate(system, np.array([2.0, 0.0]), 0.0, 1e-6, 1e-8, [5.0, 10.0])
+        assert len(times) == 1 + 6 * traj.step_attempts
         attempts = np.array(times[1:]).reshape(-1, 6)
         assert traj.step_attempts == attempts.shape[0]
         step = (attempts[:, 4] - attempts[:, 0]) / 0.8
@@ -142,29 +149,36 @@ class TestIntegrate:
 
     def test_work_counters_default_to_zero(self):
         traj = Trajectory(times=np.array([0.0]), states=np.zeros((1, 2)))
-        assert (traj.step_attempts, traj.rejected_steps, traj.rhs_calls) == (0, 0, 0)
+        assert (traj.step_attempts, traj.rejected_steps) == (0, 0)
         with pytest.raises(InvalidInputError):
-            Trajectory(times=np.array([0.0]), states=np.zeros((1, 2)), rhs_calls=-1)
+            Trajectory(times=np.array([0.0]), states=np.zeros((1, 2)), step_attempts=-1)
 
     def test_rejects_bad_arguments(self):
         system = decay_system()
         x0 = np.array([1.0])
         with pytest.raises(InvalidInputError):
-            integrate(system, x0, 1.0, 0.0, 1e-6, 1e-6, [0.5])
+            integrate(system, x0, 1.0, 1e-6, 1e-6, [0.5])
         with pytest.raises(InvalidInputError):
-            integrate(system, x0, 0.0, 1.0, 0.0, 1e-6, [0.5])
+            integrate(system, x0, -math.inf, 1e-6, 1e-6, [0.5])
         with pytest.raises(InvalidInputError):
-            integrate(system, x0, 0.0, 1.0, 1e-6, -1.0, [0.5])
+            integrate(system, x0, 0.0, 0.0, 1e-6, [0.5])
         with pytest.raises(InvalidInputError):
-            integrate(system, x0, 0.0, 1.0, 1e-6, 1e-6, [0.7, 0.3])
+            integrate(system, x0, 0.0, 1e-6, -1.0, [0.5])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="positive and finite"):
+                integrate(system, x0, 0.0, bad, 1e-6, [0.5])
+            with pytest.raises(InvalidInputError, match="positive and finite"):
+                integrate(system, x0, 0.0, 1e-6, bad, [0.5])
         with pytest.raises(InvalidInputError):
-            integrate(system, x0, 0.0, 1.0, 1e-6, 1e-6, [0.3, 0.3])
+            integrate(system, x0, 0.0, 1e-6, 1e-6, [0.7, 0.3])
         with pytest.raises(InvalidInputError):
-            integrate(system, x0, 0.0, 1.0, 1e-6, 1e-6, [0.5, 1.5])
+            integrate(system, x0, 0.0, 1e-6, 1e-6, [0.3, 0.3])
         with pytest.raises(InvalidInputError):
-            integrate(system, x0, 0.0, 1.0, 1e-6, 1e-6, [])
+            integrate(system, x0, 0.0, 1e-6, 1e-6, [0.0])
         with pytest.raises(InvalidInputError):
-            integrate(system, np.array([1.0, 2.0]), 0.0, 1.0, 1e-6, 1e-6, [0.5])
+            integrate(system, x0, 0.0, 1e-6, 1e-6, [])
+        with pytest.raises(InvalidInputError):
+            integrate(system, np.array([1.0, 2.0]), 0.0, 1e-6, 1e-6, [0.5])
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -178,7 +192,7 @@ class TestIntegrate:
     def test_landing_on_arbitrary_grids(self, raw_times):
         out = np.array(sorted(raw_times))
         c = np.array([3.0])
-        traj = integrate(constant_system(c), c, 0.0, 1.0, 1e-8, 1e-10, out)
+        traj = integrate(constant_system(c), c, 0.0, 1e-8, 1e-10, out)
         assert traj.times.tobytes() == out.tobytes()
         assert np.all(traj.states[:, 0] == 3.0)
 
@@ -195,7 +209,7 @@ class TestAffineFlow:
         np.testing.assert_allclose(traj.states[:, 0], exact, rtol=1e-13, atol=0.0)
         assert np.array_equal(traj.times, times)
         assert traj.states[0, 0] == x0
-        assert (traj.step_attempts, traj.rejected_steps, traj.rhs_calls) == (0, 0, 0)
+        assert (traj.step_attempts, traj.rejected_steps) == (0, 0)
 
     def test_non_uniform_grid(self):
         # K = -0.3 I + 2 J with J the rotation generator, so
@@ -278,7 +292,7 @@ class TestExactOracle:
         b = structure.forcing_vectors @ np.asarray(structure.forcing_signals(0.0))
         times = (spec.T * np.arange(400)) / 399
         rel_tol, abs_tol = 1e-13, 1e-15
-        truth = integrate(system, np.zeros(n), 0.0, spec.T, rel_tol, abs_tol, times)
+        truth = integrate(system, np.zeros(n), 0.0, rel_tol, abs_tol, times)
         exact = affine_flow(A, b, np.zeros(n), 0.0, times)
 
         gap = np.max(np.abs(truth.states - exact.states))
@@ -288,37 +302,6 @@ class TestExactOracle:
         local = math.sqrt(n) * (abs_tol + rel_tol * peak)
         assert gap <= math.exp(mu * spec.T) * accepted * local
         assert gap <= 100.0 * rel_tol * peak
-
-
-class TestIntegrateRk4:
-    def test_fourth_order_convergence(self):
-        # Endpoint error on x' = -x should shrink 16x per halving, within 20%.
-        system = decay_system()
-        x0 = np.array([1.0])
-        errors = []
-        for steps in (10, 20, 40):
-            traj = integrate_rk4(system, x0, 0.0, 1.0, steps)
-            errors.append(abs(traj.states[-1, 0] - math.exp(-1.0)))
-        for coarse, fine in zip(errors, errors[1:]):
-            ratio = coarse / fine
-            assert 16.0 * 0.8 <= ratio <= 16.0 * 1.2
-
-    def test_matches_adaptive_driver(self):
-        system = rotation_system()
-        x0 = np.array([1.0, 0.0])
-        fine = integrate_rk4(system, x0, 0.0, 1.0, 2000)
-        adaptive = integrate(system, x0, 0.0, 1.0, 1e-10, 1e-12, [1.0])
-        assert np.linalg.norm(fine.states[-1] - adaptive.states[-1]) <= 1e-9
-
-    def test_grid_endpoints(self):
-        traj = integrate_rk4(decay_system(), np.array([1.0]), 0.0, 0.7, 7)
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == 0.7
-        assert traj.times.size == 8
-
-    def test_rejects_bad_num_steps(self):
-        with pytest.raises(InvalidInputError):
-            integrate_rk4(decay_system(), np.array([1.0]), 0.0, 1.0, 0)
 
 
 class TestSampleRhs:
@@ -362,7 +345,7 @@ class TestSampleRhs:
 class TestTypes:
     def test_trajectory_keeps_read_only_views(self):
         c = np.array([2.5, -1.0])
-        traj = integrate(constant_system(c), c, 0.0, 1.0, 1e-8, 1e-10, [0.5, 1.0])
+        traj = integrate(constant_system(c), c, 0.0, 1e-8, 1e-10, [0.5, 1.0])
         for array in (traj.times, traj.states):
             # a view of the integrator's own buffer, not a copy of it
             assert not array.flags.owndata
