@@ -13,11 +13,12 @@ forms of the with-derivative bound disagree on c by a factor of two, and
 
 Constants carry the snapshot grid they were built on, with one Psi_i,
 Phi_i and theta_i per interval, and a bound takes its Delta_i from that
-grid.  They come from the system's ``RhsStructure``: exactly from the
-linear operator A when the cubic is off (Lambda = ||A||_2), and otherwise
-from the exact Jacobian J(x) = A + diag(g'(x)) sampled along a dense
-reference trajectory (Lambda = max ||J||_2, Psi = max ||J f + B s'||).
-Every spectral norm is LAPACK's.
+grid.  They come from the system's ``RhsStructure``, and
+``bound_constants`` picks the route: exactly from the linear operator A
+when the cubic is off (Lambda = ||A||_2), and otherwise from the exact
+Jacobian J(x) = A + diag(g'(x)) sampled along a dense reference
+trajectory (Lambda = max ||J||_2, Psi = max ||J f + B s'||).  Every
+spectral norm is LAPACK's.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "BoundCurve",
     "lagrange_piecewise",
     "hermite_piecewise",
+    "bound_constants",
     "linear_bound_constants",
     "sampled_bound_constants",
     "method1_bound",
@@ -185,6 +187,21 @@ def _interval_slices(
             )
         slices.append((left, right))
     return slices
+
+
+def bound_constants(system: OdeSystem, fom: Trajectory, snapshot_times) -> BoundConstants:
+    """Bound constants of ``system`` along ``fom``, per interval of ``snapshot_times``.
+
+    The exact route (``linear_bound_constants``) is taken when the system's
+    cubic is off, the test ``pod.build_rom`` uses to drop the cubic block,
+    with A the structure's linear operator applied to the identity.  Any
+    other system takes the sampled route (``sampled_bound_constants``).
+    """
+    structure = system.structure
+    if structure is not None and structure.cubic_scale == 0.0:
+        matrix = structure.apply_linear(np.eye(system.dimension))
+        return linear_bound_constants(matrix, fom, snapshot_times)
+    return sampled_bound_constants(system, fom, snapshot_times)
 
 
 def linear_bound_constants(A, fom: Trajectory, snapshot_times) -> BoundConstants:

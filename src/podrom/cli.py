@@ -65,11 +65,14 @@ def write_error_csv(report: RunReport, path: str) -> None:
 
 
 def write_spectrum_csv(report: RunReport, path: str) -> None:
-    """Descending spectra per (method, delta); sigma below 1e-300 becomes "-inf"."""
+    """Descending spectra per (method, delta), cut at the numerical rank.
+
+    A sigma below 1e-300 becomes "-inf".
+    """
     lines = ["index,log10_sigma,method,delta"]
-    for (method, delta), sigmas in report.spectra.items():
+    for (method, delta), svd in report.factorizations.items():
         delta_s = repr(float(delta))
-        for i, sigma in enumerate(sigmas):
+        for i, sigma in enumerate(svd.singular_values[: svd.numerical_rank]):
             value = _log10_or_neg_inf(float(sigma), floor=1e-300)
             lines.append(f"{i + 1},{value},{method},{delta_s}")
     _write_text(path, "\n".join(lines) + "\n")
@@ -124,7 +127,7 @@ def emit_plot_script(report: RunReport, path: str) -> None:
             if c.rule == rule
         ]
         panels.append({"label": label, "cells": members})
-    spectrum_keys = [[m, float(d)] for (m, d) in report.spectra.keys()]
+    spectrum_keys = [[m, float(d)] for (m, d) in report.factorizations]
     has_bounds = any(cell.bound is not None for cell in report.cells)
 
     header = (
@@ -457,10 +460,10 @@ def _execute_run(config: RunConfig, out_dir: str, render_plots: bool) -> int:
 
 def _execute_spectrum(config: RunConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    report, svds = run_spectra(config)
+    report = run_spectra(config)
     path = os.path.join(out_dir, SPECTRUM_CSV_NAME)
     write_spectrum_csv(report, path)
-    for (method, delta), svd in svds.items():
+    for (method, delta), svd in report.factorizations.items():
         print(
             f"{method} delta={delta:g}: rank {svd.numerical_rank} of "
             f"{svd.singular_values.size} columns, sigma1={svd.singular_values[0]:.6e}"

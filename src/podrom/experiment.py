@@ -2,10 +2,9 @@
 
 One shared high-accuracy reference solve per run, a snapshot matrix and
 its SVD per (method, spacing), a reduced solve per cell, and optional
-a-priori bound curves.  The bound constants come from the system's
-structure: exact from the linear operator when the cubic is off, else from
-the exact Jacobian sampled along the truth trajectory.  No stage draws
-random numbers, so a run's outputs depend on its configuration alone.
+a-priori bound curves, with one set of bound constants per spacing
+(``bounds.bound_constants`` picks their route).  No stage draws random
+numbers, so a run's outputs depend on its configuration alone.
 """
 
 from __future__ import annotations
@@ -18,14 +17,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .bounds import (
-    BoundConstants,
-    BoundCurve,
-    linear_bound_constants,
-    method1_bound,
-    method2_bound,
-    sampled_bound_constants,
-)
+from .bounds import BoundConstants, BoundCurve, bound_constants, method1_bound, method2_bound
 from .errors import (
     ConvergenceError,
     InvalidInputError,
@@ -43,7 +35,6 @@ from .pod import (
     build_snapshot_matrix,
     collect_snapshots,
     error_curve,
-    exact_in_time,
     solve_rom_lifted,
     truncate_basis,
 )
@@ -186,24 +177,19 @@ class CellFailure:
 class RunReport:
     """Everything a finished run produced, cell by cell.
 
-    ``spectra`` maps (method, delta) to the descending singular values of
-    that snapshot matrix, cut at the numerical rank.  ``timings`` holds
+    ``factorizations`` maps (method, delta) to the SVD of that snapshot
+    matrix, with its numerical rank and Jacobi work.  ``timings`` holds
     wall-clock seconds per stage.  ``counters`` holds only the work the
-    report cannot show otherwise: a run makes one truth solve and one
-    factorization per entry of ``spectra``, so neither is counted.
-    ``jacobi_sweeps`` and ``jacobi_rotations`` sum the Jacobi work over
-    every factorization.  The integrator's work counters (``step_attempts``,
-    ``rejected_steps``) appear with the prefix ``fom_`` for the truth solve
-    and ``rom_`` summed over the fresh reduced solves (cache hits add
-    nothing).  A linear time-invariant system's reduced solves are exact in
-    time (``pod.exact_in_time``, as on preset A): each counts in
-    ``rom_solves`` and ``rom_exact_solves`` and adds 0 to the ``rom_`` work
-    counters, which then sum the DP5 solves only.
+    report cannot show otherwise (a run makes one truth solve).  The
+    integrator's work counters (``step_attempts``, ``rejected_steps``)
+    appear with the prefix ``fom_`` for the truth solve and ``rom_`` summed
+    over the fresh reduced solves (cache hits add nothing); a reduced solve
+    that is exact in time, as on preset A, adds 0 to them.
     """
 
     cells: Tuple[CellResult, ...]
     failures: Tuple[CellFailure, ...]
-    spectra: Dict[Tuple[str, float], np.ndarray]
+    factorizations: Dict[Tuple[str, float], SvdResult]
     timings: Dict[str, float]
     counters: Dict[str, int]
     eval_times: np.ndarray
@@ -274,10 +260,7 @@ class _RunContext:
 def _prepare(config: RunConfig) -> _RunContext:
     timer = _Timer()
     counters = {
-        "jacobi_sweeps": 0,
-        "jacobi_rotations": 0,
         "rom_solves": 0,
-        "rom_exact_solves": 0,
         "rom_cache_hits": 0,
         **{prefix + name: 0 for prefix in ("fom_", "rom_") for name in _WORK_COUNTERS},
     }
@@ -332,46 +315,15 @@ def _prepare(config: RunConfig) -> _RunContext:
     )
 
 
-def _compute_spectra(
-    config: RunConfig, ctx: _RunContext
-) -> Dict[Tuple[str, float], SvdResult]:
+def _factorize(config: RunConfig, ctx: _RunContext) -> Dict[Tuple[str, float], SvdResult]:
     svds: Dict[Tuple[str, float], SvdResult] = {}
     for method in config.methods:
         for delta in config.deltas:
             start = time.perf_counter()
             matrix = build_snapshot_matrix(ctx.snapshots[delta], method)
-            svd = svds[(method, delta)] = svd_one_sided_jacobi(matrix)
-            ctx.counters["jacobi_sweeps"] += svd.sweeps
-            ctx.counters["jacobi_rotations"] += svd.rotations
+            svds[(method, delta)] = svd_one_sided_jacobi(matrix)
             ctx.timer.add("svd", start)
     return svds
-
-
-def _compute_constants(ctx: _RunContext) -> Dict[float, BoundConstants]:
-    """One set of bound constants per snapshot spacing.
-
-    The linear route is exact and is taken when the system's cubic is off
-    (the test ``pod.build_rom`` uses to drop the cubic block): the matrix A
-    is the structure's linear operator applied to the identity.  Otherwise
-    the constants come from the structure's exact Jacobian, sampled along
-    the dense trajectory.
-    """
-    constants: Dict[float, BoundConstants] = {}
-    start = time.perf_counter()
-    structure = ctx.system.structure
-    if structure.cubic_scale == 0.0:
-        matrix = structure.apply_linear(np.eye(ctx.system.dimension))
-        for delta, snaps in ctx.snapshots.items():
-            constants[delta] = linear_bound_constants(
-                matrix, ctx.dense_trajectories[delta], snaps.times
-            )
-    else:
-        for delta, snaps in ctx.snapshots.items():
-            constants[delta] = sampled_bound_constants(
-                ctx.system, ctx.dense_trajectories[delta], snaps.times
-            )
-    ctx.timer.add("constants", start)
-    return constants
 
 
 def _finish_report(
@@ -382,15 +334,12 @@ def _finish_report(
     cells=(),
     failures=(),
 ) -> RunReport:
-    """Report with every spectrum cut at its numerical rank and the total time."""
+    """The report of a finished run, its total time added."""
     ctx.timer.add("total", total_start)
     return RunReport(
         cells=tuple(cells),
         failures=tuple(failures),
-        spectra={
-            key: svd.singular_values[: svd.numerical_rank].copy()
-            for key, svd in svds.items()
-        },
+        factorizations=svds,
         timings=dict(ctx.timer.totals),
         counters=dict(ctx.counters),
         eval_times=ctx.eval_times,
@@ -398,18 +347,14 @@ def _finish_report(
     )
 
 
-def run_spectra(
-    config: RunConfig,
-) -> Tuple[RunReport, Dict[Tuple[str, float], SvdResult]]:
-    """The truth solve and the factorizations only, without reduced models.
+def run_spectra(config: RunConfig) -> RunReport:
+    """The truth solve and the factorizations only: a report without cells.
 
-    Returns a report without cells and the full factorization per
-    (method, delta); the config's rules are not used.
+    The config's rules are not used.
     """
     total_start = time.perf_counter()
     ctx = _prepare(config)
-    svds = _compute_spectra(config, ctx)
-    return _finish_report(config, ctx, svds, total_start), svds
+    return _finish_report(config, ctx, _factorize(config, ctx), total_start)
 
 
 def run_experiment(config: RunConfig) -> RunReport:
@@ -423,12 +368,16 @@ def run_experiment(config: RunConfig) -> RunReport:
     total_start = time.perf_counter()
 
     ctx = _prepare(config)
-    svds = _compute_spectra(config, ctx)
+    svds = _factorize(config, ctx)
     constants: Dict[float, BoundConstants] = {}
     if config.evaluate_bounds:
-        constants = _compute_constants(ctx)
+        start = time.perf_counter()
+        constants = {
+            delta: bound_constants(ctx.system, ctx.dense_trajectories[delta], snaps.times)
+            for delta, snaps in ctx.snapshots.items()
+        }
+        ctx.timer.add("constants", start)
 
-    exact = int(exact_in_time(ctx.system))
     cells = []
     failures = []
     curve_cache: Dict[Tuple[str, float, int], ErrorCurve] = {}
@@ -449,7 +398,6 @@ def run_experiment(config: RunConfig) -> RunReport:
                             config.rel_tol, config.abs_tol,
                         )
                         ctx.counters["rom_solves"] += 1
-                        ctx.counters["rom_exact_solves"] += exact
                         _add_work(ctx.counters, "rom_", lifted)
                         ctx.timer.add("rom", start)
 

@@ -128,22 +128,11 @@ class FhnParams:
 class ExperimentPreset:
     """A coefficient set plus the snapshot/truncation schedule to sweep."""
 
-    id: str
     params: FhnParams
     T: float
     delta_list: Tuple[float, ...]
     epsilon_list: Tuple[float, ...]
     l_list: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta_list", tuple(float(d) for d in self.delta_list))
-        object.__setattr__(self, "epsilon_list", tuple(float(e) for e in self.epsilon_list))
-        object.__setattr__(self, "l_list", tuple(int(l) for l in self.l_list))
-        if not (self.delta_list and self.epsilon_list and self.l_list):
-            raise InvalidInputError("preset schedule lists must be nonempty")
-        if not float(self.T) > 0.0:
-            raise InvalidInputError("T must be positive")
-        object.__setattr__(self, "T", float(self.T))
 
 
 def build_fhn(params: FhnParams) -> OdeSystem:
@@ -361,7 +350,6 @@ def preset(preset_id: str) -> ExperimentPreset:
             IX=Waveform.constant(5.0),
         )
         return ExperimentPreset(
-            id="A",
             params=params,
             T=0.5,
             delta_list=(0.01, 0.005, 0.0025),
@@ -370,7 +358,6 @@ def preset(preset_id: str) -> ExperimentPreset:
         )
     if key == "B":
         return ExperimentPreset(
-            id="B",
             params=_fhn_params_b(),
             T=2.0,
             delta_list=(0.04, 0.02, 0.01),
@@ -379,7 +366,6 @@ def preset(preset_id: str) -> ExperimentPreset:
         )
     if key == "C":
         return ExperimentPreset(
-            id="C",
             params=_fhn_params_b(),
             T=20.0,
             delta_list=(0.5, 1.0, 2.0),

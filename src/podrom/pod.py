@@ -38,7 +38,6 @@ __all__ = [
     "build_snapshot_matrix",
     "truncate_basis",
     "build_rom",
-    "exact_in_time",
     "solve_rom_lifted",
     "error_curve",
 ]
@@ -356,11 +355,10 @@ def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):
     return reduced_rhs
 
 
-def exact_in_time(system: OdeSystem) -> bool:
-    """Whether ``solve_rom_lifted`` solves ``system``'s reduced models exactly.
+def _exact_in_time(system: OdeSystem) -> bool:
+    """Whether every Galerkin reduction of ``system`` is linear and time-invariant.
 
-    True when its structure has no cubic and a constant forcing: then
-    every Galerkin reduction is linear and time-invariant.
+    True when its structure has no cubic and a constant forcing.
     """
     structure = system.structure
     return (
@@ -380,14 +378,15 @@ def solve_rom_lifted(
 ) -> Trajectory:
     """Solve the reduced system from z(0) = U^T x0 and lift the result.
 
-    The initial state is taken at t = 0; output times must lie in (0, T]
-    or include 0 itself.  When ``exact_in_time(system)``, the reduced model
-    is z' = K z + c with K = U^T A U and c = U^T B s(0), projected as
-    ``build_rom`` projects them, and ``ode.affine_flow`` gives its exact
-    solution: the tolerances are not used and the work counters stay 0.
-    Any other system's reduced model (``build_rom``) is integrated by
-    ``ode.integrate``, and the lifted trajectory carries that solve's work
-    counters.
+    The initial state is taken at t = 0, and no output time may lie before
+    it; on either route below, the grid [0.0] alone gives the lifted
+    initial state with zero work counters.  When the system's structure has
+    no cubic and a constant forcing, the reduced model is z' = K z + c with
+    K = U^T A U and c = U^T B s(0), projected as ``build_rom`` projects
+    them, and ``ode.affine_flow`` gives its exact solution: the tolerances
+    are not used and the work counters stay 0.  Any other system's reduced
+    model (``build_rom``) is integrated by ``ode.integrate``, and the lifted
+    trajectory carries that solve's work counters.
     """
     if basis.dimension != system.dimension:
         raise InvalidInputError(
@@ -402,7 +401,7 @@ def solve_rom_lifted(
     out = as_time_grid(output_times, "output_times")
     vectors = basis.reduced_vectors
     z0 = vectors.T @ start
-    if exact_in_time(system):
+    if _exact_in_time(system):
         structure = system.structure
         linear, forcing = _projected_operators(structure, vectors)
         shift = forcing @ np.asarray(structure.forcing_signals(0.0), dtype=float)

@@ -7,7 +7,7 @@ integrator error sits well below the quantities being compared.
 
 import pytest
 
-from podrom.experiment import RunConfig, run_experiment, _compute_spectra, _prepare
+from podrom.experiment import RunConfig, run_experiment, _factorize, _prepare
 
 # The session-wide sweep bundles below; a test that uses one is marked
 # ``slow``, so ``pytest -m "not slow"`` skips the sweeps.
@@ -45,14 +45,14 @@ def a_raw():
     """Snapshot matrices and their factorizations for the first preset."""
     config = RunConfig.for_preset("A")
     ctx = _prepare(config)
-    return config, ctx, _compute_spectra(config, ctx)
+    return config, ctx, _factorize(config, ctx)
 
 
 @pytest.fixture(scope="session")
 def b_raw():
     config = RunConfig.for_preset("B")
     ctx = _prepare(config)
-    return config, ctx, _compute_spectra(config, ctx)
+    return config, ctx, _factorize(config, ctx)
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from podrom import bounds
 from podrom.bounds import (
     BoundConstants,
     BoundCurve,
+    bound_constants,
     hermite_piecewise,
     lagrange_piecewise,
     linear_bound_constants,
@@ -465,6 +467,51 @@ class TestLinearConstants:
         fom = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, params.dimension)))
         lam = linear_bound_constants(matrix, fom, [0.0, 1.0]).lambda_
         assert abs(lam - jacobi_sigma) <= 1e-8 * jacobi_sigma
+
+
+class TestBoundConstantsRoute:
+    @pytest.mark.parametrize(
+        "lam,route", [(0.0, "linear_exact"), (1.0, "sampled_estimate")]
+    )
+    def test_bound_constants_route(self, monkeypatch, lam, route):
+        # The structure attached to every cable system must not send a
+        # nonlinear one down the exact (certified) linear route, and the
+        # linear route must see the structure's operator as its matrix.
+        params = FhnParams(
+            L=10,
+            X=1.0,
+            D1=0.1,
+            D2=0.05,
+            lam=lam,
+            a=0.1,
+            mu=1.0,
+            gamma=1.0,
+            I0=Waveform.sin_squared(1.0),
+            IX=Waveform.constant(0.5),
+        )
+        provenances = []
+        matrices = []
+        for name in ("linear_bound_constants", "sampled_bound_constants"):
+            original = getattr(bounds, name)
+
+            def spy(*args, _original=original, **kwargs):
+                constants = _original(*args, **kwargs)
+                provenances.append(constants.provenance)
+                if constants.provenance == "linear_exact":
+                    matrices.append(args[0])
+                return constants
+
+            monkeypatch.setattr(bounds, name, spy)
+        system = build_fhn(params)
+        # 64 uniform samples per snapshot interval of 0.1, as the driver takes
+        dense = (0.5 * np.arange(321)) / 320
+        fom = integrate(system, np.zeros(params.dimension), 0.0, 1e-10, 1e-12, dense)
+        constants = bound_constants(system, fom, (0.5 * np.arange(6)) / 5)
+        assert constants.provenance == route
+        assert provenances == [route]
+        if lam == 0.0:
+            expect = system.structure.apply_linear(np.eye(params.dimension))
+            assert len(matrices) == 1 and np.array_equal(matrices[0], expect)
 
 
 class TestSampledConstants:

@@ -23,7 +23,8 @@ from podrom.cli import (
 from podrom.bounds import BoundCurve
 from podrom.errors import InvalidInputError
 from podrom.experiment import CellResult, RunConfig, RunReport, run_experiment
-from podrom.fhn import FhnParams, Waveform, build_fhn, preset
+from podrom.fhn import preset
+from podrom.linalg import SvdResult
 from podrom.pod import ErrorCurve, TruncationRule
 
 
@@ -67,7 +68,15 @@ def synthetic_report(with_bound=False, cells=1, saturated=False):
     return RunReport(
         cells=tuple(cell_list),
         failures=(),
-        spectra={("Y", 0.01): np.array([2.0, 1e-5, 1e-320])},
+        factorizations={
+            ("Y", 0.01): SvdResult(
+                left_vectors=np.eye(3),
+                singular_values=np.array([2.0, 1e-5, 1e-320]),
+                right_vectors=np.eye(3),
+                numerical_rank=3,
+                rank_tolerance=0.0,
+            )
+        },
         timings={"total": 0.1},
         counters={},
         eval_times=times,
@@ -132,7 +141,7 @@ class TestRunConfig:
         assert config.deltas == (0.01,)
         assert len(config.rules) == 2
         report = run_experiment(config)
-        assert len(report.spectra) == 1
+        assert len(report.factorizations) == 1
         assert report.cell_count == 2
         assert report.counters["rom_cache_hits"] == 1
 
@@ -193,9 +202,10 @@ class TestRunExperiment:
         assert cell.method == "Y"
         assert cell.l >= 1
         assert cell.curve.times.size == experiment.EVAL_GRID_SIZE
-        # spectrum is cut at the numerical rank of the snapshot matrix, so
-        # it is shorter than the 51 columns but long enough for the cutoff
-        spectrum = report.spectra[("Y", 0.01)]
+        # the numerical rank of the snapshot matrix is below its 51 columns
+        # but high enough for the cutoff
+        svd = report.factorizations[("Y", 0.01)]
+        spectrum = svd.singular_values[: svd.numerical_rank]
         assert cell.l <= spectrum.size < 51
         assert np.all(np.diff(spectrum) <= 0.0)
         assert np.all(spectrum > 0.0)
@@ -214,7 +224,7 @@ class TestRunExperiment:
         assert report.cell_count == 6
         assert report.failures == ()
         assert len(truth_solves) == 1
-        assert len(report.spectra) == 2 * len(config.deltas)
+        assert len(report.factorizations) == 2 * len(config.deltas)
         solves = report.counters["rom_solves"] + report.counters["rom_cache_hits"]
         assert solves == 6
         # every (method, delta, rule) combination is present exactly once
@@ -222,17 +232,18 @@ class TestRunExperiment:
         assert len(keys) == 6
 
     def test_jacobi_counters_sum_over_factorizations(self):
+        # Each factorization in the report carries its own Jacobi work, the
+        # same whichever driver entry point made it.
         config = tiny_config(methods=("Y", "Z"))
-        ctx = experiment._prepare(config)
-        svds = experiment._compute_spectra(config, ctx)
+        svds = run_experiment(config).factorizations
+        assert list(svds) == [("Y", 0.01), ("Z", 0.01)]
         assert all(svd.sweeps >= 2 and svd.rotations > 0 for svd in svds.values())
-        assert ctx.counters["jacobi_sweeps"] == sum(svd.sweeps for svd in svds.values())
-        assert ctx.counters["jacobi_rotations"] == sum(
-            svd.rotations for svd in svds.values()
-        )
-        report = run_experiment(config)
-        assert report.counters["jacobi_sweeps"] == ctx.counters["jacobi_sweeps"]
-        assert report.counters["jacobi_rotations"] == ctx.counters["jacobi_rotations"]
+        spectra_only = experiment.run_spectra(config).factorizations
+        for key, svd in svds.items():
+            assert (svd.sweeps, svd.rotations) == (
+                spectra_only[key].sweeps,
+                spectra_only[key].rotations,
+            )
 
     def test_integrator_counters_sum_over_solves(self, monkeypatch):
         # Preset B's cubic keeps its reduced solves on DP5.  Two distinct
@@ -268,7 +279,6 @@ class TestRunExperiment:
                 total = sum(getattr(traj, name) for traj in trajectories)
                 assert report.counters[f"{prefix}_{name}"] == total
             assert report.counters[f"{prefix}_step_attempts"] > 0
-        assert report.counters["rom_exact_solves"] == 0
 
     def test_exact_solves_counted_without_integrator_work(self, monkeypatch):
         # Preset A's reduced models are linear and time-invariant: each
@@ -285,7 +295,7 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "solve_rom_lifted", recording_solve)
         report = run_experiment(config)
         assert report.counters["rom_cache_hits"] == 1
-        assert report.counters["rom_solves"] == report.counters["rom_exact_solves"] == 2
+        assert report.counters["rom_solves"] == 2
         assert len(solved) == 2
         for name in ("step_attempts", "rejected_steps"):
             assert all(getattr(traj, name) == 0 for traj in solved)
@@ -329,54 +339,20 @@ class TestRunExperiment:
         assert cell.bound.times.shape == cell.curve.times.shape
         assert np.all(cell.bound.values >= cell.curve.norms)
 
-    @pytest.mark.parametrize(
-        "lam,route", [(0.0, "linear_exact"), (1.0, "sampled_estimate")]
-    )
-    def test_bound_constants_route(self, monkeypatch, lam, route):
-        # The structure attached to every cable system must not send a
-        # nonlinear one down the exact (certified) linear route, and the
-        # linear route must see the structure's operator as its matrix.
-        params = FhnParams(
-            L=10,
-            X=1.0,
-            D1=0.1,
-            D2=0.05,
-            lam=lam,
-            a=0.1,
-            mu=1.0,
-            gamma=1.0,
-            I0=Waveform.sin_squared(1.0),
-            IX=Waveform.constant(0.5),
-        )
-        provenances = []
-        matrices = []
-        for name in ("linear_bound_constants", "sampled_bound_constants"):
-            original = getattr(experiment, name)
+    def test_bound_constants_once_per_spacing(self, monkeypatch):
+        calls = []
+        constants_of = experiment.bound_constants
 
-            def spy(*args, _original=original, **kwargs):
-                constants = _original(*args, **kwargs)
-                provenances.append(constants.provenance)
-                if constants.provenance == "linear_exact":
-                    matrices.append(args[0])
-                return constants
+        def spy(system, fom, snapshot_times):
+            calls.append(snapshot_times)
+            return constants_of(system, fom, snapshot_times)
 
-            monkeypatch.setattr(experiment, name, spy)
-        config = RunConfig(
-            params=params,
-            final_time=0.5,
-            methods=("Y", "Z"),
-            deltas=(0.1,),
-            rules=(TruncationRule.fixed(3),),
-            evaluate_bounds=True,
-        )
+        monkeypatch.setattr(experiment, "bound_constants", spy)
+        config = tiny_config(methods=("Y", "Z"), deltas=(0.05, 0.025), evaluate_bounds=True)
         report = run_experiment(config)
         assert report.failures == ()
         assert all(cell.bound is not None for cell in report.cells)
-        assert provenances == [route]
-        if lam == 0.0:
-            structure = build_fhn(params).structure
-            expect = structure.apply_linear(np.eye(params.dimension))
-            assert len(matrices) == 1 and np.array_equal(matrices[0], expect)
+        assert [times.size for times in calls] == [11, 21]
 
     def test_deterministic_given_seed(self):
         config = tiny_config()
@@ -384,7 +360,8 @@ class TestRunExperiment:
         second = run_experiment(config)
         assert np.array_equal(first.cells[0].curve.norms, second.cells[0].curve.norms)
         assert np.array_equal(
-            first.spectra[("Y", 0.01)], second.spectra[("Y", 0.01)]
+            first.factorizations[("Y", 0.01)].singular_values,
+            second.factorizations[("Y", 0.01)].singular_values,
         )
 
 
@@ -472,7 +449,7 @@ class TestPlotScript:
         report = RunReport(
             cells=(),
             failures=(),
-            spectra={},
+            factorizations={},
             timings={},
             counters={},
             eval_times=report.eval_times,

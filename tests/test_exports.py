@@ -1,7 +1,10 @@
 """Each public name is defined once: every module declares an ``__all__``,
-every name in it is real, and no two modules export the same name."""
+every name in it is real, and no two modules export the same name.  No
+module reaches into another's underscore-prefixed names."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import podrom
@@ -48,3 +51,19 @@ def test_no_name_exported_twice():
         for attr in module.__all__:
             assert attr not in owner, f"{attr} exported by {owner.get(attr)} and {name}"
             owner[attr] = name
+
+
+def test_no_module_imports_a_private_name():
+    offenders = []
+    for path in sorted(pathlib.Path(podrom.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("podrom"):
+                continue
+            offenders += [
+                f"{path.name}: {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert offenders == []

@@ -7,7 +7,6 @@ import pytest
 
 from podrom.errors import InvalidInputError
 from podrom.fhn import (
-    ExperimentPreset,
     FhnParams,
     Waveform,
     build_fhn,
@@ -507,20 +506,8 @@ class TestPresets:
                 assert abs(ratio - round(ratio)) <= 1e-9
 
     def test_case_insensitive_lookup(self):
-        assert preset("b").id == "B"
+        assert preset("b") == preset("B")
 
     def test_unknown_preset(self):
         with pytest.raises(InvalidInputError):
             preset("D")
-
-    def test_schedule_validation(self):
-        params = tiny_params()
-        with pytest.raises(InvalidInputError):
-            ExperimentPreset(
-                id="X",
-                params=params,
-                T=1.0,
-                delta_list=(),
-                epsilon_list=(1e-6,),
-                l_list=(2,),
-            )

@@ -174,11 +174,17 @@ class TestIntegrate:
         with pytest.raises(InvalidInputError):
             integrate(system, x0, 0.0, 1e-6, 1e-6, [0.3, 0.3])
         with pytest.raises(InvalidInputError):
-            integrate(system, x0, 0.0, 1e-6, 1e-6, [0.0])
-        with pytest.raises(InvalidInputError):
             integrate(system, x0, 0.0, 1e-6, 1e-6, [])
         with pytest.raises(InvalidInputError):
             integrate(system, np.array([1.0, 2.0]), 0.0, 1e-6, 1e-6, [0.5])
+
+    def test_initial_time_alone_returns_x0(self):
+        # the grid [t0] is a solve of length zero, as in affine_flow
+        x0 = np.array([1.0, -2.0])
+        traj = integrate(constant_system(np.array([3.0, 4.0])), x0, 0.5, 1e-6, 1e-6, [0.5])
+        np.testing.assert_array_equal(traj.times, [0.5])
+        np.testing.assert_array_equal(traj.states, [x0])
+        assert (traj.step_attempts, traj.rejected_steps) == (0, 0)
 
     @settings(max_examples=30, deadline=None)
     @given(

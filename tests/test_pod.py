@@ -22,7 +22,6 @@ from podrom.pod import (
     build_snapshot_matrix,
     collect_snapshots,
     error_curve,
-    exact_in_time,
     solve_rom_lifted,
     truncate_basis,
     _projected_rhs,
@@ -505,7 +504,7 @@ class TestExactInTimeDispatch:
         # against DP5 on the same reduced system at tight tolerances, which
         # lands within a modest multiple (here 1000) of its rel_tol.
         system = build_fhn(preset("A").params)
-        assert exact_in_time(system)
+        assert pod._exact_in_time(system)
         basis = basis_from_columns(orthonormal_columns(system.dimension, 5, seed=3))
         x0 = np.zeros(system.dimension)
         rom = build_rom(system, basis)
@@ -536,13 +535,27 @@ class TestExactInTimeDispatch:
         else:
             params = dataclasses.replace(preset("A").params, IX=Waveform.sin_squared(5.0))
             system = build_fhn(params)
-        assert not exact_in_time(system)
+        assert not pod._exact_in_time(system)
         monkeypatch.setattr(pod, "affine_flow", refuse("affine_flow"))
         basis = basis_from_columns(orthonormal_columns(system.dimension, 3, seed=2))
         lifted = solve_rom_lifted(
             system, basis, np.zeros(system.dimension), [0.01, 0.02], 1e-8, 1e-10
         )
         assert lifted.step_attempts > 0
+
+    @pytest.mark.parametrize("preset_id", ["A", "B"])
+    def test_initial_time_alone_gives_lifted_initial_state(self, preset_id):
+        # One rule on both routes: preset A's exact flow and preset B's DP5.
+        system = build_fhn(preset(preset_id).params)
+        n = system.dimension
+        basis = basis_from_columns(np.eye(n)[:, :3])
+        x0 = np.random.default_rng(4).standard_normal(n)
+        lifted = solve_rom_lifted(system, basis, x0, [0.0], 1e-8, 1e-10)
+        np.testing.assert_array_equal(lifted.times, [0.0])
+        expect = np.zeros(n)
+        expect[:3] = x0[:3]
+        np.testing.assert_array_equal(lifted.states, [expect])
+        assert (lifted.step_attempts, lifted.rejected_steps) == (0, 0)
 
     def test_basis_of_other_dimension_rejected(self):
         system = build_fhn(preset("A").params)
