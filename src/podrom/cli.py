@@ -18,8 +18,8 @@ import subprocess
 import sys
 from typing import Dict, Tuple
 
-from .errors import InvalidInputError
-from .experiment import RunConfig, RunReport, run_experiment, run_spectra
+from .errors import ConvergenceError, InvalidInputError, RhsEvaluationError, StiffnessError
+from .experiment import RunConfig, RunReport, preset, run_experiment, run_spectra
 
 __all__ = [
     "write_error_csv",
@@ -153,16 +153,23 @@ def read_rows(name):
 
 
 def series(rows, method, delta, l, x_key, y_key):
+    # Cells whose rules give the same l share one curve, so the rows of
+    # (method, delta, l) repeat one block; a step back in x starts a copy.
     xs, ys = [], []
+    last_x = None
     for row in rows:
         if row["method"] != method:
             continue
         if float(row["delta"]) != delta or int(row["l"]) != l:
             continue
+        x = float(row[x_key])
+        if last_x is not None and x <= last_x:
+            break
+        last_x = x
         y = row[y_key]
         if y == "-inf":
             continue
-        xs.append(float(row[x_key]))
+        xs.append(x)
         ys.append(float(y))
     return xs, ys
 
@@ -248,7 +255,7 @@ def _boolean(text: str) -> bool:
         raise ValueError("expected a boolean") from None
 
 
-# One row per run setting, keyed by its RunConfig.for_preset keyword (out,
+# One row per run setting, keyed by its experiment.preset keyword (out,
 # plots and seed are the CLI's own): (INI key "section.key", the parser that
 # reads the flag's text and the file's alike, run's flag, help text).
 _SETTINGS = {
@@ -391,7 +398,7 @@ def _config_from_args(args: argparse.Namespace) -> Tuple[RunConfig, str, bool]:
         raise InvalidInputError("the output directory must not be empty")
     plots = settings.pop("plots", _DEFAULTS["plots"])
     settings.pop("seed", None)  # parsed so that a bad value is an error; unused
-    return RunConfig.for_preset(preset_id, **settings), out_dir, plots
+    return preset(preset_id, **settings), out_dir, plots
 
 
 def _render_plots(script_path: str) -> bool:
@@ -443,13 +450,13 @@ def _execute_run(config: RunConfig, out_dir: str, render_plots: bool) -> int:
         )
     for failure in report.failures:
         print(
-            f"FAIL {failure.method} delta={failure.delta:g} {failure.rule_label} "
+            f"FAIL {failure.method} delta={failure.delta:g} {failure.rule.label()} "
             f"[{failure.stage}]: {failure.message}"
         )
     stage_text = " ".join(
         f"{stage}={seconds:.2f}s" for stage, seconds in sorted(report.timings.items())
     )
-    print(f"cells: {report.cell_count} ok, {len(report.failures)} failed; {stage_text}")
+    print(f"cells: {len(report.cells)} ok, {len(report.failures)} failed; {stage_text}")
     for path in written:
         print(f"wrote {path}")
 
@@ -476,8 +483,9 @@ def main(argv=None) -> int:
     """Entry point; returns the process exit code.
 
     0 on full success, 2 when some grid cells failed (or plots failed to
-    render), 1 on configuration errors and on an output directory that
-    cannot be created or written.
+    render), 1 on configuration errors, on an output directory that cannot
+    be created or written, and when the truth solve, a factorization or the
+    bound constants fail (their error is printed, not raised).
     """
     parser = _build_parser()
     try:
@@ -486,7 +494,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _execute_run(config, out_dir, render_plots)
         return _execute_spectrum(config, out_dir)
-    except (InvalidInputError, OSError) as err:
+    except (
+        InvalidInputError, OSError, ConvergenceError, StiffnessError, RhsEvaluationError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -4,14 +4,15 @@ One shared high-accuracy reference solve per run, a snapshot matrix and
 its SVD per (method, spacing), a reduced solve per cell, and optional
 a-priori bound curves, with one set of bound constants per spacing
 (``bounds.bound_constants`` picks their route).  No stage draws random
-numbers, so a run's outputs depend on its configuration alone.
+numbers, so a run's outputs depend on its configuration alone.  The
+paper's three experiments are bundled as ``preset`` A, B and C.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Dict, Optional, Tuple
 
@@ -24,7 +25,7 @@ from .errors import (
     RhsEvaluationError,
     StiffnessError,
 )
-from .fhn import FhnParams, build_fhn, preset
+from .fhn import FhnParams, Waveform, build_fhn
 from .linalg import SvdResult, svd_one_sided_jacobi
 from .ode import OdeSystem, Trajectory, integrate
 from .pod import (
@@ -42,6 +43,7 @@ from .pod import (
 __all__ = [
     "EVAL_GRID_SIZE",
     "RunConfig",
+    "preset",
     "CellResult",
     "CellFailure",
     "RunReport",
@@ -59,6 +61,18 @@ EVAL_GRID_SIZE = 400
 # Dense trajectory samples per snapshot interval for the bound constants;
 # the sampled route's third differences need at least 5 per interval.
 _BOUND_SAMPLES_PER_INTERVAL = 64
+
+
+def _grid_intervals(horizon: float, delta: float) -> int:
+    if not float(delta) > 0.0:
+        raise InvalidInputError(f"delta must be positive, got {delta!r}")
+    ratio = horizon / float(delta)
+    count = round(ratio)
+    if count < 1 or abs(ratio - count) > 1e-9 * max(1.0, ratio):
+        raise InvalidInputError(
+            f"delta {delta!r} does not divide the time horizon {horizon!r}"
+        )
+    return int(count)
 
 
 @dataclass(frozen=True)
@@ -116,33 +130,68 @@ class RunConfig:
                 raise InvalidInputError(f"{name} must be positive and finite, got {tol!r}")
             object.__setattr__(self, name, tol)
 
-    @classmethod
-    def for_preset(
-        cls,
-        preset_id: str,
-        deltas: Optional[Tuple[float, ...]] = None,
-        epsilons: Optional[Tuple[float, ...]] = None,
-        dims: Optional[Tuple[int, ...]] = None,
-        **kwargs,
-    ) -> "RunConfig":
-        """Build a config from a bundled preset, optionally overriding its schedule.
 
-        When neither ``epsilons`` nor ``dims`` is given the preset's full rule
-        schedule (all cutoffs, then all fixed dimensions) is used; giving
-        either replaces the schedule with exactly the rules named.  Other
-        keywords, ``methods`` among them, are ``RunConfig`` fields.
-        """
-        spec = preset(preset_id)
-        if epsilons is None and dims is None:
-            epsilons, dims = spec.epsilon_list, spec.l_list
-        return cls(
-            params=spec.params,
-            final_time=spec.T,
-            deltas=spec.delta_list if deltas is None else deltas,
-            rules=tuple(TruncationRule.cutoff(e) for e in epsilons or ())
-            + tuple(TruncationRule.fixed(l) for l in dims or ()),
-            **kwargs,
-        )
+def _schedule(epsilons: Tuple[float, ...], dims: Tuple[int, ...]) -> Tuple[TruncationRule, ...]:
+    """The cutoff rules, then the fixed-dimension rules."""
+    return (*map(TruncationRule.cutoff, epsilons), *map(TruncationRule.fixed, dims))
+
+
+# Preset B's coefficients; preset C runs them over a ten times longer horizon.
+_PARAMS_B = FhnParams(
+    L=200, X=10.0, D1=5.0, D2=1.0, lam=2.0, a=0.1, mu=1.0, gamma=5.0,
+    I0=Waveform.sin_squared(1.5), IX=Waveform.sin_squared(0.5),
+)
+
+# The paper's three experiments, each with its full schedule.
+_PRESETS = {
+    "A": RunConfig(
+        # The cubic reaction is switched off (lam = 0); a is inert here.
+        params=FhnParams(
+            L=200, X=10.0, D1=15.0, D2=10.0, lam=0.0, a=0.1, mu=10.0, gamma=5.0,
+            I0=Waveform.constant(1.0), IX=Waveform.constant(5.0),
+        ),
+        final_time=0.5,
+        deltas=(0.01, 0.005, 0.0025),
+        rules=_schedule((1e-15, 1e-9, 1e-1), (5, 10, 15, 20, 35, 50)),
+    ),
+    "B": RunConfig(
+        params=_PARAMS_B,
+        final_time=2.0,
+        deltas=(0.04, 0.02, 0.01),
+        rules=_schedule((1e-15, 1e-7, 1e-4), (5, 20, 25, 50)),
+    ),
+    "C": RunConfig(
+        params=_PARAMS_B,
+        final_time=20.0,
+        deltas=(0.5, 1.0, 2.0),
+        rules=_schedule((1e-15, 1e-7, 1e-4), (5, 10, 15, 20, 25, 30, 35, 40)),
+    ),
+}
+
+
+def preset(
+    preset_id: str,
+    deltas: Optional[Tuple[float, ...]] = None,
+    epsilons: Optional[Tuple[float, ...]] = None,
+    dims: Optional[Tuple[int, ...]] = None,
+    **fields,
+) -> RunConfig:
+    """One of the three bundled experiments (A, B, or C), optionally overridden.
+
+    When neither ``epsilons`` nor ``dims`` is given the preset's full rule
+    schedule (all cutoffs, then all fixed dimensions) is used; giving
+    either replaces the schedule with exactly the rules named.  ``deltas``
+    replaces the spacings, and other keywords, ``methods`` among them, are
+    ``RunConfig`` fields.
+    """
+    config = _PRESETS.get(str(preset_id).strip().upper())
+    if config is None:
+        raise InvalidInputError(f"unknown preset {preset_id!r}, expected A, B, or C")
+    if epsilons is not None or dims is not None:
+        fields["rules"] = _schedule(epsilons or (), dims or ())
+    if deltas is not None:
+        fields["deltas"] = deltas
+    return replace(config, **fields)
 
 
 @dataclass(frozen=True)
@@ -168,7 +217,7 @@ class CellFailure:
 
     method: str
     delta: float
-    rule_label: str
+    rule: TruncationRule
     stage: str
     message: str
 
@@ -192,24 +241,7 @@ class RunReport:
     factorizations: Dict[Tuple[str, float], SvdResult]
     timings: Dict[str, float]
     counters: Dict[str, int]
-    eval_times: np.ndarray
     config: RunConfig
-
-    @property
-    def cell_count(self) -> int:
-        return len(self.cells)
-
-
-def _grid_intervals(horizon: float, delta: float) -> int:
-    if not float(delta) > 0.0:
-        raise InvalidInputError(f"delta must be positive, got {delta!r}")
-    ratio = horizon / float(delta)
-    count = round(ratio)
-    if count < 1 or abs(ratio - count) > 1e-9 * max(1.0, ratio):
-        raise InvalidInputError(
-            f"delta {delta!r} does not divide the time horizon {horizon!r}"
-        )
-    return int(count)
 
 
 def _uniform_grid(horizon: float, intervals: int) -> np.ndarray:
@@ -342,7 +374,6 @@ def _finish_report(
         factorizations=svds,
         timings=dict(ctx.timer.totals),
         counters=dict(ctx.counters),
-        eval_times=ctx.eval_times,
         config=config,
     )
 
@@ -430,7 +461,7 @@ def run_experiment(config: RunConfig) -> RunReport:
                         CellFailure(
                             method=method,
                             delta=delta,
-                            rule_label=rule.label(),
+                            rule=rule,
                             stage=stage,
                             message=str(err),
                         )

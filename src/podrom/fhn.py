@@ -5,16 +5,13 @@ with injected boundary currents on the voltage field v and pinned boundary
 values for the recovery field w.  State layout is [v_0..v_L, w_0..w_L], so
 the system dimension is 2(L+1).  Besides its right-hand side, a built
 system carries its parts as an ``ode.RhsStructure`` (linear operator,
-cubic on the voltage rows, wall forcing).  Three experiment presets (A, B,
-C) bundle the coefficient sets and snapshot schedules used by the report
-driver.
+cubic on the voltage rows, wall forcing).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -24,9 +21,7 @@ from .ode import OdeSystem, RhsStructure
 __all__ = [
     "Waveform",
     "FhnParams",
-    "ExperimentPreset",
     "build_fhn",
-    "preset",
 ]
 
 
@@ -122,17 +117,6 @@ class FhnParams:
     @property
     def dimension(self) -> int:
         return 2 * (self.L + 1)
-
-
-@dataclass(frozen=True)
-class ExperimentPreset:
-    """A coefficient set plus the snapshot/truncation schedule to sweep."""
-
-    params: FhnParams
-    T: float
-    delta_list: Tuple[float, ...]
-    epsilon_list: Tuple[float, ...]
-    l_list: Tuple[int, ...]
 
 
 def build_fhn(params: FhnParams) -> OdeSystem:
@@ -316,60 +300,3 @@ def _fhn_structure(params: FhnParams) -> RhsStructure:
         ),
     )
 
-
-def _fhn_params_b() -> FhnParams:
-    return FhnParams(
-        L=200,
-        X=10.0,
-        D1=5.0,
-        D2=1.0,
-        lam=2.0,
-        a=0.1,
-        mu=1.0,
-        gamma=5.0,
-        I0=Waveform.sin_squared(1.5),
-        IX=Waveform.sin_squared(0.5),
-    )
-
-
-def preset(preset_id: str) -> ExperimentPreset:
-    """Return one of the three bundled experiment setups (A, B, or C)."""
-    key = str(preset_id).strip().upper()
-    if key == "A":
-        params = FhnParams(
-            L=200,
-            X=10.0,
-            D1=15.0,
-            D2=10.0,
-            lam=0.0,
-            # The cubic reaction is switched off (lam = 0); a is inert here.
-            a=0.1,
-            mu=10.0,
-            gamma=5.0,
-            I0=Waveform.constant(1.0),
-            IX=Waveform.constant(5.0),
-        )
-        return ExperimentPreset(
-            params=params,
-            T=0.5,
-            delta_list=(0.01, 0.005, 0.0025),
-            epsilon_list=(1e-15, 1e-9, 1e-1),
-            l_list=(5, 10, 15, 20, 35, 50),
-        )
-    if key == "B":
-        return ExperimentPreset(
-            params=_fhn_params_b(),
-            T=2.0,
-            delta_list=(0.04, 0.02, 0.01),
-            epsilon_list=(1e-15, 1e-7, 1e-4),
-            l_list=(5, 20, 25, 50),
-        )
-    if key == "C":
-        return ExperimentPreset(
-            params=_fhn_params_b(),
-            T=20.0,
-            delta_list=(0.5, 1.0, 2.0),
-            epsilon_list=(1e-15, 1e-7, 1e-4),
-            l_list=(5, 10, 15, 20, 25, 30, 35, 40),
-        )
-    raise InvalidInputError(f"unknown preset {preset_id!r}, expected A, B, or C")

@@ -7,7 +7,7 @@ integrator error sits well below the quantities being compared.
 
 import pytest
 
-from podrom.experiment import RunConfig, run_experiment, _factorize, _prepare
+from podrom.experiment import preset, run_experiment, _factorize, _prepare
 
 # The session-wide sweep bundles below; a test that uses one is marked
 # ``slow``, so ``pytest -m "not slow"`` skips the sweeps.
@@ -31,7 +31,7 @@ def pytest_collection_modifyitems(config, items):
 def _tight(preset_id, **overrides):
     base = dict(rel_tol=1e-13, abs_tol=1e-15)
     base.update(overrides)
-    return RunConfig.for_preset(preset_id, **base)
+    return preset(preset_id, **base)
 
 
 @pytest.fixture(scope="session")
@@ -43,14 +43,14 @@ def a_sweep_report():
 @pytest.fixture(scope="session")
 def a_raw():
     """Snapshot matrices and their factorizations for the first preset."""
-    config = RunConfig.for_preset("A")
+    config = preset("A")
     ctx = _prepare(config)
     return config, ctx, _factorize(config, ctx)
 
 
 @pytest.fixture(scope="session")
 def b_raw():
-    config = RunConfig.for_preset("B")
+    config = preset("B")
     ctx = _prepare(config)
     return config, ctx, _factorize(config, ctx)
 

@@ -18,8 +18,7 @@ from podrom.cli import (
     SPECTRUM_CSV_NAME,
     main,
 )
-from podrom.experiment import RunConfig, run_experiment
-from podrom.fhn import preset
+from podrom.experiment import preset, run_experiment
 from podrom.linalg import svd_one_sided_jacobi
 from podrom.pod import SnapshotSet, build_snapshot_matrix
 
@@ -69,8 +68,8 @@ def test_criterion_02_projection_residuals(bundle_name, request):
     """Every snapshot's distance to the retained span is at most
     sigma_{l+1} + 1e-10 * sigma_1, for both snapshot sources, at every
     (spacing, dimension) pairing of the preset.  Zero violations."""
-    _, ctx, svds = request.getfixturevalue(bundle_name)
-    dims = preset(bundle_name[0].upper()).l_list
+    config, ctx, svds = request.getfixturevalue(bundle_name)
+    dims = [rule.fixed_dimension for rule in config.rules if rule.fixed_dimension is not None]
     checked = 0
     for (method, delta), svd in svds.items():
         columns = build_snapshot_matrix(ctx.snapshots[delta], method)
@@ -194,7 +193,7 @@ def test_criterion_08_coarse_snapshots_still_favor_derivatives(c_coarse_report):
 def test_criterion_09_full_dimension_reproduces_truth():
     """A basis of full state dimension makes the reduced model restate the
     original one; the lifted solution matches to 1e-8."""
-    config = RunConfig.for_preset(
+    config = preset(
         "A", methods=("Y",), deltas=(0.01,), epsilons=(), dims=(402,)
     )
     report = run_experiment(config)

@@ -18,7 +18,8 @@ from podrom.bounds import (
     sampled_bound_constants,
 )
 from podrom.errors import InvalidInputError
-from podrom.fhn import FhnParams, Waveform, build_fhn, preset
+from podrom.experiment import preset
+from podrom.fhn import FhnParams, Waveform, build_fhn
 from podrom.linalg import svd_one_sided_jacobi
 from podrom.ode import OdeSystem, RhsStructure, Trajectory, integrate
 from podrom.pod import ErrorCurve, SnapshotSet
@@ -391,7 +392,7 @@ def reaction_diffusion_case(name):
     """A cable system, its trajectory on a uniform grid and a snapshot grid."""
     if name == "preset_B":
         spec = preset("B")
-        params, horizon, steps, intervals = spec.params, spec.T, 6400, 50
+        params, horizon, steps, intervals = spec.params, spec.final_time, 6400, 50
     else:
         # the lam = 1 cable of test_cli's bound-constants route test
         params = FhnParams(

@@ -1,5 +1,6 @@
 """Driver tests: config handling, the sweep loop, CSV artifacts, CLI glue."""
 
+import ast
 import math
 import os
 import subprocess
@@ -22,8 +23,7 @@ from podrom.cli import (
 )
 from podrom.bounds import BoundCurve
 from podrom.errors import InvalidInputError
-from podrom.experiment import CellResult, RunConfig, RunReport, run_experiment
-from podrom.fhn import preset
+from podrom.experiment import CellResult, RunConfig, RunReport, preset, run_experiment
 from podrom.linalg import SvdResult
 from podrom.pod import ErrorCurve, TruncationRule
 
@@ -32,7 +32,7 @@ def tiny_config(**overrides):
     """One-cell preset-A config; cheap enough for per-test runs."""
     base = dict(methods=("Y",), deltas=(0.01,), dims=(5,), epsilons=())
     base.update(overrides)
-    return RunConfig.for_preset("A", **base)
+    return preset("A", **base)
 
 
 def synthetic_report(with_bound=False, cells=1, saturated=False):
@@ -79,7 +79,6 @@ def synthetic_report(with_bound=False, cells=1, saturated=False):
         },
         timings={"total": 0.1},
         counters={},
-        eval_times=times,
         config=config,
     )
 
@@ -113,7 +112,7 @@ def settings_from(tmp_path, file_keys, *flags):
 
 class TestRunConfig:
     def test_preset_defaults(self):
-        config = RunConfig.for_preset("A")
+        config = preset("A")
         assert config.methods == ("Y", "Z")
         assert config.deltas == (0.01, 0.005, 0.0025)
         # three cutoff rules then six fixed dimensions
@@ -122,7 +121,7 @@ class TestRunConfig:
         assert config.rules[3].fixed_dimension == 5
 
     def test_schedule_override_replaces_rules(self):
-        config = RunConfig.for_preset("A", epsilons=(1e-3,), dims=(7,))
+        config = preset("A", epsilons=(1e-3,), dims=(7,))
         labels = [rule.label() for rule in config.rules]
         assert labels == ["eps=0.001", "l=7"]
 
@@ -142,7 +141,7 @@ class TestRunConfig:
         assert len(config.rules) == 2
         report = run_experiment(config)
         assert len(report.factorizations) == 1
-        assert report.cell_count == 2
+        assert len(report.cells) == 2
         assert report.counters["rom_cache_hits"] == 1
 
     def test_delta_must_divide_horizon(self):
@@ -151,7 +150,7 @@ class TestRunConfig:
 
     def test_empty_rules_rejected(self):
         with pytest.raises(InvalidInputError):
-            RunConfig.for_preset("A", epsilons=(), dims=())
+            preset("A", epsilons=(), dims=())
 
     def test_bad_tolerances_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -161,10 +160,6 @@ class TestRunConfig:
                 tiny_config(rel_tol=bad)
             with pytest.raises(InvalidInputError, match="positive and finite"):
                 tiny_config(abs_tol=bad)
-
-    def test_unknown_preset_rejected(self):
-        with pytest.raises(InvalidInputError):
-            RunConfig.for_preset("D")
 
     @pytest.mark.parametrize(
         "override",
@@ -192,11 +187,11 @@ class TestRunConfig:
 
 class TestRunExperiment:
     def test_single_cell_smoke(self):
-        config = RunConfig.for_preset(
+        config = preset(
             "A", methods=("Y",), deltas=(0.01,), epsilons=(1e-15,), dims=()
         )
         report = run_experiment(config)
-        assert report.cell_count == 1
+        assert len(report.cells) == 1
         assert report.failures == ()
         cell = report.cells[0]
         assert cell.method == "Y"
@@ -221,7 +216,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "integrate", counting_integrate)
         report = run_experiment(config)
-        assert report.cell_count == 6
+        assert len(report.cells) == 6
         assert report.failures == ()
         assert len(truth_solves) == 1
         assert len(report.factorizations) == 2 * len(config.deltas)
@@ -307,10 +302,10 @@ class TestRunExperiment:
         # cannot be built; the other cells must still be populated.
         config = tiny_config(dims=(5, 60))
         report = run_experiment(config)
-        assert report.cell_count == 1
+        assert len(report.cells) == 1
         assert len(report.failures) == 1
         failure = report.failures[0]
-        assert failure.rule_label == "l=60"
+        assert failure.rule == TruncationRule.fixed(60)
         assert failure.stage == "basis"
         assert "60" in failure.message
 
@@ -444,6 +439,25 @@ class TestPlotScript:
         emit_plot_script(report, str(second))
         assert first.read_bytes() == second.read_bytes()
 
+    def test_series_keeps_one_block_of_cells_sharing_l(self, tmp_path):
+        # Two rules that give the same l write two equal row blocks for
+        # (method, delta, l); the curve must not run from the end back to 0.
+        path = tmp_path / PLOT_SCRIPT_NAME
+        emit_plot_script(synthetic_report(), str(path))
+        tree = ast.parse(path.read_text())
+        (series_def,) = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "series"
+        ]
+        namespace = {}
+        exec(compile(ast.Module(body=[series_def], type_ignores=[]), str(path), "exec"), namespace)
+        block = [
+            {"t": t, "log10_err": y, "method": "Y", "delta": "0.01", "l": "22"}
+            for t, y in (("0.0", "-inf"), ("0.25", "-3.5"), ("0.5", "-3.0"))
+        ]
+        xs, ys = namespace["series"](block + block, "Y", 0.01, 22, "t", "log10_err")
+        assert (xs, ys) == ([0.25, 0.5], [-3.5, -3.0])
+
     def test_empty_report_script_runs(self, tmp_path):
         report = synthetic_report()
         report = RunReport(
@@ -452,7 +466,6 @@ class TestPlotScript:
             factorizations={},
             timings={},
             counters={},
-            eval_times=report.eval_times,
             config=report.config,
         )
         script = tmp_path / PLOT_SCRIPT_NAME
@@ -532,6 +545,24 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write")
         assert ERROR_CSV_NAME in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--preset", "A", "--methods", "Y", "--deltas", "0.5", "--dims", "1"],
+            ["spectrum", "--preset", "A", "--delta", "0.5", "--methods", "Y"],
+        ],
+        ids=["run", "spectrum"],
+    )
+    def test_failing_truth_solve_is_an_error_line(self, tmp_path, capsys, argv):
+        # Tolerances this tight underflow the first step of the truth solve,
+        # which runs before any cell and so outside the per-cell records.
+        tolerances = ["--rel-tol", "1e-300", "--abs-tol", "1e-300"]
+        assert main([*argv, *tolerances, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "step size underflow" in err
+        assert "Traceback" not in err
 
     def test_plots_flag_renders_pngs(self, tmp_path):
         out = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Each public name is defined once: every module declares an ``__all__``,
 every name in it is real, and no two modules export the same name.  No
-module reaches into another's underscore-prefixed names."""
+module reaches into another's underscore-prefixed names, and each imports
+only the modules below it in the layer order."""
 
 import ast
 import importlib
@@ -66,4 +67,40 @@ def test_no_module_imports_a_private_name():
                 for alias in node.names
                 if alias.name.startswith("_")
             ]
+    assert offenders == []
+
+
+# Each module may import podrom modules only from earlier in this order.
+LAYERS = ("errors", "linalg", "ode", "fhn", "pod", "bounds", "experiment", "cli")
+
+
+def _podrom_imports(tree):
+    """Names of the podrom modules a module's source imports, relative or absolute."""
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # A relative import (the package is flat) spelled absolutely.
+            module = node.module or ""
+            if node.level:
+                module = f"podrom.{module}" if module else "podrom"
+            if module == "podrom":
+                modules += [f"podrom.{alias.name}" for alias in node.names]
+            else:
+                modules.append(module)
+    return {name.split(".")[1] for name in modules if name.startswith("podrom.")}
+
+
+def test_modules_import_only_earlier_layers():
+    root = pathlib.Path(podrom.__file__).parent
+    assert sorted(p.stem for p in root.glob("*.py") if p.stem != "__init__") == sorted(LAYERS)
+    offenders = []
+    for rank, name in enumerate(LAYERS):
+        tree = ast.parse((root / f"{name}.py").read_text(encoding="utf-8"))
+        offenders += [
+            f"{name} imports {imported}"
+            for imported in sorted(_podrom_imports(tree))
+            if imported not in LAYERS[:rank]
+        ]
     assert offenders == []

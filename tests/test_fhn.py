@@ -1,4 +1,5 @@
-"""Cable-system oracles: stencil, linear operator, affine consistency, presets."""
+"""Cable-system oracles: stencil, linear operator, affine consistency; the
+bundled presets' coefficient sets and schedules."""
 
 import math
 
@@ -6,11 +7,11 @@ import numpy as np
 import pytest
 
 from podrom.errors import InvalidInputError
+from podrom.experiment import preset
 from podrom.fhn import (
     FhnParams,
     Waveform,
     build_fhn,
-    preset,
 )
 from podrom.ode import OdeSystem, integrate
 
@@ -449,6 +450,14 @@ class TestAssembleLinearMatrix:
         assert abs(vec[L] + params.D1 / params.dx * 5.0) <= 1e-11 * 1500.0
 
 
+def schedule(config):
+    """The cutoffs and the fixed dimensions of a config's rules."""
+    return (
+        tuple(rule.cutoff_epsilon for rule in config.rules if rule.cutoff_epsilon is not None),
+        tuple(rule.fixed_dimension for rule in config.rules if rule.fixed_dimension is not None),
+    )
+
+
 class TestPresets:
     def test_dimension_is_402(self):
         for preset_id in ("A", "B", "C"):
@@ -462,10 +471,9 @@ class TestPresets:
         assert (params.D1, params.D2, params.mu, params.gamma) == (15.0, 10.0, 10.0, 5.0)
         assert params.I0(3.0) == 1.0
         assert params.IX(3.0) == 5.0
-        assert config.T == 0.5
-        assert config.delta_list == (0.01, 0.005, 0.0025)
-        assert config.epsilon_list == (1e-15, 1e-9, 1e-1)
-        assert config.l_list == (5, 10, 15, 20, 35, 50)
+        assert config.final_time == 0.5
+        assert config.deltas == (0.01, 0.005, 0.0025)
+        assert schedule(config) == ((1e-15, 1e-9, 1e-1), (5, 10, 15, 20, 35, 50))
 
     def test_preset_b_values(self):
         config = preset("B")
@@ -476,15 +484,15 @@ class TestPresets:
         t = 0.9
         assert abs(params.I0(t) - 1.5 * math.sin(t) ** 2) <= 1e-15
         assert abs(params.IX(t) - 0.5 * math.sin(t) ** 2) <= 1e-15
-        assert config.T == 2.0
-        assert config.delta_list == (0.04, 0.02, 0.01)
-        assert config.l_list == (5, 20, 25, 50)
+        assert config.final_time == 2.0
+        assert config.deltas == (0.04, 0.02, 0.01)
+        assert schedule(config) == ((1e-15, 1e-7, 1e-4), (5, 20, 25, 50))
 
     def test_preset_c_schedule(self):
         config = preset("C")
-        assert config.T == 20.0
-        assert config.delta_list == (0.5, 1.0, 2.0)
-        assert config.l_list == (5, 10, 15, 20, 25, 30, 35, 40)
+        assert config.final_time == 20.0
+        assert config.deltas == (0.5, 1.0, 2.0)
+        assert schedule(config) == ((1e-15, 1e-7, 1e-4), (5, 10, 15, 20, 25, 30, 35, 40))
 
     def test_preset_c_system_matches_preset_b(self):
         params_b = preset("B").params
@@ -501,8 +509,8 @@ class TestPresets:
     def test_preset_deltas_divide_horizon(self):
         for preset_id in ("A", "B", "C"):
             config = preset(preset_id)
-            for delta in config.delta_list:
-                ratio = config.T / delta
+            for delta in config.deltas:
+                ratio = config.final_time / delta
                 assert abs(ratio - round(ratio)) <= 1e-9
 
     def test_case_insensitive_lookup(self):

@@ -14,7 +14,8 @@ from podrom.errors import (
     RhsEvaluationError,
     StiffnessError,
 )
-from podrom.fhn import build_fhn, preset
+from podrom.experiment import preset
+from podrom.fhn import build_fhn
 from podrom.ode import (
     OdeSystem,
     RhsStructure,
@@ -296,7 +297,7 @@ class TestExactOracle:
         n = system.dimension
         A = structure.apply_linear(np.eye(n))
         b = structure.forcing_vectors @ np.asarray(structure.forcing_signals(0.0))
-        times = (spec.T * np.arange(400)) / 399
+        times = (spec.final_time * np.arange(400)) / 399
         rel_tol, abs_tol = 1e-13, 1e-15
         truth = integrate(system, np.zeros(n), 0.0, rel_tol, abs_tol, times)
         exact = affine_flow(A, b, np.zeros(n), 0.0, times)
@@ -306,7 +307,7 @@ class TestExactOracle:
         mu = np.max(np.diag(A) + np.sum(np.abs(A), axis=1) - np.abs(np.diag(A)))
         accepted = truth.step_attempts - truth.rejected_steps
         local = math.sqrt(n) * (abs_tol + rel_tol * peak)
-        assert gap <= math.exp(mu * spec.T) * accepted * local
+        assert gap <= math.exp(mu * spec.final_time) * accepted * local
         assert gap <= 100.0 * rel_tol * peak
 
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from podrom.errors import InvalidInputError
 from podrom import pod
-from podrom.fhn import Waveform, build_fhn, preset
+from podrom.experiment import preset
+from podrom.fhn import Waveform, build_fhn
 from podrom.linalg import SvdResult, svd_one_sided_jacobi
 from podrom.ode import OdeSystem, RhsStructure, Trajectory, integrate
 from podrom.pod import (
