@@ -15,7 +15,7 @@ Constants carry the snapshot grid they were built on, with one Psi_i,
 Phi_i and theta_i per interval, and a bound takes its Delta_i from that
 grid.  They come from the system's ``RhsStructure``, and
 ``bound_constants`` picks the route: exactly from the linear operator A
-when the cubic is off (Lambda = ||A||_2), and otherwise from the exact
+when the structure is affine (Lambda = ||A||_2), and otherwise from the exact
 Jacobian J(x) = A + diag(g'(x)) sampled along a dense reference
 trajectory (Lambda = max ||J||_2, Psi = max ||J f + B s'||).  Every
 spectral norm is LAPACK's.
@@ -136,7 +136,7 @@ def lagrange_piecewise(snapshots: SnapshotSet, t: float) -> np.ndarray:
     times = snapshots.times
     _check_range(times, t)
     i = int(_bracket_indices(times, np.asarray(t)))
-    s = (t - times[i]) / snapshots.spacings[i]
+    s = (t - times[i]) / (times[i + 1] - times[i])
     columns = snapshots.solution_columns
     return (1.0 - s) * columns[:, i] + s * columns[:, i + 1]
 
@@ -149,7 +149,7 @@ def hermite_piecewise(snapshots: SnapshotSet, t: float) -> np.ndarray:
     times = snapshots.times
     _check_range(times, t)
     i = int(_bracket_indices(times, np.asarray(t)))
-    delta = snapshots.spacings[i]
+    delta = times[i + 1] - times[i]
     s = (t - times[i]) / delta
     s2 = s * s
     s3 = s2 * s
@@ -193,12 +193,12 @@ def bound_constants(system: OdeSystem, fom: Trajectory, snapshot_times) -> Bound
     """Bound constants of ``system`` along ``fom``, per interval of ``snapshot_times``.
 
     The exact route (``linear_bound_constants``) is taken when the system's
-    cubic is off, the test ``pod.build_rom`` uses to drop the cubic block,
-    with A the structure's linear operator applied to the identity.  Any
-    other system takes the sampled route (``sampled_bound_constants``).
+    structure is ``affine``, with A the structure's linear operator applied
+    to the identity.  Any other system takes the sampled route
+    (``sampled_bound_constants``).
     """
     structure = system.structure
-    if structure is not None and structure.cubic_scale == 0.0:
+    if structure is not None and structure.affine:
         matrix = structure.apply_linear(np.eye(system.dimension))
         return linear_bound_constants(matrix, fom, snapshot_times)
     return sampled_bound_constants(system, fom, snapshot_times)

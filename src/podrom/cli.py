@@ -115,18 +115,13 @@ def emit_plot_script(report: RunReport, path: str) -> None:
     only.
     """
     panels = []
-    seen: Dict[str, int] = {}
     for rule in report.config.rules:
-        label = rule.label()
-        if label in seen:
-            continue
-        seen[label] = 1
         members = [
             {"method": c.method, "delta": c.delta, "l": c.l}
             for c in report.cells
             if c.rule == rule
         ]
-        panels.append({"label": label, "cells": members})
+        panels.append({"label": rule.label(), "cells": members})
     spectrum_keys = [[m, float(d)] for (m, d) in report.factorizations]
     has_bounds = any(cell.bound is not None for cell in report.cells)
 

@@ -80,8 +80,7 @@ class RunConfig:
     """Everything one experiment run depends on.
 
     Exactly the grid cells (method, delta, rule) are produced, in that loop order.
-    Repeated methods and spacings are dropped; repeated rules are kept and
-    share their reduced solve.
+    Repeated methods, spacings and rules are dropped.
     """
 
     params: FhnParams
@@ -122,7 +121,7 @@ class RunConfig:
         for rule in rules:
             if not isinstance(rule, TruncationRule):
                 raise InvalidInputError(f"rules must be TruncationRule instances, got {rule!r}")
-        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "rules", tuple(dict.fromkeys(rules)))
 
         for name in ("rel_tol", "abs_tol"):
             tol = float(getattr(self, name))
@@ -281,7 +280,6 @@ class _RunContext:
 
     system: OdeSystem
     x0: np.ndarray
-    eval_times: np.ndarray
     fom_eval: Trajectory
     snapshots: Dict[float, SnapshotSet]
     dense_trajectories: Dict[float, Trajectory]
@@ -321,7 +319,7 @@ def _prepare(config: RunConfig) -> _RunContext:
     )
 
     start = time.perf_counter()
-    fom = integrate(system, x0, 0.0, config.rel_tol, config.abs_tol, union)
+    fom = integrate(system, x0, config.rel_tol, config.abs_tol, union)
     _add_work(counters, "fom_", fom)
     timer.add("fom", start)
 
@@ -338,7 +336,6 @@ def _prepare(config: RunConfig) -> _RunContext:
     return _RunContext(
         system=system,
         x0=x0,
-        eval_times=eval_times,
         fom_eval=_restrict(fom, eval_times),
         snapshots=snapshots,
         dense_trajectories=dense_trajectories,
@@ -425,7 +422,7 @@ def run_experiment(config: RunConfig) -> RunReport:
                     if curve is None:
                         start = time.perf_counter()
                         lifted = solve_rom_lifted(
-                            ctx.system, basis, ctx.x0, ctx.eval_times,
+                            ctx.system, basis, ctx.x0, ctx.fom_eval.times,
                             config.rel_tol, config.abs_tol,
                         )
                         ctx.counters["rom_solves"] += 1
@@ -442,7 +439,7 @@ def run_experiment(config: RunConfig) -> RunReport:
                         stage = "bound"
                         start = time.perf_counter()
                         bound_of = method1_bound if method == "Y" else method2_bound
-                        bound = bound_of(basis.sigma_next, constants[delta], ctx.eval_times)
+                        bound = bound_of(basis.sigma_next, constants[delta], ctx.fom_eval.times)
                         ctx.timer.add("bounds", start)
 
                     cells.append(

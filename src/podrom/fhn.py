@@ -123,8 +123,9 @@ def build_fhn(params: FhnParams) -> OdeSystem:
     """Assemble the method-of-lines system for the given coefficients.
 
     The returned OdeSystem carries its linear/cubic/forcing split as
-    ``structure``.  With ``lam`` zero the cubic scale is zero, the system
-    is affine, x' = A x + b(t), and A is the structure's linear operator.
+    ``structure``.  With ``lam`` zero the cubic scale is zero, the structure
+    is ``affine``, x' = A x + b(t), and A is its linear operator; ``rhs``
+    then skips the cubic.
 
     ``rhs`` returns a fresh array on every call and never writes to its
     argument; its scratch buffers stay inside the closure, so it is not
@@ -134,8 +135,8 @@ def build_fhn(params: FhnParams) -> OdeSystem:
     dx = params.dx
     n = params.dimension
     d1 = params.D1 / (dx * dx)
-    cubic = params.lam != 0.0
     structure = _fhn_structure(params)
+    cubic = not structure.affine
     signals = structure.forcing_signals
 
     # Constant operands as 0-d float64 arrays: numpy charges less per ufunc

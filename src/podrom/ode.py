@@ -4,7 +4,7 @@ The driver is an adaptive embedded Runge-Kutta 5(4) pair (Dormand-Prince
 coefficients) with proportional-integral step control and first-same-as-last
 stage reuse.  Integration steps are truncated so that every requested output
 time is hit exactly by a step endpoint; states are never interpolated, and a
-solve ends at its last output time.
+solve runs from t = 0 to its last output time.
 
 A linear time-invariant system x' = K x + c is also solved exactly in time
 (``affine_flow``): one matrix exponential per distinct interval length, with
@@ -89,6 +89,16 @@ class RhsStructure:
         if self.forcing_constant and np.any(np.asarray(self.forcing_rates(0.0)) != 0.0):
             raise InvalidInputError("a constant forcing must have zero rates")
 
+    @property
+    def affine(self) -> bool:
+        """Whether the cubic is off, so that f(t, x) = A x + B s(t)."""
+        return self.cubic_scale == 0.0
+
+    @property
+    def linear_time_invariant(self) -> bool:
+        """Whether f(t, x) = A x + b with a fixed b: affine, constant forcing."""
+        return self.affine and self.forcing_constant
+
     def apply_jacobian(self, x: np.ndarray, directions: np.ndarray) -> np.ndarray:
         """The Jacobian J(x) = A + diag(g'(x)) applied to ``directions``.
 
@@ -113,8 +123,8 @@ class OdeSystem:
     describes the same f and never replaces it: it splits f into a linear
     operator, an elementwise cubic and a fixed-vector forcing
     (:class:`RhsStructure`), so that a Galerkin reduction can project each
-    part once, offline.  With a zero cubic scale the system is affine and
-    its linear operator gives the exact error-bound constants.
+    part once, offline.  When the structure is ``affine``, its linear
+    operator gives the exact error-bound constants.
 
     The optional ``lift`` is an N x ``dimension`` matrix (N >= dimension)
     that maps a state into the space it stands for; a Galerkin reduced
@@ -194,6 +204,14 @@ class Trajectory:
         return int(self.states.shape[1])
 
 
+def _output_grid(output_times) -> np.ndarray:
+    """A copy of the checked grid, which the trajectory keeps a view of; no time < 0."""
+    out = as_time_grid(output_times, "output_times").copy()
+    if out[0] < 0.0:
+        raise InvalidInputError("output_times must be >= 0, the start of every solve")
+    return out
+
+
 def _checked_rhs(system: OdeSystem) -> Callable[[float, np.ndarray], np.ndarray]:
     """``system.rhs`` with its value made a float array and its shape checked."""
     rhs = system.rhs
@@ -251,18 +269,17 @@ _MAX_FACTOR = 5.0
 def integrate(
     system: OdeSystem,
     x0: np.ndarray,
-    t0: float,
     rel_tol: float,
     abs_tol: float,
     output_times,
 ) -> Trajectory:
-    """Integrate ``system`` from ``t0`` to its last output time.
+    """Integrate ``system`` from x(0) = ``x0`` to its last output time.
 
-    The solve ends at ``output_times[-1]``; no output time may lie before
-    ``t0``, and the grid [t0] alone gives ``x0`` back with no step taken.
-    The returned trajectory holds exactly ``output_times`` (bit-for-bit),
-    the states the integrator produced there, and the work counters
-    (``step_attempts``, ``rejected_steps``).  Steps are shortened so each
+    The solve starts at t = 0 and ends at ``output_times[-1]``; no output
+    time may be negative, and the grid [0.0] alone gives ``x0`` back with
+    no step taken.  The returned trajectory holds exactly ``output_times``
+    (bit-for-bit), the states the integrator produced there, and the work
+    counters (``step_attempts``, ``rejected_steps``).  Steps are shortened so each
     output time coincides with a step endpoint.  The local error per step
     is controlled in a scaled RMS norm with per-component scale
     ``abs_tol + rel_tol * max(|x_old|, |x_new|)``; both tolerances must be
@@ -272,15 +289,13 @@ def integrate(
     solve meets the full solve's test.
 
     Raises :class:`StiffnessError` when the controller drives the step below
-    ``1e-14 * (output_times[-1] - t0)`` (persistently failing trial steps
-    end up here too), :class:`ConvergenceError` when ``MAX_STEP_ATTEMPTS``
-    trial steps (accepted or rejected) did not reach the last output time,
-    and :class:`RhsEvaluationError` when the right-hand side is non-finite
-    at the initial state.
+    ``1e-14 * output_times[-1]`` (persistently failing trial steps end up
+    here too), :class:`ConvergenceError` when ``MAX_STEP_ATTEMPTS`` trial
+    steps (accepted or rejected) did not reach the last output time, and
+    :class:`RhsEvaluationError` when the right-hand side is non-finite at
+    the initial state.  Overflow in a trial step is not warned about: it
+    gives a non-finite error norm, and the step is rejected.
     """
-    t0 = float(t0)
-    if not math.isfinite(t0):
-        raise InvalidInputError(f"t0 must be finite, got {t0!r}")
     rel_tol = float(rel_tol)
     abs_tol = float(abs_tol)
     if not all(math.isfinite(tol) and tol > 0.0 for tol in (rel_tol, abs_tol)):
@@ -289,30 +304,25 @@ def integrate(
     n = system.dimension
     if state.shape != (n,):
         raise InvalidInputError(f"x0 has length {state.size}, system dimension is {n}")
-    # a copy: the trajectory keeps a view of it
-    out = as_time_grid(output_times, "output_times").copy()
-    t1 = float(out[-1])
-    if out[0] < t0:
-        raise InvalidInputError("output_times must not start before t0")
-
-    span = t1 - t0
+    out = _output_grid(output_times)
+    span = float(out[-1])
     min_step = 1e-14 * span
     # Safety net for sub-ulp overshoot of an accumulating step endpoint.
-    snap_tol = 32.0 * np.finfo(float).eps * max(abs(t0), abs(t1), 1.0)
+    snap_tol = 32.0 * np.finfo(float).eps * max(span, 1.0)
 
     eval_rhs = _checked_rhs(system)
     stages = np.empty((7, n))
-    stages[0] = eval_rhs(t0, state)
+    stages[0] = eval_rhs(0.0, state)
     if not np.all(np.isfinite(stages[0])):
-        raise RhsEvaluationError(f"rhs is not finite at t={t0!r}")
+        raise RhsEvaluationError("rhs is not finite at t=0.0")
 
     states_out = np.empty((out.size, n))
     index = 0
-    if out[0] == t0:
+    if out[0] == 0.0:
         states_out[0] = state
         index = 1
 
-    t = t0
+    t = 0.0
     h = 1e-6 * span
     prev_err = 1e-4
     just_rejected = False
@@ -348,89 +358,91 @@ def integrate(
     inner_stages = [(i, _RK_C[i], _RK_A[i], stages[:i]) for i in range(1, 6)]
     first_six = stages[:6]
 
-    while index < out.size:
-        target = float(out[index])
-        remaining = target - t
-        if remaining <= snap_tol:
-            t = target
-            states_out[index] = state
-            index += 1
-            continue
-        if h < min_step:
-            raise StiffnessError(f"step size underflow at t={t!r}", t=t)
-        h_step = h if h < remaining else remaining
-        if t + h_step == t:
-            raise StiffnessError(f"step size below time resolution at t={t!r}", t=t)
-        if attempts == MAX_STEP_ATTEMPTS:
-            raise ConvergenceError(
-                f"integration reached the cap of {MAX_STEP_ATTEMPTS} step attempts "
-                f"at t={t!r}"
-            )
-        attempts += 1
-        landing = h_step >= remaining
-        step[()] = h_step
+    # Overflow in a trial step makes err non-finite, which rejects the step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while index < out.size:
+            target = float(out[index])
+            remaining = target - t
+            if remaining <= snap_tol:
+                t = target
+                states_out[index] = state
+                index += 1
+                continue
+            if h < min_step:
+                raise StiffnessError(f"step size underflow at t={t!r}", t=t)
+            h_step = h if h < remaining else remaining
+            if t + h_step == t:
+                raise StiffnessError(f"step size below time resolution at t={t!r}", t=t)
+            if attempts == MAX_STEP_ATTEMPTS:
+                raise ConvergenceError(
+                    f"integration reached the cap of {MAX_STEP_ATTEMPTS} step attempts "
+                    f"at t={t!r}"
+                )
+            attempts += 1
+            landing = h_step >= remaining
+            step[()] = h_step
 
-        for i, c_i, a_i, previous in inner_stages:
-            # state + h_step * (_RK_A[i] @ stages[:i])
-            matmul(a_i, previous, out=combo)
+            for i, c_i, a_i, previous in inner_stages:
+                # state + h_step * (_RK_A[i] @ stages[:i])
+                matmul(a_i, previous, out=combo)
+                multiply(combo, step, out=combo)
+                stages[i] = eval_rhs(t + c_i * h_step, add(state, combo))
+            # trial = state + h_step * (_RK_A[6] @ stages[:6])
+            matmul(_RK_A[6], first_six, out=combo)
             multiply(combo, step, out=combo)
-            stages[i] = eval_rhs(t + c_i * h_step, add(state, combo))
-        # trial = state + h_step * (_RK_A[6] @ stages[:6])
-        matmul(_RK_A[6], first_six, out=combo)
-        multiply(combo, step, out=combo)
-        trial = add(state, combo)
-        t_end = target if landing else t + h_step
-        stages[6] = eval_rhs(t_end, trial)
+            trial = add(state, combo)
+            t_end = target if landing else t + h_step
+            stages[6] = eval_rhs(t_end, trial)
 
-        # err = sqrt(mean((h_step * (_RK_ERR @ stages) / scale) ** 2)) with
-        # scale = abs_tol + rel_tol * max(|state|, |trial|); np.mean is
-        # np.add.reduce divided by the count, and |state| is the |trial|
-        # of the step that accepted it.  With a lift, the error vector and
-        # both states are multiplied by it first.
-        matmul(_RK_ERR, stages, out=combo)
-        multiply(combo, step, out=combo)
-        if lift is None:
-            np.abs(trial, out=abs_trial)
-        else:
-            matmul(lift, combo, out=error)
-            matmul(lift, trial, out=abs_trial)
-            np.abs(abs_trial, out=abs_trial)
-        np.maximum(abs_state, abs_trial, out=scale)
-        multiply(scale, rel, out=scale)
-        add(scale, absolute, out=scale)
-        np.divide(error, scale, out=error)
-        multiply(error, error, out=error)
-        err = math.sqrt(float(add.reduce(error)) / m)
+            # err = sqrt(mean((h_step * (_RK_ERR @ stages) / scale) ** 2)) with
+            # scale = abs_tol + rel_tol * max(|state|, |trial|); np.mean is
+            # np.add.reduce divided by the count, and |state| is the |trial|
+            # of the step that accepted it.  With a lift, the error vector and
+            # both states are multiplied by it first.
+            matmul(_RK_ERR, stages, out=combo)
+            multiply(combo, step, out=combo)
+            if lift is None:
+                np.abs(trial, out=abs_trial)
+            else:
+                matmul(lift, combo, out=error)
+                matmul(lift, trial, out=abs_trial)
+                np.abs(abs_trial, out=abs_trial)
+            np.maximum(abs_state, abs_trial, out=scale)
+            multiply(scale, rel, out=scale)
+            add(scale, absolute, out=scale)
+            np.divide(error, scale, out=error)
+            multiply(error, error, out=error)
+            err = math.sqrt(float(add.reduce(error)) / m)
 
-        if not math.isfinite(err):
-            h = h_step * _MIN_FACTOR
-            just_rejected = True
-            rejected += 1
-            continue
-        if err > 1.0:
-            h = h_step * min(max(_SAFETY * err**-0.2, 0.1), 1.0)
-            just_rejected = True
-            rejected += 1
-            continue
+            if not math.isfinite(err):
+                h = h_step * _MIN_FACTOR
+                just_rejected = True
+                rejected += 1
+                continue
+            if err > 1.0:
+                h = h_step * min(max(_SAFETY * err**-0.2, 0.1), 1.0)
+                just_rejected = True
+                rejected += 1
+                continue
 
-        state = trial
-        abs_state, abs_trial = abs_trial, abs_state
-        t = t_end
-        stages[0] = stages[6]
-        if landing:
-            states_out[index] = state
-            index += 1
+            state = trial
+            abs_state, abs_trial = abs_trial, abs_state
+            t = t_end
+            stages[0] = stages[6]
+            if landing:
+                states_out[index] = state
+                index += 1
 
-        if err == 0.0:
-            factor = _MAX_FACTOR
-        else:
-            factor = _SAFETY * err**-_PI_ALPHA * prev_err**_PI_BETA
-            factor = min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
-        if just_rejected:
-            factor = min(factor, 1.0)
-        just_rejected = False
-        prev_err = max(err, 1e-10)
-        h = h_step * factor
+            if err == 0.0:
+                factor = _MAX_FACTOR
+            else:
+                factor = _SAFETY * err**-_PI_ALPHA * prev_err**_PI_BETA
+                factor = min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
+            if just_rejected:
+                factor = min(factor, 1.0)
+            just_rejected = False
+            prev_err = max(err, 1e-10)
+            h = h_step * factor
 
     return Trajectory(
         times=out,
@@ -440,11 +452,12 @@ def integrate(
     )
 
 
-def affine_flow(matrix, shift, x0, t0: float, output_times) -> Trajectory:
-    """Exact solution of x' = K x + c, x(t0) = ``x0``, on ``output_times``.
+def affine_flow(matrix, shift, x0, output_times) -> Trajectory:
+    """Exact solution of x' = K x + c, x(0) = ``x0``, on ``output_times``.
 
-    K is the square ``matrix`` and c the constant ``shift``.  Each interval
-    between consecutive times (the first starting at ``t0``) of length h is
+    K is the square ``matrix`` and c the constant ``shift``.  No output
+    time may be negative.  Each interval between consecutive times (the
+    first starting at t = 0) of length h is
     one step x -> E x + F, where [E F; 0 1] = exp(h [K c; 0 0]) (Van Loan,
     IEEE Trans. Automat. Control 23(3), 1978).  One exponential is computed
     per distinct interval length, keyed by its exact float value; a uniform
@@ -464,19 +477,14 @@ def affine_flow(matrix, shift, x0, t0: float, output_times) -> Trajectory:
         raise InvalidInputError(
             f"shift and x0 must have length {n}, got {c.size} and {state.size}"
         )
-    t = float(t0)
-    if not math.isfinite(t):
-        raise InvalidInputError(f"t0 must be finite, got {t0!r}")
-    # a copy: the trajectory keeps a view of it
-    out = as_time_grid(output_times, "output_times").copy()
-    if out[0] < t:
-        raise InvalidInputError("output_times must not start before t0")
+    out = _output_grid(output_times)
 
     generator = np.zeros((n + 1, n + 1))
     generator[:n, :n] = K
     generator[:n, n] = c
     steps = {}
     states = np.empty((out.size, n))
+    t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for i, target in enumerate(out.tolist()):
             h = target - t

@@ -20,7 +20,7 @@ exponential per interval length.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,15 +51,13 @@ class SnapshotSet:
     """States (and optional derivatives) sampled on an increasing grid.
 
     ``solution_columns`` is n x m with one column per sample time; the grid
-    starts at t = 0.  ``spacings`` holds the m-1 interval lengths.  The
-    grid and column arrays are kept as read-only views of the inputs, not
-    copies.
+    starts at t = 0.  The grid and column arrays are kept as read-only
+    views of the inputs, not copies.
     """
 
     times: np.ndarray
     solution_columns: np.ndarray
     derivative_columns: Optional[np.ndarray] = None
-    spacings: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         times = read_only(as_time_grid(self.times, "times", 2))
@@ -81,7 +79,6 @@ class SnapshotSet:
                     f"solution_columns shape {solution.shape}"
                 )
             object.__setattr__(self, "derivative_columns", derivative)
-        object.__setattr__(self, "spacings", np.diff(times))
 
     @property
     def dimension(self) -> int:
@@ -90,7 +87,7 @@ class SnapshotSet:
 
 @dataclass(frozen=True)
 class PodBasis:
-    """Orthonormal reduced basis of l columns.
+    """Orthonormal reduced basis of ``l`` columns.
 
     ``sigma_next`` is the first discarded singular value (0 when nothing
     was discarded).  ``cutoff_saturated`` flags the degenerate case where
@@ -98,31 +95,28 @@ class PodBasis:
     """
 
     reduced_vectors: np.ndarray
-    l: int
     sigma_next: float
     cutoff_saturated: bool = False
 
     def __post_init__(self) -> None:
         vectors = read_only(as_matrix(self.reduced_vectors, "reduced_vectors"))
-        l = int(self.l)
-        if l < 1 or l != vectors.shape[1]:
-            raise InvalidInputError(
-                f"l = {self.l} does not match basis with {vectors.shape[1]} columns"
-            )
         if vectors.shape[0] < vectors.shape[1]:
             raise InvalidInputError("basis cannot have more columns than rows")
         sigma_next = float(self.sigma_next)
         if not sigma_next >= 0.0:
             raise InvalidInputError(f"sigma_next must be >= 0, got {self.sigma_next!r}")
         gram = vectors.T @ vectors
-        defect = np.max(np.abs(gram - np.eye(l)))
+        defect = np.max(np.abs(gram - np.eye(vectors.shape[1])))
         if defect > 1e-10:
             raise InvalidInputError(
                 f"basis columns are not orthonormal (defect {defect:.3e})"
             )
         object.__setattr__(self, "reduced_vectors", vectors)
-        object.__setattr__(self, "l", l)
         object.__setattr__(self, "sigma_next", sigma_next)
+
+    @property
+    def l(self) -> int:
+        return int(self.reduced_vectors.shape[1])
 
     @property
     def dimension(self) -> int:
@@ -254,7 +248,6 @@ def truncate_basis(svd: SvdResult, rule: TruncationRule) -> PodBasis:
     sigma_next = float(sigmas[l]) if l < sigmas.size else 0.0
     return PodBasis(
         reduced_vectors=np.eye(n) if identity else svd.left_vectors[:, :l].copy(),
-        l=l,
         sigma_next=sigma_next,
         cutoff_saturated=saturated,
     )
@@ -322,7 +315,7 @@ def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):
     # a 0-d array: numpy takes it with less per-call overhead than a float
     root = np.array(structure.cubic_root)
     rows = vectors[structure.cubic_rows]
-    if structure.cubic_scale == 0.0:
+    if structure.affine:
         rows = rows[:0]
     p = rows.shape[0]
     k = forcing.shape[1]
@@ -355,19 +348,6 @@ def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):
     return reduced_rhs
 
 
-def _exact_in_time(system: OdeSystem) -> bool:
-    """Whether every Galerkin reduction of ``system`` is linear and time-invariant.
-
-    True when its structure has no cubic and a constant forcing.
-    """
-    structure = system.structure
-    return (
-        structure is not None
-        and structure.cubic_scale == 0.0
-        and structure.forcing_constant
-    )
-
-
 def solve_rom_lifted(
     system: OdeSystem,
     basis: PodBasis,
@@ -378,10 +358,10 @@ def solve_rom_lifted(
 ) -> Trajectory:
     """Solve the reduced system from z(0) = U^T x0 and lift the result.
 
-    The initial state is taken at t = 0, and no output time may lie before
-    it; on either route below, the grid [0.0] alone gives the lifted
-    initial state with zero work counters.  When the system's structure has
-    no cubic and a constant forcing, the reduced model is z' = K z + c with
+    The initial state is taken at t = 0, and no output time may be
+    negative; on either route below, the grid [0.0] alone gives the lifted
+    initial state with zero work counters.  When the system's structure is
+    ``linear_time_invariant``, the reduced model is z' = K z + c with
     K = U^T A U and c = U^T B s(0), projected as ``build_rom`` projects
     them, and ``ode.affine_flow`` gives its exact solution: the tolerances
     are not used and the work counters stay 0.  Any other system's reduced
@@ -401,14 +381,14 @@ def solve_rom_lifted(
     out = as_time_grid(output_times, "output_times")
     vectors = basis.reduced_vectors
     z0 = vectors.T @ start
-    if _exact_in_time(system):
-        structure = system.structure
+    structure = system.structure
+    if structure is not None and structure.linear_time_invariant:
         linear, forcing = _projected_operators(structure, vectors)
         shift = forcing @ np.asarray(structure.forcing_signals(0.0), dtype=float)
-        reduced = affine_flow(linear, shift, z0, 0.0, out)
+        reduced = affine_flow(linear, shift, z0, out)
     else:
         rom = build_rom(system, basis)
-        reduced = integrate(rom, z0, 0.0, rel_tol, abs_tol, out)
+        reduced = integrate(rom, z0, rel_tol, abs_tol, out)
     lifted = reduced.states @ vectors.T
     return Trajectory(
         times=reduced.times,

@@ -410,7 +410,7 @@ def reaction_diffusion_case(name):
         horizon, steps, intervals = 0.5, 40, 5
     system = build_fhn(params)
     grid = np.linspace(0.0, horizon, steps + 1)
-    fom = integrate(system, np.zeros(params.dimension), 0.0, 1e-10, 1e-12, grid)
+    fom = integrate(system, np.zeros(params.dimension), 1e-10, 1e-12, grid)
     return system, fom, (horizon * np.arange(intervals + 1)) / intervals
 
 
@@ -506,7 +506,7 @@ class TestBoundConstantsRoute:
         system = build_fhn(params)
         # 64 uniform samples per snapshot interval of 0.1, as the driver takes
         dense = (0.5 * np.arange(321)) / 320
-        fom = integrate(system, np.zeros(params.dimension), 0.0, 1e-10, 1e-12, dense)
+        fom = integrate(system, np.zeros(params.dimension), 1e-10, 1e-12, dense)
         constants = bound_constants(system, fom, (0.5 * np.arange(6)) / 5)
         assert constants.provenance == route
         assert provenances == [route]
@@ -576,7 +576,7 @@ class TestSampledConstants:
         params = preset("A").params
         system = build_fhn(params)
         grid = np.linspace(0.0, 0.01, 101)
-        fom = integrate(system, np.zeros(params.dimension), 0.0, 1e-10, 1e-12, grid)
+        fom = integrate(system, np.zeros(params.dimension), 1e-10, 1e-12, grid)
         snapshot_times = [0.0, 0.005, 0.01]
         matrix = system.structure.apply_linear(np.eye(params.dimension))
         linear = linear_bound_constants(matrix, fom, snapshot_times)

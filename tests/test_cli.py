@@ -1,6 +1,7 @@
 """Driver tests: config handling, the sweep loop, CSV artifacts, CLI glue."""
 
 import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -25,7 +26,7 @@ from podrom.bounds import BoundCurve
 from podrom.errors import InvalidInputError
 from podrom.experiment import CellResult, RunConfig, RunReport, preset, run_experiment
 from podrom.linalg import SvdResult
-from podrom.pod import ErrorCurve, TruncationRule
+from podrom.pod import ErrorCurve, TruncationRule, truncate_basis
 
 
 def tiny_config(**overrides):
@@ -33,6 +34,14 @@ def tiny_config(**overrides):
     base = dict(methods=("Y",), deltas=(0.01,), dims=(5,), epsilons=())
     base.update(overrides)
     return preset("A", **base)
+
+
+def cutoff_keeping(config, method, delta, k):
+    """The cutoff at sigma_k of the (method, delta) snapshot matrix: it keeps k modes."""
+    svd = experiment.run_spectra(config).factorizations[(method, delta)]
+    rule = TruncationRule.cutoff(float(svd.singular_values[k - 1]))
+    assert truncate_basis(svd, rule).l == truncate_basis(svd, TruncationRule.fixed(k)).l == k
+    return rule
 
 
 def synthetic_report(with_bound=False, cells=1, saturated=False):
@@ -134,9 +143,11 @@ class TestRunConfig:
             tiny_config(methods=("Y", "Q"))
 
     def test_repeated_spacings_factorized_once(self):
-        # Repeated rules stay (they share one reduced solve); a repeated
-        # spacing would only factorize the same matrix twice.
-        config = tiny_config(deltas=(0.01, 0.01), dims=(5, 5))
+        # A repeated spacing would only factorize the same matrix twice.
+        # The cutoff at sigma_5 and dims 5 give the same l and share one
+        # reduced solve.
+        cutoff = cutoff_keeping(tiny_config(), "Y", 0.01, 5)
+        config = tiny_config(deltas=(0.01, 0.01), epsilons=(cutoff.cutoff_epsilon,))
         assert config.deltas == (0.01,)
         assert len(config.rules) == 2
         report = run_experiment(config)
@@ -242,13 +253,18 @@ class TestRunExperiment:
 
     def test_integrator_counters_sum_over_solves(self, monkeypatch):
         # Preset B's cubic keeps its reduced solves on DP5.  Two distinct
-        # bases and one cache hit (dims 5 and 5 share a solve).
+        # bases and one cache hit (dims 5 and the cutoff at sigma_5 share a
+        # solve).
         config = RunConfig(
             params=preset("B").params,
             final_time=0.5,
             methods=("Y",),
             deltas=(0.05,),
-            rules=tuple(TruncationRule.fixed(l) for l in (5, 10, 5)),
+            rules=(TruncationRule.fixed(5),),
+        )
+        cutoff = cutoff_keeping(config, "Y", 0.05, 5)
+        config = dataclasses.replace(
+            config, rules=(TruncationRule.fixed(5), TruncationRule.fixed(10), cutoff)
         )
         solved = {"fom": [], "rom": []}
         integrate = experiment.integrate
@@ -277,8 +293,10 @@ class TestRunExperiment:
 
     def test_exact_solves_counted_without_integrator_work(self, monkeypatch):
         # Preset A's reduced models are linear and time-invariant: each
-        # fresh solve is exact in time and adds no DP5 work.
-        config = tiny_config(dims=(5, 10, 5))
+        # fresh solve is exact in time and adds no DP5 work.  The cutoff at
+        # sigma_5 and dims 5 share a solve.
+        cutoff = cutoff_keeping(tiny_config(), "Y", 0.01, 5)
+        config = tiny_config(dims=(5, 10), epsilons=(cutoff.cutoff_epsilon,))
         solved = []
         solve = experiment.solve_rom_lifted
 
@@ -458,6 +476,20 @@ class TestPlotScript:
         xs, ys = namespace["series"](block + block, "Y", 0.01, 22, "t", "log10_err")
         assert (xs, ys) == ([0.25, 0.5], [-3.5, -3.0])
 
+    def test_each_panel_lists_each_cell_once(self, tmp_path):
+        # A repeated rule is one rule: its panel draws each cell once.
+        path = tmp_path / PLOT_SCRIPT_NAME
+        emit_plot_script(run_experiment(tiny_config(dims=(5, 5))), str(path))
+        (panels,) = [
+            ast.literal_eval(node.value)
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.Assign) and node.targets[0].id == "PANELS"
+        ]
+        assert [panel["label"] for panel in panels] == ["l=5"]
+        for panel in panels:
+            keys = [(cell["method"], cell["delta"], cell["l"]) for cell in panel["cells"]]
+            assert len(keys) == len(set(keys)) == 1
+
     def test_empty_report_script_runs(self, tmp_path):
         report = synthetic_report()
         report = RunReport(
@@ -554,9 +586,11 @@ class TestCommandLine:
         ],
         ids=["run", "spectrum"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_failing_truth_solve_is_an_error_line(self, tmp_path, capsys, argv):
         # Tolerances this tight underflow the first step of the truth solve,
         # which runs before any cell and so outside the per-cell records.
+        # Its overflowing error norms reject steps without a warning.
         tolerances = ["--rel-tol", "1e-300", "--abs-tol", "1e-300"]
         assert main([*argv, *tolerances, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Cable-system oracles: stencil, linear operator, affine consistency; the
 bundled presets' coefficient sets and schedules."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -249,6 +250,20 @@ class TestFhnStructure:
             for t in (0.3, 1.7):
                 assert np.array_equal(structure.forcing_signals(t), signals)
 
+    @pytest.mark.parametrize(
+        "case,affine,time_invariant",
+        [("A", True, True), ("B", False, False), ("C", False, False),
+         ("A-sin-squared", True, False)],
+    )
+    def test_affine_and_time_invariant_facts(self, case, affine, time_invariant):
+        if case == "A-sin-squared":
+            params = dataclasses.replace(preset("A").params, I0=Waveform.sin_squared(1.0))
+        else:
+            params = preset(case).params
+        structure = build_fhn(params).structure
+        assert structure.affine is affine
+        assert structure.linear_time_invariant is time_invariant
+
     @CASES
     def test_linear_operator_acts_column_by_column(self, name):
         params = self.params_for(name)
@@ -364,8 +379,8 @@ class TestRhsKernel:
         reference = OdeSystem(dimension=params.dimension, rhs=reference_rhs(params))
         x0 = np.zeros(params.dimension)
         out = np.linspace(0.0, 0.05, 6)
-        got = integrate(system, x0, 0.0, 1e-13, 1e-15, out)
-        expect = integrate(reference, x0, 0.0, 1e-13, 1e-15, out)
+        got = integrate(system, x0, 1e-13, 1e-15, out)
+        expect = integrate(reference, x0, 1e-13, 1e-15, out)
         assert np.array_equal(got.states, expect.states)
         assert got.step_attempts == expect.step_attempts > 0
 

@@ -406,8 +406,8 @@ def _decay():
 # Every owner of a time grid, each called with everything but the grid valid.
 GRID_OWNERS = {
     "Trajectory": lambda g: Trajectory(times=g, states=np.zeros((np.size(g), 1))),
-    "integrate": lambda g: integrate(_decay(), [1.0], 0.0, 1e-8, 1e-10, g),
-    "affine_flow": lambda g: affine_flow([[-1.0]], [0.0], [1.0], 0.0, g),
+    "integrate": lambda g: integrate(_decay(), [1.0], 1e-8, 1e-10, g),
+    "affine_flow": lambda g: affine_flow([[-1.0]], [0.0], [1.0], g),
     "SnapshotSet": lambda g: SnapshotSet(times=g, solution_columns=np.ones((2, np.size(g)))),
     "BoundConstants": lambda g: BoundConstants(
         snapshot_times=g,
@@ -423,7 +423,7 @@ GRID_OWNERS = {
         g,
     ),
     "solve_rom_lifted": lambda g: solve_rom_lifted(
-        _decay(), PodBasis(reduced_vectors=np.eye(1), l=1, sigma_next=0.0),
+        _decay(), PodBasis(reduced_vectors=np.eye(1), sigma_next=0.0),
         [1.0], g, 1e-8, 1e-10,
     ),
 }

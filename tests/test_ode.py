@@ -1,5 +1,6 @@
 """Integration oracles: closed forms, convergence order, exact output landing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -44,21 +45,21 @@ class TestIntegrate:
     def test_constant_solution_is_exact(self):
         c = np.array([2.5, -1.0, 0.25])
         out = [0.1, 0.37, 1.0]
-        traj = integrate(constant_system(c), c, 0.0, 1e-8, 1e-10, out)
+        traj = integrate(constant_system(c), c, 1e-8, 1e-10, out)
         assert traj.states.shape == (3, 3)
         for row in traj.states:
             assert np.array_equal(row, c)
 
     def test_exponential_decay_endpoint(self):
         rel = 1e-8
-        traj = integrate(decay_system(), np.array([1.0]), 0.0, rel, 1e-12, [1.0])
+        traj = integrate(decay_system(), np.array([1.0]), rel, 1e-12, [1.0])
         assert abs(traj.states[-1, 0] - math.exp(-1.0)) <= 10.0 * rel
 
     @pytest.mark.parametrize("rel", [1e-6, 1e-10])
     def test_rotation_half_turn(self, rel):
         # x' = Ax with A = [[0,1],[-1,0]] rotates clockwise: x(t) = (cos t, -sin t).
         traj = integrate(
-            rotation_system(), np.array([1.0, 0.0]), 0.0, rel, rel * 1e-2, [math.pi]
+            rotation_system(), np.array([1.0, 0.0]), rel, rel * 1e-2, [math.pi]
         )
         err = np.linalg.norm(traj.states[-1] - np.array([-1.0, 0.0]))
         assert err <= 10.0 * rel
@@ -67,47 +68,45 @@ class TestIntegrate:
         system = rotation_system()
         x0 = np.array([1.0, 0.0])
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        exact = affine_flow(A, np.zeros(2), x0, 0.0, [1.0])
-        adaptive = integrate(system, x0, 0.0, 1e-10, 1e-12, [1.0])
+        exact = affine_flow(A, np.zeros(2), x0, [1.0])
+        adaptive = integrate(system, x0, 1e-10, 1e-12, [1.0])
         assert np.linalg.norm(exact.states[-1] - adaptive.states[-1]) <= 1e-9
 
     def test_output_times_returned_bit_for_bit(self):
         out = np.array([0.1 * i for i in range(1, 11)])
-        traj = integrate(decay_system(), np.array([1.0]), 0.0, 1e-9, 1e-12, out)
+        traj = integrate(decay_system(), np.array([1.0]), 1e-9, 1e-12, out)
         assert traj.times.tobytes() == out.tobytes()
         expected = np.exp(-out)
         assert np.allclose(traj.states[:, 0], expected, rtol=1e-7, atol=1e-10)
 
     def test_initial_time_in_output_times(self):
         x0 = np.array([1.0, 2.0])
-        traj = integrate(
-            constant_system(x0), x0, 0.0, 1e-8, 1e-10, [0.0, 0.5, 1.0]
-        )
+        traj = integrate(constant_system(x0), x0, 1e-8, 1e-10, [0.0, 0.5, 1.0])
         assert traj.times[0] == 0.0
         assert np.array_equal(traj.states[0], x0)
 
     def test_clustered_output_times(self):
         # Forces repeated step truncation far below the natural step size.
         out = np.array([0.5, 0.5 + 1e-7, 0.5 + 2e-7, 0.5 + 3e-7, 1.0])
-        traj = integrate(decay_system(), np.array([1.0]), 0.0, 1e-9, 1e-12, out)
+        traj = integrate(decay_system(), np.array([1.0]), 1e-9, 1e-12, out)
         assert traj.times.tobytes() == out.tobytes()
         assert np.allclose(traj.states[:, 0], np.exp(-out), rtol=1e-7, atol=1e-10)
 
     def test_blowup_raises_stiffness_error(self):
         system = OdeSystem(dimension=1, rhs=lambda t, x: np.array([1.0 / (0.5 - t)]))
         with pytest.raises(StiffnessError) as info:
-            integrate(system, np.array([0.0]), 0.0, 1e-6, 1e-6, [1.0])
+            integrate(system, np.array([0.0]), 1e-6, 1e-6, [1.0])
         assert 0.4 < info.value.t < 0.6
 
     def test_nan_rhs_at_start_raises_evaluation_error(self):
         system = OdeSystem(dimension=1, rhs=lambda t, x: np.array([float("nan")]))
         with pytest.raises(RhsEvaluationError):
-            integrate(system, np.array([1.0]), 0.0, 1e-6, 1e-6, [1.0])
+            integrate(system, np.array([1.0]), 1e-6, 1e-6, [1.0])
 
     def test_step_attempt_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(ode, "MAX_STEP_ATTEMPTS", 5)
         with pytest.raises(ConvergenceError, match="cap of 5 step attempts at t="):
-            integrate(rotation_system(), np.array([1.0, 0.0]), 0.0, 1e-10, 1e-12, [10.0])
+            integrate(rotation_system(), np.array([1.0, 0.0]), 1e-10, 1e-12, [10.0])
 
     def test_rhs_arguments_left_unchanged(self):
         # Every state handed to the rhs is a fresh array that the integrator
@@ -120,7 +119,7 @@ class TestIntegrate:
             return A @ x + np.sin(t)
 
         system = OdeSystem(dimension=3, rhs=rhs)
-        integrate(system, np.array([1.0, -1.0, 0.5]), 0.0, 1e-9, 1e-12, [0.5, 1.0, 2.0])
+        integrate(system, np.array([1.0, -1.0, 0.5]), 1e-9, 1e-12, [0.5, 1.0, 2.0])
         assert len(received) > 20
         assert len({id(x) for x, _ in received}) == len(received)
         for kept, copy in received:
@@ -138,7 +137,7 @@ class TestIntegrate:
             return np.array([x[1], 5.0 * (1.0 - x[0] ** 2) * x[1] - x[0]])
 
         system = OdeSystem(dimension=2, rhs=rhs)
-        traj = integrate(system, np.array([2.0, 0.0]), 0.0, 1e-6, 1e-8, [5.0, 10.0])
+        traj = integrate(system, np.array([2.0, 0.0]), 1e-6, 1e-8, [5.0, 10.0])
         assert len(times) == 1 + 6 * traj.step_attempts
         attempts = np.array(times[1:]).reshape(-1, 6)
         assert traj.step_attempts == attempts.shape[0]
@@ -157,33 +156,31 @@ class TestIntegrate:
     def test_rejects_bad_arguments(self):
         system = decay_system()
         x0 = np.array([1.0])
+        with pytest.raises(InvalidInputError, match=">= 0"):
+            integrate(system, x0, 1e-6, 1e-6, [-0.5, 0.5])
         with pytest.raises(InvalidInputError):
-            integrate(system, x0, 1.0, 1e-6, 1e-6, [0.5])
+            integrate(system, x0, 0.0, 1e-6, [0.5])
         with pytest.raises(InvalidInputError):
-            integrate(system, x0, -math.inf, 1e-6, 1e-6, [0.5])
-        with pytest.raises(InvalidInputError):
-            integrate(system, x0, 0.0, 0.0, 1e-6, [0.5])
-        with pytest.raises(InvalidInputError):
-            integrate(system, x0, 0.0, 1e-6, -1.0, [0.5])
+            integrate(system, x0, 1e-6, -1.0, [0.5])
         for bad in (math.inf, math.nan):
             with pytest.raises(InvalidInputError, match="positive and finite"):
-                integrate(system, x0, 0.0, bad, 1e-6, [0.5])
+                integrate(system, x0, bad, 1e-6, [0.5])
             with pytest.raises(InvalidInputError, match="positive and finite"):
-                integrate(system, x0, 0.0, 1e-6, bad, [0.5])
+                integrate(system, x0, 1e-6, bad, [0.5])
         with pytest.raises(InvalidInputError):
-            integrate(system, x0, 0.0, 1e-6, 1e-6, [0.7, 0.3])
+            integrate(system, x0, 1e-6, 1e-6, [0.7, 0.3])
         with pytest.raises(InvalidInputError):
-            integrate(system, x0, 0.0, 1e-6, 1e-6, [0.3, 0.3])
+            integrate(system, x0, 1e-6, 1e-6, [0.3, 0.3])
         with pytest.raises(InvalidInputError):
-            integrate(system, x0, 0.0, 1e-6, 1e-6, [])
+            integrate(system, x0, 1e-6, 1e-6, [])
         with pytest.raises(InvalidInputError):
-            integrate(system, np.array([1.0, 2.0]), 0.0, 1e-6, 1e-6, [0.5])
+            integrate(system, np.array([1.0, 2.0]), 1e-6, 1e-6, [0.5])
 
     def test_initial_time_alone_returns_x0(self):
-        # the grid [t0] is a solve of length zero, as in affine_flow
+        # the grid [0.0] is a solve of length zero, as in affine_flow
         x0 = np.array([1.0, -2.0])
-        traj = integrate(constant_system(np.array([3.0, 4.0])), x0, 0.5, 1e-6, 1e-6, [0.5])
-        np.testing.assert_array_equal(traj.times, [0.5])
+        traj = integrate(constant_system(np.array([3.0, 4.0])), x0, 1e-6, 1e-6, [0.0])
+        np.testing.assert_array_equal(traj.times, [0.0])
         np.testing.assert_array_equal(traj.states, [x0])
         assert (traj.step_attempts, traj.rejected_steps) == (0, 0)
 
@@ -199,7 +196,7 @@ class TestIntegrate:
     def test_landing_on_arbitrary_grids(self, raw_times):
         out = np.array(sorted(raw_times))
         c = np.array([3.0])
-        traj = integrate(constant_system(c), c, 0.0, 1e-8, 1e-10, out)
+        traj = integrate(constant_system(c), c, 1e-8, 1e-10, out)
         assert traj.times.tobytes() == out.tobytes()
         assert np.all(traj.states[:, 0] == 3.0)
 
@@ -210,7 +207,7 @@ class TestAffineFlow:
         # x' = a x + c: x(t) = e^{at} x0 + (e^{at} - 1) c / a.
         c, x0 = 0.9, 0.4
         times = np.linspace(0.0, 2.0, 101)
-        traj = affine_flow([[a]], [c], [x0], 0.0, times)
+        traj = affine_flow([[a]], [c], [x0], times)
         growth = np.exp(a * times)
         exact = growth * x0 + (growth - 1.0) * c / a
         np.testing.assert_allclose(traj.states[:, 0], exact, rtol=1e-13, atol=0.0)
@@ -225,12 +222,11 @@ class TestAffineFlow:
         c = np.array([1.0, -0.5])
         x0 = np.array([0.2, 0.7])
         times = np.array([0.1, 0.15, 0.4, 1.0, 1.01, 2.5, 7.0])
-        traj = affine_flow(K, c, x0, -0.2, times)
+        traj = affine_flow(K, c, x0, times)
         rest = np.linalg.solve(K, c)
         for t, state in zip(times, traj.states):
-            s = t + 0.2
-            rot = np.array([[math.cos(2 * s), math.sin(2 * s)], [-math.sin(2 * s), math.cos(2 * s)]])
-            exact = math.exp(-0.3 * s) * rot @ (x0 + rest) - rest
+            rot = np.array([[math.cos(2 * t), math.sin(2 * t)], [-math.sin(2 * t), math.cos(2 * t)]])
+            exact = math.exp(-0.3 * t) * rot @ (x0 + rest) - rest
             np.testing.assert_allclose(state, exact, rtol=0.0, atol=1e-14)
 
     def test_one_exponential_per_interval_length(self, monkeypatch):
@@ -243,7 +239,7 @@ class TestAffineFlow:
 
         monkeypatch.setattr(ode, "expm", counting_expm)
         times = (0.5 * np.arange(400)) / 399
-        affine_flow(-np.eye(3), np.ones(3), np.zeros(3), 0.0, times)
+        affine_flow(-np.eye(3), np.ones(3), np.zeros(3), times)
         assert len(calls) == np.unique(np.diff(times)).size == 3
         assert calls[0] == (4, 4)
 
@@ -257,24 +253,23 @@ class TestAffineFlow:
     )
     def test_unstable_flow_raises_evaluation_error(self, rate, times):
         with pytest.raises(RhsEvaluationError):
-            affine_flow([[rate]], [0.0], [1.0], 0.0, times)
+            affine_flow([[rate]], [0.0], [1.0], times)
 
     @pytest.mark.parametrize(
-        "matrix,shift,x0,t0,times",
+        "matrix,shift,x0,times",
         [
-            (np.zeros((2, 3)), [0.0, 0.0], [0.0, 0.0], 0.0, [1.0]),
-            (np.zeros((2, 2)), [0.0], [0.0, 0.0], 0.0, [1.0]),
-            (np.zeros((2, 2)), [0.0, 0.0], [0.0], 0.0, [1.0]),
-            (np.zeros((2, 2)), [0.0, math.nan], [0.0, 0.0], 0.0, [1.0]),
-            (np.zeros((2, 2)), [0.0, 0.0], [0.0, 0.0], 0.5, [0.25, 1.0]),
-            (np.zeros((2, 2)), [0.0, 0.0], [0.0, 0.0], math.inf, [1.0]),
-            (np.zeros((2, 2)), [0.0, 0.0], [0.0, 0.0], 0.0, [1.0, 0.5]),
+            (np.zeros((2, 3)), [0.0, 0.0], [0.0, 0.0], [1.0]),
+            (np.zeros((2, 2)), [0.0], [0.0, 0.0], [1.0]),
+            (np.zeros((2, 2)), [0.0, 0.0], [0.0], [1.0]),
+            (np.zeros((2, 2)), [0.0, math.nan], [0.0, 0.0], [1.0]),
+            (np.zeros((2, 2)), [0.0, 0.0], [0.0, 0.0], [-0.25, 1.0]),
+            (np.zeros((2, 2)), [0.0, 0.0], [0.0, 0.0], [1.0, 0.5]),
         ],
-        ids=["non-square", "shift", "x0", "nan-shift", "before-t0", "t0", "grid"],
+        ids=["non-square", "shift", "x0", "nan-shift", "negative-time", "grid"],
     )
-    def test_rejects_bad_arguments(self, matrix, shift, x0, t0, times):
+    def test_rejects_bad_arguments(self, matrix, shift, x0, times):
         with pytest.raises(InvalidInputError):
-            affine_flow(matrix, shift, x0, t0, times)
+            affine_flow(matrix, shift, x0, times)
 
 
 class TestExactOracle:
@@ -293,14 +288,14 @@ class TestExactOracle:
         spec = preset("A")
         system = build_fhn(spec.params)
         structure = system.structure
-        assert structure.cubic_scale == 0.0 and structure.forcing_constant
+        assert structure.linear_time_invariant
         n = system.dimension
         A = structure.apply_linear(np.eye(n))
         b = structure.forcing_vectors @ np.asarray(structure.forcing_signals(0.0))
         times = (spec.final_time * np.arange(400)) / 399
         rel_tol, abs_tol = 1e-13, 1e-15
-        truth = integrate(system, np.zeros(n), 0.0, rel_tol, abs_tol, times)
-        exact = affine_flow(A, b, np.zeros(n), 0.0, times)
+        truth = integrate(system, np.zeros(n), rel_tol, abs_tol, times)
+        exact = affine_flow(A, b, np.zeros(n), times)
 
         gap = np.max(np.abs(truth.states - exact.states))
         peak = np.max(np.abs(exact.states))
@@ -352,7 +347,7 @@ class TestSampleRhs:
 class TestTypes:
     def test_trajectory_keeps_read_only_views(self):
         c = np.array([2.5, -1.0])
-        traj = integrate(constant_system(c), c, 0.0, 1e-8, 1e-10, [0.5, 1.0])
+        traj = integrate(constant_system(c), c, 1e-8, 1e-10, [0.5, 1.0])
         for array in (traj.times, traj.states):
             # a view of the integrator's own buffer, not a copy of it
             assert not array.flags.owndata
@@ -457,6 +452,22 @@ class TestTypes:
         ).forcing_constant
         with pytest.raises(InvalidInputError):
             RhsStructure(forcing_rates=lambda t: (0.5,), **kwargs)
+
+    def test_nonzero_cubic_scale_is_neither_affine_nor_time_invariant(self):
+        structure = RhsStructure(
+            apply_linear=lambda x: x,
+            cubic_rows=slice(0, 1),
+            cubic_scale=-1.0,
+            cubic_root=1.0,
+            forcing_vectors=np.ones((2, 1)),
+            forcing_signals=lambda t: (2.0,),
+            forcing_rates=lambda t: (0.0,),
+            forcing_constant=True,
+        )
+        assert not structure.affine
+        assert not structure.linear_time_invariant
+        zero = dataclasses.replace(structure, cubic_scale=0.0)
+        assert zero.affine and zero.linear_time_invariant
 
     def test_system_rejects_structure_of_other_dimension(self):
         structure = RhsStructure(
