@@ -9,6 +9,7 @@ FitzHugh-Nagumo benchmark and an experiment driver are included.
 from podrom.errors import (
     ConvergenceError,
     InvalidInputError,
+    PodromError,
     RhsEvaluationError,
     StiffnessError,
 )
@@ -16,6 +17,7 @@ from podrom.errors import (
 __all__ = [
     "ConvergenceError",
     "InvalidInputError",
+    "PodromError",
     "RhsEvaluationError",
     "StiffnessError",
 ]

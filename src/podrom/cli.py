@@ -18,8 +18,8 @@ import subprocess
 import sys
 from typing import Dict, Tuple
 
-from .errors import ConvergenceError, InvalidInputError, RhsEvaluationError, StiffnessError
-from .experiment import RunConfig, RunReport, preset, run_experiment, run_spectra
+from .errors import InvalidInputError, PodromError
+from .experiment import RunConfig, RunReport, preset, run_experiment
 
 __all__ = [
     "write_error_csv",
@@ -306,7 +306,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _load_config_file(path: str) -> Dict[str, str]:
     """Flatten the INI file to {"section.key": raw string}, rejecting unknown keys."""
-    parser = configparser.ConfigParser()
+    # Literal values (no % interpolation); [DEFAULT] is an ordinary, unknown section.
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -360,6 +361,8 @@ def _build_parser() -> _ArgumentParser:
     _add_flag(spectrum, "deltas", "--delta", required=True)
     for name in ("methods", "out", "rel_tol", "abs_tol"):
         _add_flag(spectrum, name)
+    # spectrum is a run without truncation rules
+    spectrum.set_defaults(epsilons="", dims="")
     return parser
 
 
@@ -416,17 +419,14 @@ def _render_plots(script_path: str) -> bool:
     return True
 
 
-def _execute_run(config: RunConfig, out_dir: str, render_plots: bool) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    report = run_experiment(config)
-
+def _write_run(report: RunReport, out_dir: str, render_plots: bool) -> int:
     error_path = os.path.join(out_dir, ERROR_CSV_NAME)
     spectrum_path = os.path.join(out_dir, SPECTRUM_CSV_NAME)
     script_path = os.path.join(out_dir, PLOT_SCRIPT_NAME)
     write_error_csv(report, error_path)
     write_spectrum_csv(report, spectrum_path)
     written = [error_path, spectrum_path]
-    if config.evaluate_bounds:
+    if report.config.evaluate_bounds:
         bound_path = os.path.join(out_dir, BOUND_CSV_NAME)
         write_bound_csv(report, bound_path)
         written.append(bound_path)
@@ -460,9 +460,7 @@ def _execute_run(config: RunConfig, out_dir: str, render_plots: bool) -> int:
     return 0
 
 
-def _execute_spectrum(config: RunConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    report = run_spectra(config)
+def _write_spectrum(report: RunReport, out_dir: str) -> int:
     path = os.path.join(out_dir, SPECTRUM_CSV_NAME)
     write_spectrum_csv(report, path)
     for (method, delta), svd in report.factorizations.items():
@@ -486,12 +484,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config, out_dir, render_plots = _config_from_args(args)
-        if args.command == "run":
-            return _execute_run(config, out_dir, render_plots)
-        return _execute_spectrum(config, out_dir)
-    except (
-        InvalidInputError, OSError, ConvergenceError, StiffnessError, RhsEvaluationError
-    ) as err:
+        if args.command == "run" and not config.rules:
+            raise InvalidInputError("at least one truncation rule is required")
+        os.makedirs(out_dir, exist_ok=True)
+        report = run_experiment(config)
+        if args.command == "spectrum":
+            return _write_spectrum(report, out_dir)
+        return _write_run(report, out_dir, render_plots)
+    except (PodromError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

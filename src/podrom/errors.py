@@ -1,15 +1,19 @@
 """Exception types shared across the toolkit."""
 
 
-class InvalidInputError(ValueError):
+class PodromError(Exception):
+    """Base of every error the toolkit raises on purpose."""
+
+
+class InvalidInputError(PodromError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(PodromError, RuntimeError):
     """An iterative kernel hit its iteration or sweep cap."""
 
 
-class StiffnessError(RuntimeError):
+class StiffnessError(PodromError, RuntimeError):
     """The adaptive integrator underflowed its step size.
 
     ``t`` identifies where integration stalled.
@@ -20,5 +24,5 @@ class StiffnessError(RuntimeError):
         self.t = t
 
 
-class RhsEvaluationError(RuntimeError):
+class RhsEvaluationError(PodromError, RuntimeError):
     """A right-hand-side evaluation returned NaN or infinity."""

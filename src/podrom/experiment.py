@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Dict, Optional, Tuple
@@ -19,12 +20,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .bounds import BoundConstants, BoundCurve, bound_constants, method1_bound, method2_bound
-from .errors import (
-    ConvergenceError,
-    InvalidInputError,
-    RhsEvaluationError,
-    StiffnessError,
-)
+from .errors import InvalidInputError, PodromError
 from .fhn import FhnParams, Waveform, build_fhn
 from .linalg import SvdResult, svd_one_sided_jacobi
 from .ode import OdeSystem, Trajectory, integrate
@@ -48,11 +44,7 @@ __all__ = [
     "CellFailure",
     "RunReport",
     "run_experiment",
-    "run_spectra",
 ]
-
-# Failure kinds that stay confined to one grid cell.
-_CELL_ERRORS = (InvalidInputError, ConvergenceError, StiffnessError, RhsEvaluationError)
 
 # Points of the evaluation grid, on which every error and bound curve is
 # sampled: uniform on [0, T], both ends included.
@@ -80,7 +72,8 @@ class RunConfig:
     """Everything one experiment run depends on.
 
     Exactly the grid cells (method, delta, rule) are produced, in that loop order.
-    Repeated methods, spacings and rules are dropped.
+    Repeated methods, spacings and rules are dropped.  A config without rules
+    is a spectra-only run: the truth solve and the factorizations, no cells.
     """
 
     params: FhnParams
@@ -116,8 +109,6 @@ class RunConfig:
         object.__setattr__(self, "deltas", deltas)
 
         rules = tuple(self.rules)
-        if not rules:
-            raise InvalidInputError("at least one truncation rule is required")
         for rule in rules:
             if not isinstance(rule, TruncationRule):
                 raise InvalidInputError(f"rules must be TruncationRule instances, got {rule!r}")
@@ -179,9 +170,10 @@ def preset(
 
     When neither ``epsilons`` nor ``dims`` is given the preset's full rule
     schedule (all cutoffs, then all fixed dimensions) is used; giving
-    either replaces the schedule with exactly the rules named.  ``deltas``
-    replaces the spacings, and other keywords, ``methods`` among them, are
-    ``RunConfig`` fields.
+    either replaces the schedule with exactly the rules named (none, for a
+    spectra-only run, when both are empty).  ``deltas`` replaces the
+    spacings, and other keywords, ``methods`` among them, are ``RunConfig``
+    fields.
     """
     config = _PRESETS.get(str(preset_id).strip().upper())
     if config is None:
@@ -227,12 +219,14 @@ class RunReport:
 
     ``factorizations`` maps (method, delta) to the SVD of that snapshot
     matrix, with its numerical rank and Jacobi work.  ``timings`` holds
-    wall-clock seconds per stage.  ``counters`` holds only the work the
-    report cannot show otherwise (a run makes one truth solve).  The
-    integrator's work counters (``step_attempts``, ``rejected_steps``)
-    appear with the prefix ``fom_`` for the truth solve and ``rom_`` summed
-    over the fresh reduced solves (cache hits add nothing); a reduced solve
-    that is exact in time, as on preset A, adds 0 to them.
+    wall-clock seconds per stage that ran without raising, in the order
+    fom, snapshots, svd, constants, rom, bounds, total.  ``counters``
+    holds only the work the report cannot show otherwise (a run makes one
+    truth solve).  The integrator's work counters (``step_attempts``,
+    ``rejected_steps``) appear with the prefix ``fom_`` for the truth solve
+    and ``rom_`` summed over the fresh reduced solves (cache hits add
+    nothing); a reduced solve that is exact in time, as on preset A, adds 0
+    to them.
     """
 
     cells: Tuple[CellResult, ...]
@@ -266,12 +260,12 @@ def _add_work(counters: Dict[str, int], prefix: str, trajectory: Trajectory) -> 
         counters[prefix + name] += getattr(trajectory, name)
 
 
-class _Timer:
-    def __init__(self) -> None:
-        self.totals: Dict[str, float] = {}
-
-    def add(self, stage: str, start: float) -> None:
-        self.totals[stage] = self.totals.get(stage, 0.0) + (time.perf_counter() - start)
+@contextmanager
+def _timed(timings: Dict[str, float], stage: str):
+    """Add the block's wall-clock seconds to ``timings[stage]``; a block that raises adds none."""
+    start = time.perf_counter()
+    yield
+    timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - start)
 
 
 @dataclass
@@ -283,12 +277,12 @@ class _RunContext:
     fom_eval: Trajectory
     snapshots: Dict[float, SnapshotSet]
     dense_trajectories: Dict[float, Trajectory]
-    timer: _Timer
+    timings: Dict[str, float]
     counters: Dict[str, int]
 
 
 def _prepare(config: RunConfig) -> _RunContext:
-    timer = _Timer()
+    timings: Dict[str, float] = {}
     counters = {
         "rom_solves": 0,
         "rom_cache_hits": 0,
@@ -318,20 +312,18 @@ def _prepare(config: RunConfig) -> _RunContext:
         np.union1d, list(snap_grids.values()) + list(dense_grids.values()), eval_times
     )
 
-    start = time.perf_counter()
-    fom = integrate(system, x0, config.rel_tol, config.abs_tol, union)
-    _add_work(counters, "fom_", fom)
-    timer.add("fom", start)
+    with _timed(timings, "fom"):
+        fom = integrate(system, x0, config.rel_tol, config.abs_tol, union)
+        _add_work(counters, "fom_", fom)
 
-    start = time.perf_counter()
-    snapshots = {
-        delta: collect_snapshots(system, _restrict(fom, grid))
-        for delta, grid in snap_grids.items()
-    }
-    dense_trajectories = {
-        delta: _restrict(fom, grid) for delta, grid in dense_grids.items()
-    }
-    timer.add("snapshots", start)
+    with _timed(timings, "snapshots"):
+        snapshots = {
+            delta: collect_snapshots(system, _restrict(fom, grid))
+            for delta, grid in snap_grids.items()
+        }
+        dense_trajectories = {
+            delta: _restrict(fom, grid) for delta, grid in dense_grids.items()
+        }
 
     return _RunContext(
         system=system,
@@ -339,7 +331,7 @@ def _prepare(config: RunConfig) -> _RunContext:
         fom_eval=_restrict(fom, eval_times),
         snapshots=snapshots,
         dense_trajectories=dense_trajectories,
-        timer=timer,
+        timings=timings,
         counters=counters,
     )
 
@@ -348,41 +340,10 @@ def _factorize(config: RunConfig, ctx: _RunContext) -> Dict[Tuple[str, float], S
     svds: Dict[Tuple[str, float], SvdResult] = {}
     for method in config.methods:
         for delta in config.deltas:
-            start = time.perf_counter()
-            matrix = build_snapshot_matrix(ctx.snapshots[delta], method)
-            svds[(method, delta)] = svd_one_sided_jacobi(matrix)
-            ctx.timer.add("svd", start)
+            with _timed(ctx.timings, "svd"):
+                matrix = build_snapshot_matrix(ctx.snapshots[delta], method)
+                svds[(method, delta)] = svd_one_sided_jacobi(matrix)
     return svds
-
-
-def _finish_report(
-    config: RunConfig,
-    ctx: _RunContext,
-    svds: Dict[Tuple[str, float], SvdResult],
-    total_start: float,
-    cells=(),
-    failures=(),
-) -> RunReport:
-    """The report of a finished run, its total time added."""
-    ctx.timer.add("total", total_start)
-    return RunReport(
-        cells=tuple(cells),
-        failures=tuple(failures),
-        factorizations=svds,
-        timings=dict(ctx.timer.totals),
-        counters=dict(ctx.counters),
-        config=config,
-    )
-
-
-def run_spectra(config: RunConfig) -> RunReport:
-    """The truth solve and the factorizations only: a report without cells.
-
-    The config's rules are not used.
-    """
-    total_start = time.perf_counter()
-    ctx = _prepare(config)
-    return _finish_report(config, ctx, _factorize(config, ctx), total_start)
 
 
 def run_experiment(config: RunConfig) -> RunReport:
@@ -391,20 +352,19 @@ def run_experiment(config: RunConfig) -> RunReport:
     The truth trajectory is integrated once on the union of the evaluation
     grid, all snapshot grids, and (with bounds on) the dense sampling grids;
     every later stage slices it.  A cell failure is recorded with its stage
-    and message and the remaining cells still run.
+    and message and the remaining cells still run.  A config without rules
+    gives the truth solve and the factorizations only.
     """
-    total_start = time.perf_counter()
-
+    start = time.perf_counter()
     ctx = _prepare(config)
     svds = _factorize(config, ctx)
     constants: Dict[float, BoundConstants] = {}
     if config.evaluate_bounds:
-        start = time.perf_counter()
-        constants = {
-            delta: bound_constants(ctx.system, ctx.dense_trajectories[delta], snaps.times)
-            for delta, snaps in ctx.snapshots.items()
-        }
-        ctx.timer.add("constants", start)
+        with _timed(ctx.timings, "constants"):
+            constants = {
+                delta: bound_constants(ctx.system, ctx.dense_trajectories[delta], snaps.times)
+                for delta, snaps in ctx.snapshots.items()
+            }
 
     cells = []
     failures = []
@@ -420,14 +380,13 @@ def run_experiment(config: RunConfig) -> RunReport:
                     cache_key = (method, delta, basis.l)
                     curve = curve_cache.get(cache_key)
                     if curve is None:
-                        start = time.perf_counter()
-                        lifted = solve_rom_lifted(
-                            ctx.system, basis, ctx.x0, ctx.fom_eval.times,
-                            config.rel_tol, config.abs_tol,
-                        )
-                        ctx.counters["rom_solves"] += 1
-                        _add_work(ctx.counters, "rom_", lifted)
-                        ctx.timer.add("rom", start)
+                        with _timed(ctx.timings, "rom"):
+                            lifted = solve_rom_lifted(
+                                ctx.system, basis, ctx.x0, ctx.fom_eval.times,
+                                config.rel_tol, config.abs_tol,
+                            )
+                            ctx.counters["rom_solves"] += 1
+                            _add_work(ctx.counters, "rom_", lifted)
 
                         stage = "error"
                         curve = curve_cache[cache_key] = error_curve(ctx.fom_eval, lifted)
@@ -437,10 +396,11 @@ def run_experiment(config: RunConfig) -> RunReport:
                     bound = None
                     if config.evaluate_bounds:
                         stage = "bound"
-                        start = time.perf_counter()
                         bound_of = method1_bound if method == "Y" else method2_bound
-                        bound = bound_of(basis.sigma_next, constants[delta], ctx.fom_eval.times)
-                        ctx.timer.add("bounds", start)
+                        with _timed(ctx.timings, "bounds"):
+                            bound = bound_of(
+                                basis.sigma_next, constants[delta], ctx.fom_eval.times
+                            )
 
                     cells.append(
                         CellResult(
@@ -453,7 +413,7 @@ def run_experiment(config: RunConfig) -> RunReport:
                             bound=bound,
                         )
                     )
-                except _CELL_ERRORS as err:
+                except PodromError as err:
                     failures.append(
                         CellFailure(
                             method=method,
@@ -464,4 +424,12 @@ def run_experiment(config: RunConfig) -> RunReport:
                         )
                     )
 
-    return _finish_report(config, ctx, svds, total_start, cells, failures)
+    ctx.timings["total"] = time.perf_counter() - start
+    return RunReport(
+        cells=tuple(cells),
+        failures=tuple(failures),
+        factorizations=svds,
+        timings=ctx.timings,
+        counters=ctx.counters,
+        config=config,
+    )

@@ -20,7 +20,7 @@ exponential per interval length.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -389,13 +389,7 @@ def solve_rom_lifted(
     else:
         rom = build_rom(system, basis)
         reduced = integrate(rom, z0, rel_tol, abs_tol, out)
-    lifted = reduced.states @ vectors.T
-    return Trajectory(
-        times=reduced.times,
-        states=lifted,
-        step_attempts=reduced.step_attempts,
-        rejected_steps=reduced.rejected_steps,
-    )
+    return replace(reduced, states=reduced.states @ vectors.T)
 
 
 def error_curve(fom: Trajectory, rom_lifted: Trajectory) -> ErrorCurve:

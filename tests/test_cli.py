@@ -23,10 +23,24 @@ from podrom.cli import (
     write_spectrum_csv,
 )
 from podrom.bounds import BoundCurve
-from podrom.errors import InvalidInputError
+from podrom.errors import (
+    ConvergenceError,
+    InvalidInputError,
+    RhsEvaluationError,
+    StiffnessError,
+)
 from podrom.experiment import CellResult, RunConfig, RunReport, preset, run_experiment
 from podrom.linalg import SvdResult
 from podrom.pod import ErrorCurve, TruncationRule, truncate_basis
+
+
+# One instance of each error type the library raises on purpose.
+LIBRARY_ERRORS = (
+    InvalidInputError("bad input"),
+    ConvergenceError("no convergence"),
+    StiffnessError("step size underflow", 0.25),
+    RhsEvaluationError("non-finite rhs"),
+)
 
 
 def tiny_config(**overrides):
@@ -38,7 +52,8 @@ def tiny_config(**overrides):
 
 def cutoff_keeping(config, method, delta, k):
     """The cutoff at sigma_k of the (method, delta) snapshot matrix: it keeps k modes."""
-    svd = experiment.run_spectra(config).factorizations[(method, delta)]
+    spectra_only = dataclasses.replace(config, rules=())
+    svd = run_experiment(spectra_only).factorizations[(method, delta)]
     rule = TruncationRule.cutoff(float(svd.singular_values[k - 1]))
     assert truncate_basis(svd, rule).l == truncate_basis(svd, TruncationRule.fixed(k)).l == k
     return rule
@@ -159,10 +174,6 @@ class TestRunConfig:
         with pytest.raises(InvalidInputError):
             tiny_config(deltas=(0.013,))
 
-    def test_empty_rules_rejected(self):
-        with pytest.raises(InvalidInputError):
-            preset("A", epsilons=(), dims=())
-
     def test_bad_tolerances_rejected(self):
         with pytest.raises(InvalidInputError):
             tiny_config(rel_tol=0.0)
@@ -238,18 +249,41 @@ class TestRunExperiment:
         assert len(keys) == 6
 
     def test_jacobi_counters_sum_over_factorizations(self):
-        # Each factorization in the report carries its own Jacobi work, the
-        # same whichever driver entry point made it.
-        config = tiny_config(methods=("Y", "Z"))
-        svds = run_experiment(config).factorizations
+        # Each factorization in the report carries its own Jacobi work.
+        svds = run_experiment(tiny_config(methods=("Y", "Z"))).factorizations
         assert list(svds) == [("Y", 0.01), ("Z", 0.01)]
         assert all(svd.sweeps >= 2 and svd.rotations > 0 for svd in svds.values())
-        spectra_only = experiment.run_spectra(config).factorizations
-        for key, svd in svds.items():
-            assert (svd.sweeps, svd.rotations) == (
-                spectra_only[key].sweeps,
-                spectra_only[key].rotations,
+
+    def test_config_without_rules_is_a_spectra_only_run(self):
+        config = preset("A", methods=("Y", "Z"), deltas=(0.01,), epsilons=(), dims=())
+        assert config.rules == ()
+        report = run_experiment(config)
+        assert report.cells == () and report.failures == ()
+        with_rules = run_experiment(tiny_config(methods=("Y", "Z"))).factorizations
+        assert list(report.factorizations) == list(with_rules)
+        for key, svd in report.factorizations.items():
+            other = with_rules[key]
+            assert np.array_equal(svd.singular_values, other.singular_values)
+            assert (svd.numerical_rank, svd.sweeps, svd.rotations) == (
+                other.numerical_rank, other.sweeps, other.rotations
             )
+
+    def test_timings_hold_the_stages_that_ran(self, monkeypatch):
+        spectra_only = run_experiment(tiny_config(dims=()))
+        assert list(spectra_only.timings) == ["fom", "snapshots", "svd", "total"]
+        with_bounds = run_experiment(tiny_config(evaluate_bounds=True))
+        assert list(with_bounds.timings) == [
+            "fom", "snapshots", "svd", "constants", "rom", "bounds", "total"
+        ]
+        assert all(seconds >= 0.0 for seconds in with_bounds.timings.values())
+
+        def failing_solve(*args, **kwargs):
+            raise StiffnessError("step size underflow", 0.0)
+
+        monkeypatch.setattr(experiment, "solve_rom_lifted", failing_solve)
+        report = run_experiment(tiny_config())
+        assert len(report.failures) == 1
+        assert list(report.timings) == ["fom", "snapshots", "svd", "total"]
 
     def test_integrator_counters_sum_over_solves(self, monkeypatch):
         # Preset B's cubic keeps its reduced solves on DP5.  Two distinct
@@ -326,6 +360,22 @@ class TestRunExperiment:
         assert failure.rule == TruncationRule.fixed(60)
         assert failure.stage == "basis"
         assert "60" in failure.message
+
+    @pytest.mark.parametrize("error", LIBRARY_ERRORS, ids=lambda e: type(e).__name__)
+    def test_failed_reduced_solve_recorded_and_rest_continue(self, monkeypatch, error):
+        solve = experiment.solve_rom_lifted
+
+        def solve_failing_at_5(system, basis, *args):
+            if basis.l == 5:
+                raise error
+            return solve(system, basis, *args)
+
+        monkeypatch.setattr(experiment, "solve_rom_lifted", solve_failing_at_5)
+        report = run_experiment(tiny_config(dims=(5, 6)))
+        assert [cell.l for cell in report.cells] == [6]
+        (failure,) = report.failures
+        assert (failure.rule, failure.stage) == (TruncationRule.fixed(5), "rom")
+        assert failure.message == str(error)
 
     def test_fixed_dimension_beyond_rank_is_honored(self):
         # the snapshot spectrum decays far below 50 resolved modes, yet the
@@ -563,12 +613,39 @@ class TestCommandLine:
     def test_output_directory_that_is_a_file(self, tmp_path, monkeypatch, capsys, argv):
         calls = []
         monkeypatch.setattr(cli, "run_experiment", calls.append)
-        monkeypatch.setattr(cli, "run_spectra", calls.append)
         blocker = tmp_path / "taken"
         blocker.write_text("not a directory")
         assert main([*argv, "--out", str(blocker)]) == 1
         assert "error:" in capsys.readouterr().err
         assert calls == []
+
+    def test_empty_rule_schedule_rejected_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", calls.append)
+        out = tmp_path / "out"
+        argv = ["run", "--preset", "A", "--epsilons", "", "--dims", "", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: at least one truncation rule is required\n"
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("error", LIBRARY_ERRORS, ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--preset", "A", "--methods", "Y", "--deltas", "0.01", "--dims", "5"],
+            ["spectrum", "--preset", "A", "--delta", "0.01"],
+        ],
+        ids=["run", "spectrum"],
+    )
+    def test_library_errors_are_error_lines(self, tmp_path, monkeypatch, capsys, argv, error):
+        def failing_run(config):
+            raise error
+
+        monkeypatch.setattr(cli, "run_experiment", failing_run)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
 
     def test_unwritable_artifact_is_an_error_line(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -683,7 +760,6 @@ class TestCommandLine:
         monkeypatch.delenv("PODROM_OUT", raising=False)
         calls = []
         monkeypatch.setattr(cli, "run_experiment", calls.append)
-        monkeypatch.setattr(cli, "run_spectra", calls.append)
         if ini is not None:
             path = tmp_path / "run.ini"
             path.write_text(ini)
@@ -712,6 +788,31 @@ class TestCommandLine:
     def test_bounds_key_is_boolean(self, tmp_path, text, expect):
         config, _, _ = settings_from(tmp_path, {"run": {"preset": "A", "bounds": text}})
         assert config.evaluate_bounds is expect
+
+    @pytest.mark.parametrize("extra", ["", "[integrator]\nrel_tol = 1e-11\n"])
+    @pytest.mark.parametrize("default", ["", "bounds = true\n"])
+    def test_default_section_rejected(self, tmp_path, capsys, default, extra):
+        # [DEFAULT] is an unknown section like any other: its keys do not
+        # leak into [run] or [integrator].
+        out = tmp_path / "out"
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[DEFAULT]\n{default}\n[run]\npreset = A\nmethods = Y\ndeltas = 0.01\n"
+            f"dims = 5\nout = {out}\n\n{extra}"
+        )
+        assert main(["run", "--config", str(config)]) == 1
+        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_values_are_literal(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PODROM_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.ini"
+        config.write_text(
+            "[run]\npreset = A\nmethods = Y\ndeltas = 0.01\ndims = 5\nout = res%ults\n"
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        assert (tmp_path / "res%ults" / ERROR_CSV_NAME).exists()
 
     def test_non_boolean_bounds_key_rejected(self, tmp_path):
         config = tmp_path / "run.ini"

@@ -5,10 +5,12 @@ only the modules below it in the layer order."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
 import podrom
+from podrom import errors
 
 
 # The package root re-exports the exception types, so ``errors`` declares none.
@@ -26,6 +28,15 @@ def _exporting_modules():
     return {
         name: module for name, module in _all_modules().items() if hasattr(module, "__all__")
     }
+
+
+def test_every_error_type_derives_from_the_base():
+    assert podrom.PodromError is errors.PodromError
+    assert "PodromError" in podrom.__all__
+    types = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)]
+    assert len(types) == 5
+    assert all(issubclass(cls, errors.PodromError) for cls in types)
+    assert issubclass(errors.InvalidInputError, ValueError)
 
 
 def test_driver_and_cli_declare_exports():
