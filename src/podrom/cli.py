@@ -50,18 +50,29 @@ def _log10_or_neg_inf(value: float, floor: float = 0.0) -> str:
     return repr(math.log10(value))
 
 
-def write_error_csv(report: RunReport, path: str) -> None:
-    """One row per (evaluation time x cell); exact zeros become "-inf"."""
-    lines = ["t,log10_err,method,delta,l,sigma_next"]
-    for cell in report.cells:
+def _write_cell_curves(path: str, value_name: str, extra_name: str, curves) -> None:
+    """One row per (time x cell): t, log10 value, method, delta, l, extra.
+
+    ``curves`` yields (cell, times, values, extra text) per cell; exact
+    zeros become "-inf".
+    """
+    lines = [f"t,{value_name},method,delta,l,{extra_name}"]
+    for cell, times, values, extra in curves:
         delta_s = repr(float(cell.delta))
-        sigma_s = repr(float(cell.sigma_next))
-        for t, norm in zip(cell.curve.times, cell.curve.norms):
+        for t, value in zip(times, values):
             lines.append(
-                f"{float(t)!r},{_log10_or_neg_inf(float(norm))},{cell.method},"
-                f"{delta_s},{cell.l},{sigma_s}"
+                f"{float(t)!r},{_log10_or_neg_inf(float(value))},{cell.method},"
+                f"{delta_s},{cell.l},{extra}"
             )
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def write_error_csv(report: RunReport, path: str) -> None:
+    """One row per (evaluation time x cell); exact zeros become "-inf"."""
+    _write_cell_curves(path, "log10_err", "sigma_next", (
+        (cell, cell.curve.times, cell.curve.norms, repr(float(cell.sigma_next)))
+        for cell in report.cells
+    ))
 
 
 def write_spectrum_csv(report: RunReport, path: str) -> None:
@@ -80,18 +91,11 @@ def write_spectrum_csv(report: RunReport, path: str) -> None:
 
 def write_bound_csv(report: RunReport, path: str) -> None:
     """Bound curves for every cell that has one, in cell order."""
-    lines = ["t,log10_bound,method,delta,l,saturated"]
-    for cell in report.cells:
-        if cell.bound is None:
-            continue
-        delta_s = repr(float(cell.delta))
-        flag = 1 if cell.bound.saturated else 0
-        for t, value in zip(cell.bound.times, cell.bound.values):
-            lines.append(
-                f"{float(t)!r},{_log10_or_neg_inf(float(value))},{cell.method},"
-                f"{delta_s},{cell.l},{flag}"
-            )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_cell_curves(path, "log10_bound", "saturated", (
+        (cell, cell.bound.times, cell.bound.values, 1 if cell.bound.saturated else 0)
+        for cell in report.cells
+        if cell.bound is not None
+    ))
 
 
 def _write_text(path: str, text: str) -> None:

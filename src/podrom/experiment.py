@@ -23,7 +23,7 @@ from .bounds import BoundConstants, BoundCurve, bound_constants, method1_bound, 
 from .errors import InvalidInputError, PodromError
 from .fhn import FhnParams, Waveform, build_fhn
 from .linalg import SvdResult, svd_one_sided_jacobi
-from .ode import OdeSystem, Trajectory, integrate
+from .ode import MAX_STEP_ATTEMPTS, Trajectory, integrate
 from .pod import (
     METHODS,
     ErrorCurve,
@@ -59,6 +59,13 @@ def _grid_intervals(horizon: float, delta: float) -> int:
     if not float(delta) > 0.0:
         raise InvalidInputError(f"delta must be positive, got {delta!r}")
     ratio = horizon / float(delta)
+    # The truth solve lands a step on every grid point, so a finer grid could
+    # only end in ConvergenceError.
+    if ratio > MAX_STEP_ATTEMPTS:
+        raise InvalidInputError(
+            f"delta {delta!r} gives more snapshot intervals than the {MAX_STEP_ATTEMPTS} "
+            "steps a solve may attempt"
+        )
     count = round(ratio)
     if count < 1 or abs(ratio - count) > 1e-9 * max(1.0, ratio):
         raise InvalidInputError(
@@ -217,10 +224,12 @@ class CellFailure:
 class RunReport:
     """Everything a finished run produced, cell by cell.
 
-    ``factorizations`` maps (method, delta) to the SVD of that snapshot
-    matrix, with its numerical rank and Jacobi work.  ``timings`` holds
-    wall-clock seconds per stage that ran without raising, in the order
-    fom, snapshots, svd, constants, rom, bounds, total.  ``counters``
+    ``snapshots`` maps each delta to the ``SnapshotSet`` sliced from the
+    truth solve, and ``factorizations`` maps (method, delta) to the SVD of
+    the snapshot matrix built from it, with its numerical rank and Jacobi
+    work.  ``timings`` holds wall-clock seconds per stage that ran without
+    raising, in the order fom, snapshots, svd, constants, rom, bounds,
+    total.  ``counters``
     holds only the work the report cannot show otherwise (a run makes one
     truth solve).  The integrator's work counters (``step_attempts``,
     ``rejected_steps``) appear with the prefix ``fom_`` for the truth solve
@@ -231,6 +240,7 @@ class RunReport:
 
     cells: Tuple[CellResult, ...]
     failures: Tuple[CellFailure, ...]
+    snapshots: Dict[float, SnapshotSet]
     factorizations: Dict[Tuple[str, float], SvdResult]
     timings: Dict[str, float]
     counters: Dict[str, int]
@@ -268,20 +278,16 @@ def _timed(timings: Dict[str, float], stage: str):
     timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - start)
 
 
-@dataclass
-class _RunContext:
-    """Truth trajectory and per-delta slices shared by every stage."""
+def run_experiment(config: RunConfig) -> RunReport:
+    """Run the full sweep and collect every cell (or its failure record).
 
-    system: OdeSystem
-    x0: np.ndarray
-    fom_eval: Trajectory
-    snapshots: Dict[float, SnapshotSet]
-    dense_trajectories: Dict[float, Trajectory]
-    timings: Dict[str, float]
-    counters: Dict[str, int]
-
-
-def _prepare(config: RunConfig) -> _RunContext:
+    The truth trajectory is integrated once on the union of the evaluation
+    grid, all snapshot grids, and (with bounds on) the dense sampling grids;
+    every later stage slices it.  A cell failure is recorded with its stage
+    and message and the remaining cells still run.  A config without rules
+    gives the truth solve, the snapshot sets and the factorizations only.
+    """
+    start = time.perf_counter()
     timings: Dict[str, float] = {}
     counters = {
         "rom_solves": 0,
@@ -290,10 +296,8 @@ def _prepare(config: RunConfig) -> _RunContext:
     }
 
     system = build_fhn(config.params)
-    n = config.params.dimension
-    x0 = np.zeros(n)
+    x0 = np.zeros(system.dimension)
     horizon = config.final_time
-
     eval_times = _uniform_grid(horizon, EVAL_GRID_SIZE - 1)
     snap_grids = {
         delta: _uniform_grid(horizon, _grid_intervals(horizon, delta))
@@ -307,7 +311,6 @@ def _prepare(config: RunConfig) -> _RunContext:
             )
             for delta in config.deltas
         }
-
     union = reduce(
         np.union1d, list(snap_grids.values()) + list(dense_grids.values()), eval_times
     )
@@ -324,46 +327,23 @@ def _prepare(config: RunConfig) -> _RunContext:
         dense_trajectories = {
             delta: _restrict(fom, grid) for delta, grid in dense_grids.items()
         }
+    fom_eval = _restrict(fom, eval_times)
+    # The union-grid truth is the run's largest array: free it before the SVDs.
+    del fom
 
-    return _RunContext(
-        system=system,
-        x0=x0,
-        fom_eval=_restrict(fom, eval_times),
-        snapshots=snapshots,
-        dense_trajectories=dense_trajectories,
-        timings=timings,
-        counters=counters,
-    )
-
-
-def _factorize(config: RunConfig, ctx: _RunContext) -> Dict[Tuple[str, float], SvdResult]:
     svds: Dict[Tuple[str, float], SvdResult] = {}
     for method in config.methods:
         for delta in config.deltas:
-            with _timed(ctx.timings, "svd"):
-                matrix = build_snapshot_matrix(ctx.snapshots[delta], method)
+            with _timed(timings, "svd"):
+                matrix = build_snapshot_matrix(snapshots[delta], method)
                 svds[(method, delta)] = svd_one_sided_jacobi(matrix)
-    return svds
 
-
-def run_experiment(config: RunConfig) -> RunReport:
-    """Run the full sweep and collect every cell (or its failure record).
-
-    The truth trajectory is integrated once on the union of the evaluation
-    grid, all snapshot grids, and (with bounds on) the dense sampling grids;
-    every later stage slices it.  A cell failure is recorded with its stage
-    and message and the remaining cells still run.  A config without rules
-    gives the truth solve and the factorizations only.
-    """
-    start = time.perf_counter()
-    ctx = _prepare(config)
-    svds = _factorize(config, ctx)
     constants: Dict[float, BoundConstants] = {}
     if config.evaluate_bounds:
-        with _timed(ctx.timings, "constants"):
+        with _timed(timings, "constants"):
             constants = {
-                delta: bound_constants(ctx.system, ctx.dense_trajectories[delta], snaps.times)
-                for delta, snaps in ctx.snapshots.items()
+                delta: bound_constants(system, dense_trajectories[delta], snaps.times)
+                for delta, snaps in snapshots.items()
             }
 
     cells = []
@@ -380,27 +360,25 @@ def run_experiment(config: RunConfig) -> RunReport:
                     cache_key = (method, delta, basis.l)
                     curve = curve_cache.get(cache_key)
                     if curve is None:
-                        with _timed(ctx.timings, "rom"):
+                        with _timed(timings, "rom"):
                             lifted = solve_rom_lifted(
-                                ctx.system, basis, ctx.x0, ctx.fom_eval.times,
+                                system, basis, x0, fom_eval.times,
                                 config.rel_tol, config.abs_tol,
                             )
-                            ctx.counters["rom_solves"] += 1
-                            _add_work(ctx.counters, "rom_", lifted)
+                            counters["rom_solves"] += 1
+                            _add_work(counters, "rom_", lifted)
 
                         stage = "error"
-                        curve = curve_cache[cache_key] = error_curve(ctx.fom_eval, lifted)
+                        curve = curve_cache[cache_key] = error_curve(fom_eval, lifted)
                     else:
-                        ctx.counters["rom_cache_hits"] += 1
+                        counters["rom_cache_hits"] += 1
 
                     bound = None
                     if config.evaluate_bounds:
                         stage = "bound"
                         bound_of = method1_bound if method == "Y" else method2_bound
-                        with _timed(ctx.timings, "bounds"):
-                            bound = bound_of(
-                                basis.sigma_next, constants[delta], ctx.fom_eval.times
-                            )
+                        with _timed(timings, "bounds"):
+                            bound = bound_of(basis.sigma_next, constants[delta], fom_eval.times)
 
                     cells.append(
                         CellResult(
@@ -424,12 +402,13 @@ def run_experiment(config: RunConfig) -> RunReport:
                         )
                     )
 
-    ctx.timings["total"] = time.perf_counter() - start
+    timings["total"] = time.perf_counter() - start
     return RunReport(
         cells=tuple(cells),
         failures=tuple(failures),
+        snapshots=snapshots,
         factorizations=svds,
-        timings=ctx.timings,
-        counters=ctx.counters,
+        timings=timings,
+        counters=counters,
         config=config,
     )

@@ -194,14 +194,14 @@ def build_fhn(params: FhnParams) -> OdeSystem:
 
 
 def _wall_forcing(params: FhnParams):
-    """The four wall signals and their rates as two callables ``t -> 4 values``.
+    """The four wall signals, their rates, and whether all four are constant.
 
     ``signals(t)`` gives (I0(t), IX(t), w0'(t), wX'(t)) and ``rates(t)``
-    their time derivatives (I0', IX', w0'', wX'').  Each waveform's kind is
-    resolved here: a constant one contributes its folded value, and the
-    varying ones share a single ``math.sin``/``math.cos`` per call.  Every
-    value is formed by the same operations as the matching ``Waveform``
-    method, so it is bit-equal to it.
+    their time derivatives (I0', IX', w0'', wX''), each as 4 values.  Each
+    waveform's kind is resolved here: a constant one contributes its folded
+    value, and the varying ones share a single ``math.sin``/``math.cos`` per
+    call.  Every value is formed by the same operations as the matching
+    ``Waveform`` method, so it is bit-equal to it.
     """
     sin = math.sin
     cos = math.cos
@@ -234,7 +234,7 @@ def _wall_forcing(params: FhnParams):
             twice_wx * c if vary_wx else 0.0,
         )
 
-    return signals, rates
+    return signals, rates, not (currents_vary or pins_vary)
 
 
 def _fhn_structure(params: FhnParams) -> RhsStructure:
@@ -244,14 +244,13 @@ def _fhn_structure(params: FhnParams) -> RhsStructure:
     plus -lam * v^2 (v - (1+a)) on the voltage rows; -lam*w joins the
     linear part too.  The forcing is four wall vectors times the values of
     ``forcing_signals(t)`` = (I0, IX, w0', wX'), whose rates are
-    ``forcing_rates(t)``; both come from ``_wall_forcing``, and
-    ``build_fhn``'s ``rhs`` shares the signals callable.  The forcing is
-    constant exactly when none of the four waveforms varies.  The linear
-    operator works on a state vector or on an n x k block of them,
-    row-wise, without assembling a matrix; applied to the identity it gives
-    the matrix A itself.  It repeats the stencil of ``rhs`` rather than
-    sharing it, because the truth trajectory depends on the operation order
-    inside ``rhs``.
+    ``forcing_rates(t)``; both come from ``_wall_forcing``, which also
+    decides whether the forcing is constant, and ``build_fhn``'s ``rhs``
+    shares the signals callable.  The linear operator works on a state
+    vector or on an n x k block of them, row-wise, without assembling a
+    matrix; applied to the identity it gives the matrix A itself.  It
+    repeats the stencil of ``rhs`` rather than sharing it, because the truth
+    trajectory depends on the operation order inside ``rhs``.
     """
     L = params.L
     dx = params.dx
@@ -287,7 +286,7 @@ def _fhn_structure(params: FhnParams) -> RhsStructure:
     forcing[L, 1] = -d1 * dx
     forcing[L + 1, 2] = 1.0
     forcing[n - 1, 3] = 1.0
-    signals, rates = _wall_forcing(params)
+    signals, rates, constant = _wall_forcing(params)
     return RhsStructure(
         apply_linear=apply_linear,
         cubic_rows=slice(0, L + 1),
@@ -296,8 +295,6 @@ def _fhn_structure(params: FhnParams) -> RhsStructure:
         forcing_vectors=forcing,
         forcing_signals=signals,
         forcing_rates=rates,
-        forcing_constant=all(
-            w.kind == "constant" for w in (params.I0, params.IX, params.w0, params.wX)
-        ),
+        forcing_constant=constant,
     )
 

@@ -5,9 +5,11 @@ they need.  Tolerances here are tighter than the driver defaults so that
 integrator error sits well below the quantities being compared.
 """
 
+import dataclasses
+
 import pytest
 
-from podrom.experiment import preset, run_experiment, _factorize, _prepare
+from podrom.experiment import preset, run_experiment
 
 # The session-wide sweep bundles below; a test that uses one is marked
 # ``slow``, so ``pytest -m "not slow"`` skips the sweeps.
@@ -40,19 +42,21 @@ def a_sweep_report():
     return run_experiment(_tight("A", evaluate_bounds=True))
 
 
+def _spectra_only(preset_id):
+    """The preset and a spectra-only run of it at the driver's default tolerances."""
+    config = preset(preset_id)
+    return config, run_experiment(dataclasses.replace(config, rules=()))
+
+
 @pytest.fixture(scope="session")
 def a_raw():
-    """Snapshot matrices and their factorizations for the first preset."""
-    config = preset("A")
-    ctx = _prepare(config)
-    return config, ctx, _factorize(config, ctx)
+    """Snapshot sets and their factorizations for the first preset."""
+    return _spectra_only("A")
 
 
 @pytest.fixture(scope="session")
 def b_raw():
-    config = preset("B")
-    ctx = _prepare(config)
-    return config, ctx, _factorize(config, ctx)
+    return _spectra_only("B")
 
 
 @pytest.fixture(scope="session")

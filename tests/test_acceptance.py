@@ -68,11 +68,12 @@ def test_criterion_02_projection_residuals(bundle_name, request):
     """Every snapshot's distance to the retained span is at most
     sigma_{l+1} + 1e-10 * sigma_1, for both snapshot sources, at every
     (spacing, dimension) pairing of the preset.  Zero violations."""
-    config, ctx, svds = request.getfixturevalue(bundle_name)
+    config, report = request.getfixturevalue(bundle_name)
+    svds = report.factorizations
     dims = [rule.fixed_dimension for rule in config.rules if rule.fixed_dimension is not None]
     checked = 0
     for (method, delta), svd in svds.items():
-        columns = build_snapshot_matrix(ctx.snapshots[delta], method)
+        columns = build_snapshot_matrix(report.snapshots[delta], method)
         sigmas = svd.singular_values
         slack = 1e-10 * sigmas[0]
         for l in dims:

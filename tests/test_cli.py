@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from podrom.errors import (
 )
 from podrom.experiment import CellResult, RunConfig, RunReport, preset, run_experiment
 from podrom.linalg import SvdResult
-from podrom.pod import ErrorCurve, TruncationRule, truncate_basis
+from podrom.ode import MAX_STEP_ATTEMPTS
+from podrom.pod import ErrorCurve, TruncationRule, build_snapshot_matrix, truncate_basis
 
 
 # One instance of each error type the library raises on purpose.
@@ -92,6 +94,7 @@ def synthetic_report(with_bound=False, cells=1, saturated=False):
     return RunReport(
         cells=tuple(cell_list),
         failures=(),
+        snapshots={},
         factorizations={
             ("Y", 0.01): SvdResult(
                 left_vectors=np.eye(3),
@@ -157,7 +160,7 @@ class TestRunConfig:
         with pytest.raises(InvalidInputError):
             tiny_config(methods=("Y", "Q"))
 
-    def test_repeated_spacings_factorized_once(self):
+    def test_repeated_spacings_factored_once(self):
         # A repeated spacing would only factorize the same matrix twice.
         # The cutoff at sigma_5 and dims 5 give the same l and share one
         # reduced solve.
@@ -173,6 +176,15 @@ class TestRunConfig:
     def test_delta_must_divide_horizon(self):
         with pytest.raises(InvalidInputError):
             tiny_config(deltas=(0.013,))
+
+    def test_spacing_capped_by_step_attempts(self):
+        # The truth solve lands a step on every snapshot time, so a grid of
+        # more intervals than a solve may attempt steps is rejected up front.
+        # Only configs are built here: no grid is allocated.
+        horizon = preset("A").final_time
+        assert tiny_config(deltas=(horizon / MAX_STEP_ATTEMPTS,)).deltas
+        with pytest.raises(InvalidInputError, match="snapshot intervals"):
+            tiny_config(deltas=(horizon / (MAX_STEP_ATTEMPTS + 1),))
 
     def test_bad_tolerances_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -247,6 +259,37 @@ class TestRunExperiment:
         # every (method, delta, rule) combination is present exactly once
         keys = {(c.method, c.delta, c.rule) for c in report.cells}
         assert len(keys) == 6
+
+    def test_union_truth_released_before_factorizations(self, monkeypatch):
+        # The union-grid truth is the run's largest array; it must be gone
+        # before the first SVD, and the report keeps the snapshot sets that
+        # the factorizations were computed from.
+        truths = []
+        factored = []
+        integrate = experiment.integrate
+        svd = experiment.svd_one_sided_jacobi
+
+        def recording_integrate(*args, **kwargs):
+            truth = integrate(*args, **kwargs)
+            truths.append((weakref.ref(truth), weakref.ref(truth.states)))
+            return truth
+
+        def checking_svd(matrix):
+            assert [(a(), b()) for a, b in truths] == [(None, None)]
+            factored.append(np.array(matrix))
+            return svd(matrix)
+
+        monkeypatch.setattr(experiment, "integrate", recording_integrate)
+        monkeypatch.setattr(experiment, "svd_one_sided_jacobi", checking_svd)
+        report = run_experiment(
+            tiny_config(methods=("Y", "Z"), deltas=(0.05, 0.025), evaluate_bounds=True)
+        )
+        assert report.failures == ()
+        assert list(report.snapshots) == [0.05, 0.025]
+        keys = list(report.factorizations)
+        assert len(factored) == len(keys) == 4
+        for (method, delta), matrix in zip(keys, factored):
+            assert np.array_equal(build_snapshot_matrix(report.snapshots[delta], method), matrix)
 
     def test_jacobi_counters_sum_over_factorizations(self):
         # Each factorization in the report carries its own Jacobi work.
@@ -545,6 +588,7 @@ class TestPlotScript:
         report = RunReport(
             cells=(),
             failures=(),
+            snapshots={},
             factorizations={},
             timings={},
             counters={},
@@ -673,6 +717,14 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "step size underflow" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("delta", ["1e-300", "1e-310"])
+    def test_spacing_beyond_step_cap_is_an_error_line(self, tmp_path, capsys, delta):
+        argv = ["spectrum", "--preset", "A", "--delta", delta, "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: delta {float(delta)!r} gives more snapshot intervals")
         assert "Traceback" not in err
 
     def test_plots_flag_renders_pngs(self, tmp_path):

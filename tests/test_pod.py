@@ -467,11 +467,13 @@ class TestSolveRomLifted:
     def test_lifted_error_test_keeps_preset_b_accuracy(self, b_raw, method):
         # An l = 25 POD basis of preset B at the acceptance tolerances,
         # against the same reduced solve at 100x tighter ones.
-        _, ctx, svds = b_raw
-        basis = truncate_basis(svds[(method, 0.04)], TruncationRule.fixed(25))
+        config, report = b_raw
+        system = build_fhn(config.params)
+        x0 = np.zeros(system.dimension)
+        basis = truncate_basis(report.factorizations[(method, 0.04)], TruncationRule.fixed(25))
         out = np.linspace(0.0, 0.05, 6)[1:]
-        got = solve_rom_lifted(ctx.system, basis, ctx.x0, out, 1e-13, 1e-15)
-        tight = solve_rom_lifted(ctx.system, basis, ctx.x0, out, 1e-15, 1e-17)
+        got = solve_rom_lifted(system, basis, x0, out, 1e-13, 1e-15)
+        tight = solve_rom_lifted(system, basis, x0, out, 1e-15, 1e-17)
         gap = np.max(np.abs(got.states - tight.states))
         assert gap <= 1e-12
         assert gap <= 1e-10 * np.max(np.abs(tight.states))
