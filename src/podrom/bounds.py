@@ -195,7 +195,8 @@ def bound_constants(system: OdeSystem, fom: Trajectory, snapshot_times) -> Bound
     The exact route (``linear_bound_constants``) is taken when the system's
     structure is ``affine``, with A the structure's linear operator applied
     to the identity.  Any other system takes the sampled route
-    (``sampled_bound_constants``).
+    (``sampled_bound_constants``), which raises ``InvalidInputError`` for a
+    system without a structure.
     """
     structure = system.structure
     if structure is not None and structure.affine:

@@ -123,8 +123,8 @@ class OdeSystem:
     describes the same f and never replaces it: it splits f into a linear
     operator, an elementwise cubic and a fixed-vector forcing
     (:class:`RhsStructure`), so that a Galerkin reduction can project each
-    part once, offline.  When the structure is ``affine``, its linear
-    operator gives the exact error-bound constants.
+    part once, offline; a reduction needs it.  When the structure is
+    ``affine``, its linear operator gives the exact error-bound constants.
 
     The optional ``lift`` is an N x ``dimension`` matrix (N >= dimension)
     that maps a state into the space it stands for; a Galerkin reduced

@@ -6,12 +6,11 @@ truncated into an orthonormal basis.  The reduced system z' = U^T f(t, U z)
 is built and integrated with the same driver as the full system, and lifted
 back for pointwise error curves.
 
-A reduced model is built in two phases when the full system carries its
-``structure`` (linear operator, elementwise cubic, fixed-vector forcing):
-offline, each part is projected onto the basis once; online, a reduced
-right-hand-side call works with those small projected operators and never
-forms the full state.  A system without structure falls back to lifting:
-each reduced call evaluates the full right-hand side at U z.  A linear
+A reduced model is built in two phases from the full system's
+``structure`` (linear operator, elementwise cubic, fixed-vector forcing),
+which every reduction requires: offline, each part is projected onto the
+basis once; online, a reduced right-hand-side call works with those small
+projected operators and never forms the full state.  A linear
 time-invariant reduced model, z' = (U^T A U) z + U^T b with b constant, is
 not integrated at all: its exact flow is stepped with one matrix
 exponential per interval length.
@@ -256,43 +255,41 @@ def truncate_basis(svd: SvdResult, rule: TruncationRule) -> PodBasis:
 def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
     """Galerkin-reduced system z' = U^T f(t, U z).
 
-    When the full system carries its ``structure`` (linear operator A,
-    elementwise cubic g on some rows, forcing B s(t)), the reduction runs
-    in two phases.  Offline, once per basis: U^T A U from A applied to the
-    l basis columns, U_c = the basis rows the cubic acts on, and U^T B.
-    Online, per call:
+    The reduction runs in two phases on the system's ``structure``
+    (linear operator A, elementwise cubic g on some rows, forcing B s(t));
+    a system without one raises ``InvalidInputError``, whatever the basis.
+    Offline, once per basis: U^T A U from A applied to the l basis columns,
+    U_c = the basis rows the cubic acts on, and U^T B.  Online, per call:
 
         z' = (U^T A U) z + (U^T B) s(t) + U_c^T g(U_c z),
 
     where s(t) is the k values of one ``forcing_signals`` call, so no call
-    forms the full state or evaluates a signal more than once.  A system
-    without structure is lifted instead: every call evaluates the full
-    right-hand side at U z.
+    forms the full state or evaluates a signal more than once.
     The identity basis (U = I, for example the full-dimension basis that
     ``truncate_basis`` builds) keeps the system's own right-hand side.
     The reduced system carries no structure.  Its ``lift`` is U, so
     ``integrate`` holds it to the full system's error test on U z; the
     identity basis needs no lift.
     """
+    structure = _checked_structure(system, basis)
+    vectors = basis.reduced_vectors
+    n = basis.dimension
+    if basis.l == n and np.array_equal(vectors, np.eye(n)):
+        # U = I: the Galerkin system is the system itself.
+        return OdeSystem(dimension=n, rhs=system.rhs)
+    return OdeSystem(dimension=basis.l, rhs=_projected_rhs(structure, vectors), lift=vectors)
+
+
+def _checked_structure(system: OdeSystem, basis: PodBasis) -> RhsStructure:
+    """The structure of ``system``, checked to be there and to match ``basis``."""
+    if system.structure is None:
+        raise InvalidInputError("a reduced model needs a system with a structure")
     if basis.dimension != system.dimension:
         raise InvalidInputError(
             f"basis dimension {basis.dimension} does not match "
             f"system dimension {system.dimension}"
         )
-    vectors = basis.reduced_vectors
-
-    n = basis.dimension
-    if basis.l == n and np.array_equal(vectors, np.eye(n)):
-        # U = I: the Galerkin system is the system itself.
-        return OdeSystem(dimension=n, rhs=system.rhs)
-    if system.structure is not None:
-        reduced_rhs = _projected_rhs(system.structure, vectors)
-    else:
-
-        def reduced_rhs(t: float, z: np.ndarray) -> np.ndarray:
-            return vectors.T @ np.asarray(system.rhs(t, vectors @ z), dtype=float)
-
-    return OdeSystem(dimension=basis.l, rhs=reduced_rhs, lift=vectors)
+    return system.structure
 
 
 def _projected_operators(structure: RhsStructure, vectors: np.ndarray):
@@ -366,13 +363,10 @@ def solve_rom_lifted(
     them, and ``ode.affine_flow`` gives its exact solution: the tolerances
     are not used and the work counters stay 0.  Any other system's reduced
     model (``build_rom``) is integrated by ``ode.integrate``, and the lifted
-    trajectory carries that solve's work counters.
+    trajectory carries that solve's work counters.  A system without a
+    structure raises ``InvalidInputError``, as in ``build_rom``.
     """
-    if basis.dimension != system.dimension:
-        raise InvalidInputError(
-            f"basis dimension {basis.dimension} does not match "
-            f"system dimension {system.dimension}"
-        )
+    structure = _checked_structure(system, basis)
     start = as_vector(x0, "x0")
     if start.size != basis.dimension:
         raise InvalidInputError(
@@ -381,8 +375,7 @@ def solve_rom_lifted(
     out = as_time_grid(output_times, "output_times")
     vectors = basis.reduced_vectors
     z0 = vectors.T @ start
-    structure = system.structure
-    if structure is not None and structure.linear_time_invariant:
+    if structure.linear_time_invariant:
         linear, forcing = _projected_operators(structure, vectors)
         shift = forcing @ np.asarray(structure.forcing_signals(0.0), dtype=float)
         reduced = affine_flow(linear, shift, z0, out)

@@ -1,4 +1,4 @@
-"""Shared experiment bundles for the acceptance suite.
+"""Shared experiment bundles for the acceptance suite, and shared test systems.
 
 The heavyweight sweeps run once per session; tests read off the cells
 they need.  Tolerances here are tighter than the driver defaults so that
@@ -7,9 +7,26 @@ integrator error sits well below the quantities being compared.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from podrom.experiment import preset, run_experiment
+from podrom.ode import RhsStructure
+
+
+def linear_structure(matrix):
+    """Structure of x' = M x: no cubic and one forcing vector that is zero."""
+    n = matrix.shape[0]
+    return RhsStructure(
+        apply_linear=lambda x: matrix @ x,
+        cubic_rows=slice(0, n),
+        cubic_scale=0.0,
+        cubic_root=0.0,
+        forcing_vectors=np.zeros((n, 1)),
+        forcing_signals=lambda t: (0.0,),
+        forcing_rates=lambda t: (0.0,),
+    )
+
 
 # The session-wide sweep bundles below; a test that uses one is marked
 # ``slow``, so ``pytest -m "not slow"`` skips the sweeps.

@@ -21,8 +21,10 @@ from podrom.errors import InvalidInputError
 from podrom.experiment import preset
 from podrom.fhn import FhnParams, Waveform, build_fhn
 from podrom.linalg import svd_one_sided_jacobi
-from podrom.ode import OdeSystem, RhsStructure, Trajectory, integrate
+from podrom.ode import OdeSystem, Trajectory, integrate
 from podrom.pod import ErrorCurve, SnapshotSet
+
+from conftest import linear_structure
 
 
 def trig_pair(t):
@@ -351,20 +353,6 @@ def synthetic_trajectory(fn, count, t_end=1.0):
     times = (t_end * np.arange(count)) / (count - 1)
     states = np.stack([np.atleast_1d(fn(float(t))) for t in times])
     return Trajectory(times=times, states=states)
-
-
-def linear_structure(matrix):
-    """Structure of x' = M x: no cubic and one forcing vector that is zero."""
-    n = matrix.shape[0]
-    return RhsStructure(
-        apply_linear=lambda x: matrix @ x,
-        cubic_rows=slice(0, n),
-        cubic_scale=0.0,
-        cubic_root=0.0,
-        forcing_vectors=np.zeros((n, 1)),
-        forcing_signals=lambda t: (0.0,),
-        forcing_rates=lambda t: (0.0,),
-    )
 
 
 def decay_system():

@@ -20,6 +20,8 @@ from podrom.linalg import SvdResult, expm, svd_one_sided_jacobi
 from podrom.ode import OdeSystem, Trajectory, affine_flow, integrate
 from podrom.pod import PodBasis, SnapshotSet, solve_rom_lifted
 
+from conftest import linear_structure
+
 
 def svd_defects(M: np.ndarray, result: SvdResult) -> tuple[float, float, float]:
     """Max-entry defects: U orthonormality, V orthonormality, reconstruction."""
@@ -400,7 +402,7 @@ class TestTimeGrid:
 
 
 def _decay():
-    return OdeSystem(dimension=1, rhs=lambda t, x: -x)
+    return OdeSystem(dimension=1, rhs=lambda t, x: -x, structure=linear_structure(-np.eye(1)))
 
 
 # Every owner of a time grid, each called with everything but the grid valid.
@@ -428,18 +430,19 @@ GRID_OWNERS = {
     ),
 }
 
-# Grids inside [0, 1] and starting at 0, so only the grid check can object.
+# Grids inside [0, 1] and starting at 0, so only the grid check can object;
+# each with the part of that check's message it must raise.
 BAD_GRIDS = {
-    "2d": [[0.0, 0.5, 1.0]],
-    "nan": [0.0, float("nan"), 1.0],
-    "repeated": [0.0, 0.5, 0.5, 1.0],
+    "2d": ([[0.0, 0.5, 1.0]], "must be 1-D"),
+    "nan": ([0.0, float("nan"), 1.0], "contains NaN"),
+    "repeated": ([0.0, 0.5, 0.5, 1.0], "must be strictly increasing"),
 }
 
 
-@pytest.mark.parametrize("grid", list(BAD_GRIDS.values()), ids=list(BAD_GRIDS))
+@pytest.mark.parametrize("grid,message", list(BAD_GRIDS.values()), ids=list(BAD_GRIDS))
 @pytest.mark.parametrize("owner", list(GRID_OWNERS.values()), ids=list(GRID_OWNERS))
-def test_every_grid_owner_rejects_bad_grid(owner, grid):
-    with pytest.raises(InvalidInputError):
+def test_every_grid_owner_rejects_bad_grid(owner, grid, message):
+    with pytest.raises(InvalidInputError, match=message):
         owner(np.array(grid))
 
 

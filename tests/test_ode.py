@@ -147,6 +147,34 @@ class TestIntegrate:
         rejected = np.abs(start[1:] - start[:-1]) < np.abs(start[1:] - end[:-1])
         assert traj.rejected_steps == int(np.count_nonzero(rejected)) > 0
 
+    def test_invariant_coordinates_take_the_full_solve_steps(self):
+        # Forcing and initial state sit on 4 of 12 coordinates of a diagonal
+        # system, so the other 8 stay exactly 0 and the identity columns U of
+        # those 4 span an invariant subspace.  The lifted error test of the
+        # system on U^T x with lift U then sees the full solve's numbers,
+        # step for step.  The forcing stops at t = 1.1, between output
+        # times, so some steps are rejected.
+        n = 12
+        kept = [1, 4, 7, 10]
+        rates = -np.linspace(0.5, 6.0, n)
+        drive = np.zeros(n)
+        drive[kept] = [1.0, -2.0, 0.5, 3.0]
+
+        def rhs(t, x):
+            return rates * x + drive * (math.cos(2.0 * t) if t < 1.1 else 0.0)
+
+        system = OdeSystem(dimension=n, rhs=rhs)
+        U = np.eye(n)[:, kept]
+        lifted_system = OdeSystem(dimension=4, rhs=lambda t, z: U.T @ rhs(t, U @ z), lift=U)
+        x0 = np.zeros(n)
+        x0[kept] = [0.3, -0.1, 1.0, 0.0]
+        out = np.linspace(0.0, 2.0, 9)[1:]
+        full = integrate(system, x0, 1e-10, 1e-12, out)
+        lifted = integrate(lifted_system, U.T @ x0, 1e-10, 1e-12, out)
+        assert lifted.step_attempts == full.step_attempts
+        assert lifted.rejected_steps == full.rejected_steps > 0
+        np.testing.assert_allclose(lifted.states @ U.T, full.states, rtol=1e-14, atol=0.0)
+
     def test_work_counters_default_to_zero(self):
         traj = Trajectory(times=np.array([0.0]), states=np.zeros((1, 2)))
         assert (traj.step_attempts, traj.rejected_steps) == (0, 0)

@@ -28,6 +28,8 @@ from podrom.pod import (
     _projected_rhs,
 )
 
+from conftest import linear_structure
+
 
 def svd_from_spectrum(sigmas, rank, n=None):
     """Manual SvdResult with identity singular vectors for rule tests."""
@@ -276,18 +278,16 @@ class TestSnapshotReconstruction:
             assert residual <= 1e-8 * sigma_one
 
 
-class TestBuildRom:
-    def test_identity_basis_reproduces_rhs(self):
-        system = OdeSystem(dimension=3, rhs=lambda t, x: np.sin(x) + t)
-        basis = PodBasis(reduced_vectors=np.eye(3), sigma_next=0.0)
-        rom = build_rom(system, basis)
-        z = np.array([0.1, -0.7, 2.0])
-        assert np.array_equal(rom.rhs(0.3, z), system.rhs(0.3, z))
+def linear_system(A):
+    """x' = A x with its structure attached."""
+    return OdeSystem(dimension=A.shape[0], rhs=lambda t, x: A @ x, structure=linear_structure(A))
 
+
+class TestBuildRom:
     def test_linear_system_reduces_to_projected_matrix(self):
         rng = np.random.default_rng(8)
         A = rng.standard_normal((6, 6))
-        system = OdeSystem(dimension=6, rhs=lambda t, x: A @ x)
+        system = linear_system(A)
         columns = orthonormal_columns(6, 2, seed=8)
         basis = basis_from_columns(columns)
         rom = build_rom(system, basis)
@@ -297,16 +297,26 @@ class TestBuildRom:
             assert np.max(np.abs(rom.rhs(0.0, z) - reduced @ z)) <= 1e-12
 
     def test_zero_rhs_stays_zero(self):
-        system = OdeSystem(dimension=4, rhs=lambda t, x: np.zeros_like(x))
+        system = linear_system(np.zeros((4, 4)))
         basis = basis_from_columns(orthonormal_columns(4, 2, seed=9))
         rom = build_rom(system, basis)
         assert np.all(rom.rhs(1.0, np.array([0.3, -0.4])) == 0.0)
 
     def test_dimension_mismatch(self):
-        system = OdeSystem(dimension=5, rhs=lambda t, x: x)
+        system = linear_system(np.eye(5))
         basis = basis_from_columns(orthonormal_columns(4, 2))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="basis dimension 4 does not match"):
             build_rom(system, basis)
+
+    @pytest.mark.parametrize("l", [2, 3], ids=["projected", "identity"])
+    def test_system_without_structure_rejected(self, l):
+        # The rule holds for every basis, the identity included.
+        system = OdeSystem(dimension=3, rhs=lambda t, x: -x)
+        basis = basis_from_columns(np.eye(3)[:, :l])
+        with pytest.raises(InvalidInputError, match="needs a system with a structure"):
+            build_rom(system, basis)
+        with pytest.raises(InvalidInputError, match="needs a system with a structure"):
+            solve_rom_lifted(system, basis, np.ones(3), [0.1, 0.2], 1e-8, 1e-10)
 
 
 def counting(system):
@@ -397,19 +407,10 @@ class TestStructuredRom:
         assert lifted.states.shape == (2, system.dimension)
         assert calls == []
 
-    def test_generic_system_is_still_lifted(self):
-        fhn = build_fhn(preset("B").params)
-        system, calls = counting(OdeSystem(dimension=fhn.dimension, rhs=fhn.rhs))
-        basis = basis_from_columns(orthonormal_columns(system.dimension, 3, seed=2))
-        x0 = np.zeros(system.dimension)
-        solve_rom_lifted(system, basis, x0, [0.01, 0.02], 1e-8, 1e-10)
-        assert len(calls) > 0
-
 
 class TestSolveRomLifted:
     def test_identity_basis_matches_full_solve(self):
-        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        system = OdeSystem(dimension=2, rhs=lambda t, x: A @ x)
+        system = linear_system(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         basis = PodBasis(reduced_vectors=np.eye(2), sigma_next=0.0)
         x0 = np.array([1.0, 0.0])
         out = [0.5, 1.0]
@@ -428,40 +429,13 @@ class TestSolveRomLifted:
         W = full_set[:, 2:]
         B = np.array([[-0.5, 0.3], [0.0, -0.2]])
         C = -np.diag([1.0, 2.0, 0.5, 1.5])
-        A = U @ B @ U.T + W @ C @ W.T
-        system = OdeSystem(dimension=6, rhs=lambda t, x: A @ x)
+        system = linear_system(U @ B @ U.T + W @ C @ W.T)
         basis = basis_from_columns(U)
         x0 = U @ np.array([1.0, -0.5])
         out = [0.25, 0.5, 1.0]
         lifted = solve_rom_lifted(system, basis, x0, out, 1e-10, 1e-12)
         full = integrate(system, x0, 1e-10, 1e-12, out)
         assert np.max(np.abs(lifted.states - full.states)) <= 1e-8
-
-    def test_invariant_coordinates_take_the_full_solve_steps(self):
-        # Forcing and initial state sit on 4 of 12 coordinates of a diagonal
-        # system, so the other 8 stay exactly 0 and the identity columns of
-        # those 4 span an invariant subspace.  The lifted error test then
-        # sees the full solve's numbers, step for step.  The forcing stops
-        # at t = 1.1, between output times, so some steps are rejected.
-        n = 12
-        kept = [1, 4, 7, 10]
-        rates = -np.linspace(0.5, 6.0, n)
-        drive = np.zeros(n)
-        drive[kept] = [1.0, -2.0, 0.5, 3.0]
-
-        def rhs(t, x):
-            return rates * x + drive * (math.cos(2.0 * t) if t < 1.1 else 0.0)
-
-        system = OdeSystem(dimension=n, rhs=rhs)
-        basis = basis_from_columns(np.eye(n)[:, kept])
-        x0 = np.zeros(n)
-        x0[kept] = [0.3, -0.1, 1.0, 0.0]
-        out = np.linspace(0.0, 2.0, 9)[1:]
-        full = integrate(system, x0, 1e-10, 1e-12, out)
-        lifted = solve_rom_lifted(system, basis, x0, out, 1e-10, 1e-12)
-        assert lifted.step_attempts == full.step_attempts
-        assert lifted.rejected_steps == full.rejected_steps > 0
-        np.testing.assert_allclose(lifted.states, full.states, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("method", ["Y", "Z"])
     def test_lifted_error_test_keeps_preset_b_accuracy(self, b_raw, method):
@@ -528,19 +502,14 @@ class TestExactInTimeDispatch:
         )
         assert lifted.step_attempts == 0
 
-    @pytest.mark.parametrize("case", ["B", "A-unstructured", "A-varying-forcing"])
+    @pytest.mark.parametrize("case", ["B", "A-varying-forcing"])
     def test_other_systems_keep_dp5(self, monkeypatch, case):
         if case == "B":
             system = build_fhn(preset("B").params)
-        elif case == "A-unstructured":
-            system = OdeSystem(dimension=402, rhs=build_fhn(preset("A").params).rhs)
         else:
             params = dataclasses.replace(preset("A").params, IX=Waveform.sin_squared(5.0))
             system = build_fhn(params)
-        if case == "A-unstructured":
-            assert system.structure is None
-        else:
-            assert not system.structure.linear_time_invariant
+        assert not system.structure.linear_time_invariant
         monkeypatch.setattr(pod, "affine_flow", refuse("affine_flow"))
         basis = basis_from_columns(orthonormal_columns(system.dimension, 3, seed=2))
         lifted = solve_rom_lifted(
