@@ -1,8 +1,8 @@
 """Semidiscretized FitzHugh-Nagumo benchmark on a 1-D cable.
 
 Method-of-lines discretization of the two-field reaction-diffusion system
-with injected boundary currents on the voltage field v and pinned boundary
-values for the recovery field w.  State layout is [v_0..v_L, w_0..w_L], so
+with injected boundary currents on the voltage field v; the recovery field
+w is held at zero on both walls.  State layout is [v_0..v_L, w_0..w_L], so
 the system dimension is 2(L+1).  Besides its right-hand side, a built
 system carries its parts as an ``ode.RhsStructure`` (linear operator,
 cubic on the voltage rows, wall forcing).
@@ -27,7 +27,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Waveform:
-    """Scalar boundary signal with closed-form first and second derivatives.
+    """Scalar boundary signal with a closed-form derivative.
 
     Two shapes cover every preset: a constant, and amplitude * sin(t)^2.
     """
@@ -62,11 +62,6 @@ class Waveform:
             return 0.0
         return self.amplitude * math.sin(2.0 * t)
 
-    def second_derivative(self, t: float) -> float:
-        if self.kind == "constant":
-            return 0.0
-        return 2.0 * self.amplitude * math.cos(2.0 * t)
-
 
 @dataclass(frozen=True)
 class FhnParams:
@@ -76,7 +71,8 @@ class FhnParams:
     nodes per field, a spacing ``dx`` = X / L apart.  ``lam`` scales the cubic
     reaction f1 = lam * (v(1-v)(v-a) - w); the recovery reaction is
     f2 = mu*v - gamma*w.  ``I0``/``IX`` are the injected currents at the
-    left and right wall; ``w0``/``wX`` pin the recovery field there.
+    left and right wall.  w is held at zero on both walls: its wall rows
+    have zero rate, and a run starts from the zero state.
     """
 
     L: int
@@ -89,8 +85,6 @@ class FhnParams:
     gamma: float
     I0: Waveform
     IX: Waveform
-    w0: Waveform = Waveform.constant(0.0)
-    wX: Waveform = Waveform.constant(0.0)
 
     def __post_init__(self) -> None:
         L = int(self.L)
@@ -106,7 +100,7 @@ class FhnParams:
             raise InvalidInputError(f"X must be positive, got {self.X}")
         if self.D1 < 0.0 or self.D2 < 0.0:
             raise InvalidInputError("diffusion coefficients must be >= 0")
-        for name in ("I0", "IX", "w0", "wX"):
+        for name in ("I0", "IX"):
             if not isinstance(getattr(self, name), Waveform):
                 raise InvalidInputError(f"{name} must be a Waveform")
 
@@ -165,7 +159,7 @@ def build_fhn(params: FhnParams) -> OdeSystem:
         subtract(state[2:], second_diff, out=second_diff)
         add(second_diff, state[:-2], out=second_diff)
         multiply(coef, second_diff, out=out[1:-1])
-        current_left, current_right, pin_rate_left, pin_rate_right = signals(t)
+        current_left, current_right = signals(t)
         out[0] = d1 * (state[1] - state[0] + dx * current_left)
         out[L] = d1 * (state[L - 1] - state[L] - dx * current_right)
         if cubic:
@@ -185,56 +179,36 @@ def build_fhn(params: FhnParams) -> OdeSystem:
         add(dw, coupling, out=dw)
         multiply(gamma, state[L + 2 : -1], out=coupling)
         subtract(dw, coupling, out=dw)
-        # Wall values of w follow their prescribed signal exactly.
-        out[L + 1] = pin_rate_left
-        out[-1] = pin_rate_right
+        # w is held at zero on the walls: its wall rows have zero rate.
+        out[L + 1] = out[-1] = 0.0
         return out
 
     return OdeSystem(dimension=n, rhs=rhs, structure=structure)
 
 
 def _wall_forcing(params: FhnParams):
-    """The four wall signals, their rates, and whether all four are constant.
+    """The two wall currents, their rates, and whether both are constant.
 
-    ``signals(t)`` gives (I0(t), IX(t), w0'(t), wX'(t)) and ``rates(t)``
-    their time derivatives (I0', IX', w0'', wX''), each as 4 values.  Each
-    waveform's kind is resolved here: a constant one contributes its folded
-    value, and the varying ones share a single ``math.sin``/``math.cos`` per
-    call.  Every value is formed by the same operations as the matching
-    ``Waveform`` method, so it is bit-equal to it.
+    ``signals(t)`` gives (I0(t), IX(t)) and ``rates(t)`` their time
+    derivatives (I0', IX').  Each waveform's kind is resolved here: a
+    constant one contributes its folded value, and the varying ones share a
+    single ``math.sin`` per call.  Every value is formed by the same
+    operations as the matching ``Waveform`` method, so it is bit-equal to it.
     """
     sin = math.sin
-    cos = math.cos
-    waves = (params.I0, params.IX, params.w0, params.wX)
-    vary_i0, vary_ix, vary_w0, vary_wx = (w.kind == "sin_squared" for w in waves)
-    i0, ix, w0, wx = (w.amplitude for w in waves)
-    # Waveform.second_derivative is 2.0 * amplitude * cos(2t).
-    twice_w0 = 2.0 * w0
-    twice_wx = 2.0 * wx
+    vary_i0, vary_ix = (w.kind == "sin_squared" for w in (params.I0, params.IX))
+    i0, ix = params.I0.amplitude, params.IX.amplitude
     currents_vary = vary_i0 or vary_ix
-    pins_vary = vary_w0 or vary_wx
 
     def signals(t: float):
         s = sin(t) if currents_vary else 0.0
-        c = sin(2.0 * t) if pins_vary else 0.0
-        return (
-            i0 * s * s if vary_i0 else i0,
-            ix * s * s if vary_ix else ix,
-            w0 * c if vary_w0 else 0.0,
-            wx * c if vary_wx else 0.0,
-        )
+        return (i0 * s * s if vary_i0 else i0, ix * s * s if vary_ix else ix)
 
     def rates(t: float):
         s = sin(2.0 * t) if currents_vary else 0.0
-        c = cos(2.0 * t) if pins_vary else 0.0
-        return (
-            i0 * s if vary_i0 else 0.0,
-            ix * s if vary_ix else 0.0,
-            twice_w0 * c if vary_w0 else 0.0,
-            twice_wx * c if vary_wx else 0.0,
-        )
+        return (i0 * s if vary_i0 else 0.0, ix * s if vary_ix else 0.0)
 
-    return signals, rates, not (currents_vary or pins_vary)
+    return signals, rates, not currents_vary
 
 
 def _fhn_structure(params: FhnParams) -> RhsStructure:
@@ -242,8 +216,8 @@ def _fhn_structure(params: FhnParams) -> RhsStructure:
 
     The cubic reaction lam * v(1-v)(v-a) expands to -lam*a*v (linear part)
     plus -lam * v^2 (v - (1+a)) on the voltage rows; -lam*w joins the
-    linear part too.  The forcing is four wall vectors times the values of
-    ``forcing_signals(t)`` = (I0, IX, w0', wX'), whose rates are
+    linear part too.  The forcing is two vectors on the voltage wall rows
+    times the values of ``forcing_signals(t)`` = (I0, IX), whose rates are
     ``forcing_rates(t)``; both come from ``_wall_forcing``, which also
     decides whether the forcing is constant, and ``build_fhn``'s ``rhs``
     shares the signals callable.  The linear operator works on a state
@@ -276,16 +250,14 @@ def _fhn_structure(params: FhnParams) -> RhsStructure:
         dw[1:L] = (
             d2 * (w[2:] - 2.0 * w[1:L] + w[: L - 1]) + mu * v[1:L] - gamma * w[1:L]
         )
-        # Wall rows of w carry forcing only.
+        # w is held at zero on the walls: its wall rows are zero.
         dw[0] = 0.0
         dw[L] = 0.0
         return out
 
-    forcing = np.zeros((n, 4))
+    forcing = np.zeros((n, 2))
     forcing[0, 0] = d1 * dx
     forcing[L, 1] = -d1 * dx
-    forcing[L + 1, 2] = 1.0
-    forcing[n - 1, 3] = 1.0
     signals, rates, constant = _wall_forcing(params)
     return RhsStructure(
         apply_linear=apply_linear,

@@ -62,17 +62,6 @@ class TestWaveform:
         approx = (wave(t + h) - wave(t - h)) / (2.0 * h)
         assert abs(wave.derivative(t) - approx) <= 1e-8
 
-    @pytest.mark.parametrize(
-        "wave",
-        [Waveform.constant(2.5), Waveform.sin_squared(1.5)],
-        ids=["constant", "sin_squared"],
-    )
-    def test_second_derivative_by_central_difference(self, wave):
-        h = 1e-6
-        for t in (0.0, 0.7, 2.9):
-            approx = (wave.derivative(t + h) - wave.derivative(t - h)) / (2.0 * h)
-            assert abs(wave.second_derivative(t) - approx) <= 1e-8
-
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidInputError):
             Waveform(kind="sawtooth", amplitude=1.0)
@@ -118,13 +107,6 @@ class TestBuildFhn:
         out = system.rhs(0.0, np.zeros(6))
         assert abs(out[2] + 2.0 * params.D1 / params.dx) <= 1e-12 * 2.0 * params.D1 / params.dx
         assert out[0] == 0.0
-
-    def test_pinned_recovery_rows_follow_waveform(self):
-        params = tiny_params(w0=Waveform.sin_squared(2.0), wX=Waveform.constant(3.0))
-        system = build_fhn(params)
-        out = system.rhs(0.4, np.zeros(6))
-        assert abs(out[3] - 2.0 * math.sin(0.8)) <= 1e-15
-        assert out[5] == 0.0
 
     def test_cubic_reaction_term(self):
         params = tiny_params(lam=2.0, a=0.1, D1=0.0, X=2.0)
@@ -183,7 +165,7 @@ def structured_rhs(structure, t, x):
 
 
 def wall_driven_params(lam):
-    # Every coefficient and all four boundary signals nonzero.
+    # Every coefficient and both wall currents nonzero.
     return tiny_params(
         L=5,
         X=2.5,
@@ -195,8 +177,6 @@ def wall_driven_params(lam):
         gamma=0.4,
         I0=Waveform.sin_squared(1.5),
         IX=Waveform.constant(0.5),
-        w0=Waveform.sin_squared(2.0),
-        wX=Waveform.sin_squared(-0.8),
     )
 
 
@@ -226,8 +206,7 @@ class TestFhnStructure:
 
     @CASES
     def test_forcing_rates_are_signal_derivatives(self, name):
-        # A has constant walls, B sine-squared currents, lam0/lam1 both kinds
-        # on all four walls.
+        # A has constant currents, B sine-squared ones, lam0/lam1 one of each.
         structure = build_fhn(self.params_for(name)).structure
         h = 1e-6
         signals = structure.forcing_signals
@@ -237,7 +216,7 @@ class TestFhnStructure:
 
     @pytest.mark.parametrize(
         "wall,constant",
-        [(None, True), ("I0", False), ("IX", False), ("w0", False), ("wX", False)],
+        [(None, True), ("I0", False), ("IX", False)],
     )
     def test_forcing_constant_exactly_when_no_waveform_varies(self, wall, constant):
         overrides = {} if wall is None else {wall: Waveform.sin_squared(0.5)}
@@ -302,15 +281,14 @@ def reference_rhs(params):
         dw[1:L] = (
             d2 * (w[2:] - 2.0 * w[1:L] + w[: L - 1]) + mu * v[1:L] - gamma * w[1:L]
         )
-        dw[0] = params.w0.derivative(t)
-        dw[L] = params.wX.derivative(t)
+        dw[0] = dw[L] = 0.0
         return out
 
     return rhs
 
 
 def mirrored_wall_params():
-    # The other kind on each wall than wall_driven_params: constant I0 and w0.
+    # The other kind on each wall than wall_driven_params: constant I0.
     return tiny_params(
         L=7,
         X=3.5,
@@ -322,8 +300,6 @@ def mirrored_wall_params():
         gamma=2.5,
         I0=Waveform.constant(-0.75),
         IX=Waveform.sin_squared(0.9),
-        w0=Waveform.constant(0.4),
-        wX=Waveform.sin_squared(1.3),
     )
 
 
@@ -358,18 +334,29 @@ class TestRhsKernel:
         rng = np.random.default_rng(29)
         for t in [0.0, *rng.uniform(-3.0, 7.0, size=200)]:
             t = float(t)
-            assert tuple(structure.forcing_signals(t)) == (
-                params.I0(t),
-                params.IX(t),
-                params.w0.derivative(t),
-                params.wX.derivative(t),
-            )
+            assert tuple(structure.forcing_signals(t)) == (params.I0(t), params.IX(t))
             assert tuple(structure.forcing_rates(t)) == (
                 params.I0.derivative(t),
                 params.IX.derivative(t),
-                params.w0.second_derivative(t),
-                params.wX.second_derivative(t),
             )
+
+    @CASES
+    def test_recovery_wall_rows_are_zero(self, name):
+        # w is held at zero on the walls: rows L+1 and n-1 of the rhs, of the
+        # linear operator and of the forcing vanish for every t and state.
+        params = self.params_for(name)
+        system = build_fhn(params)
+        structure = system.structure
+        walls = [params.L + 1, params.dimension - 1]
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            t = float(rng.uniform(0.0, 5.0))
+            x = rng.uniform(-1.5, 1.5, size=params.dimension)
+            assert np.all(system.rhs(t, x)[walls] == 0.0)
+        block = rng.standard_normal((params.dimension, 4))
+        assert np.all(structure.apply_linear(block)[walls] == 0.0)
+        assert structure.forcing_vectors.shape == (params.dimension, 2)
+        assert np.all(structure.forcing_vectors[walls] == 0.0)
 
     def test_truth_solve_bit_equal_to_reference(self):
         # A short preset-B solve at the acceptance tolerances: every step and
@@ -460,7 +447,7 @@ class TestAssembleLinearMatrix:
         vec = forcing(0.3)
         L = params.L
         nonzero = np.nonzero(vec)[0]
-        assert set(nonzero.tolist()) <= {0, L, L + 1, 2 * L + 1}
+        assert set(nonzero.tolist()) <= {0, L}
         assert abs(vec[0] - params.D1 / params.dx * 1.0) <= 1e-12 * 300.0
         assert abs(vec[L] + params.D1 / params.dx * 5.0) <= 1e-11 * 1500.0
 
