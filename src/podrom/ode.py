@@ -6,6 +6,10 @@ stage reuse.  Integration steps are truncated so that every requested output
 time is hit exactly by a step endpoint; states are never interpolated, and a
 solve runs from t = 0 to its last output time.
 
+One step controller drives two kernels: ``integrate``'s, which calls a
+system's right-hand side, and ``integrate_galerkin``'s fused stages for a
+Galerkin-reduced structured system, which never call one.
+
 A linear time-invariant system x' = K x + c is also solved exactly in time
 (``affine_flow``): one matrix exponential per distinct interval length, with
 no step control.  A helper evaluates the right-hand side along a stored
@@ -15,8 +19,9 @@ trajectory (used for derivative snapshots).
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +34,7 @@ __all__ = [
     "Trajectory",
     "affine_flow",
     "integrate",
+    "integrate_galerkin",
     "sample_rhs",
 ]
 
@@ -266,6 +272,114 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
+def _drive_dp5(kernel, x0: np.ndarray, out: np.ndarray) -> Trajectory:
+    """The one DP5 step controller: landing, step control, work cap and typed errors.
+
+    ``x0`` is the initial state and ``out`` a grid checked by
+    ``_output_grid``.  The controller shortens steps to land on every output
+    time, accepts or rejects each attempt by its error norm, and picks the
+    next step by PI control.  It raises what ``integrate`` documents.
+
+    The ``kernel`` (start, attempt, accept) does every vector operation on
+    the state and stages it owns.  ``start()`` evaluates the first stage at
+    x0 and t = 0 and says whether it is finite; ``attempt(t, h, t_end)``
+    forms the trial step of length h from t to ``t_end`` (t + h, or the
+    output time it lands on) and returns its scaled RMS error norm,
+    non-finite when the trial overflowed; ``accept()`` makes the trial the
+    state, reuses its last stage as the next first one, and returns the
+    state, which the controller copies before the next attempt.
+    """
+    start, attempt, accept = kernel
+    span = float(out[-1])
+    min_step = 1e-14 * span
+    # Safety net for sub-ulp overshoot of an accumulating step endpoint.
+    snap_tol = 32.0 * np.finfo(float).eps * max(span, 1.0)
+    cap = MAX_STEP_ATTEMPTS
+
+    states_out = np.empty((out.size, x0.size))
+    state = x0
+    index = 0
+    t = 0.0
+    h = 1e-6 * span
+    prev_err = 1e-4
+    just_rejected = False
+    attempts = 0
+    rejected = 0
+
+    # Overflow in a trial step makes err non-finite, which rejects the step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not start():
+            raise RhsEvaluationError("rhs is not finite at t=0.0")
+        if out[0] == 0.0:
+            states_out[0] = state
+            index = 1
+        while index < out.size:
+            target = float(out[index])
+            remaining = target - t
+            if remaining <= snap_tol:
+                t = target
+                states_out[index] = state
+                index += 1
+                continue
+            if h < min_step:
+                raise StiffnessError(f"step size underflow at t={t!r}", t=t)
+            h_step = h if h < remaining else remaining
+            if t + h_step == t:
+                raise StiffnessError(f"step size below time resolution at t={t!r}", t=t)
+            if attempts == cap:
+                raise ConvergenceError(
+                    f"integration reached the cap of {cap} step attempts at t={t!r}"
+                )
+            attempts += 1
+            landing = h_step >= remaining
+            t_end = target if landing else t + h_step
+            err = attempt(t, h_step, t_end)
+
+            if not math.isfinite(err):
+                h = h_step * _MIN_FACTOR
+                just_rejected = True
+                rejected += 1
+                continue
+            if err > 1.0:
+                h = h_step * min(max(_SAFETY * err**-0.2, 0.1), 1.0)
+                just_rejected = True
+                rejected += 1
+                continue
+
+            state = accept()
+            t = t_end
+            if landing:
+                states_out[index] = state
+                index += 1
+
+            if err == 0.0:
+                factor = _MAX_FACTOR
+            else:
+                factor = _SAFETY * err**-_PI_ALPHA * prev_err**_PI_BETA
+                factor = min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
+            if just_rejected:
+                factor = min(factor, 1.0)
+            just_rejected = False
+            prev_err = max(err, 1e-10)
+            h = h_step * factor
+
+    return Trajectory(
+        times=out,
+        states=states_out,
+        step_attempts=attempts,
+        rejected_steps=rejected,
+    )
+
+
+def _checked_tolerances(rel_tol: float, abs_tol: float) -> Tuple[float, float]:
+    """Both tolerances as floats, checked to be positive and finite."""
+    rel_tol = float(rel_tol)
+    abs_tol = float(abs_tol)
+    if not all(math.isfinite(tol) and tol > 0.0 for tol in (rel_tol, abs_tol)):
+        raise InvalidInputError("tolerances must be positive and finite")
+    return rel_tol, abs_tol
+
+
 def integrate(
     system: OdeSystem,
     x0: np.ndarray,
@@ -288,6 +402,11 @@ def integrate(
     the scale takes ``|lift @ x_old|`` and ``|lift @ x_new|``, so a reduced
     solve meets the full solve's test.
 
+    Each trial step calls ``system.rhs``; the step controller is the one
+    ``integrate_galerkin`` runs too.  On a ``pod.build_rom`` system, which
+    carries ``lift = U``, this is the reference path that the fused
+    Galerkin kernel is tested against.
+
     Raises :class:`StiffnessError` when the controller drives the step below
     ``1e-14 * output_times[-1]`` (persistently failing trial steps end up
     here too), :class:`ConvergenceError` when ``MAX_STEP_ATTEMPTS`` trial
@@ -296,38 +415,15 @@ def integrate(
     the initial state.  Overflow in a trial step is not warned about: it
     gives a non-finite error norm, and the step is rejected.
     """
-    rel_tol = float(rel_tol)
-    abs_tol = float(abs_tol)
-    if not all(math.isfinite(tol) and tol > 0.0 for tol in (rel_tol, abs_tol)):
-        raise InvalidInputError("tolerances must be positive and finite")
-    state = as_vector(x0, "x0")
+    rel_tol, abs_tol = _checked_tolerances(rel_tol, abs_tol)
+    x0 = as_vector(x0, "x0")
     n = system.dimension
-    if state.shape != (n,):
-        raise InvalidInputError(f"x0 has length {state.size}, system dimension is {n}")
+    if x0.shape != (n,):
+        raise InvalidInputError(f"x0 has length {x0.size}, system dimension is {n}")
     out = _output_grid(output_times)
-    span = float(out[-1])
-    min_step = 1e-14 * span
-    # Safety net for sub-ulp overshoot of an accumulating step endpoint.
-    snap_tol = 32.0 * np.finfo(float).eps * max(span, 1.0)
-
+    state = trial = x0
     eval_rhs = _checked_rhs(system)
     stages = np.empty((7, n))
-    stages[0] = eval_rhs(0.0, state)
-    if not np.all(np.isfinite(stages[0])):
-        raise RhsEvaluationError("rhs is not finite at t=0.0")
-
-    states_out = np.empty((out.size, n))
-    index = 0
-    if out[0] == 0.0:
-        states_out[0] = state
-        index = 1
-
-    t = 0.0
-    h = 1e-6 * span
-    prev_err = 1e-4
-    just_rejected = False
-    attempts = 0
-    rejected = 0
 
     # Work buffers, written through ``out=``.  Each value is formed by the
     # same operations in the same order as the plain expression in the
@@ -358,98 +454,191 @@ def integrate(
     inner_stages = [(i, _RK_C[i], _RK_A[i], stages[:i]) for i in range(1, 6)]
     first_six = stages[:6]
 
-    # Overflow in a trial step makes err non-finite, which rejects the step.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while index < out.size:
-            target = float(out[index])
-            remaining = target - t
-            if remaining <= snap_tol:
-                t = target
-                states_out[index] = state
-                index += 1
-                continue
-            if h < min_step:
-                raise StiffnessError(f"step size underflow at t={t!r}", t=t)
-            h_step = h if h < remaining else remaining
-            if t + h_step == t:
-                raise StiffnessError(f"step size below time resolution at t={t!r}", t=t)
-            if attempts == MAX_STEP_ATTEMPTS:
-                raise ConvergenceError(
-                    f"integration reached the cap of {MAX_STEP_ATTEMPTS} step attempts "
-                    f"at t={t!r}"
-                )
-            attempts += 1
-            landing = h_step >= remaining
-            step[()] = h_step
+    def start() -> bool:
+        stages[0] = eval_rhs(0.0, state)
+        return bool(np.all(np.isfinite(stages[0])))
 
-            for i, c_i, a_i, previous in inner_stages:
-                # state + h_step * (_RK_A[i] @ stages[:i])
-                matmul(a_i, previous, out=combo)
-                multiply(combo, step, out=combo)
-                stages[i] = eval_rhs(t + c_i * h_step, add(state, combo))
-            # trial = state + h_step * (_RK_A[6] @ stages[:6])
-            matmul(_RK_A[6], first_six, out=combo)
+    def attempt(t: float, h_step: float, t_end: float) -> float:
+        nonlocal trial
+        step[()] = h_step
+        for i, c_i, a_i, previous in inner_stages:
+            # state + h_step * (_RK_A[i] @ stages[:i])
+            matmul(a_i, previous, out=combo)
             multiply(combo, step, out=combo)
-            trial = add(state, combo)
-            t_end = target if landing else t + h_step
-            stages[6] = eval_rhs(t_end, trial)
+            stages[i] = eval_rhs(t + c_i * h_step, add(state, combo))
+        # trial = state + h_step * (_RK_A[6] @ stages[:6])
+        matmul(_RK_A[6], first_six, out=combo)
+        multiply(combo, step, out=combo)
+        trial = add(state, combo)
+        stages[6] = eval_rhs(t_end, trial)
 
-            # err = sqrt(mean((h_step * (_RK_ERR @ stages) / scale) ** 2)) with
-            # scale = abs_tol + rel_tol * max(|state|, |trial|); np.mean is
-            # np.add.reduce divided by the count, and |state| is the |trial|
-            # of the step that accepted it.  With a lift, the error vector and
-            # both states are multiplied by it first.
-            matmul(_RK_ERR, stages, out=combo)
-            multiply(combo, step, out=combo)
-            if lift is None:
-                np.abs(trial, out=abs_trial)
-            else:
-                matmul(lift, combo, out=error)
-                matmul(lift, trial, out=abs_trial)
-                np.abs(abs_trial, out=abs_trial)
-            np.maximum(abs_state, abs_trial, out=scale)
-            multiply(scale, rel, out=scale)
-            add(scale, absolute, out=scale)
-            np.divide(error, scale, out=error)
-            multiply(error, error, out=error)
-            err = math.sqrt(float(add.reduce(error)) / m)
+        # err = sqrt(mean((h_step * (_RK_ERR @ stages) / scale) ** 2)) with
+        # scale = abs_tol + rel_tol * max(|state|, |trial|); np.mean is
+        # np.add.reduce divided by the count, and |state| is the |trial|
+        # of the step that accepted it.  With a lift, the error vector and
+        # both states are multiplied by it first.
+        matmul(_RK_ERR, stages, out=combo)
+        multiply(combo, step, out=combo)
+        if lift is None:
+            np.abs(trial, out=abs_trial)
+        else:
+            matmul(lift, combo, out=error)
+            matmul(lift, trial, out=abs_trial)
+            np.abs(abs_trial, out=abs_trial)
+        np.maximum(abs_state, abs_trial, out=scale)
+        multiply(scale, rel, out=scale)
+        add(scale, absolute, out=scale)
+        np.divide(error, scale, out=error)
+        multiply(error, error, out=error)
+        return math.sqrt(float(add.reduce(error)) / m)
 
-            if not math.isfinite(err):
-                h = h_step * _MIN_FACTOR
-                just_rejected = True
-                rejected += 1
-                continue
-            if err > 1.0:
-                h = h_step * min(max(_SAFETY * err**-0.2, 0.1), 1.0)
-                just_rejected = True
-                rejected += 1
-                continue
+    def accept() -> np.ndarray:
+        nonlocal state, abs_state, abs_trial
+        state = trial
+        abs_state, abs_trial = abs_trial, abs_state
+        stages[0] = stages[6]
+        return state
 
-            state = trial
-            abs_state, abs_trial = abs_trial, abs_state
-            t = t_end
-            stages[0] = stages[6]
-            if landing:
-                states_out[index] = state
-                index += 1
+    return _drive_dp5((start, attempt, accept), x0, out)
 
-            if err == 0.0:
-                factor = _MAX_FACTOR
-            else:
-                factor = _SAFETY * err**-_PI_ALPHA * prev_err**_PI_BETA
-                factor = min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
-            if just_rejected:
-                factor = min(factor, 1.0)
-            just_rejected = False
-            prev_err = max(err, 1e-10)
-            h = h_step * factor
 
-    return Trajectory(
-        times=out,
-        states=states_out,
-        step_attempts=attempts,
-        rejected_steps=rejected,
-    )
+# The tableau as rows over the stages [k_0; ...; k_6]: rows 0-4 form the
+# inner stage states, row 5 the trial state and row 6 the error vector.
+_STAGE_ROWS = np.array(
+    [np.concatenate((_RK_A[i], np.zeros(7 - i))) for i in range(1, 7)] + [_RK_ERR]
+)
+
+
+def integrate_galerkin(
+    blocks: np.ndarray,
+    rows: np.ndarray,
+    root: float,
+    signals: Callable[[float], Sequence[float]],
+    lift: np.ndarray,
+    z0: np.ndarray,
+    rel_tol: float,
+    abs_tol: float,
+    output_times,
+) -> Trajectory:
+    """Integrate a Galerkin-reduced structured system with fused DP5 stages.
+
+    The system is z' = M [r(R z); s(t); z] in l unknowns, where M is the
+    l x (p + k + l) matrix ``blocks``, R the p x l matrix ``rows``,
+    r(v) = v^2 (v - ``root``) elementwise, and s(t) the k values of one
+    ``signals(t)`` call: the form ``pod.solve_rom_lifted`` projects from an
+    ``RhsStructure`` onto the basis U = ``lift`` (n x l).  It is the same
+    solve as ``integrate`` on a system with that rhs and lift, under the
+    same step controller, error test, work counters and typed errors; only
+    the rounding differs.  Each stage state is one product of the row
+    [1, h a_i0, ..., h a_i,i-1] with the stacked [z; k_0; ...; k_{i-1}],
+    written into the z-slot of the packed operand [r(R z_i); s(t_i); z_i],
+    and each stage value one product of M with that operand.  The error
+    vector and the trial state are lifted together by one 2 x l by l x n
+    product.
+    """
+    rel_tol, abs_tol = _checked_tolerances(rel_tol, abs_tol)
+    z = as_vector(z0, "z0")
+    l = z.size
+    p = rows.shape[0]
+    k = blocks.shape[1] - p - l
+    if rows.shape != (p, l) or blocks.shape[0] != l or k < 0 or lift.shape[1:] != (l,):
+        raise InvalidInputError(
+            f"blocks {blocks.shape}, rows {rows.shape} and lift {lift.shape} "
+            f"do not fit a reduced state of length {l}"
+        )
+    out = _output_grid(output_times)
+    m = lift.shape[0]
+    stacked = np.empty((8, l))
+    stacked[0] = z
+    z = stacked[0]
+    # Row 1 is the packed operand [r(v); s(t); z_i]; row 0 holds the error
+    # vector under the z-slot, so that the error and the trial state (the
+    # last z_i) are one 2 x l view with a row stride.
+    pair_rows = np.zeros((2, p + k + l))
+    packed = pair_rows[1]
+    cubic = packed[:p]
+    slot = packed[p + k :]
+    error = pair_rows[0, p + k :]
+    pair = pair_rows[:, p + k :]
+    v = np.empty(p)
+    # R column-major: R z_i is a faster product that way, U^T row-major, so
+    # that [error; trial] @ U^T is one product.
+    rows = np.asfortranarray(rows)
+    lift_rows = np.ascontiguousarray(lift.T)
+    lifted = np.empty((2, m))
+    lifted_error = lifted[0]
+    lifted_trial = lifted[1]
+    # [1, h * _STAGE_ROWS] over [z; k_0; ...; k_6]; h is set at each attempt,
+    # and the error row (6) skips z's column.
+    coefficients = np.ones((7, 8))
+    scaled = coefficients[:, 1:]
+    # (coefficient row, the stacked rows it combines, node, stage row
+    # written); the trial's node is None, as it is evaluated at t_end.
+    stages = [
+        (coefficients[i - 1, : i + 1], stacked[: i + 1], _RK_C[i], stacked[i + 1])
+        for i in range(1, 6)
+    ] + [(coefficients[5, :7], stacked[:7], None, stacked[7])]
+    error_row = coefficients[6, 1:]
+    all_stages = stacked[1:]
+    first_stage = stacked[1]
+    last_stage = stacked[7]
+
+    # The k signal values are packed straight into the bytes of
+    # packed[p : p + k], as in the reduced rhs of ``pod.build_rom``.
+    store_drive = struct.Struct(f"{k}d").pack_into
+    packed_bytes = memoryview(packed).cast("B")
+    drive_offset = p * packed.itemsize
+    root = np.array(root)
+    rel = np.array(rel_tol)
+    absolute = np.array(abs_tol)
+    step = np.empty(())
+    abs_state = np.abs(lift @ z)
+    abs_trial = np.empty(m)
+    scale = np.empty(m)
+    dot = np.dot
+    subtract = np.subtract
+    multiply = np.multiply
+
+    def evaluate(t: float, stage: np.ndarray) -> None:
+        # stage = M [r(R z_i); s(t); z_i], with z_i in the slot
+        if p:
+            dot(rows, slot, out=v)
+            subtract(v, root, out=cubic)
+            multiply(cubic, v, out=cubic)
+            multiply(cubic, v, out=cubic)
+        store_drive(packed_bytes, drive_offset, *signals(t))
+        dot(blocks, packed, out=stage)
+
+    def start() -> bool:
+        slot[:] = z
+        evaluate(0.0, first_stage)
+        return bool(np.all(np.isfinite(first_stage)))
+
+    def attempt(t: float, h_step: float, t_end: float) -> float:
+        step[()] = h_step
+        multiply(_STAGE_ROWS, step, out=scaled)
+        for coefficient, previous, c_i, stage in stages:
+            dot(coefficient, previous, out=slot)
+            evaluate(t_end if c_i is None else t + c_i * h_step, stage)
+        dot(error_row, all_stages, out=error)
+        # err = sqrt(mean((U error / scale) ** 2)) with
+        # scale = abs_tol + rel_tol * max(|U z|, |U trial|)
+        dot(pair, lift_rows, out=lifted)
+        np.abs(lifted_trial, out=abs_trial)
+        np.maximum(abs_state, abs_trial, out=scale)
+        multiply(scale, rel, out=scale)
+        np.add(scale, absolute, out=scale)
+        np.divide(lifted_error, scale, out=scale)
+        return math.sqrt(float(dot(scale, scale)) / m)
+
+    def accept() -> np.ndarray:
+        nonlocal abs_state, abs_trial
+        z[:] = slot
+        first_stage[:] = last_stage
+        abs_state, abs_trial = abs_trial, abs_state
+        return z
+
+    return _drive_dp5((start, attempt, accept), z, out)
 
 
 def affine_flow(matrix, shift, x0, output_times) -> Trajectory:

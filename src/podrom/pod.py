@@ -3,14 +3,16 @@
 Snapshots of a solution and of its time derivative are stacked into a
 matrix (solutions only for method Y, both for method Z), factorized, and
 truncated into an orthonormal basis.  The reduced system z' = U^T f(t, U z)
-is built and integrated with the same driver as the full system, and lifted
-back for pointwise error curves.
+is built, integrated under the same step controller as the full system,
+and lifted back for pointwise error curves.
 
 A reduced model is built in two phases from the full system's
 ``structure`` (linear operator, elementwise cubic, fixed-vector forcing),
 which every reduction requires: offline, each part is projected onto the
 basis once; online, a reduced right-hand-side call works with those small
-projected operators and never forms the full state.  A linear
+projected operators and never forms the full state.  A reduced solve runs
+fused DP5 stages on that projection (``ode.integrate_galerkin``) rather
+than calling the reduced right-hand side of ``build_rom``.  A linear
 time-invariant reduced model, z' = (U^T A U) z + U^T b with b constant, is
 not integrated at all: its exact flow is stepped with one matrix
 exponential per interval length.
@@ -20,13 +22,21 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import SvdResult, as_matrix, as_time_grid, as_vector, read_only
-from .ode import OdeSystem, RhsStructure, Trajectory, affine_flow, integrate, sample_rhs
+from .ode import (
+    OdeSystem,
+    RhsStructure,
+    Trajectory,
+    affine_flow,
+    integrate,
+    integrate_galerkin,
+    sample_rhs,
+)
 
 __all__ = [
     "SnapshotSet",
@@ -269,14 +279,16 @@ def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
     ``truncate_basis`` builds) keeps the system's own right-hand side.
     The reduced system carries no structure.  Its ``lift`` is U, so
     ``integrate`` holds it to the full system's error test on U z; the
-    identity basis needs no lift.
+    identity basis needs no lift.  ``solve_rom_lifted`` does not integrate
+    this system: it runs the fused kernel of ``ode.integrate_galerkin`` on
+    the same projection, and ``integrate`` on this system is the reference
+    path it is tested against.
     """
     structure = _checked_structure(system, basis)
     vectors = basis.reduced_vectors
-    n = basis.dimension
-    if basis.l == n and np.array_equal(vectors, np.eye(n)):
+    if _is_identity(vectors):
         # U = I: the Galerkin system is the system itself.
-        return OdeSystem(dimension=n, rhs=system.rhs)
+        return OdeSystem(dimension=basis.dimension, rhs=system.rhs)
     return OdeSystem(dimension=basis.l, rhs=_projected_rhs(structure, vectors), lift=vectors)
 
 
@@ -292,14 +304,38 @@ def _checked_structure(system: OdeSystem, basis: PodBasis) -> RhsStructure:
     return system.structure
 
 
-def _projected_operators(structure: RhsStructure, vectors: np.ndarray):
-    """The offline projections (U^T A U, U^T B) of a structured system."""
+def _is_identity(vectors: np.ndarray) -> bool:
+    n, l = vectors.shape
+    return l == n and np.array_equal(vectors, np.eye(n))
+
+
+class _Projection(NamedTuple):
+    """A structure projected onto one basis U, once.
+
+    ``linear`` is U^T A U and ``forcing`` U^T B.  ``rows`` is U_c, the p
+    basis rows the cubic acts on (none when the structure is affine), and
+    ``blocks`` the l x (p + k + l) matrix [scale U_c^T | U^T B | U^T A U]
+    that a reduced rhs applies to [v^2 (v - root); s(t); z] with v = U_c z.
+    """
+
+    linear: np.ndarray
+    forcing: np.ndarray
+    rows: np.ndarray
+    blocks: np.ndarray
+
+
+def _project(structure: RhsStructure, vectors: np.ndarray) -> _Projection:
     linear = vectors.T @ np.asarray(structure.apply_linear(vectors), dtype=float)
-    return linear, vectors.T @ structure.forcing_vectors
+    forcing = vectors.T @ structure.forcing_vectors
+    rows = vectors[structure.cubic_rows]
+    if structure.affine:
+        rows = rows[:0]
+    blocks = np.hstack((structure.cubic_scale * rows.T, forcing, linear))
+    return _Projection(linear, forcing, rows, blocks)
 
 
 def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):
-    """Online reduced right-hand side from operators projected here, once.
+    """Online reduced right-hand side from the basis's projection, made here once.
 
     A call forms v = U_c z, then applies one l x (p + k + l) matrix
     [scale U_c^T | U^T B | U^T A U] to the stacked vector
@@ -307,16 +343,14 @@ def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):
     the number of forcing signals, all k from one ``forcing_signals`` call.
     A system without cubic skips the first block.
     """
-    linear, forcing = _projected_operators(structure, vectors)
+    projection = _project(structure, vectors)
     signals = structure.forcing_signals
     # a 0-d array: numpy takes it with less per-call overhead than a float
     root = np.array(structure.cubic_root)
-    rows = vectors[structure.cubic_rows]
-    if structure.affine:
-        rows = rows[:0]
+    rows = projection.rows
+    blocks = projection.blocks
     p = rows.shape[0]
-    k = forcing.shape[1]
-    blocks = np.hstack((structure.cubic_scale * rows.T, forcing, linear))
+    k = projection.forcing.shape[1]
     stacked = np.empty(blocks.shape[1])
     cubic = stacked[:p]
     state = stacked[p + k :]
@@ -356,15 +390,19 @@ def solve_rom_lifted(
     """Solve the reduced system from z(0) = U^T x0 and lift the result.
 
     The initial state is taken at t = 0, and no output time may be
-    negative; on either route below, the grid [0.0] alone gives the lifted
-    initial state with zero work counters.  When the system's structure is
-    ``linear_time_invariant``, the reduced model is z' = K z + c with
-    K = U^T A U and c = U^T B s(0), projected as ``build_rom`` projects
-    them, and ``ode.affine_flow`` gives its exact solution: the tolerances
-    are not used and the work counters stay 0.  Any other system's reduced
-    model (``build_rom``) is integrated by ``ode.integrate``, and the lifted
-    trajectory carries that solve's work counters.  A system without a
-    structure raises ``InvalidInputError``, as in ``build_rom``.
+    negative; on every route below, the grid [0.0] alone gives the lifted
+    initial state with zero work counters.  The structure is checked and
+    projected onto the basis once, as ``build_rom`` projects it.  When it
+    is ``linear_time_invariant``, the reduced model is z' = K z + c with
+    K = U^T A U and c = U^T B s(0), and ``ode.affine_flow`` gives its exact
+    solution: the tolerances are not used and the work counters stay 0.
+    Any other structure's reduced model is integrated by
+    ``ode.integrate_galerkin``, the fused DP5 kernel on that projection,
+    and the lifted trajectory carries its work counters.  It is
+    ``integrate`` on ``build_rom``'s system up to rounding; that solve
+    stays the reference path.  The identity basis integrates the system
+    itself, as ``build_rom`` keeps its rhs.  A system without a structure
+    raises ``InvalidInputError``, as in ``build_rom``.
     """
     structure = _checked_structure(system, basis)
     start = as_vector(x0, "x0")
@@ -376,12 +414,24 @@ def solve_rom_lifted(
     vectors = basis.reduced_vectors
     z0 = vectors.T @ start
     if structure.linear_time_invariant:
-        linear, forcing = _projected_operators(structure, vectors)
-        shift = forcing @ np.asarray(structure.forcing_signals(0.0), dtype=float)
-        reduced = affine_flow(linear, shift, z0, out)
+        projection = _project(structure, vectors)
+        shift = projection.forcing @ np.asarray(structure.forcing_signals(0.0), dtype=float)
+        reduced = affine_flow(projection.linear, shift, z0, out)
+    elif _is_identity(vectors):
+        reduced = integrate(system, z0, rel_tol, abs_tol, out)
     else:
-        rom = build_rom(system, basis)
-        reduced = integrate(rom, z0, rel_tol, abs_tol, out)
+        projection = _project(structure, vectors)
+        reduced = integrate_galerkin(
+            projection.blocks,
+            projection.rows,
+            structure.cubic_root,
+            structure.forcing_signals,
+            vectors,
+            z0,
+            rel_tol,
+            abs_tol,
+            out,
+        )
     return replace(reduced, states=reduced.states @ vectors.T)
 
 

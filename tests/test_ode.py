@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from podrom.errors import (
 )
 from podrom.experiment import preset
 from podrom.fhn import build_fhn
+from podrom.pod import PodBasis, solve_rom_lifted
 from podrom.ode import (
     OdeSystem,
     RhsStructure,
@@ -25,6 +27,8 @@ from podrom.ode import (
     integrate,
     sample_rhs,
 )
+
+from conftest import linear_structure
 
 
 def constant_system(value):
@@ -39,6 +43,40 @@ def decay_system():
 def rotation_system():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return OdeSystem(dimension=2, rhs=lambda t, x: A @ x)
+
+
+def solve(route, system, x0, rel_tol, abs_tol, output_times):
+    """A solve by one of the two kernels under the one DP5 controller.
+
+    Route "full" is ``integrate``; route "galerkin" is the fused kernel that
+    ``pod.solve_rom_lifted`` runs on a structured system that is not linear
+    time-invariant, here on the basis of its first two coordinates (not the
+    identity, which it integrates in full).
+    """
+    if route == "full":
+        return integrate(system, x0, rel_tol, abs_tol, output_times)
+    assert system.dimension > 2 and not system.structure.linear_time_invariant
+    basis = PodBasis(reduced_vectors=np.eye(system.dimension)[:, :2], sigma_next=0.0)
+    return solve_rom_lifted(system, basis, x0, output_times, rel_tol, abs_tol)
+
+
+def linear_system(A):
+    """x' = A x with its structure."""
+    return OdeSystem(dimension=A.shape[0], rhs=lambda t, x: A @ x, structure=linear_structure(A))
+
+
+def cubic_system(n, scale):
+    """x' = scale * x^3 on every row, with its structure."""
+    structure = RhsStructure(
+        apply_linear=lambda x: np.zeros_like(x),
+        cubic_rows=slice(0, n),
+        cubic_scale=scale,
+        cubic_root=0.0,
+        forcing_vectors=np.zeros((n, 1)),
+        forcing_signals=lambda t: (0.0,),
+        forcing_rates=lambda t: (0.0,),
+    )
+    return OdeSystem(dimension=n, rhs=lambda t, x: scale * x**3, structure=structure)
 
 
 class TestIntegrate:
@@ -93,20 +131,46 @@ class TestIntegrate:
         assert np.allclose(traj.states[:, 0], np.exp(-out), rtol=1e-7, atol=1e-10)
 
     def test_blowup_raises_stiffness_error(self):
-        system = OdeSystem(dimension=1, rhs=lambda t, x: np.array([1.0 / (0.5 - t)]))
-        with pytest.raises(StiffnessError) as info:
-            integrate(system, np.array([0.0]), 1e-6, 1e-6, [1.0])
-        assert 0.4 < info.value.t < 0.6
+        # x' = 1 / (0.5 - t) from 0, and the reduced z' = 1e-200 z^3 from
+        # 1e100, both blow up at t = 0.5.  The cube overflows once z passes
+        # 6e102, near t = 0.499998, and such trial steps are rejected
+        # without a warning.
+        cases = {
+            "full": (
+                OdeSystem(dimension=1, rhs=lambda t, x: np.array([1.0 / (0.5 - t)])),
+                np.array([0.0]),
+            ),
+            "galerkin": (cubic_system(3, scale=1e-200), np.array([1e100, 0.0, 0.0])),
+        }
+        for route, (system, x0) in cases.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(StiffnessError) as info:
+                    solve(route, system, x0, 1e-6, 1e-6, [1.0])
+            assert 0.4 < info.value.t < 0.6, route
 
     def test_nan_rhs_at_start_raises_evaluation_error(self):
-        system = OdeSystem(dimension=1, rhs=lambda t, x: np.array([float("nan")]))
-        with pytest.raises(RhsEvaluationError):
-            integrate(system, np.array([1.0]), 1e-6, 1e-6, [1.0])
+        # On the Galerkin route a NaN in A makes the projected U^T A U NaN.
+        A = np.diag([float("nan"), -1.0, -2.0])
+        cases = {
+            "full": OdeSystem(dimension=1, rhs=lambda t, x: np.array([float("nan")])),
+            "galerkin": linear_system(A),
+        }
+        for route, system in cases.items():
+            with pytest.raises(RhsEvaluationError, match="not finite at t=0.0"):
+                solve(route, system, np.ones(system.dimension), 1e-6, 1e-6, [1.0])
 
     def test_step_attempt_cap_raises_convergence_error(self, monkeypatch):
+        # The cap is read where the shared step controller reads it.
         monkeypatch.setattr(ode, "MAX_STEP_ATTEMPTS", 5)
-        with pytest.raises(ConvergenceError, match="cap of 5 step attempts at t="):
-            integrate(rotation_system(), np.array([1.0, 0.0]), 1e-10, 1e-12, [10.0])
+        A = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        cases = {
+            "full": (rotation_system(), np.array([1.0, 0.0])),
+            "galerkin": (linear_system(A), np.array([1.0, 0.0, 0.0])),
+        }
+        for route, (system, x0) in cases.items():
+            with pytest.raises(ConvergenceError, match="cap of 5 step attempts at t="):
+                solve(route, system, x0, 1e-10, 1e-12, [10.0])
 
     def test_rhs_arguments_left_unchanged(self):
         # Every state handed to the rhs is a fresh array that the integrator
@@ -298,6 +362,86 @@ class TestAffineFlow:
     def test_rejects_bad_arguments(self, matrix, shift, x0, times):
         with pytest.raises(InvalidInputError):
             affine_flow(matrix, shift, x0, times)
+
+
+def plain_dp5(rhs, x0, rel_tol, abs_tol, out):
+    """Dormand-Prince 5(4) written out plainly, from the expressions in ``integrate``'s comments.
+
+    Returns the states on ``out`` (which must not hold 0) and the attempt count.
+    """
+    c = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
+    a = [
+        None,
+        np.array([0.2]),
+        np.array([3.0 / 40.0, 9.0 / 40.0]),
+        np.array([44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0]),
+        np.array([19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0]),
+        np.array(
+            [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0]
+        ),
+        np.array(
+            [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0]
+        ),
+    ]
+    e = np.array(
+        [
+            71.0 / 57600.0,
+            0.0,
+            -71.0 / 16695.0,
+            71.0 / 1920.0,
+            -17253.0 / 339200.0,
+            22.0 / 525.0,
+            -1.0 / 40.0,
+        ]
+    )
+    span = out[-1]
+    snap_tol = 32.0 * np.finfo(float).eps * max(span, 1.0)
+    stages = np.empty((7, x0.size))
+    stages[0] = rhs(0.0, x0)
+    state, t, h = x0, 0.0, 1e-6 * span
+    prev_err, just_rejected, attempts = 1e-4, False, 0
+    states = []
+    for target in out:
+        while target - t > snap_tol:
+            remaining = target - t
+            h_step = min(h, remaining)
+            landing = h_step >= remaining
+            attempts += 1
+            for i in range(1, 6):
+                stages[i] = rhs(t + c[i] * h_step, state + h_step * (a[i] @ stages[:i]))
+            trial = state + h_step * (a[6] @ stages[:6])
+            t_end = target if landing else t + h_step
+            stages[6] = rhs(t_end, trial)
+            scale = abs_tol + rel_tol * np.maximum(np.abs(state), np.abs(trial))
+            err = math.sqrt(np.mean((h_step * (e @ stages) / scale) ** 2))
+            if err > 1.0:
+                h = h_step * min(max(0.9 * err**-0.2, 0.1), 1.0)
+                just_rejected = True
+                continue
+            state, t = trial, t_end
+            stages[0] = stages[6]
+            factor = 5.0 if err == 0.0 else min(max(0.9 * err**-0.14 * prev_err**0.08, 0.2), 5.0)
+            if just_rejected:
+                factor = min(factor, 1.0)
+            just_rejected = False
+            prev_err = max(err, 1e-10)
+            h = h_step * factor
+        t = target
+        states.append(state)
+    return np.array(states), attempts
+
+
+class TestTruthBits:
+    def test_integrate_bit_equal_to_plain_loop(self):
+        # The truth's arithmetic, pinned: a short preset-B solve at the
+        # acceptance tolerances equals the plain loop to the bit.
+        system = build_fhn(preset("B").params)
+        out = np.linspace(0.0, 0.05, 6)[1:]
+        x0 = np.zeros(system.dimension)
+        truth = integrate(system, x0, 1e-13, 1e-15, out)
+        states, attempts = plain_dp5(system.rhs, x0, 1e-13, 1e-15, out)
+        assert truth.step_attempts == attempts
+        assert np.array_equal(truth.states, states)
 
 
 class TestExactOracle:

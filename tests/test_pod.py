@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podrom.errors import InvalidInputError
-from podrom import pod
-from podrom.experiment import preset
+from podrom import experiment, pod
+from podrom.experiment import EVAL_GRID_SIZE, preset, run_experiment
 from podrom.fhn import Waveform, build_fhn
 from podrom.linalg import SvdResult, svd_one_sided_jacobi
 from podrom.ode import OdeSystem, RhsStructure, Trajectory, integrate
@@ -452,17 +452,70 @@ class TestSolveRomLifted:
         assert gap <= 1e-12
         assert gap <= 1e-10 * np.max(np.abs(tight.states))
 
-    def test_lifted_trajectory_carries_reduced_work_counters(self):
+    @pytest.fixture(scope="class")
+    def b_truth(self, b_raw):
+        """Preset B's truth on the evaluation grid at the acceptance tolerances."""
+        config, _ = b_raw
+        system = build_fhn(config.params)
+        times = (config.final_time * np.arange(EVAL_GRID_SIZE)) / (EVAL_GRID_SIZE - 1)
+        return integrate(system, np.zeros(system.dimension), 1e-13, 1e-15, times)
+
+    @pytest.mark.parametrize("case", ["Y-5", "Y-25", "Z-5", "Z-25", "random-4"])
+    def test_galerkin_kernel_agrees_with_reference_path(self, b_raw, b_truth, case):
+        # solve_rom_lifted's fused kernel against integrate on build_rom's
+        # system, which rounds differently, on preset B's POD bases and on
+        # one random orthonormal basis.
+        config, report = b_raw
+        system = build_fhn(config.params)
+        if case == "random-4":
+            columns = orthonormal_columns(system.dimension, 4, seed=23)
+        else:
+            method, l = case.split("-")
+            rule = TruncationRule.fixed(int(l))
+            columns = truncate_basis(report.factorizations[(method, 0.04)], rule).reduced_vectors
+        basis = basis_from_columns(columns)
+        x0 = np.zeros(system.dimension)
+        lifted = solve_rom_lifted(system, basis, x0, b_truth.times, 1e-13, 1e-15)
+        reduced = integrate(build_rom(system, basis), columns.T @ x0, 1e-13, 1e-15, b_truth.times)
+        reference = dataclasses.replace(reduced, states=reduced.states @ columns.T)
+        gap = np.max(np.abs(lifted.states - reference.states))
+        assert gap <= 1e-10 * np.max(np.abs(reference.states))
+        got = error_curve(b_truth, lifted).max_norm
+        expect = error_curve(b_truth, reference).max_norm
+        assert abs(got - expect) <= 1e-9 * expect
+
+    def test_lifted_trajectory_carries_reduced_work_counters(self, monkeypatch):
+        # The fused Galerkin kernel rounds differently from integrate on
+        # build_rom's system, the reference path, so the two solves agree in
+        # their states, not step for step.
         system = build_fhn(preset("B").params)
         basis = basis_from_columns(orthonormal_columns(system.dimension, 4, seed=8))
         x0 = np.zeros(system.dimension)
         out = [0.01, 0.02]
-        lifted = solve_rom_lifted(system, basis, x0, out, 1e-10, 1e-12)
         rom = build_rom(system, basis)
         z0 = basis.reduced_vectors.T @ x0
-        reduced = integrate(rom, z0, 1e-10, 1e-12, out)
-        assert lifted.step_attempts == reduced.step_attempts > 0
-        assert lifted.rejected_steps == reduced.rejected_steps
+        reference = integrate(rom, z0, 1e-10, 1e-12, out).states @ basis.reduced_vectors.T
+        monkeypatch.setattr(pod, "integrate", refuse("integrate"))
+        lifted = solve_rom_lifted(system, basis, x0, out, 1e-10, 1e-12)
+        gap = np.max(np.abs(lifted.states - reference))
+        assert gap <= 1e-10 * np.max(np.abs(reference))
+        assert lifted.step_attempts > 0
+
+        # A run's rom_ counters sum these counters over its fresh reduced solves.
+        solved = []
+
+        def recording(*args):
+            trajectory = solve_rom_lifted(*args)
+            solved.append(trajectory)
+            return trajectory
+
+        monkeypatch.setattr(experiment, "solve_rom_lifted", recording)
+        config = preset("B", final_time=0.05, deltas=(0.01,), epsilons=(), dims=(4,))
+        report = run_experiment(config)
+        assert report.failures == () and len(solved) == 2
+        for name in ("step_attempts", "rejected_steps"):
+            assert report.counters["rom_" + name] == sum(getattr(s, name) for s in solved)
+        assert report.counters["rom_step_attempts"] > 0
 
 
 def refuse(name):
