@@ -6,9 +6,10 @@ stage reuse.  Integration steps are truncated so that every requested output
 time is hit exactly by a step endpoint; states are never interpolated, and a
 solve runs from t = 0 to its last output time.
 
-One step controller drives two kernels: ``integrate``'s, which calls a
-system's right-hand side, and ``integrate_galerkin``'s fused stages for a
-Galerkin-reduced structured system, which never call one.
+One step controller drives two kernels: ``integrate``'s, the truth kernel,
+which calls a system's right-hand side, and ``integrate_galerkin``'s fused
+stages for a Galerkin-reduced structured system, which never call one and
+apply the full solve's error test to the lifted state U z.
 
 A linear time-invariant system x' = K x + c is also solved exactly in time
 (``affine_flow``): one matrix exponential per distinct interval length, with
@@ -131,18 +132,11 @@ class OdeSystem:
     (:class:`RhsStructure`), so that a Galerkin reduction can project each
     part once, offline; a reduction needs it.  When the structure is
     ``affine``, its linear operator gives the exact error-bound constants.
-
-    The optional ``lift`` is an N x ``dimension`` matrix (N >= dimension)
-    that maps a state into the space it stands for; a Galerkin reduced
-    system carries its basis U here.  ``integrate`` then applies its error
-    test to the lifted local error and state, so a reduced solve is held to
-    the standard of the full solve it approximates.
     """
 
     dimension: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
     structure: Optional[RhsStructure] = None
-    lift: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         dim = int(self.dimension)
@@ -161,24 +155,17 @@ class OdeSystem:
                 )
             if len(range(dim)[self.structure.cubic_rows]) == 0:
                 raise InvalidInputError("cubic_rows selects no state row")
-        if self.lift is not None:
-            lift = read_only(as_matrix(self.lift, "lift"))
-            if lift.shape[1] != dim or lift.shape[0] < dim:
-                raise InvalidInputError(
-                    f"lift must have {dim} columns and at least {dim} rows, "
-                    f"got shape {lift.shape}"
-                )
-            object.__setattr__(self, "lift", lift)
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled solution: ``states[i]`` is the state vector at ``times[i]``.
 
-    The work counters are filled in by ``integrate``: trial steps
-    attempted (accepted or rejected) and the rejected ones among them.  Such
-    a solve makes 1 + 6 * ``step_attempts`` right-hand-side calls.  The
-    counters stay 0 on a trajectory built any other way.
+    The work counters are filled in by ``integrate`` and
+    ``integrate_galerkin``: trial steps attempted (accepted or rejected)
+    and the rejected ones among them.  An ``integrate`` solve makes
+    1 + 6 * ``step_attempts`` right-hand-side calls.  The counters stay 0
+    on a trajectory built any other way.
     ``times`` and ``states`` are kept as read-only views of the inputs, not
     copies.
     """
@@ -397,15 +384,8 @@ def integrate(
     output time coincides with a step endpoint.  The local error per step
     is controlled in a scaled RMS norm with per-component scale
     ``abs_tol + rel_tol * max(|x_old|, |x_new|)``; both tolerances must be
-    positive and finite.  A system with a ``lift`` is measured in the
-    lifted space: the norm runs over the components of ``lift @ error`` and
-    the scale takes ``|lift @ x_old|`` and ``|lift @ x_new|``, so a reduced
-    solve meets the full solve's test.
-
-    Each trial step calls ``system.rhs``; the step controller is the one
-    ``integrate_galerkin`` runs too.  On a ``pod.build_rom`` system, which
-    carries ``lift = U``, this is the reference path that the fused
-    Galerkin kernel is tested against.
+    positive and finite.  Each trial step calls ``system.rhs``; the step
+    controller is the one ``integrate_galerkin`` runs too.
 
     Raises :class:`StiffnessError` when the controller drives the step below
     ``1e-14 * output_times[-1]`` (persistently failing trial steps end up
@@ -436,18 +416,9 @@ def integrate(
     absolute = np.array(abs_tol)
     step = np.empty(())
     combo = np.empty(n)
-    # With a lift, the error test runs on its m lifted components.
-    lift = system.lift
-    if lift is None:
-        m = n
-        error = combo
-        abs_state = np.abs(state)
-    else:
-        m = lift.shape[0]
-        error = np.empty(m)
-        abs_state = np.abs(lift @ state)
-    scale = np.empty(m)
-    abs_trial = np.empty(m)
+    abs_state = np.abs(state)
+    scale = np.empty(n)
+    abs_trial = np.empty(n)
     matmul = np.matmul
     multiply = np.multiply
     add = np.add
@@ -475,22 +446,16 @@ def integrate(
         # err = sqrt(mean((h_step * (_RK_ERR @ stages) / scale) ** 2)) with
         # scale = abs_tol + rel_tol * max(|state|, |trial|); np.mean is
         # np.add.reduce divided by the count, and |state| is the |trial|
-        # of the step that accepted it.  With a lift, the error vector and
-        # both states are multiplied by it first.
+        # of the step that accepted it.
         matmul(_RK_ERR, stages, out=combo)
         multiply(combo, step, out=combo)
-        if lift is None:
-            np.abs(trial, out=abs_trial)
-        else:
-            matmul(lift, combo, out=error)
-            matmul(lift, trial, out=abs_trial)
-            np.abs(abs_trial, out=abs_trial)
+        np.abs(trial, out=abs_trial)
         np.maximum(abs_state, abs_trial, out=scale)
         multiply(scale, rel, out=scale)
         add(scale, absolute, out=scale)
-        np.divide(error, scale, out=error)
-        multiply(error, error, out=error)
-        return math.sqrt(float(add.reduce(error)) / m)
+        np.divide(combo, scale, out=combo)
+        multiply(combo, combo, out=combo)
+        return math.sqrt(float(add.reduce(combo)) / n)
 
     def accept() -> np.ndarray:
         nonlocal state, abs_state, abs_trial
@@ -526,28 +491,40 @@ def integrate_galerkin(
     l x (p + k + l) matrix ``blocks``, R the p x l matrix ``rows``,
     r(v) = v^2 (v - ``root``) elementwise, and s(t) the k values of one
     ``signals(t)`` call: the form ``pod.solve_rom_lifted`` projects from an
-    ``RhsStructure`` onto the basis U = ``lift`` (n x l).  It is the same
-    solve as ``integrate`` on a system with that rhs and lift, under the
-    same step controller, error test, work counters and typed errors; only
-    the rounding differs.  Each stage state is one product of the row
-    [1, h a_i0, ..., h a_i,i-1] with the stacked [z; k_0; ...; k_{i-1}],
-    written into the z-slot of the packed operand [r(R z_i); s(t_i); z_i],
-    and each stage value one product of M with that operand.  The error
-    vector and the trial state are lifted together by one 2 x l by l x n
-    product.
+    ``RhsStructure`` onto the finite basis U = ``lift`` (n x l, n >= l);
+    ``rows`` has no row when the structure is affine.
+
+    The solve runs under ``integrate``'s step controller, work counters and
+    typed errors, and holds a reduced solve to the full solve's error test:
+    the scaled RMS norm runs over the n components of U times the local
+    error, with scale ``abs_tol + rel_tol * max(|U z_old|, |U z_new|)``.
+    Each stage state is one product of the row [1, h a_i0, ..., h a_i,i-1]
+    with the stacked [z; k_0; ...; k_{i-1}], written into the z-slot of the
+    packed operand [r(R z_i); s(t_i); z_i], and each stage value one product
+    of M with that operand.  The error vector and the trial state are
+    lifted together by one 2 x l by l x n product.  Arrays that do not fit
+    these shapes, a non-finite U and a ``signals`` that gives other than k
+    values at t = 0 raise :class:`InvalidInputError`.
     """
     rel_tol, abs_tol = _checked_tolerances(rel_tol, abs_tol)
     z = as_vector(z0, "z0")
     l = z.size
+    blocks = np.asarray(blocks, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    lift = as_matrix(lift, "lift")
+    if blocks.ndim != 2 or rows.ndim != 2:
+        raise InvalidInputError("blocks and rows must be 2-D")
     p = rows.shape[0]
     k = blocks.shape[1] - p - l
-    if rows.shape != (p, l) or blocks.shape[0] != l or k < 0 or lift.shape[1:] != (l,):
+    m = lift.shape[0]
+    if rows.shape != (p, l) or blocks.shape[0] != l or k < 0 or lift.shape[1] != l or m < l:
         raise InvalidInputError(
             f"blocks {blocks.shape}, rows {rows.shape} and lift {lift.shape} "
             f"do not fit a reduced state of length {l}"
         )
+    if np.shape(signals(0.0)) != (k,):
+        raise InvalidInputError(f"signals must give {k} values, one per forcing column")
     out = _output_grid(output_times)
-    m = lift.shape[0]
     stacked = np.empty((8, l))
     stacked[0] = z
     z = stacked[0]

@@ -3,8 +3,9 @@
 Snapshots of a solution and of its time derivative are stacked into a
 matrix (solutions only for method Y, both for method Z), factorized, and
 truncated into an orthonormal basis.  The reduced system z' = U^T f(t, U z)
-is built, integrated under the same step controller as the full system,
-and lifted back for pointwise error curves.
+is integrated under the same step controller and error test as the full
+system, the test applied to the lifted state U z, and lifted back for
+pointwise error curves.
 
 A reduced model is built in two phases from the full system's
 ``structure`` (linear operator, elementwise cubic, fixed-vector forcing),
@@ -274,22 +275,14 @@ def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
         z' = (U^T A U) z + (U^T B) s(t) + U_c^T g(U_c z),
 
     where s(t) is the k values of one ``forcing_signals`` call, so no call
-    forms the full state or evaluates a signal more than once.
-    The identity basis (U = I, for example the full-dimension basis that
-    ``truncate_basis`` builds) keeps the system's own right-hand side.
-    The reduced system carries no structure.  Its ``lift`` is U, so
-    ``integrate`` holds it to the full system's error test on U z; the
-    identity basis needs no lift.  ``solve_rom_lifted`` does not integrate
-    this system: it runs the fused kernel of ``ode.integrate_galerkin`` on
-    the same projection, and ``integrate`` on this system is the reference
-    path it is tested against.
+    forms the full state or evaluates a signal more than once.  Every basis
+    is projected this way, the identity included, and the reduced system
+    carries no structure.  ``solve_rom_lifted`` does not integrate this
+    system: it runs the fused kernel of ``ode.integrate_galerkin`` on the
+    same projection, which applies the full system's error test to U z.
     """
     structure = _checked_structure(system, basis)
-    vectors = basis.reduced_vectors
-    if _is_identity(vectors):
-        # U = I: the Galerkin system is the system itself.
-        return OdeSystem(dimension=basis.dimension, rhs=system.rhs)
-    return OdeSystem(dimension=basis.l, rhs=_projected_rhs(structure, vectors), lift=vectors)
+    return OdeSystem(dimension=basis.l, rhs=_projected_rhs(structure, basis.reduced_vectors))
 
 
 def _checked_structure(system: OdeSystem, basis: PodBasis) -> RhsStructure:
@@ -302,11 +295,6 @@ def _checked_structure(system: OdeSystem, basis: PodBasis) -> RhsStructure:
             f"system dimension {system.dimension}"
         )
     return system.structure
-
-
-def _is_identity(vectors: np.ndarray) -> bool:
-    n, l = vectors.shape
-    return l == n and np.array_equal(vectors, np.eye(n))
 
 
 class _Projection(NamedTuple):
@@ -398,11 +386,12 @@ def solve_rom_lifted(
     solution: the tolerances are not used and the work counters stay 0.
     Any other structure's reduced model is integrated by
     ``ode.integrate_galerkin``, the fused DP5 kernel on that projection,
-    and the lifted trajectory carries its work counters.  It is
-    ``integrate`` on ``build_rom``'s system up to rounding; that solve
-    stays the reference path.  The identity basis integrates the system
-    itself, as ``build_rom`` keeps its rhs.  A system without a structure
-    raises ``InvalidInputError``, as in ``build_rom``.
+    whose error test runs on the lifted state U z, and the lifted
+    trajectory carries its work counters.  The identity basis (U = I, for
+    example the full-dimension basis that ``truncate_basis`` builds)
+    integrates the system itself with ``ode.integrate``, calling its own
+    right-hand side.  A system without a structure raises
+    ``InvalidInputError``, as in ``build_rom``.
     """
     structure = _checked_structure(system, basis)
     start = as_vector(x0, "x0")
@@ -417,7 +406,7 @@ def solve_rom_lifted(
         projection = _project(structure, vectors)
         shift = projection.forcing @ np.asarray(structure.forcing_signals(0.0), dtype=float)
         reduced = affine_flow(projection.linear, shift, z0, out)
-    elif _is_identity(vectors):
+    elif basis.l == basis.dimension and np.array_equal(vectors, np.eye(basis.l)):
         reduced = integrate(system, z0, rel_tol, abs_tol, out)
     else:
         projection = _project(structure, vectors)

@@ -1,4 +1,4 @@
-"""Shared experiment bundles for the acceptance suite, and shared test systems.
+"""Shared experiment bundles, test systems and a plain DP5 reference integrator.
 
 The heavyweight sweeps run once per session; tests read off the cells
 they need.  Tolerances here are tighter than the driver defaults so that
@@ -6,6 +6,7 @@ integrator error sits well below the quantities being compared.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,78 @@ def linear_structure(matrix):
         forcing_signals=lambda t: (0.0,),
         forcing_rates=lambda t: (0.0,),
     )
+
+
+def plain_dp5(rhs, x0, rel_tol, abs_tol, out, lift=None):
+    """Dormand-Prince 5(4) written out plainly, from the expressions in ``integrate``'s comments.
+
+    With a ``lift`` U, the error test runs on the lifted space, as a reduced
+    solve's must: the local error and both states are multiplied by U
+    before the scaled RMS norm.  Returns the states on ``out``, the attempt
+    count and the rejected-step count.
+    """
+    c = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
+    a = [
+        None,
+        np.array([0.2]),
+        np.array([3.0 / 40.0, 9.0 / 40.0]),
+        np.array([44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0]),
+        np.array([19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0]),
+        np.array(
+            [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0]
+        ),
+        np.array(
+            [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0]
+        ),
+    ]
+    e = np.array(
+        [
+            71.0 / 57600.0,
+            0.0,
+            -71.0 / 16695.0,
+            71.0 / 1920.0,
+            -17253.0 / 339200.0,
+            22.0 / 525.0,
+            -1.0 / 40.0,
+        ]
+    )
+    span = out[-1]
+    snap_tol = 32.0 * np.finfo(float).eps * max(span, 1.0)
+    stages = np.empty((7, x0.size))
+    stages[0] = rhs(0.0, x0)
+    state, t, h = x0, 0.0, 1e-6 * span
+    prev_err, just_rejected, attempts, rejected = 1e-4, False, 0, 0
+    lifted = (lambda x: x) if lift is None else (lambda x: lift @ x)
+    states = []
+    for target in out:
+        while target - t > snap_tol:
+            remaining = target - t
+            h_step = min(h, remaining)
+            landing = h_step >= remaining
+            attempts += 1
+            for i in range(1, 6):
+                stages[i] = rhs(t + c[i] * h_step, state + h_step * (a[i] @ stages[:i]))
+            trial = state + h_step * (a[6] @ stages[:6])
+            t_end = target if landing else t + h_step
+            stages[6] = rhs(t_end, trial)
+            scale = abs_tol + rel_tol * np.maximum(np.abs(lifted(state)), np.abs(lifted(trial)))
+            err = math.sqrt(np.mean((lifted(h_step * (e @ stages)) / scale) ** 2))
+            if err > 1.0:
+                h = h_step * min(max(0.9 * err**-0.2, 0.1), 1.0)
+                just_rejected = True
+                rejected += 1
+                continue
+            state, t = trial, t_end
+            stages[0] = stages[6]
+            factor = 5.0 if err == 0.0 else min(max(0.9 * err**-0.14 * prev_err**0.08, 0.2), 5.0)
+            if just_rejected:
+                factor = min(factor, 1.0)
+            just_rejected = False
+            prev_err = max(err, 1e-10)
+            h = h_step * factor
+        t = target
+        states.append(state)
+    return np.array(states), attempts, rejected
 
 
 # The session-wide sweep bundles below; a test that uses one is marked

@@ -28,7 +28,7 @@ from podrom.ode import (
     sample_rhs,
 )
 
-from conftest import linear_structure
+from conftest import linear_structure, plain_dp5
 
 
 def constant_system(value):
@@ -214,10 +214,10 @@ class TestIntegrate:
     def test_invariant_coordinates_take_the_full_solve_steps(self):
         # Forcing and initial state sit on 4 of 12 coordinates of a diagonal
         # system, so the other 8 stay exactly 0 and the identity columns U of
-        # those 4 span an invariant subspace.  The lifted error test of the
-        # system on U^T x with lift U then sees the full solve's numbers,
-        # step for step.  The forcing stops at t = 1.1, between output
-        # times, so some steps are rejected.
+        # those 4 span an invariant subspace.  The reference loop's lifted
+        # error test on the Galerkin system U^T f(t, U z) with lift U then
+        # sees the full solve's numbers, step for step.  The forcing stops
+        # at t = 1.1, between output times, so some steps are rejected.
         n = 12
         kept = [1, 4, 7, 10]
         rates = -np.linspace(0.5, 6.0, n)
@@ -227,17 +227,17 @@ class TestIntegrate:
         def rhs(t, x):
             return rates * x + drive * (math.cos(2.0 * t) if t < 1.1 else 0.0)
 
-        system = OdeSystem(dimension=n, rhs=rhs)
         U = np.eye(n)[:, kept]
-        lifted_system = OdeSystem(dimension=4, rhs=lambda t, z: U.T @ rhs(t, U @ z), lift=U)
         x0 = np.zeros(n)
         x0[kept] = [0.3, -0.1, 1.0, 0.0]
         out = np.linspace(0.0, 2.0, 9)[1:]
-        full = integrate(system, x0, 1e-10, 1e-12, out)
-        lifted = integrate(lifted_system, U.T @ x0, 1e-10, 1e-12, out)
-        assert lifted.step_attempts == full.step_attempts
-        assert lifted.rejected_steps == full.rejected_steps > 0
-        np.testing.assert_allclose(lifted.states @ U.T, full.states, rtol=1e-14, atol=0.0)
+        full, attempts, rejected = plain_dp5(rhs, x0, 1e-10, 1e-12, out)
+        lifted, lifted_attempts, lifted_rejected = plain_dp5(
+            lambda t, z: U.T @ rhs(t, U @ z), U.T @ x0, 1e-10, 1e-12, out, lift=U
+        )
+        assert lifted_attempts == attempts
+        assert lifted_rejected == rejected > 0
+        np.testing.assert_allclose(lifted @ U.T, full, rtol=1e-14, atol=0.0)
 
     def test_work_counters_default_to_zero(self):
         traj = Trajectory(times=np.array([0.0]), states=np.zeros((1, 2)))
@@ -267,6 +267,66 @@ class TestIntegrate:
             integrate(system, x0, 1e-6, 1e-6, [])
         with pytest.raises(InvalidInputError):
             integrate(system, np.array([1.0, 2.0]), 1e-6, 1e-6, [0.5])
+
+    # A 2-state reduction of a 3-state system with one cubic row (p = 1) and
+    # one signal (k = 1): blocks is 2 x 4, rows 1 x 2 and lift 3 x 2.
+    GALERKIN = dict(
+        blocks=np.array([[0.5, 1.0, -1.0, 0.0], [0.0, 0.0, 0.0, -2.0]]),
+        rows=np.array([[1.0, 0.0]]),
+        signals=lambda t: (math.sin(t),),
+        lift=np.eye(3)[:, :2],
+    )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(blocks=np.zeros(8)),
+            dict(blocks=np.zeros((4, 2)).tolist()),
+            dict(rows=np.zeros(2)),
+            dict(rows=np.zeros((1, 3))),
+            dict(lift=np.array([[1.0, 0.0], [0.0, float("nan")], [0.0, 0.0]])),
+            dict(lift=np.array([[float("inf"), 0.0], [0.0, 1.0], [0.0, 0.0]])),
+            dict(lift=np.zeros(3)),
+            dict(lift=np.eye(3)),
+            dict(lift=np.eye(2)[:1]),
+            dict(signals=lambda t: (1.0, 2.0)),
+        ],
+        ids=[
+            "1-D-blocks",
+            "list-blocks-of-other-shape",
+            "1-D-rows",
+            "rows-of-other-width",
+            "nan-lift",
+            "inf-lift",
+            "1-D-lift",
+            "lift-of-other-width",
+            "lift-with-fewer-rows-than-columns",
+            "two-signals-for-one-column",
+        ],
+    )
+    def test_galerkin_rejects_bad_arguments(self, bad):
+        args = dict(self.GALERKIN, **bad)
+        with pytest.raises(InvalidInputError):
+            ode.integrate_galerkin(
+                args["blocks"], args["rows"], 0.3, args["signals"], args["lift"],
+                np.array([0.2, -0.1]), 1e-8, 1e-10, [0.5],
+            )
+
+    def test_galerkin_takes_array_likes(self):
+        # A nested list is taken as the array it spells, as every other
+        # matrix argument in ode is.
+        args = self.GALERKIN
+
+        def solve(convert):
+            return ode.integrate_galerkin(
+                convert(args["blocks"]), convert(args["rows"]), 0.3, args["signals"],
+                convert(args["lift"]), np.array([0.2, -0.1]), 1e-8, 1e-10, [0.5],
+            )
+
+        expect = solve(np.asarray)
+        got = solve(np.ndarray.tolist)
+        assert np.array_equal(got.states, expect.states)
+        assert got.step_attempts == expect.step_attempts > 0
 
     def test_initial_time_alone_returns_x0(self):
         # the grid [0.0] is a solve of length zero, as in affine_flow
@@ -364,73 +424,6 @@ class TestAffineFlow:
             affine_flow(matrix, shift, x0, times)
 
 
-def plain_dp5(rhs, x0, rel_tol, abs_tol, out):
-    """Dormand-Prince 5(4) written out plainly, from the expressions in ``integrate``'s comments.
-
-    Returns the states on ``out`` (which must not hold 0) and the attempt count.
-    """
-    c = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
-    a = [
-        None,
-        np.array([0.2]),
-        np.array([3.0 / 40.0, 9.0 / 40.0]),
-        np.array([44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0]),
-        np.array([19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0]),
-        np.array(
-            [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0]
-        ),
-        np.array(
-            [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0]
-        ),
-    ]
-    e = np.array(
-        [
-            71.0 / 57600.0,
-            0.0,
-            -71.0 / 16695.0,
-            71.0 / 1920.0,
-            -17253.0 / 339200.0,
-            22.0 / 525.0,
-            -1.0 / 40.0,
-        ]
-    )
-    span = out[-1]
-    snap_tol = 32.0 * np.finfo(float).eps * max(span, 1.0)
-    stages = np.empty((7, x0.size))
-    stages[0] = rhs(0.0, x0)
-    state, t, h = x0, 0.0, 1e-6 * span
-    prev_err, just_rejected, attempts = 1e-4, False, 0
-    states = []
-    for target in out:
-        while target - t > snap_tol:
-            remaining = target - t
-            h_step = min(h, remaining)
-            landing = h_step >= remaining
-            attempts += 1
-            for i in range(1, 6):
-                stages[i] = rhs(t + c[i] * h_step, state + h_step * (a[i] @ stages[:i]))
-            trial = state + h_step * (a[6] @ stages[:6])
-            t_end = target if landing else t + h_step
-            stages[6] = rhs(t_end, trial)
-            scale = abs_tol + rel_tol * np.maximum(np.abs(state), np.abs(trial))
-            err = math.sqrt(np.mean((h_step * (e @ stages) / scale) ** 2))
-            if err > 1.0:
-                h = h_step * min(max(0.9 * err**-0.2, 0.1), 1.0)
-                just_rejected = True
-                continue
-            state, t = trial, t_end
-            stages[0] = stages[6]
-            factor = 5.0 if err == 0.0 else min(max(0.9 * err**-0.14 * prev_err**0.08, 0.2), 5.0)
-            if just_rejected:
-                factor = min(factor, 1.0)
-            just_rejected = False
-            prev_err = max(err, 1e-10)
-            h = h_step * factor
-        t = target
-        states.append(state)
-    return np.array(states), attempts
-
-
 class TestTruthBits:
     def test_integrate_bit_equal_to_plain_loop(self):
         # The truth's arithmetic, pinned: a short preset-B solve at the
@@ -439,8 +432,8 @@ class TestTruthBits:
         out = np.linspace(0.0, 0.05, 6)[1:]
         x0 = np.zeros(system.dimension)
         truth = integrate(system, x0, 1e-13, 1e-15, out)
-        states, attempts = plain_dp5(system.rhs, x0, 1e-13, 1e-15, out)
-        assert truth.step_attempts == attempts
+        states, attempts, rejected = plain_dp5(system.rhs, x0, 1e-13, 1e-15, out)
+        assert (truth.step_attempts, truth.rejected_steps) == (attempts, rejected)
         assert np.array_equal(truth.states, states)
 
 
@@ -545,26 +538,6 @@ class TestTypes:
     def test_system_rejects_bad_dimension(self):
         with pytest.raises(InvalidInputError):
             OdeSystem(dimension=0, rhs=lambda t, x: x)
-
-    @pytest.mark.parametrize(
-        "lift",
-        [
-            np.zeros((1, 2)),  # fewer rows than columns
-            np.zeros((4, 3)),  # a column count other than the dimension
-            np.zeros(4),  # not 2-D
-            np.array([[1.0, 0.0], [0.0, float("nan")], [0.0, 0.0]]),
-            np.array([[float("inf"), 0.0], [0.0, 1.0], [0.0, 0.0]]),
-        ],
-    )
-    def test_system_rejects_bad_lift(self, lift):
-        with pytest.raises(InvalidInputError):
-            OdeSystem(dimension=2, rhs=lambda t, x: x, lift=lift)
-
-    def test_system_keeps_lift_read_only(self):
-        lift = np.eye(3)[:, :2]
-        system = OdeSystem(dimension=2, rhs=lambda t, x: x, lift=lift)
-        assert np.array_equal(system.lift, lift)
-        assert not system.lift.flags.writeable
 
     def test_structure_needs_one_signal_per_forcing_vector(self):
         # Evaluated once at t = 0: one value for two forcing vectors.

@@ -25,10 +25,9 @@ from podrom.pod import (
     error_curve,
     solve_rom_lifted,
     truncate_basis,
-    _projected_rhs,
 )
 
-from conftest import linear_structure
+from conftest import linear_structure, plain_dp5
 
 
 def svd_from_spectrum(sigmas, rank, n=None):
@@ -337,12 +336,7 @@ class TestStructuredRom:
         system = build_fhn(preset(preset_id).params)
         n = system.dimension
         columns = np.eye(n) if l == n else orthonormal_columns(n, l, seed=l)
-        if l == n:
-            # build_rom keeps the system's own rhs for the identity basis;
-            # the projected path must still hold there.
-            reduced_rhs = _projected_rhs(system.structure, columns)
-        else:
-            reduced_rhs = build_rom(system, basis_from_columns(columns)).rhs
+        reduced_rhs = build_rom(system, basis_from_columns(columns)).rhs
         rng = np.random.default_rng(l)
         for _ in range(10):
             t = float(rng.uniform(0.0, 2.0))
@@ -384,20 +378,22 @@ class TestStructuredRom:
             assert np.max(np.abs(rom.rhs(t, z) - lifted)) <= 1e-12 * np.max(np.abs(lifted))
 
     def test_identity_basis_keeps_system_rhs(self):
-        system = build_fhn(preset("B").params)
+        # build_rom projects every full-dimension basis, the identity
+        # included; a reduced solve on the identity integrates the system's
+        # own rhs, 1 + 6 calls per attempt.
+        system, calls = counting(build_fhn(preset("B").params))
         n = system.dimension
-        rom = build_rom(system, basis_from_columns(np.eye(n)))
-        assert rom.rhs is system.rhs
-        assert rom.lift is None
-        # A full-dimension basis that is not the identity is still projected.
-        swapped = np.eye(n)[:, ::-1]
-        rom = build_rom(system, basis_from_columns(swapped))
-        assert rom.rhs is not system.rhs
-        assert np.array_equal(rom.lift, swapped)
         rng = np.random.default_rng(4)
         z = rng.uniform(-1.0, 1.0, size=n)
-        lifted = swapped.T @ system.rhs(0.3, swapped @ z)
-        assert np.max(np.abs(rom.rhs(0.3, z) - lifted)) <= 1e-12 * np.max(np.abs(lifted))
+        for columns in (np.eye(n), np.eye(n)[:, ::-1]):
+            rom = build_rom(system, basis_from_columns(columns))
+            assert rom.dimension == n and rom.structure is None
+            lifted = columns.T @ system.rhs(0.3, columns @ z)
+            assert np.max(np.abs(rom.rhs(0.3, z) - lifted)) <= 1e-12 * np.max(np.abs(lifted))
+        calls.clear()
+        identity = basis_from_columns(np.eye(n))
+        lifted = solve_rom_lifted(system, identity, np.zeros(n), [0.01], 1e-8, 1e-10)
+        assert len(calls) == 1 + 6 * lifted.step_attempts > 1
 
     def test_structured_solve_makes_no_full_rhs_call(self):
         system, calls = counting(build_fhn(preset("B").params))
@@ -462,9 +458,12 @@ class TestSolveRomLifted:
 
     @pytest.mark.parametrize("case", ["Y-5", "Y-25", "Z-5", "Z-25", "random-4"])
     def test_galerkin_kernel_agrees_with_reference_path(self, b_raw, b_truth, case):
-        # solve_rom_lifted's fused kernel against integrate on build_rom's
-        # system, which rounds differently, on preset B's POD bases and on
-        # one random orthonormal basis.
+        # solve_rom_lifted's fused kernel against the plain DP5 loop with the
+        # lifted error test on the hand-written Galerkin rhs U^T f(t, U z),
+        # which shares no code with the kernel or its projection, on preset
+        # B's POD bases and on one random orthonormal basis.  The two round
+        # differently, so their step counts agree closely, not exactly; an
+        # error test on z instead of U z takes about twice the attempts.
         config, report = b_raw
         system = build_fhn(config.params)
         if case == "random-4":
@@ -476,25 +475,31 @@ class TestSolveRomLifted:
         basis = basis_from_columns(columns)
         x0 = np.zeros(system.dimension)
         lifted = solve_rom_lifted(system, basis, x0, b_truth.times, 1e-13, 1e-15)
-        reduced = integrate(build_rom(system, basis), columns.T @ x0, 1e-13, 1e-15, b_truth.times)
-        reference = dataclasses.replace(reduced, states=reduced.states @ columns.T)
+        reduced, attempts, _ = plain_dp5(
+            lambda t, z: columns.T @ system.rhs(t, columns @ z),
+            columns.T @ x0, 1e-13, 1e-15, b_truth.times, lift=columns,
+        )
+        reference = Trajectory(times=b_truth.times, states=reduced @ columns.T)
         gap = np.max(np.abs(lifted.states - reference.states))
         assert gap <= 1e-10 * np.max(np.abs(reference.states))
         got = error_curve(b_truth, lifted).max_norm
         expect = error_curve(b_truth, reference).max_norm
         assert abs(got - expect) <= 1e-9 * expect
+        assert abs(lifted.step_attempts - attempts) <= 0.02 * attempts
 
     def test_lifted_trajectory_carries_reduced_work_counters(self, monkeypatch):
-        # The fused Galerkin kernel rounds differently from integrate on
-        # build_rom's system, the reference path, so the two solves agree in
-        # their states, not step for step.
+        # The fused Galerkin kernel rounds differently from the plain lifted
+        # DP5 loop, the reference path, so the two solves agree in their
+        # states, not step for step.
         system = build_fhn(preset("B").params)
-        basis = basis_from_columns(orthonormal_columns(system.dimension, 4, seed=8))
+        U = orthonormal_columns(system.dimension, 4, seed=8)
+        basis = basis_from_columns(U)
         x0 = np.zeros(system.dimension)
-        out = [0.01, 0.02]
-        rom = build_rom(system, basis)
-        z0 = basis.reduced_vectors.T @ x0
-        reference = integrate(rom, z0, 1e-10, 1e-12, out).states @ basis.reduced_vectors.T
+        out = np.array([0.01, 0.02])
+        reduced, _, _ = plain_dp5(
+            lambda t, z: U.T @ system.rhs(t, U @ z), U.T @ x0, 1e-10, 1e-12, out, lift=U
+        )
+        reference = reduced @ U.T
         monkeypatch.setattr(pod, "integrate", refuse("integrate"))
         lifted = solve_rom_lifted(system, basis, x0, out, 1e-10, 1e-12)
         gap = np.max(np.abs(lifted.states - reference))
