@@ -23,6 +23,7 @@ __all__ = [
     "MAX_JACOBI_SWEEPS",
     "SvdResult",
     "as_matrix",
+    "as_real_array",
     "as_time_grid",
     "as_vector",
     "expm",
@@ -44,13 +45,24 @@ _EPS = float(np.finfo(float).eps)
 _DEAD_COLUMN_NORM = 1e-290
 
 
+def as_real_array(values, name: str = "array") -> np.ndarray:
+    """``values`` as a float64 array, not copied if it is one already.
+
+    A ragged nested list raises :class:`InvalidInputError`, not ``ValueError``.
+    """
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} is not a real array: {exc}") from None
+
+
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Validate and return a nonempty 2-D float64 array with finite entries.
 
     A float64 array comes back as is, not copied; a caller that modifies
     the result or keeps it must copy it or take a read-only view.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = as_real_array(values, name)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise InvalidInputError(f"{name} must be a nonempty 2-D real matrix")
     if not np.all(np.isfinite(arr)):
@@ -66,8 +78,8 @@ def read_only(array: np.ndarray) -> np.ndarray:
 
 
 def as_vector(values, name: str = "vector") -> np.ndarray:
-    """Validate and return a 1-D float64 array with finite entries."""
-    arr = np.array(values, dtype=float, copy=True)
+    """Validate and return a 1-D float64 array with finite entries, a copy."""
+    arr = as_real_array(values, name).copy()
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise InvalidInputError(f"{name} must be a nonempty 1-D real vector")
     if not np.all(np.isfinite(arr)):
@@ -81,7 +93,7 @@ def as_time_grid(values, name: str = "times", min_size: int = 1) -> np.ndarray:
     It needs ``min_size`` or more finite entries.  Like :func:`as_matrix`,
     a float64 array comes back as is, not copied.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = as_real_array(values, name)
     if arr.ndim != 1 or arr.size < min_size:
         raise InvalidInputError(f"{name} must be 1-D with {min_size} or more entries")
     if not np.all(np.isfinite(arr)):
@@ -143,7 +155,8 @@ def _orthonormal_completion(U: np.ndarray, fill_cols: list[int]) -> None:
     the block B of those columns, v -= B (B^T v).
     """
     n = U.shape[0]
-    placed = [k for k in range(U.shape[1]) if k not in set(fill_cols)]
+    filled = set(fill_cols)
+    placed = [k for k in range(U.shape[1]) if k not in filled]
     for k in fill_cols:
         block = U[:, placed]
         coverage = np.sum(block * block, axis=1)
@@ -171,13 +184,15 @@ def _one_sided_jacobi_tall(
     """
     n, m = M.shape
     # W (the rotated copy of M, rows :n) and V (rows n:) share one array,
-    # so one column pair carries a rotation of both.  Its layout decides
-    # how the column dot products round, and with them every pair
-    # decision: numpy hands OpenBLAS's SIMD ddot a contiguous column and
-    # its scalar kernel a strided one, and the two round differently.  W is
+    # so one column of it carries a rotation of both.  The layout of W
+    # decides how the column dot products round, and with them every pair
+    # decision: OpenBLAS's SIMD ddot takes a contiguous column and its
+    # scalar kernel a strided one, and the two round differently.  W is
     # C-ordered (strided columns) until the first column sort and
-    # F-ordered (contiguous columns) after it, since ``WV[:, order]``
-    # returns an F-ordered copy; the results are pinned to that sequence.
+    # F-ordered (contiguous) after it, since ``WV[:, order]`` returns an
+    # F-ordered copy; the results are pinned to that sequence.  A bound 1-D
+    # ``.dot`` calls the same ddot as ``@``, which the tests' plain loop
+    # uses, at a third of the call overhead.
     WV = np.empty((n + m, m))
     WV[:n] = M
     WV[n:] = np.eye(m)
@@ -195,11 +210,11 @@ def _one_sided_jacobi_tall(
     W = WV[:n]
     noise_floor2 = (pair_tol * pair_tol) * float(np.max(np.sum(W * W, axis=0)))
     noise = [False] * m
-    cosines = np.empty((2, 1))
-    sines = np.empty((2, 1))
-    scaled = np.empty((2, n + m))
-    crossed = np.empty((2, n + m))
+    cosine = np.empty(())
+    sine = np.empty(())
+    cu, sv, su, cv = (np.empty(n + m) for _ in range(4))
     multiply = np.multiply
+    subtract = np.subtract
     add = np.add
     rotations = 0
     for sweep in range(1, MAX_JACOBI_SWEEPS + 1):
@@ -220,14 +235,16 @@ def _one_sided_jacobi_tall(
         # the numerical-rank tolerance.  Kept monotone so earlier marks stay
         # consistent with the final re-check.
         noise_floor2 = max(noise_floor2, (pair_tol * pair_tol) * float(norms2[0]))
+        stacked = [WV[:, k] for k in range(m)]  # column k of W on column k of V
         columns = [W[:, k] for k in range(m)]
         # Squared column norms exactly as a pair check computes them (the
         # same dot product on the same column view), so a cached value
         # equals a fresh one; only a rotation changes a column, and it
         # refreshes both of its entries.
-        squares = [float(w @ w) for w in columns]
+        squares = [float(w.dot(w)) for w in columns]
         for p in range(m - 1):
             wp = columns[p]
+            dot_p = wp.dot
             for q in range(p + 1, m):
                 app = squares[p]
                 aqq = squares[q]
@@ -238,40 +255,39 @@ def _one_sided_jacobi_tall(
                 # repeated mark), so the pair is skipped before computing it.
                 if noise[p] and noise[q] and app <= noise_floor2 and aqq <= noise_floor2:
                     continue
-                apq = float(wp @ columns[q])
+                apq = float(dot_p(columns[q]))
                 if abs(apq) <= pair_tol * math.sqrt(app) * math.sqrt(aqq):
                     continue
                 if app <= noise_floor2 and aqq <= noise_floor2:
                     noise[p] = True
                     noise[q] = True
                     continue
-                # Rows x, y of ``pair`` are columns p, q of W stacked on V.
-                pair = WV[:, p : q + 1 : q - p].T
+                a, b = stacked[p], stacked[q]
                 if aqq > app:
                     # de Rijk pivot: keep the heavier column first so every
                     # rotation pushes norm mass leftward; without it tied
                     # clusters can cycle through sweeps indefinitely.  The
-                    # swap is not carried out: the rotation reads x and y in
+                    # swap is not carried out: the rotation reads a and b in
                     # swapped order instead.
                     c, s, _t = _jacobi_rotation(aqq, app, apq)
-                    first = pair[::-1]
+                    x, y = b, a
                 else:
                     c, s, _t = _jacobi_rotation(app, aqq, apq)
-                    first = pair
-                # With (a, b) the rows of ``first``, row x becomes c*a - s*b
-                # and row y becomes s*a + c*b, formed as c*[a; b] plus
-                # [-s; s]*[b; a].  That rounds exactly like the two
-                # expressions: x - y is x + (-y), (-s)*b is -(s*b), a sum
-                # does not depend on the order of its terms, and
-                # elementwise operations round the same in any layout.
-                cosines[:] = c
-                sines[0] = -s
-                sines[1] = s
-                multiply(first, cosines, out=scaled)
-                multiply(first[::-1], sines, out=crossed)
-                add(scaled, crossed, out=pair)
-                squares[p] = float(wp @ wp)
-                squares[q] = float(columns[q] @ columns[q])
+                    x, y = a, b
+                # Column p becomes c*x - s*y and column q s*x + c*y, one
+                # ufunc call per product, sum and difference: the plain
+                # loop's expressions after its swap, which round alike in
+                # any layout.
+                cosine[()] = c
+                sine[()] = s
+                multiply(x, cosine, out=cu)
+                multiply(y, sine, out=sv)
+                multiply(x, sine, out=su)
+                multiply(y, cosine, out=cv)
+                subtract(cu, sv, out=a)
+                add(su, cv, out=b)
+                squares[p] = float(dot_p(wp))
+                squares[q] = float(columns[q].dot(columns[q]))
                 rotations += 1
                 rotated = True
         if not rotated:

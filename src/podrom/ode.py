@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, RhsEvaluationError, StiffnessError
-from .linalg import as_matrix, as_time_grid, as_vector, expm, read_only
+from .linalg import as_matrix, as_real_array, as_time_grid, as_vector, expm, read_only
 
 __all__ = [
     "RhsStructure",
@@ -177,7 +177,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         times = read_only(as_time_grid(self.times))
-        states = read_only(np.asarray(self.states, dtype=float))
+        states = read_only(as_real_array(self.states, "states"))
         if states.ndim != 2 or states.shape[0] != times.size:
             raise InvalidInputError(
                 f"states must be 2-D with one row per time, got shape {states.shape}"
@@ -411,7 +411,8 @@ def integrate(
     # reaches the rhs is a fresh array, so an rhs may keep its argument.
     # The scalar operands are 0-d float64 arrays, which numpy takes with
     # less per-call overhead than Python floats; h_step is copied into one
-    # at each attempt.
+    # at each attempt.  A tableau row's bound ``.dot`` runs the same gemv as
+    # ``@`` on the stages at a third of the call overhead.
     rel = np.array(rel_tol)
     absolute = np.array(abs_tol)
     step = np.empty(())
@@ -419,10 +420,9 @@ def integrate(
     abs_state = np.abs(state)
     scale = np.empty(n)
     abs_trial = np.empty(n)
-    matmul = np.matmul
     multiply = np.multiply
     add = np.add
-    inner_stages = [(i, _RK_C[i], _RK_A[i], stages[:i]) for i in range(1, 6)]
+    inner_stages = [(i, _RK_C[i], _RK_A[i].dot, stages[:i]) for i in range(1, 6)]
     first_six = stages[:6]
 
     def start() -> bool:
@@ -434,11 +434,11 @@ def integrate(
         step[()] = h_step
         for i, c_i, a_i, previous in inner_stages:
             # state + h_step * (_RK_A[i] @ stages[:i])
-            matmul(a_i, previous, out=combo)
+            a_i(previous, out=combo)
             multiply(combo, step, out=combo)
             stages[i] = eval_rhs(t + c_i * h_step, add(state, combo))
         # trial = state + h_step * (_RK_A[6] @ stages[:6])
-        matmul(_RK_A[6], first_six, out=combo)
+        _RK_A[6].dot(first_six, out=combo)
         multiply(combo, step, out=combo)
         trial = add(state, combo)
         stages[6] = eval_rhs(t_end, trial)
@@ -447,7 +447,7 @@ def integrate(
         # scale = abs_tol + rel_tol * max(|state|, |trial|); np.mean is
         # np.add.reduce divided by the count, and |state| is the |trial|
         # of the step that accepted it.
-        matmul(_RK_ERR, stages, out=combo)
+        _RK_ERR.dot(stages, out=combo)
         multiply(combo, step, out=combo)
         np.abs(trial, out=abs_trial)
         np.maximum(abs_state, abs_trial, out=scale)
@@ -509,8 +509,8 @@ def integrate_galerkin(
     rel_tol, abs_tol = _checked_tolerances(rel_tol, abs_tol)
     z = as_vector(z0, "z0")
     l = z.size
-    blocks = np.asarray(blocks, dtype=float)
-    rows = np.asarray(rows, dtype=float)
+    blocks = as_real_array(blocks, "blocks")
+    rows = as_real_array(rows, "rows")
     lift = as_matrix(lift, "lift")
     if blocks.ndim != 2 or rows.ndim != 2:
         raise InvalidInputError("blocks and rows must be 2-D")
@@ -549,13 +549,13 @@ def integrate_galerkin(
     # and the error row (6) skips z's column.
     coefficients = np.ones((7, 8))
     scaled = coefficients[:, 1:]
-    # (coefficient row, the stacked rows it combines, node, stage row
-    # written); the trial's node is None, as it is evaluated at t_end.
+    # (coefficient row's bound dot, the stacked rows it combines, node,
+    # stage row written); the trial's node is None, as it is evaluated at t_end.
     stages = [
-        (coefficients[i - 1, : i + 1], stacked[: i + 1], _RK_C[i], stacked[i + 1])
+        (coefficients[i - 1, : i + 1].dot, stacked[: i + 1], _RK_C[i], stacked[i + 1])
         for i in range(1, 6)
-    ] + [(coefficients[5, :7], stacked[:7], None, stacked[7])]
-    error_row = coefficients[6, 1:]
+    ] + [(coefficients[5, :7].dot, stacked[:7], None, stacked[7])]
+    error_row = coefficients[6, 1:].dot
     all_stages = stacked[1:]
     first_stage = stacked[1]
     last_stage = stacked[7]
@@ -572,19 +572,21 @@ def integrate_galerkin(
     abs_state = np.abs(lift @ z)
     abs_trial = np.empty(m)
     scale = np.empty(m)
-    dot = np.dot
+    # bound ``.dot`` methods: the C routine of ``np.dot``, called faster
+    apply_rows = rows.dot
+    apply_blocks = blocks.dot
     subtract = np.subtract
     multiply = np.multiply
 
     def evaluate(t: float, stage: np.ndarray) -> None:
         # stage = M [r(R z_i); s(t); z_i], with z_i in the slot
         if p:
-            dot(rows, slot, out=v)
+            apply_rows(slot, out=v)
             subtract(v, root, out=cubic)
             multiply(cubic, v, out=cubic)
             multiply(cubic, v, out=cubic)
         store_drive(packed_bytes, drive_offset, *signals(t))
-        dot(blocks, packed, out=stage)
+        apply_blocks(packed, out=stage)
 
     def start() -> bool:
         slot[:] = z
@@ -595,18 +597,18 @@ def integrate_galerkin(
         step[()] = h_step
         multiply(_STAGE_ROWS, step, out=scaled)
         for coefficient, previous, c_i, stage in stages:
-            dot(coefficient, previous, out=slot)
+            coefficient(previous, out=slot)
             evaluate(t_end if c_i is None else t + c_i * h_step, stage)
-        dot(error_row, all_stages, out=error)
+        error_row(all_stages, out=error)
         # err = sqrt(mean((U error / scale) ** 2)) with
         # scale = abs_tol + rel_tol * max(|U z|, |U trial|)
-        dot(pair, lift_rows, out=lifted)
+        pair.dot(lift_rows, out=lifted)
         np.abs(lifted_trial, out=abs_trial)
         np.maximum(abs_state, abs_trial, out=scale)
         multiply(scale, rel, out=scale)
         np.add(scale, absolute, out=scale)
         np.divide(lifted_error, scale, out=scale)
-        return math.sqrt(float(dot(scale, scale)) / m)
+        return math.sqrt(float(scale.dot(scale)) / m)
 
     def accept() -> np.ndarray:
         nonlocal abs_state, abs_trial

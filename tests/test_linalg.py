@@ -212,7 +212,8 @@ class TestSvdOneSidedJacobi:
         assert wide.sweeps >= 2 and wide.rotations >= 3
 
     @pytest.mark.parametrize(
-        "case", ["random", "graded", "rank_six_tail", "tied", "zero_column"]
+        "case",
+        ["random", "graded", "rank_six_tail", "tied", "zero_column", "pivot_unsorted"],
     )
     def test_bitwise_equal_to_plain_loop(self, case):
         # The kernel caches norms, skips provably idle pairs and folds the
@@ -227,9 +228,15 @@ class TestSvdOneSidedJacobi:
         elif case == "tied":
             Q, _ = np.linalg.qr(rng.standard_normal((30, 12)))
             M = Q * np.repeat([3.0, 1.0, 1e-12], 4)
-        else:
+        elif case == "zero_column":
             M = rng.standard_normal((20, 10))
             M[:, 4] = 0.0
+        else:
+            # Column norms already descending, so the first sweep runs before
+            # any sort, on the strided layout; they are close, so a rotation
+            # leaves the next column heavier and the pivot fires there.
+            M = rng.standard_normal((40, 12))
+            M *= np.linspace(1.0, 0.9, 12) / np.linalg.norm(M, axis=0)
         U, s, V, sweeps, rotations = plain_jacobi(M)
         res = svd_one_sided_jacobi(M)
         assert np.array_equal(res.left_vectors, U)

@@ -290,6 +290,9 @@ class TestIntegrate:
             dict(lift=np.eye(3)),
             dict(lift=np.eye(2)[:1]),
             dict(signals=lambda t: (1.0, 2.0)),
+            dict(blocks=[[0.5, 1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]),
+            dict(rows=[[1.0, 0.0], [1.0]]),
+            dict(lift=[[1.0, 0.0], [0.0, 1.0], [0.0]]),
         ],
         ids=[
             "1-D-blocks",
@@ -302,6 +305,9 @@ class TestIntegrate:
             "lift-of-other-width",
             "lift-with-fewer-rows-than-columns",
             "two-signals-for-one-column",
+            "ragged-blocks",
+            "ragged-rows",
+            "ragged-lift",
         ],
     )
     def test_galerkin_rejects_bad_arguments(self, bad):
@@ -416,8 +422,15 @@ class TestAffineFlow:
             (np.zeros((2, 2)), [0.0, math.nan], [0.0, 0.0], [1.0]),
             (np.zeros((2, 2)), [0.0, 0.0], [0.0, 0.0], [-0.25, 1.0]),
             (np.zeros((2, 2)), [0.0, 0.0], [0.0, 0.0], [1.0, 0.5]),
+            ([[1.0, 2.0], [3.0]], [0.0, 0.0], [0.0, 0.0], [1.0]),
+            (np.zeros((2, 2)), [[0.0], [0.0, 1.0]], [0.0, 0.0], [1.0]),
+            (np.zeros((2, 2)), [0.0, 0.0], [[0.0, 1.0], 0.0], [1.0]),
+            (np.zeros((2, 2)), [0.0, 0.0], [0.0, 0.0], [[0.5], [1.0, 2.0]]),
         ],
-        ids=["non-square", "shift", "x0", "nan-shift", "negative-time", "grid"],
+        ids=[
+            "non-square", "shift", "x0", "nan-shift", "negative-time", "grid",
+            "ragged-matrix", "ragged-shift", "ragged-x0", "ragged-grid",
+        ],
     )
     def test_rejects_bad_arguments(self, matrix, shift, x0, times):
         with pytest.raises(InvalidInputError):
@@ -425,10 +438,12 @@ class TestAffineFlow:
 
 
 class TestTruthBits:
-    def test_integrate_bit_equal_to_plain_loop(self):
-        # The truth's arithmetic, pinned: a short preset-B solve at the
-        # acceptance tolerances equals the plain loop to the bit.
-        system = build_fhn(preset("B").params)
+    @pytest.mark.parametrize("name", ["A", "B"])
+    def test_integrate_bit_equal_to_plain_loop(self, name):
+        # The truth's arithmetic, pinned: a short solve at the acceptance
+        # tolerances equals the plain loop to the bit, on the cubic-free
+        # preset A and on preset B.
+        system = build_fhn(preset(name).params)
         out = np.linspace(0.0, 0.05, 6)[1:]
         x0 = np.zeros(system.dimension)
         truth = integrate(system, x0, 1e-13, 1e-15, out)
@@ -530,6 +545,8 @@ class TestTypes:
     def test_trajectory_rejects_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 1)))
+        with pytest.raises(InvalidInputError):
+            Trajectory(times=np.array([0.0, 1.0]), states=[[1.0], [1.0, 2.0]])
 
     def test_trajectory_rejects_non_finite_states(self):
         with pytest.raises(InvalidInputError):
