@@ -30,7 +30,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_matrix, as_time_grid, read_only
+from .linalg import as_matrix, as_real_array, as_time_grid, read_only
 from .ode import OdeSystem, Trajectory, sample_rhs
 from .pod import SnapshotSet
 
@@ -88,7 +88,7 @@ class BoundConstants:
         times = read_only(as_time_grid(self.snapshot_times, "snapshot_times", 2))
         object.__setattr__(self, "snapshot_times", times)
         for name in ("psi", "phi", "theta"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = as_real_array(getattr(self, name), name).copy()
             if arr.shape != (times.size - 1,):
                 raise InvalidInputError(f"{name} needs one entry per snapshot interval")
             if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
@@ -108,7 +108,7 @@ class BoundCurve:
 
     def __post_init__(self) -> None:
         times = read_only(as_time_grid(self.times))
-        values = np.array(self.values, dtype=float)
+        values = as_real_array(self.values, "values").copy()
         if values.shape != times.shape:
             raise InvalidInputError("times and values must be of equal length")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):

@@ -77,7 +77,7 @@ class RhsStructure:
             if not math.isfinite(value):
                 raise InvalidInputError(f"{name} must be finite")
             object.__setattr__(self, name, value)
-        vectors = np.array(self.forcing_vectors, dtype=float)
+        vectors = as_real_array(self.forcing_vectors, "forcing_vectors").copy()
         if vectors.ndim != 2 or not np.all(np.isfinite(vectors)):
             raise InvalidInputError("forcing_vectors must be a finite 2-D array")
         object.__setattr__(self, "forcing_vectors", vectors)
@@ -86,7 +86,7 @@ class RhsStructure:
             func = getattr(self, name)
             if not callable(func):
                 raise InvalidInputError(f"{name} must be callable")
-            values = np.asarray(func(0.0), dtype=float)
+            values = as_real_array(func(0.0), name)
             if values.shape != (k,) or not np.all(np.isfinite(values)):
                 raise InvalidInputError(
                     f"{name} must give {k} finite values, one per forcing vector; "
@@ -561,7 +561,9 @@ def integrate_galerkin(
     last_stage = stacked[7]
 
     # The k signal values are packed straight into the bytes of
-    # packed[p : p + k], as in the reduced rhs of ``pod.build_rom``.
+    # packed[p : p + k]: a slice store would take the tuple through numpy's
+    # sequence path, and pack_into writes to a byte view faster than to the
+    # array itself.
     store_drive = struct.Struct(f"{k}d").pack_into
     packed_bytes = memoryview(packed).cast("B")
     drive_offset = p * packed.itemsize

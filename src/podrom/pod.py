@@ -10,31 +10,29 @@ pointwise error curves.
 A reduced model is built in two phases from the full system's
 ``structure`` (linear operator, elementwise cubic, fixed-vector forcing),
 which every reduction requires: offline, each part is projected onto the
-basis once; online, a reduced right-hand-side call works with those small
-projected operators and never forms the full state.  A reduced solve runs
-fused DP5 stages on that projection (``ode.integrate_galerkin``) rather
-than calling the reduced right-hand side of ``build_rom``.  A linear
-time-invariant reduced model, z' = (U^T A U) z + U^T b with b constant, is
-not integrated at all: its exact flow is stepped with one matrix
-exponential per interval length.
+basis once, into one value per basis; online, the reduced model works
+with those small projected operators and never forms the full state.
+``build_rom``'s reduced right-hand side evaluates that value; a reduced
+solve, on any basis, the identity included, runs fused DP5 stages on it
+(``ode.integrate_galerkin``).  A linear time-invariant reduced model,
+z' = (U^T A U) z + U^T b with b constant, is not integrated at all: its
+exact flow is stepped with one matrix exponential per interval length.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import SvdResult, as_matrix, as_time_grid, as_vector, read_only
+from .linalg import SvdResult, as_matrix, as_real_array, as_time_grid, as_vector, read_only
 from .ode import (
     OdeSystem,
     RhsStructure,
     Trajectory,
     affine_flow,
-    integrate,
     integrate_galerkin,
     sample_rhs,
 )
@@ -181,7 +179,7 @@ class ErrorCurve:
 
     def __post_init__(self) -> None:
         times = read_only(as_time_grid(self.times))
-        norms = np.array(self.norms, dtype=float)
+        norms = as_real_array(self.norms, "norms").copy()
         if norms.shape != times.shape:
             raise InvalidInputError("times and norms must be of equal length")
         if not np.all(np.isfinite(norms)) or np.any(norms < 0.0):
@@ -281,90 +279,50 @@ def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
     system: it runs the fused kernel of ``ode.integrate_galerkin`` on the
     same projection, which applies the full system's error test to U z.
     """
-    structure = _checked_structure(system, basis)
-    return OdeSystem(dimension=basis.l, rhs=_projected_rhs(structure, basis.reduced_vectors))
+    return OdeSystem(dimension=basis.l, rhs=_project(system, basis).rhs)
 
 
-def _checked_structure(system: OdeSystem, basis: PodBasis) -> RhsStructure:
-    """The structure of ``system``, checked to be there and to match ``basis``."""
-    if system.structure is None:
+@dataclass(frozen=True)
+class _Projection:
+    """A system's structure projected onto one basis U, once.
+
+    ``linear`` is U^T A U and ``forcing`` U^T B.  ``rows`` is U_c, the p
+    basis rows the cubic acts on (none when the structure is affine), and
+    ``blocks`` the l x (p + k + l) matrix [scale U_c^T | U^T B | U^T A U]
+    that the reduced rhs applies to [v^2 (v - root); s(t); z] with v = U_c z.
+    """
+
+    structure: RhsStructure
+    linear: np.ndarray
+    forcing: np.ndarray
+    rows: np.ndarray
+    blocks: np.ndarray
+
+    def rhs(self, t: float, z: np.ndarray) -> np.ndarray:
+        v = self.rows @ z
+        root = self.structure.cubic_root
+        signals = self.structure.forcing_signals(t)
+        return self.blocks @ np.concatenate((v * v * (v - root), signals, z))
+
+
+def _project(system: OdeSystem, basis: PodBasis) -> _Projection:
+    """The structure of ``system`` projected onto ``basis``, checked to match it."""
+    structure = system.structure
+    if structure is None:
         raise InvalidInputError("a reduced model needs a system with a structure")
     if basis.dimension != system.dimension:
         raise InvalidInputError(
             f"basis dimension {basis.dimension} does not match "
             f"system dimension {system.dimension}"
         )
-    return system.structure
-
-
-class _Projection(NamedTuple):
-    """A structure projected onto one basis U, once.
-
-    ``linear`` is U^T A U and ``forcing`` U^T B.  ``rows`` is U_c, the p
-    basis rows the cubic acts on (none when the structure is affine), and
-    ``blocks`` the l x (p + k + l) matrix [scale U_c^T | U^T B | U^T A U]
-    that a reduced rhs applies to [v^2 (v - root); s(t); z] with v = U_c z.
-    """
-
-    linear: np.ndarray
-    forcing: np.ndarray
-    rows: np.ndarray
-    blocks: np.ndarray
-
-
-def _project(structure: RhsStructure, vectors: np.ndarray) -> _Projection:
+    vectors = basis.reduced_vectors
     linear = vectors.T @ np.asarray(structure.apply_linear(vectors), dtype=float)
     forcing = vectors.T @ structure.forcing_vectors
     rows = vectors[structure.cubic_rows]
     if structure.affine:
         rows = rows[:0]
     blocks = np.hstack((structure.cubic_scale * rows.T, forcing, linear))
-    return _Projection(linear, forcing, rows, blocks)
-
-
-def _projected_rhs(structure: RhsStructure, vectors: np.ndarray):
-    """Online reduced right-hand side from the basis's projection, made here once.
-
-    A call forms v = U_c z, then applies one l x (p + k + l) matrix
-    [scale U_c^T | U^T B | U^T A U] to the stacked vector
-    [v^2 (v - root); s(t); z], where p is the number of cubic rows and k
-    the number of forcing signals, all k from one ``forcing_signals`` call.
-    A system without cubic skips the first block.
-    """
-    projection = _project(structure, vectors)
-    signals = structure.forcing_signals
-    # a 0-d array: numpy takes it with less per-call overhead than a float
-    root = np.array(structure.cubic_root)
-    rows = projection.rows
-    blocks = projection.blocks
-    p = rows.shape[0]
-    k = projection.forcing.shape[1]
-    stacked = np.empty(blocks.shape[1])
-    cubic = stacked[:p]
-    state = stacked[p + k :]
-    # The k signal values are packed straight into the bytes of
-    # stacked[p : p + k]; a slice store would take the tuple through numpy's
-    # sequence path, and pack_into writes to a byte view faster than to the
-    # array itself.
-    store_drive = struct.Struct(f"{k}d").pack_into
-    stacked_bytes = memoryview(stacked).cast("B")
-    drive_offset = p * stacked.itemsize
-    # np.dot has less call overhead than the @ operator on these small sizes.
-    dot = np.dot
-    subtract = np.subtract
-    multiply = np.multiply
-
-    def reduced_rhs(t: float, z: np.ndarray) -> np.ndarray:
-        if p:
-            v = dot(rows, z)
-            subtract(v, root, out=cubic)
-            multiply(cubic, v, out=cubic)
-            multiply(cubic, v, out=cubic)
-        store_drive(stacked_bytes, drive_offset, *signals(t))
-        state[:] = z
-        return dot(blocks, stacked)
-
-    return reduced_rhs
+    return _Projection(structure, linear, forcing, rows, blocks)
 
 
 def solve_rom_lifted(
@@ -378,22 +336,20 @@ def solve_rom_lifted(
     """Solve the reduced system from z(0) = U^T x0 and lift the result.
 
     The initial state is taken at t = 0, and no output time may be
-    negative; on every route below, the grid [0.0] alone gives the lifted
+    negative; on both routes below, the grid [0.0] alone gives the lifted
     initial state with zero work counters.  The structure is checked and
     projected onto the basis once, as ``build_rom`` projects it.  When it
     is ``linear_time_invariant``, the reduced model is z' = K z + c with
     K = U^T A U and c = U^T B s(0), and ``ode.affine_flow`` gives its exact
     solution: the tolerances are not used and the work counters stay 0.
-    Any other structure's reduced model is integrated by
-    ``ode.integrate_galerkin``, the fused DP5 kernel on that projection,
-    whose error test runs on the lifted state U z, and the lifted
-    trajectory carries its work counters.  The identity basis (U = I, for
-    example the full-dimension basis that ``truncate_basis`` builds)
-    integrates the system itself with ``ode.integrate``, calling its own
-    right-hand side.  A system without a structure raises
-    ``InvalidInputError``, as in ``build_rom``.
+    Any other structure's reduced model, on any basis, the identity
+    included, is integrated by ``ode.integrate_galerkin``, the fused DP5
+    kernel on that projection, whose error test runs on the lifted state
+    U z, and the lifted trajectory carries its work counters.  A system
+    without a structure raises ``InvalidInputError``, as in ``build_rom``.
     """
-    structure = _checked_structure(system, basis)
+    projection = _project(system, basis)
+    structure = projection.structure
     start = as_vector(x0, "x0")
     if start.size != basis.dimension:
         raise InvalidInputError(
@@ -403,13 +359,9 @@ def solve_rom_lifted(
     vectors = basis.reduced_vectors
     z0 = vectors.T @ start
     if structure.linear_time_invariant:
-        projection = _project(structure, vectors)
         shift = projection.forcing @ np.asarray(structure.forcing_signals(0.0), dtype=float)
         reduced = affine_flow(projection.linear, shift, z0, out)
-    elif basis.l == basis.dimension and np.array_equal(vectors, np.eye(basis.l)):
-        reduced = integrate(system, z0, rel_tol, abs_tol, out)
     else:
-        projection = _project(structure, vectors)
         reduced = integrate_galerkin(
             projection.blocks,
             projection.rows,

@@ -246,6 +246,23 @@ class TestConstantsValidation:
         with pytest.raises(InvalidInputError):
             BoundCurve(times=np.array([0.0, 1.0]), values=np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("name", ["psi", "phi", "theta"])
+    def test_rejects_ragged_constants(self, name):
+        # a ragged nested list is an InvalidInputError, not numpy's ValueError
+        arrays = {key: np.ones(2) for key in ("psi", "phi", "theta")}
+        arrays[name] = [[1.0], [1.0, 2.0]]
+        with pytest.raises(InvalidInputError, match=f"{name} is not a real array"):
+            BoundConstants(
+                snapshot_times=np.array([0.0, 1.0, 2.0]),
+                lambda_=0.0,
+                provenance="linear_exact",
+                **arrays,
+            )
+
+    def test_curve_rejects_ragged_values(self):
+        with pytest.raises(InvalidInputError, match="values is not a real array"):
+            BoundCurve(times=np.array([0.0, 1.0]), values=[[1.0], [1.0, 2.0]])
+
     @pytest.mark.parametrize(
         "grid",
         [[], [math.nan], [[0.0, 0.5]], [0.5, 0.25]],

@@ -50,8 +50,7 @@ def solve(route, system, x0, rel_tol, abs_tol, output_times):
 
     Route "full" is ``integrate``; route "galerkin" is the fused kernel that
     ``pod.solve_rom_lifted`` runs on a structured system that is not linear
-    time-invariant, here on the basis of its first two coordinates (not the
-    identity, which it integrates in full).
+    time-invariant, on any basis; here on that of its first two coordinates.
     """
     if route == "full":
         return integrate(system, x0, rel_tol, abs_tol, output_times)
@@ -597,6 +596,25 @@ class TestTypes:
                 forcing_signals=lambda t: (value,),
                 forcing_rates=lambda t: (0.0,),
             )
+
+    @pytest.mark.parametrize("name", ["forcing_vectors", "forcing_signals", "forcing_rates"])
+    def test_structure_rejects_ragged_forcing(self, name):
+        # a ragged nested list is an InvalidInputError, not numpy's ValueError
+        kwargs = dict(
+            apply_linear=lambda x: x,
+            cubic_rows=slice(0, 1),
+            cubic_scale=-1.0,
+            cubic_root=1.0,
+            forcing_vectors=np.zeros((2, 1)),
+            forcing_signals=lambda t: (1.0,),
+            forcing_rates=lambda t: (0.0,),
+        )
+        if name == "forcing_vectors":
+            kwargs[name] = [[1.0], [1.0, 2.0]]
+        else:
+            kwargs[name] = lambda t: [[1.0], [1.0, 2.0]]
+        with pytest.raises(InvalidInputError, match=f"{name} is not a real array"):
+            RhsStructure(**kwargs)
 
     def test_constant_forcing_needs_zero_rates(self):
         kwargs = dict(

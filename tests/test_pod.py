@@ -379,9 +379,8 @@ class TestStructuredRom:
 
     def test_identity_basis_keeps_system_rhs(self):
         # build_rom projects every full-dimension basis, the identity
-        # included; a reduced solve on the identity integrates the system's
-        # own rhs, 1 + 6 calls per attempt.
-        system, calls = counting(build_fhn(preset("B").params))
+        # included.
+        system = build_fhn(preset("B").params)
         n = system.dimension
         rng = np.random.default_rng(4)
         z = rng.uniform(-1.0, 1.0, size=n)
@@ -390,26 +389,34 @@ class TestStructuredRom:
             assert rom.dimension == n and rom.structure is None
             lifted = columns.T @ system.rhs(0.3, columns @ z)
             assert np.max(np.abs(rom.rhs(0.3, z) - lifted)) <= 1e-12 * np.max(np.abs(lifted))
-        calls.clear()
-        identity = basis_from_columns(np.eye(n))
-        lifted = solve_rom_lifted(system, identity, np.zeros(n), [0.01], 1e-8, 1e-10)
-        assert len(calls) == 1 + 6 * lifted.step_attempts > 1
 
-    def test_structured_solve_makes_no_full_rhs_call(self):
+    @pytest.mark.parametrize("l", [3, None], ids=["l=3", "identity"])
+    def test_structured_solve_makes_no_full_rhs_call(self, l):
+        # The identity basis runs the fused kernel too, not the system's rhs.
         system, calls = counting(build_fhn(preset("B").params))
-        basis = basis_from_columns(orthonormal_columns(system.dimension, 3, seed=2))
-        x0 = np.zeros(system.dimension)
-        lifted = solve_rom_lifted(system, basis, x0, [0.01, 0.02], 1e-8, 1e-10)
-        assert lifted.states.shape == (2, system.dimension)
+        n = system.dimension
+        columns = np.eye(n) if l is None else orthonormal_columns(n, l, seed=2)
+        basis = basis_from_columns(columns)
+        lifted = solve_rom_lifted(system, basis, np.zeros(n), [0.01, 0.02], 1e-8, 1e-10)
+        assert lifted.states.shape == (2, n)
+        assert lifted.step_attempts > 0
         assert calls == []
 
 
 class TestSolveRomLifted:
-    def test_identity_basis_matches_full_solve(self):
-        system = linear_system(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        basis = PodBasis(reduced_vectors=np.eye(2), sigma_next=0.0)
-        x0 = np.array([1.0, 0.0])
-        out = [0.5, 1.0]
+    @pytest.mark.parametrize("case", ["rotation", "B"])
+    def test_identity_basis_matches_full_solve(self, case):
+        if case == "B":
+            # nonlinear and forced, on a short horizon: the fused kernel
+            # on U = I against the truth kernel on the system itself
+            system = build_fhn(preset("B").params)
+            x0 = np.zeros(system.dimension)
+            out = [0.005, 0.01]
+        else:
+            system = linear_system(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+            x0 = np.array([1.0, 0.0])
+            out = [0.5, 1.0]
+        basis = PodBasis(reduced_vectors=np.eye(system.dimension), sigma_next=0.0)
         rel, abs_ = 1e-9, 1e-11
         lifted = solve_rom_lifted(system, basis, x0, out, rel, abs_)
         full = integrate(system, x0, rel, abs_, out)
@@ -500,7 +507,6 @@ class TestSolveRomLifted:
             lambda t, z: U.T @ system.rhs(t, U @ z), U.T @ x0, 1e-10, 1e-12, out, lift=U
         )
         reference = reduced @ U.T
-        monkeypatch.setattr(pod, "integrate", refuse("integrate"))
         lifted = solve_rom_lifted(system, basis, x0, out, 1e-10, 1e-12)
         gap = np.max(np.abs(lifted.states - reference))
         assert gap <= 1e-10 * np.max(np.abs(reference))
@@ -543,7 +549,7 @@ class TestExactInTimeDispatch:
         x0 = np.zeros(system.dimension)
         rom = build_rom(system, basis)
         dp5 = integrate(rom, basis.reduced_vectors.T @ x0, 1e-13, 1e-15, self.EVAL)
-        monkeypatch.setattr(pod, "integrate", refuse("integrate"))
+        monkeypatch.setattr(pod, "integrate_galerkin", refuse("integrate_galerkin"))
         monkeypatch.setattr(pod, "build_rom", refuse("build_rom"))
         lifted = solve_rom_lifted(system, basis, x0, self.EVAL, 1e-13, 1e-15)
         assert (lifted.step_attempts, lifted.rejected_steps) == (0, 0)
@@ -554,7 +560,7 @@ class TestExactInTimeDispatch:
     def test_identity_basis_takes_the_exact_flow(self, monkeypatch):
         system = build_fhn(preset("A").params)
         n = system.dimension
-        monkeypatch.setattr(pod, "integrate", refuse("integrate"))
+        monkeypatch.setattr(pod, "integrate_galerkin", refuse("integrate_galerkin"))
         lifted = solve_rom_lifted(
             system, basis_from_columns(np.eye(n)), np.zeros(n), self.EVAL[:40], 1e-9, 1e-11
         )
@@ -617,6 +623,11 @@ class TestErrorCurve:
         b = Trajectory(times=np.array([0.0, 2.0]), states=np.zeros((2, 2)))
         with pytest.raises(InvalidInputError):
             error_curve(a, b)
+
+    def test_ragged_norms_rejected(self):
+        # a ragged nested list is an InvalidInputError, not numpy's ValueError
+        with pytest.raises(InvalidInputError, match="norms is not a real array"):
+            ErrorCurve(times=np.array([0.0, 1.0]), norms=[[0.0], [1.0, 2.0]])
 
     def test_state_shape_mismatch_rejected(self):
         a = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 2)))
