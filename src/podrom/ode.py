@@ -9,7 +9,9 @@ solve runs from t = 0 to its last output time.
 One step controller drives two kernels: ``integrate``'s, the truth kernel,
 which calls a system's right-hand side, and ``integrate_galerkin``'s fused
 stages for a Galerkin-reduced structured system, which never call one and
-apply the full solve's error test to the lifted state U z.
+apply the full solve's error test to the lifted state U z.  That reduced
+system is a :class:`GalerkinModel`, built once per basis U by
+``RhsStructure.project(U)``; this module alone knows its block layout.
 
 A linear time-invariant system x' = K x + c is also solved exactly in time
 (``affine_flow``): one matrix exponential per distinct interval length, with
@@ -31,6 +33,7 @@ from .linalg import as_matrix, as_real_array, as_time_grid, as_vector, expm, rea
 
 __all__ = [
     "RhsStructure",
+    "GalerkinModel",
     "OdeSystem",
     "Trajectory",
     "affine_flow",
@@ -120,6 +123,68 @@ class RhsStructure:
         slope = self.cubic_scale * (3.0 * v - 2.0 * self.cubic_root) * v
         out[self.cubic_rows] += slope * directions[self.cubic_rows]
         return out
+
+    def project(self, vectors) -> GalerkinModel:
+        """The Galerkin model z' = U^T f(t, U z) on the basis U = ``vectors``.
+
+        U must be a finite n x l matrix with n >= l, n the number of rows
+        of ``forcing_vectors``, and ``apply_linear(U)`` must give an n x l
+        block; otherwise :class:`InvalidInputError` is raised.  A and B are
+        projected here, once, and U is not checked to be orthonormal.
+        """
+        vectors = as_matrix(vectors, "basis")
+        n, l = vectors.shape
+        dimension = self.forcing_vectors.shape[0]
+        if n != dimension:
+            raise InvalidInputError(
+                f"basis dimension {n} does not match structure dimension {dimension}"
+            )
+        if n < l:
+            raise InvalidInputError("basis cannot have more columns than rows")
+        applied = as_real_array(self.apply_linear(vectors), "apply_linear(basis)")
+        if applied.shape != (n, l):
+            raise InvalidInputError(
+                f"apply_linear gave shape {applied.shape} for a basis of shape {(n, l)}"
+            )
+        rows = vectors[self.cubic_rows]
+        if self.affine:
+            rows = rows[:0]
+        forcing = vectors.T @ self.forcing_vectors
+        blocks = np.hstack((self.cubic_scale * rows.T, forcing, vectors.T @ applied))
+        return GalerkinModel(self, vectors, rows, blocks)
+
+
+@dataclass(frozen=True)
+class GalerkinModel:
+    """A structure's Galerkin model on one basis U: z' = M [r(R z); s(t); z].
+
+    Built by :meth:`RhsStructure.project`, which checks that the parts fit.
+    ``lift`` is U (n x l), ``rows`` is R = U_c, the p rows of U that the
+    cubic acts on (none when the structure is affine), and ``blocks`` is the
+    l x (p + k + l) matrix M = [scale U_c^T | U^T B | U^T A U], applied to
+    the packed operand [r(v); s(t); z] with v = R z, r(v) = v^2 (v - root)
+    elementwise and s(t) the k values of one ``forcing_signals(t)`` call.
+    """
+
+    structure: RhsStructure
+    lift: np.ndarray
+    rows: np.ndarray
+    blocks: np.ndarray
+
+    @property
+    def linear(self) -> np.ndarray:
+        """U^T A U, the last l columns of ``blocks`` (a view)."""
+        return self.blocks[:, -self.lift.shape[1] :]
+
+    @property
+    def forcing(self) -> np.ndarray:
+        """U^T B, the k columns of ``blocks`` between the first p and the last l (a view)."""
+        return self.blocks[:, self.rows.shape[0] : -self.lift.shape[1]]
+
+    def rhs(self, t: float, z: np.ndarray) -> np.ndarray:
+        v = self.rows @ z
+        signals = self.structure.forcing_signals(t)
+        return self.blocks @ np.concatenate((v * v * (v - self.structure.cubic_root), signals, z))
 
 
 @dataclass(frozen=True)
@@ -475,55 +540,36 @@ _STAGE_ROWS = np.array(
 
 
 def integrate_galerkin(
-    blocks: np.ndarray,
-    rows: np.ndarray,
-    root: float,
-    signals: Callable[[float], Sequence[float]],
-    lift: np.ndarray,
+    model: GalerkinModel,
     z0: np.ndarray,
     rel_tol: float,
     abs_tol: float,
     output_times,
 ) -> Trajectory:
-    """Integrate a Galerkin-reduced structured system with fused DP5 stages.
+    """Integrate a Galerkin model, z' = M [r(R z); s(t); z], with fused DP5 stages.
 
-    The system is z' = M [r(R z); s(t); z] in l unknowns, where M is the
-    l x (p + k + l) matrix ``blocks``, R the p x l matrix ``rows``,
-    r(v) = v^2 (v - ``root``) elementwise, and s(t) the k values of one
-    ``signals(t)`` call: the form ``pod.solve_rom_lifted`` projects from an
-    ``RhsStructure`` onto the finite basis U = ``lift`` (n x l, n >= l);
-    ``rows`` has no row when the structure is affine.
-
-    The solve runs under ``integrate``'s step controller, work counters and
-    typed errors, and holds a reduced solve to the full solve's error test:
-    the scaled RMS norm runs over the n components of U times the local
-    error, with scale ``abs_tol + rel_tol * max(|U z_old|, |U z_new|)``.
+    ``model`` is what ``RhsStructure.project`` builds on a basis U; ``z0``
+    has one entry per column of U.  The solve runs under ``integrate``'s
+    step controller, work counters and typed errors, and holds a reduced
+    solve to the full solve's error test: the scaled RMS norm runs over the
+    n components of U times the local error, with scale
+    ``abs_tol + rel_tol * max(|U z_old|, |U z_new|)``.
     Each stage state is one product of the row [1, h a_i0, ..., h a_i,i-1]
     with the stacked [z; k_0; ...; k_{i-1}], written into the z-slot of the
     packed operand [r(R z_i); s(t_i); z_i], and each stage value one product
     of M with that operand.  The error vector and the trial state are
-    lifted together by one 2 x l by l x n product.  Arrays that do not fit
-    these shapes, a non-finite U and a ``signals`` that gives other than k
-    values at t = 0 raise :class:`InvalidInputError`.
+    lifted together by one 2 x l by l x n product.
     """
     rel_tol, abs_tol = _checked_tolerances(rel_tol, abs_tol)
     z = as_vector(z0, "z0")
-    l = z.size
-    blocks = as_real_array(blocks, "blocks")
-    rows = as_real_array(rows, "rows")
-    lift = as_matrix(lift, "lift")
-    if blocks.ndim != 2 or rows.ndim != 2:
-        raise InvalidInputError("blocks and rows must be 2-D")
-    p = rows.shape[0]
+    lift = model.lift
+    m, l = lift.shape
+    if z.shape != (l,):
+        raise InvalidInputError(f"z0 has length {z.size}, the model has {l} unknowns")
+    blocks = model.blocks
+    p = model.rows.shape[0]
     k = blocks.shape[1] - p - l
-    m = lift.shape[0]
-    if rows.shape != (p, l) or blocks.shape[0] != l or k < 0 or lift.shape[1] != l or m < l:
-        raise InvalidInputError(
-            f"blocks {blocks.shape}, rows {rows.shape} and lift {lift.shape} "
-            f"do not fit a reduced state of length {l}"
-        )
-    if np.shape(signals(0.0)) != (k,):
-        raise InvalidInputError(f"signals must give {k} values, one per forcing column")
+    signals = model.structure.forcing_signals
     out = _output_grid(output_times)
     stacked = np.empty((8, l))
     stacked[0] = z
@@ -540,7 +586,7 @@ def integrate_galerkin(
     v = np.empty(p)
     # R column-major: R z_i is a faster product that way, U^T row-major, so
     # that [error; trial] @ U^T is one product.
-    rows = np.asfortranarray(rows)
+    rows = np.asfortranarray(model.rows)
     lift_rows = np.ascontiguousarray(lift.T)
     lifted = np.empty((2, m))
     lifted_error = lifted[0]
@@ -567,7 +613,7 @@ def integrate_galerkin(
     store_drive = struct.Struct(f"{k}d").pack_into
     packed_bytes = memoryview(packed).cast("B")
     drive_offset = p * packed.itemsize
-    root = np.array(root)
+    root = np.array(model.structure.cubic_root)
     rel = np.array(rel_tol)
     absolute = np.array(abs_tol)
     step = np.empty(())

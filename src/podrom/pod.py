@@ -7,16 +7,16 @@ is integrated under the same step controller and error test as the full
 system, the test applied to the lifted state U z, and lifted back for
 pointwise error curves.
 
-A reduced model is built in two phases from the full system's
-``structure`` (linear operator, elementwise cubic, fixed-vector forcing),
-which every reduction requires: offline, each part is projected onto the
-basis once, into one value per basis; online, the reduced model works
-with those small projected operators and never forms the full state.
-``build_rom``'s reduced right-hand side evaluates that value; a reduced
-solve, on any basis, the identity included, runs fused DP5 stages on it
-(``ode.integrate_galerkin``).  A linear time-invariant reduced model,
-z' = (U^T A U) z + U^T b with b constant, is not integrated at all: its
-exact flow is stepped with one matrix exponential per interval length.
+A reduced model is the Galerkin model ``ode.GalerkinModel`` that the full
+system's ``structure`` (linear operator, elementwise cubic, fixed-vector
+forcing), which every reduction requires, projects onto the basis once
+(``RhsStructure.project``); it works with small projected operators and
+never forms the full state.  ``build_rom``'s reduced right-hand side is the
+model's; a reduced solve, on any basis, the identity included, runs fused
+DP5 stages on it (``ode.integrate_galerkin``).  A linear time-invariant
+reduced model, z' = (U^T A U) z + U^T b with b constant, is not integrated
+at all: its exact flow is stepped with one matrix exponential per interval
+length.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .linalg import SvdResult, as_matrix, as_real_array, as_time_grid, as_vector, read_only
 from .ode import (
+    GalerkinModel,
     OdeSystem,
-    RhsStructure,
     Trajectory,
     affine_flow,
     integrate_galerkin,
@@ -111,8 +111,8 @@ class PodBasis:
         if vectors.shape[0] < vectors.shape[1]:
             raise InvalidInputError("basis cannot have more columns than rows")
         sigma_next = float(self.sigma_next)
-        if not sigma_next >= 0.0:
-            raise InvalidInputError(f"sigma_next must be >= 0, got {self.sigma_next!r}")
+        if not 0.0 <= sigma_next < np.inf:
+            raise InvalidInputError(f"sigma_next must be finite and >= 0, got {self.sigma_next!r}")
         gram = vectors.T @ vectors
         defect = np.max(np.abs(gram - np.eye(vectors.shape[1])))
         if defect > 1e-10:
@@ -264,65 +264,22 @@ def truncate_basis(svd: SvdResult, rule: TruncationRule) -> PodBasis:
 def build_rom(system: OdeSystem, basis: PodBasis) -> OdeSystem:
     """Galerkin-reduced system z' = U^T f(t, U z).
 
-    The reduction runs in two phases on the system's ``structure``
-    (linear operator A, elementwise cubic g on some rows, forcing B s(t));
-    a system without one raises ``InvalidInputError``, whatever the basis.
-    Offline, once per basis: U^T A U from A applied to the l basis columns,
-    U_c = the basis rows the cubic acts on, and U^T B.  Online, per call:
-
-        z' = (U^T A U) z + (U^T B) s(t) + U_c^T g(U_c z),
-
-    where s(t) is the k values of one ``forcing_signals`` call, so no call
-    forms the full state or evaluates a signal more than once.  Every basis
-    is projected this way, the identity included, and the reduced system
+    Its right-hand side is that of the ``ode.GalerkinModel`` which the
+    system's ``structure`` projects onto the basis; a system without one
+    raises ``InvalidInputError``, whatever the basis.  Every basis is
+    projected this way, the identity included, and the reduced system
     carries no structure.  ``solve_rom_lifted`` does not integrate this
     system: it runs the fused kernel of ``ode.integrate_galerkin`` on the
-    same projection, which applies the full system's error test to U z.
+    same model, which applies the full system's error test to U z.
     """
     return OdeSystem(dimension=basis.l, rhs=_project(system, basis).rhs)
 
 
-@dataclass(frozen=True)
-class _Projection:
-    """A system's structure projected onto one basis U, once.
-
-    ``linear`` is U^T A U and ``forcing`` U^T B.  ``rows`` is U_c, the p
-    basis rows the cubic acts on (none when the structure is affine), and
-    ``blocks`` the l x (p + k + l) matrix [scale U_c^T | U^T B | U^T A U]
-    that the reduced rhs applies to [v^2 (v - root); s(t); z] with v = U_c z.
-    """
-
-    structure: RhsStructure
-    linear: np.ndarray
-    forcing: np.ndarray
-    rows: np.ndarray
-    blocks: np.ndarray
-
-    def rhs(self, t: float, z: np.ndarray) -> np.ndarray:
-        v = self.rows @ z
-        root = self.structure.cubic_root
-        signals = self.structure.forcing_signals(t)
-        return self.blocks @ np.concatenate((v * v * (v - root), signals, z))
-
-
-def _project(system: OdeSystem, basis: PodBasis) -> _Projection:
-    """The structure of ``system`` projected onto ``basis``, checked to match it."""
-    structure = system.structure
-    if structure is None:
+def _project(system: OdeSystem, basis: PodBasis) -> GalerkinModel:
+    """The Galerkin model of ``system``'s structure on ``basis``."""
+    if system.structure is None:
         raise InvalidInputError("a reduced model needs a system with a structure")
-    if basis.dimension != system.dimension:
-        raise InvalidInputError(
-            f"basis dimension {basis.dimension} does not match "
-            f"system dimension {system.dimension}"
-        )
-    vectors = basis.reduced_vectors
-    linear = vectors.T @ np.asarray(structure.apply_linear(vectors), dtype=float)
-    forcing = vectors.T @ structure.forcing_vectors
-    rows = vectors[structure.cubic_rows]
-    if structure.affine:
-        rows = rows[:0]
-    blocks = np.hstack((structure.cubic_scale * rows.T, forcing, linear))
-    return _Projection(structure, linear, forcing, rows, blocks)
+    return system.structure.project(basis.reduced_vectors)
 
 
 def solve_rom_lifted(
@@ -338,18 +295,18 @@ def solve_rom_lifted(
     The initial state is taken at t = 0, and no output time may be
     negative; on both routes below, the grid [0.0] alone gives the lifted
     initial state with zero work counters.  The structure is checked and
-    projected onto the basis once, as ``build_rom`` projects it.  When it
-    is ``linear_time_invariant``, the reduced model is z' = K z + c with
-    K = U^T A U and c = U^T B s(0), and ``ode.affine_flow`` gives its exact
-    solution: the tolerances are not used and the work counters stay 0.
-    Any other structure's reduced model, on any basis, the identity
-    included, is integrated by ``ode.integrate_galerkin``, the fused DP5
-    kernel on that projection, whose error test runs on the lifted state
-    U z, and the lifted trajectory carries its work counters.  A system
-    without a structure raises ``InvalidInputError``, as in ``build_rom``.
+    projected onto the basis once, into the ``ode.GalerkinModel`` that
+    ``build_rom`` also builds.  When the structure is
+    ``linear_time_invariant``, the model is z' = K z + c with K = its
+    ``linear`` and c = its ``forcing`` times s(0), and ``ode.affine_flow``
+    gives its exact solution: the tolerances are not used and the work
+    counters stay 0.  Any other model, on any basis, the identity included,
+    is integrated by ``ode.integrate_galerkin``, whose error test runs on
+    the lifted state U z, and the lifted trajectory carries its work
+    counters.  A system without a structure raises ``InvalidInputError``,
+    as in ``build_rom``.
     """
-    projection = _project(system, basis)
-    structure = projection.structure
+    model = _project(system, basis)
     start = as_vector(x0, "x0")
     if start.size != basis.dimension:
         raise InvalidInputError(
@@ -358,21 +315,11 @@ def solve_rom_lifted(
     out = as_time_grid(output_times, "output_times")
     vectors = basis.reduced_vectors
     z0 = vectors.T @ start
-    if structure.linear_time_invariant:
-        shift = projection.forcing @ np.asarray(structure.forcing_signals(0.0), dtype=float)
-        reduced = affine_flow(projection.linear, shift, z0, out)
+    if model.structure.linear_time_invariant:
+        signals = np.asarray(model.structure.forcing_signals(0.0), dtype=float)
+        reduced = affine_flow(model.linear, model.forcing @ signals, z0, out)
     else:
-        reduced = integrate_galerkin(
-            projection.blocks,
-            projection.rows,
-            structure.cubic_root,
-            structure.forcing_signals,
-            vectors,
-            z0,
-            rel_tol,
-            abs_tol,
-            out,
-        )
+        reduced = integrate_galerkin(model, z0, rel_tol, abs_tol, out)
     return replace(reduced, states=reduced.states @ vectors.T)
 
 

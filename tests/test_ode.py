@@ -267,71 +267,92 @@ class TestIntegrate:
         with pytest.raises(InvalidInputError):
             integrate(system, np.array([1.0, 2.0]), 1e-6, 1e-6, [0.5])
 
-    # A 2-state reduction of a 3-state system with one cubic row (p = 1) and
-    # one signal (k = 1): blocks is 2 x 4, rows 1 x 2 and lift 3 x 2.
+    # A 3-state structure with one cubic row (p = 1) and one signal (k = 1),
+    # reduced onto 2 basis columns (the model's lift): blocks is 2 x 4 and
+    # rows 1 x 2.  Each case below changes one argument.
     GALERKIN = dict(
-        blocks=np.array([[0.5, 1.0, -1.0, 0.0], [0.0, 0.0, 0.0, -2.0]]),
-        rows=np.array([[1.0, 0.0]]),
+        apply_linear=lambda x: np.diag([0.5, -1.0, -2.0]) @ x,
         signals=lambda t: (math.sin(t),),
         lift=np.eye(3)[:, :2],
+        z0=np.array([0.2, -0.1]),
     )
+
+    @staticmethod
+    def galerkin_model(args):
+        structure = RhsStructure(
+            apply_linear=args["apply_linear"],
+            cubic_rows=slice(0, 1),
+            cubic_scale=-1.0,
+            cubic_root=0.3,
+            forcing_vectors=np.array([[1.0], [0.0], [0.0]]),
+            forcing_signals=args["signals"],
+            forcing_rates=lambda t: (math.cos(t),),
+        )
+        return structure.project(args["lift"])
 
     @pytest.mark.parametrize(
         "bad",
         [
-            dict(blocks=np.zeros(8)),
-            dict(blocks=np.zeros((4, 2)).tolist()),
-            dict(rows=np.zeros(2)),
-            dict(rows=np.zeros((1, 3))),
+            dict(apply_linear=lambda x: np.zeros(3)),
+            dict(apply_linear=lambda x: np.zeros((4, 2)).tolist()),
+            dict(apply_linear=lambda x: [[0.5, 0.0], [0.0, -1.0], [0.0]]),
             dict(lift=np.array([[1.0, 0.0], [0.0, float("nan")], [0.0, 0.0]])),
             dict(lift=np.array([[float("inf"), 0.0], [0.0, 1.0], [0.0, 0.0]])),
             dict(lift=np.zeros(3)),
-            dict(lift=np.eye(3)),
-            dict(lift=np.eye(2)[:1]),
+            dict(z0=np.array([0.2, -0.1, 0.0])),
+            dict(lift=np.eye(4)[:, :2]),
+            dict(lift=np.hstack((np.eye(3), np.zeros((3, 1))))),
             dict(signals=lambda t: (1.0, 2.0)),
-            dict(blocks=[[0.5, 1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]),
-            dict(rows=[[1.0, 0.0], [1.0]]),
             dict(lift=[[1.0, 0.0], [0.0, 1.0], [0.0]]),
         ],
         ids=[
             "1-D-blocks",
             "list-blocks-of-other-shape",
-            "1-D-rows",
-            "rows-of-other-width",
+            "ragged-blocks",
             "nan-lift",
             "inf-lift",
             "1-D-lift",
             "lift-of-other-width",
+            "lift-of-other-height",
             "lift-with-fewer-rows-than-columns",
             "two-signals-for-one-column",
-            "ragged-blocks",
-            "ragged-rows",
             "ragged-lift",
         ],
     )
     def test_galerkin_rejects_bad_arguments(self, bad):
+        # The model's blocks come from apply_linear(U), so a malformed
+        # result of it is a malformed block.  RhsStructure.project rejects
+        # every case but two: integrate_galerkin rejects a z0 without one
+        # entry per column of the lift (lift-of-other-width), and a model
+        # whose signals do not fit its forcing cannot be built, since
+        # RhsStructure rejects them (two-signals-for-one-column).
         args = dict(self.GALERKIN, **bad)
         with pytest.raises(InvalidInputError):
-            ode.integrate_galerkin(
-                args["blocks"], args["rows"], 0.3, args["signals"], args["lift"],
-                np.array([0.2, -0.1]), 1e-8, 1e-10, [0.5],
-            )
+            model = self.galerkin_model(args)
+            ode.integrate_galerkin(model, args["z0"], 1e-8, 1e-10, [0.5])
 
     def test_galerkin_takes_array_likes(self):
-        # A nested list is taken as the array it spells, as every other
-        # matrix argument in ode is.
+        # A nested-list basis is taken as the array it spells, as every
+        # other matrix argument in ode is, and gives the same model.
         args = self.GALERKIN
+        expect = self.galerkin_model(args)
+        got = self.galerkin_model(dict(args, lift=args["lift"].tolist()))
+        for name in ("lift", "rows", "blocks"):
+            assert getattr(got, name).tobytes() == getattr(expect, name).tobytes(), name
+        solves = [ode.integrate_galerkin(m, args["z0"], 1e-8, 1e-10, [0.5]) for m in (got, expect)]
+        assert np.array_equal(solves[0].states, solves[1].states)
+        assert solves[0].step_attempts == solves[1].step_attempts > 0
 
-        def solve(convert):
-            return ode.integrate_galerkin(
-                convert(args["blocks"]), convert(args["rows"]), 0.3, args["signals"],
-                convert(args["lift"]), np.array([0.2, -0.1]), 1e-8, 1e-10, [0.5],
-            )
-
-        expect = solve(np.asarray)
-        got = solve(np.ndarray.tolist)
-        assert np.array_equal(got.states, expect.states)
-        assert got.step_attempts == expect.step_attempts > 0
+    def test_galerkin_model_parts_are_views_of_blocks(self):
+        # blocks = [scale U_c^T | U^T B | U^T A U]
+        model = self.galerkin_model(self.GALERKIN)
+        U = self.GALERKIN["lift"]
+        A = np.diag([0.5, -1.0, -2.0])
+        assert np.array_equal(model.blocks[:, :1], -1.0 * U[:1].T)
+        B = np.array([[1.0], [0.0], [0.0]])
+        for part, expect in ((model.forcing, U.T @ B), (model.linear, U.T @ A @ U)):
+            assert part.tobytes() == expect.tobytes()
+            assert np.shares_memory(part, model.blocks)
 
     def test_initial_time_alone_returns_x0(self):
         # the grid [0.0] is a solve of length zero, as in affine_flow

@@ -317,6 +317,24 @@ class TestBuildRom:
         with pytest.raises(InvalidInputError, match="needs a system with a structure"):
             solve_rom_lifted(system, basis, np.ones(3), [0.1, 0.2], 1e-8, 1e-10)
 
+    @pytest.mark.parametrize(
+        "applied",
+        [lambda x: np.zeros(x.shape[0]), lambda x: np.zeros((x.shape[0] + 1, x.shape[1]))],
+        ids=["1-D", "extra-row"],
+    )
+    def test_malformed_apply_linear_rejected(self, applied):
+        # Only the shape of apply_linear(U) is checked; a NaN in it is the
+        # solve's RhsEvaluationError at t = 0.
+        system = linear_system(-np.eye(4))
+        system = dataclasses.replace(
+            system, structure=dataclasses.replace(system.structure, apply_linear=applied)
+        )
+        basis = basis_from_columns(np.eye(4)[:, :2])
+        with pytest.raises(InvalidInputError, match="apply_linear gave shape"):
+            build_rom(system, basis)
+        with pytest.raises(InvalidInputError, match="apply_linear gave shape"):
+            solve_rom_lifted(system, basis, np.ones(4), [0.1, 0.2], 1e-8, 1e-10)
+
 
 def counting(system):
     """The same system with its full right-hand side counting its calls."""
@@ -595,6 +613,25 @@ class TestExactInTimeDispatch:
         np.testing.assert_array_equal(lifted.states, [expect])
         assert (lifted.step_attempts, lifted.rejected_steps) == (0, 0)
 
+    @pytest.mark.parametrize("preset_id", ["A", "B"], ids=["exact-flow", "fused"])
+    def test_structure_projected_once_per_solve(self, preset_id):
+        system = build_fhn(preset(preset_id).params)
+        structure = system.structure
+        shapes = []
+
+        def apply_linear(x):
+            shapes.append(np.shape(x))
+            return structure.apply_linear(x)
+
+        system = dataclasses.replace(
+            system, structure=dataclasses.replace(structure, apply_linear=apply_linear)
+        )
+        n = system.dimension
+        basis = basis_from_columns(orthonormal_columns(n, 3, seed=2))
+        lifted = solve_rom_lifted(system, basis, np.zeros(n), [0.01, 0.02], 1e-8, 1e-10)
+        assert lifted.states.shape == (2, n)
+        assert shapes == [(n, 3)]
+
     def test_basis_of_other_dimension_rejected(self):
         system = build_fhn(preset("A").params)
         basis = basis_from_columns(orthonormal_columns(10, 2, seed=1))
@@ -644,3 +681,9 @@ class TestPodBasisValidation:
     def test_rejects_non_orthonormal_columns(self):
         with pytest.raises(InvalidInputError):
             PodBasis(reduced_vectors=np.ones((4, 2)), sigma_next=0.0)
+
+    @pytest.mark.parametrize("sigma_next", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_sigma_next(self, sigma_next):
+        # the first discarded singular value: finite and >= 0
+        with pytest.raises(InvalidInputError, match="sigma_next must be finite and >= 0"):
+            PodBasis(reduced_vectors=np.eye(3)[:, :2], sigma_next=sigma_next)
