@@ -121,9 +121,11 @@ def build_fhn(params: FhnParams) -> OdeSystem:
     is ``affine``, x' = A x + b(t), and A is its linear operator; ``rhs``
     then skips the cubic.
 
-    ``rhs`` returns a fresh array on every call and never writes to its
-    argument; its scratch buffers stay inside the closure, so it is not
-    reentrant across threads.
+    ``rhs(t, x, out=None)`` writes f(t, x) into every entry of ``out`` and
+    returns it; with ``out`` None it allocates a fresh array, as numpy's
+    ``out=`` does.  It never writes to ``x``.  It copies ``x`` into a
+    scratch buffer and keeps its other scratch buffers inside the closure
+    too, so it is not reentrant across threads.
     """
     L = params.L
     dx = params.dx
@@ -145,39 +147,48 @@ def build_fhn(params: FhnParams) -> OdeSystem:
     reaction = np.empty(L + 1)
     shifted = np.empty(L + 1)
     coupling = np.empty(L - 1)
+    # The state is copied into ``x`` on each call, so that its slices are
+    # views made once, here, and not on every call.
+    x = np.empty(n)
+    inner, upper, lower = x[1:-1], x[2:], x[:-2]
+    v, w = x[: L + 1], x[L + 1 :]
+    v_inner, w_inner = x[1:L], x[L + 2 : -1]
+    item = x.item
     multiply = np.multiply
     add = np.add
     subtract = np.subtract
 
-    def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        out = np.empty(n)
+    def rhs(t: float, state: np.ndarray, out=None) -> np.ndarray:
+        if out is None:
+            out = np.empty(n)
+        x[...] = state
         # Every value below is formed by the same operations in the same
         # order as the per-field expression in the comment beside it.
         # coef * (x[i+1] - 2.0 * x[i] + x[i-1]) on rows 1..n-2; rows L and
         # L+1 straddle the two fields and are overwritten by the walls.
-        multiply(two, state[1:-1], out=second_diff)
-        subtract(state[2:], second_diff, out=second_diff)
-        add(second_diff, state[:-2], out=second_diff)
+        multiply(two, inner, out=second_diff)
+        subtract(upper, second_diff, out=second_diff)
+        add(second_diff, lower, out=second_diff)
         multiply(coef, second_diff, out=out[1:-1])
+        # The wall rows in Python floats: the same IEEE double arithmetic.
         current_left, current_right = signals(t)
-        out[0] = d1 * (state[1] - state[0] + dx * current_left)
-        out[L] = d1 * (state[L - 1] - state[L] - dx * current_right)
+        out[0] = d1 * (item(1) - item(0) + dx * current_left)
+        out[L] = d1 * (item(L - 1) - item(L) - dx * current_right)
         if cubic:
             # dv += lam * (v * (1.0 - v) * (v - a) - w)
-            v = state[: L + 1]
             subtract(one, v, out=reaction)
             multiply(v, reaction, out=reaction)
             subtract(v, a, out=shifted)
             multiply(reaction, shifted, out=reaction)
-            subtract(reaction, state[L + 1 :], out=reaction)
+            subtract(reaction, w, out=reaction)
             multiply(lam, reaction, out=reaction)
             dv = out[: L + 1]
             add(dv, reaction, out=dv)
         # dw[1:L] = d2 * (second difference) + mu * v[1:L] - gamma * w[1:L]
         dw = out[L + 2 : -1]
-        multiply(mu, state[1:L], out=coupling)
+        multiply(mu, v_inner, out=coupling)
         add(dw, coupling, out=dw)
-        multiply(gamma, state[L + 2 : -1], out=coupling)
+        multiply(gamma, w_inner, out=coupling)
         subtract(dw, coupling, out=dw)
         # w is held at zero on the walls: its wall rows have zero rate.
         out[L + 1] = out[-1] = 0.0

@@ -181,17 +181,23 @@ class GalerkinModel:
         """U^T B, the k columns of ``blocks`` between the first p and the last l (a view)."""
         return self.blocks[:, self.rows.shape[0] : -self.lift.shape[1]]
 
-    def rhs(self, t: float, z: np.ndarray) -> np.ndarray:
+    def rhs(self, t: float, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """z' = M [r(R z); s(t); z], written into ``out`` (allocated when None) and returned."""
         v = self.rows @ z
         signals = self.structure.forcing_signals(t)
-        return self.blocks @ np.concatenate((v * v * (v - self.structure.cubic_root), signals, z))
+        operand = np.concatenate((v * v * (v - self.structure.cubic_root), signals, z))
+        return np.matmul(self.blocks, operand, out=out)
 
 
 @dataclass(frozen=True)
 class OdeSystem:
     """First-order system x' = f(t, x) of a fixed dimension.
 
-    Integration only ever calls ``rhs``.  The optional ``structure``
+    ``rhs(t, x, out=None)`` writes f(t, x) into ``out``, an array of
+    ``dimension`` floats, and returns ``out``; with ``out`` None it
+    allocates the result, as numpy's ``out=`` does.  It must write every
+    entry of ``out`` and leave ``x`` unchanged.  Integration only ever
+    calls ``rhs``, and passes ``out`` positionally.  The optional ``structure``
     describes the same f and never replaces it: it splits f into a linear
     operator, an elementwise cubic and a fixed-vector forcing
     (:class:`RhsStructure`), so that a Galerkin reduction can project each
@@ -200,7 +206,7 @@ class OdeSystem:
     """
 
     dimension: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    rhs: Callable[..., np.ndarray]
     structure: Optional[RhsStructure] = None
 
     def __post_init__(self) -> None:
@@ -268,21 +274,6 @@ def _output_grid(output_times) -> np.ndarray:
     if out[0] < 0.0:
         raise InvalidInputError("output_times must be >= 0, the start of every solve")
     return out
-
-
-def _checked_rhs(system: OdeSystem) -> Callable[[float, np.ndarray], np.ndarray]:
-    """``system.rhs`` with its value made a float array and its shape checked."""
-    rhs = system.rhs
-    shape = (system.dimension,)
-    asarray = np.asarray
-
-    def eval_rhs(t: float, x: np.ndarray) -> np.ndarray:
-        value = asarray(rhs(t, x), dtype=float)
-        if value.shape != shape:
-            raise InvalidInputError(f"rhs returned shape {value.shape}, expected {shape}")
-        return value
-
-    return eval_rhs
 
 
 # Dormand-Prince 5(4) tableau.  The seventh stage sits at the step endpoint
@@ -423,6 +414,12 @@ def _drive_dp5(kernel, x0: np.ndarray, out: np.ndarray) -> Trajectory:
     )
 
 
+def _evaluate(rhs, t: float, x: np.ndarray, out: np.ndarray) -> None:
+    """``rhs(t, x, out)``, checked to have returned ``out``, the array it writes."""
+    if rhs(t, x, out) is not out:
+        raise InvalidInputError("rhs must write f(t, x) into its out argument and return it")
+
+
 def _checked_tolerances(rel_tol: float, abs_tol: float) -> Tuple[float, float]:
     """Both tolerances as floats, checked to be positive and finite."""
     rel_tol = float(rel_tol)
@@ -449,8 +446,12 @@ def integrate(
     output time coincides with a step endpoint.  The local error per step
     is controlled in a scaled RMS norm with per-component scale
     ``abs_tol + rel_tol * max(|x_old|, |x_new|)``; both tolerances must be
-    positive and finite.  Each trial step calls ``system.rhs``; the step
-    controller is the one ``integrate_galerkin`` runs too.
+    positive and finite.  Each trial step calls ``system.rhs`` six times,
+    ``rhs(t_i, x_i, out)``, with ``out`` the row of the stage array that
+    holds that stage and each stage state x_i a fresh array, so an rhs may
+    keep its argument; a call that returns anything but its ``out`` raises
+    :class:`InvalidInputError`.  The step controller is the one
+    ``integrate_galerkin`` runs too.
 
     Raises :class:`StiffnessError` when the controller drives the step below
     ``1e-14 * output_times[-1]`` (persistently failing trial steps end up
@@ -467,8 +468,9 @@ def integrate(
         raise InvalidInputError(f"x0 has length {x0.size}, system dimension is {n}")
     out = _output_grid(output_times)
     state = trial = x0
-    eval_rhs = _checked_rhs(system)
+    rhs = system.rhs
     stages = np.empty((7, n))
+    first, *inner, last = stages
 
     # Work buffers, written through ``out=``.  Each value is formed by the
     # same operations in the same order as the plain expression in the
@@ -487,26 +489,28 @@ def integrate(
     abs_trial = np.empty(n)
     multiply = np.multiply
     add = np.add
-    inner_stages = [(i, _RK_C[i], _RK_A[i].dot, stages[:i]) for i in range(1, 6)]
+    inner_stages = [
+        (_RK_C[i], _RK_A[i].dot, stages[:i], row) for i, row in enumerate(inner, start=1)
+    ]
     first_six = stages[:6]
 
     def start() -> bool:
-        stages[0] = eval_rhs(0.0, state)
-        return bool(np.all(np.isfinite(stages[0])))
+        _evaluate(rhs, 0.0, state, first)
+        return bool(np.all(np.isfinite(first)))
 
     def attempt(t: float, h_step: float, t_end: float) -> float:
         nonlocal trial
         step[()] = h_step
-        for i, c_i, a_i, previous in inner_stages:
-            # state + h_step * (_RK_A[i] @ stages[:i])
+        for c_i, a_i, previous, row in inner_stages:
+            # stages[i] = rhs(t + c_i * h_step, state + h_step * (_RK_A[i] @ stages[:i]))
             a_i(previous, out=combo)
             multiply(combo, step, out=combo)
-            stages[i] = eval_rhs(t + c_i * h_step, add(state, combo))
+            _evaluate(rhs, t + c_i * h_step, add(state, combo), row)
         # trial = state + h_step * (_RK_A[6] @ stages[:6])
         _RK_A[6].dot(first_six, out=combo)
         multiply(combo, step, out=combo)
         trial = add(state, combo)
-        stages[6] = eval_rhs(t_end, trial)
+        _evaluate(rhs, t_end, trial, last)
 
         # err = sqrt(mean((h_step * (_RK_ERR @ stages) / scale) ** 2)) with
         # scale = abs_tol + rel_tol * max(|state|, |trial|); np.mean is
@@ -526,7 +530,7 @@ def integrate(
         nonlocal state, abs_state, abs_trial
         state = trial
         abs_state, abs_trial = abs_trial, abs_state
-        stages[0] = stages[6]
+        first[...] = last
         return state
 
     return _drive_dp5((start, attempt, accept), x0, out)
@@ -720,19 +724,24 @@ def affine_flow(matrix, shift, x0, output_times) -> Trajectory:
 def sample_rhs(system: OdeSystem, trajectory: Trajectory) -> np.ndarray:
     """Evaluate the right-hand side at every trajectory sample.
 
-    Returns an n x m matrix whose column j is f(times[j], states[j]).
+    Returns an n x m matrix whose column j is f(times[j], states[j]).  Each
+    value is written by ``system.rhs(times[j], states[j], out)`` into row j
+    of one m x n array, which is then checked once: a call that returns
+    anything but its ``out`` raises :class:`InvalidInputError`, and a
+    non-finite value :class:`RhsEvaluationError` naming the first time
+    where it occurs.
     """
     if trajectory.dimension != system.dimension:
         raise InvalidInputError(
             f"trajectory dimension {trajectory.dimension} does not match "
             f"system dimension {system.dimension}"
         )
-    m = trajectory.times.size
-    columns = np.empty((system.dimension, m))
-    eval_rhs = _checked_rhs(system)
-    for j in range(m):
-        value = eval_rhs(float(trajectory.times[j]), trajectory.states[j])
-        if not np.all(np.isfinite(value)):
-            raise RhsEvaluationError(f"rhs is not finite at t={trajectory.times[j]!r}")
-        columns[:, j] = value
-    return columns
+    times = trajectory.times
+    values = np.empty(trajectory.states.shape)
+    for t, x, row in zip(times.tolist(), trajectory.states, values):
+        _evaluate(system.rhs, t, x, row)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise RhsEvaluationError(f"rhs is not finite at t={times[np.argmin(finite)]!r}")
+    # C-ordered n x m, the layout the snapshot and bound code has always been given
+    return np.ascontiguousarray(values.T)

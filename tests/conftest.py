@@ -1,4 +1,5 @@
-"""Shared experiment bundles, test systems and a plain DP5 reference integrator.
+"""Shared experiment bundles, test systems, a plain DP5 reference integrator
+and an adapter for two-argument right-hand sides.
 
 The heavyweight sweeps run once per session; tests read off the cells
 they need.  Tolerances here are tighter than the driver defaults so that
@@ -27,6 +28,24 @@ def linear_structure(matrix):
         forcing_signals=lambda t: (0.0,),
         forcing_rates=lambda t: (0.0,),
     )
+
+
+def writes_into(rhs):
+    """A right-hand side ``rhs(t, x)`` that returns its value, as ``rhs(t, x, out=None)``.
+
+    ``OdeSystem.rhs`` writes f(t, x) into ``out`` and returns ``out``; this
+    writes the returned value there, or into a fresh float array when
+    ``out`` is None.
+    """
+
+    def into(t, x, out=None):
+        value = rhs(t, x)
+        if out is None:
+            return np.array(value, dtype=float)
+        out[...] = value
+        return out
+
+    return into
 
 
 def plain_dp5(rhs, x0, rel_tol, abs_tol, out, lift=None):

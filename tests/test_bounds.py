@@ -24,7 +24,7 @@ from podrom.linalg import svd_one_sided_jacobi
 from podrom.ode import OdeSystem, Trajectory, integrate
 from podrom.pod import ErrorCurve, SnapshotSet
 
-from conftest import linear_structure
+from conftest import linear_structure, writes_into
 
 
 def trig_pair(t):
@@ -373,7 +373,9 @@ def synthetic_trajectory(fn, count, t_end=1.0):
 
 
 def decay_system():
-    return OdeSystem(dimension=1, rhs=lambda t, x: -x, structure=linear_structure(-np.eye(1)))
+    return OdeSystem(
+        dimension=1, rhs=writes_into(lambda t, x: -x), structure=linear_structure(-np.eye(1))
+    )
 
 
 def tangent_difference_psi(system, fom, snapshot_times, h=1e-5):
@@ -523,7 +525,9 @@ class TestBoundConstantsRoute:
 class TestSampledConstants:
     def test_zero_rhs(self):
         system = OdeSystem(
-            dimension=2, rhs=lambda t, x: np.zeros(2), structure=linear_structure(np.zeros((2, 2)))
+            dimension=2,
+            rhs=writes_into(lambda t, x: np.zeros(2)),
+            structure=linear_structure(np.zeros((2, 2))),
         )
         fom = synthetic_trajectory(lambda t: np.array([3.0, 4.0]), 129)
         constants = sampled_bound_constants(system, fom, [0.0, 0.5, 1.0])
@@ -604,14 +608,16 @@ class TestSampledConstants:
             sampled_bound_constants(system, fom, [0.0, 1.0])
 
     def test_requires_structure(self):
-        system = OdeSystem(dimension=1, rhs=lambda t, x: -x)
+        system = OdeSystem(dimension=1, rhs=writes_into(lambda t, x: -x))
         fom = synthetic_trajectory(lambda t: np.exp(-t), 9)
         with pytest.raises(InvalidInputError):
             sampled_bound_constants(system, fom, [0.0, 1.0])
 
     def test_dimension_mismatch_rejected(self):
         system = OdeSystem(
-            dimension=2, rhs=lambda t, x: np.zeros(2), structure=linear_structure(np.zeros((2, 2)))
+            dimension=2,
+            rhs=writes_into(lambda t, x: np.zeros(2)),
+            structure=linear_structure(np.zeros((2, 2))),
         )
         fom = synthetic_trajectory(lambda t: np.array([1.0]), 9)
         with pytest.raises(InvalidInputError):

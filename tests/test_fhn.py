@@ -16,6 +16,8 @@ from podrom.fhn import (
 )
 from podrom.ode import OdeSystem, integrate
 
+from conftest import writes_into
+
 
 def tiny_params(**overrides):
     base = dict(
@@ -322,10 +324,15 @@ class TestRhsKernel:
         rhs = build_fhn(params).rhs
         expect = reference_rhs(params)
         rng = np.random.default_rng(23)
+        out = np.empty(params.dimension)
         for _ in range(250):
             t = float(rng.uniform(0.0, 5.0))
             x = rng.uniform(-1.5, 1.5, size=params.dimension)
             assert np.array_equal(rhs(t, x), expect(t, x))
+            # Written into a NaN-filled out: every entry, and out is returned.
+            out[:] = np.nan
+            assert rhs(t, x, out) is out
+            assert np.array_equal(out, expect(t, x))
 
     @CASES
     def test_forcing_callables_bit_equal_to_waveform_methods(self, name):
@@ -363,7 +370,7 @@ class TestRhsKernel:
         # every state must match a solve on the reference rhs.
         params = preset("B").params
         system = build_fhn(params)
-        reference = OdeSystem(dimension=params.dimension, rhs=reference_rhs(params))
+        reference = OdeSystem(dimension=params.dimension, rhs=writes_into(reference_rhs(params)))
         x0 = np.zeros(params.dimension)
         out = np.linspace(0.0, 0.05, 6)
         got = integrate(system, x0, 1e-13, 1e-15, out)

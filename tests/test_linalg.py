@@ -20,7 +20,7 @@ from podrom.linalg import SvdResult, expm, svd_one_sided_jacobi
 from podrom.ode import OdeSystem, Trajectory, affine_flow, integrate
 from podrom.pod import PodBasis, SnapshotSet, solve_rom_lifted
 
-from conftest import linear_structure
+from conftest import linear_structure, writes_into
 
 
 def svd_defects(M: np.ndarray, result: SvdResult) -> tuple[float, float, float]:
@@ -409,7 +409,9 @@ class TestTimeGrid:
 
 
 def _decay():
-    return OdeSystem(dimension=1, rhs=lambda t, x: -x, structure=linear_structure(-np.eye(1)))
+    return OdeSystem(
+        dimension=1, rhs=writes_into(lambda t, x: -x), structure=linear_structure(-np.eye(1))
+    )
 
 
 # Every owner of a time grid, each called with everything but the grid valid.

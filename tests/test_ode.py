@@ -28,21 +28,21 @@ from podrom.ode import (
     sample_rhs,
 )
 
-from conftest import linear_structure, plain_dp5
+from conftest import linear_structure, plain_dp5, writes_into
 
 
 def constant_system(value):
     c = np.asarray(value, dtype=float)
-    return OdeSystem(dimension=c.size, rhs=lambda t, x: np.zeros_like(x))
+    return OdeSystem(dimension=c.size, rhs=writes_into(lambda t, x: np.zeros_like(x)))
 
 
 def decay_system():
-    return OdeSystem(dimension=1, rhs=lambda t, x: -x)
+    return OdeSystem(dimension=1, rhs=writes_into(lambda t, x: -x))
 
 
 def rotation_system():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return OdeSystem(dimension=2, rhs=lambda t, x: A @ x)
+    return OdeSystem(dimension=2, rhs=writes_into(lambda t, x: A @ x))
 
 
 def solve(route, system, x0, rel_tol, abs_tol, output_times):
@@ -61,7 +61,9 @@ def solve(route, system, x0, rel_tol, abs_tol, output_times):
 
 def linear_system(A):
     """x' = A x with its structure."""
-    return OdeSystem(dimension=A.shape[0], rhs=lambda t, x: A @ x, structure=linear_structure(A))
+    return OdeSystem(
+        dimension=A.shape[0], rhs=writes_into(lambda t, x: A @ x), structure=linear_structure(A)
+    )
 
 
 def cubic_system(n, scale):
@@ -75,7 +77,7 @@ def cubic_system(n, scale):
         forcing_signals=lambda t: (0.0,),
         forcing_rates=lambda t: (0.0,),
     )
-    return OdeSystem(dimension=n, rhs=lambda t, x: scale * x**3, structure=structure)
+    return OdeSystem(dimension=n, rhs=writes_into(lambda t, x: scale * x**3), structure=structure)
 
 
 class TestIntegrate:
@@ -136,7 +138,7 @@ class TestIntegrate:
         # without a warning.
         cases = {
             "full": (
-                OdeSystem(dimension=1, rhs=lambda t, x: np.array([1.0 / (0.5 - t)])),
+                OdeSystem(dimension=1, rhs=writes_into(lambda t, x: np.array([1.0 / (0.5 - t)]))),
                 np.array([0.0]),
             ),
             "galerkin": (cubic_system(3, scale=1e-200), np.array([1e100, 0.0, 0.0])),
@@ -152,7 +154,7 @@ class TestIntegrate:
         # On the Galerkin route a NaN in A makes the projected U^T A U NaN.
         A = np.diag([float("nan"), -1.0, -2.0])
         cases = {
-            "full": OdeSystem(dimension=1, rhs=lambda t, x: np.array([float("nan")])),
+            "full": OdeSystem(dimension=1, rhs=writes_into(lambda t, x: np.array([float("nan")]))),
             "galerkin": linear_system(A),
         }
         for route, system in cases.items():
@@ -181,12 +183,31 @@ class TestIntegrate:
             received.append((x, x.copy()))
             return A @ x + np.sin(t)
 
-        system = OdeSystem(dimension=3, rhs=rhs)
+        system = OdeSystem(dimension=3, rhs=writes_into(rhs))
         integrate(system, np.array([1.0, -1.0, 0.5]), 1e-9, 1e-12, [0.5, 1.0, 2.0])
         assert len(received) > 20
         assert len({id(x) for x, _ in received}) == len(received)
         for kept, copy in received:
             assert np.array_equal(kept, copy)
+
+    def test_rhs_must_return_its_out(self):
+        # An rhs that returns a fresh array, as a two-argument lambda would,
+        # leaves its stage row or sample unwritten: an error, at the first
+        # call or at a later one.
+        def returning(t, x, out=None):
+            return -x
+
+        def late(t, x, out=None):
+            out[...] = -x
+            return out if t == 0.0 else out.copy()
+
+        for rhs in (returning, late):
+            system = OdeSystem(dimension=2, rhs=rhs)
+            with pytest.raises(InvalidInputError, match="into its out argument"):
+                integrate(system, np.array([1.0, 2.0]), 1e-8, 1e-10, [1.0])
+        traj = Trajectory(times=np.array([0.0, 1.0]), states=np.ones((2, 2)))
+        with pytest.raises(InvalidInputError, match="into its out argument"):
+            sample_rhs(OdeSystem(dimension=2, rhs=returning), traj)
 
     def test_work_counters_match_a_counting_rhs(self):
         # Van der Pol at a loose tolerance rejects some trial steps.  The
@@ -199,7 +220,7 @@ class TestIntegrate:
             times.append(t)
             return np.array([x[1], 5.0 * (1.0 - x[0] ** 2) * x[1] - x[0]])
 
-        system = OdeSystem(dimension=2, rhs=rhs)
+        system = OdeSystem(dimension=2, rhs=writes_into(rhs))
         traj = integrate(system, np.array([2.0, 0.0]), 1e-6, 1e-8, [5.0, 10.0])
         assert len(times) == 1 + 6 * traj.step_attempts
         attempts = np.array(times[1:]).reshape(-1, 6)
@@ -524,7 +545,7 @@ class TestSampleRhs:
         assert sampled[0, 1] == -math.exp(-1.0)
 
     def test_orientation_dimension_by_samples(self):
-        system = OdeSystem(dimension=3, rhs=lambda t, x: x + t)
+        system = OdeSystem(dimension=3, rhs=writes_into(lambda t, x: x + t))
         states = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         traj = Trajectory(times=np.array([0.0, 1.0]), states=states)
         sampled = sample_rhs(system, traj)
@@ -533,7 +554,7 @@ class TestSampleRhs:
         assert np.array_equal(sampled[:, 1], states[1] + 1.0)
 
     def test_nan_raises_evaluation_error(self):
-        system = OdeSystem(dimension=1, rhs=lambda t, x: np.array([float("nan")]))
+        system = OdeSystem(dimension=1, rhs=writes_into(lambda t, x: np.array([float("nan")])))
         traj = Trajectory(times=np.array([0.0]), states=np.array([[1.0]]))
         with pytest.raises(RhsEvaluationError):
             sample_rhs(system, traj)
@@ -574,7 +595,7 @@ class TestTypes:
 
     def test_system_rejects_bad_dimension(self):
         with pytest.raises(InvalidInputError):
-            OdeSystem(dimension=0, rhs=lambda t, x: x)
+            OdeSystem(dimension=0, rhs=writes_into(lambda t, x: x))
 
     def test_structure_needs_one_signal_per_forcing_vector(self):
         # Evaluated once at t = 0: one value for two forcing vectors.
@@ -681,4 +702,4 @@ class TestTypes:
             forcing_rates=lambda t: (math.cos(t),),
         )
         with pytest.raises(InvalidInputError):
-            OdeSystem(dimension=2, rhs=lambda t, x: x, structure=structure)
+            OdeSystem(dimension=2, rhs=writes_into(lambda t, x: x), structure=structure)

@@ -27,7 +27,7 @@ from podrom.pod import (
     truncate_basis,
 )
 
-from conftest import linear_structure, plain_dp5
+from conftest import linear_structure, plain_dp5, writes_into
 
 
 def svd_from_spectrum(sigmas, rank, n=None):
@@ -110,7 +110,7 @@ class TestSnapshotSet:
 class TestCollectSnapshots:
     def test_constant_system(self):
         c = np.array([1.0, -2.0])
-        system = OdeSystem(dimension=2, rhs=lambda t, x: np.zeros_like(x))
+        system = OdeSystem(dimension=2, rhs=writes_into(lambda t, x: np.zeros_like(x)))
         traj = integrate(system, c, 1e-8, 1e-10, [0.0, 0.5, 1.0])
         snapshots = collect_snapshots(system, traj)
         for j in range(3):
@@ -118,7 +118,7 @@ class TestCollectSnapshots:
         assert np.all(snapshots.derivative_columns == 0.0)
 
     def test_decay_columns(self):
-        system = OdeSystem(dimension=1, rhs=lambda t, x: -x)
+        system = OdeSystem(dimension=1, rhs=writes_into(lambda t, x: -x))
         rel = 1e-10
         traj = integrate(system, np.array([1.0]), rel, 1e-12, [0.0, 1.0])
         snapshots = collect_snapshots(system, traj)
@@ -279,7 +279,9 @@ class TestSnapshotReconstruction:
 
 def linear_system(A):
     """x' = A x with its structure attached."""
-    return OdeSystem(dimension=A.shape[0], rhs=lambda t, x: A @ x, structure=linear_structure(A))
+    return OdeSystem(
+        dimension=A.shape[0], rhs=writes_into(lambda t, x: A @ x), structure=linear_structure(A)
+    )
 
 
 class TestBuildRom:
@@ -310,7 +312,7 @@ class TestBuildRom:
     @pytest.mark.parametrize("l", [2, 3], ids=["projected", "identity"])
     def test_system_without_structure_rejected(self, l):
         # The rule holds for every basis, the identity included.
-        system = OdeSystem(dimension=3, rhs=lambda t, x: -x)
+        system = OdeSystem(dimension=3, rhs=writes_into(lambda t, x: -x))
         basis = basis_from_columns(np.eye(3)[:, :l])
         with pytest.raises(InvalidInputError, match="needs a system with a structure"):
             build_rom(system, basis)
@@ -344,7 +346,7 @@ def counting(system):
         calls.append(t)
         return system.rhs(t, x)
 
-    return dataclasses.replace(system, rhs=rhs), calls
+    return dataclasses.replace(system, rhs=writes_into(rhs)), calls
 
 
 class TestStructuredRom:
@@ -362,6 +364,36 @@ class TestStructuredRom:
             lifted = columns.T @ system.rhs(t, columns @ z)
             gap = reduced_rhs(t, z) - lifted
             assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(lifted))
+            # Written into a NaN-filled out: every entry, and out is returned.
+            out = np.full(l, np.nan)
+            assert reduced_rhs(t, z, out) is out
+            assert np.array_equal(out, reduced_rhs(t, z))
+
+    @pytest.mark.parametrize("preset_id", ["A", "B"])
+    def test_reduced_rhs_results_never_alias(self, preset_id):
+        # Called without out, the reduced rhs returns a fresh array that
+        # shares no memory with its argument or an earlier result, and the
+        # argument is only read.
+        system = build_fhn(preset(preset_id).params)
+        columns = orthonormal_columns(system.dimension, 5, seed=3)
+        rhs = build_rom(system, basis_from_columns(columns)).rhs
+        rng = np.random.default_rng(31)
+        x = rng.uniform(-1.0, 1.0, size=5)
+        y = rng.uniform(-1.0, 1.0, size=5)
+        x_before = x.copy()
+        first = rhs(0.3, x)
+        first_before = first.copy()
+        assert np.array_equal(x, x_before)
+        second = rhs(1.1, y)
+        second_before = second.copy()
+        assert first is not second
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, x)
+        assert np.array_equal(first, first_before)
+        # Writing into a result changes nothing a later call returns.
+        second[:] = np.nan
+        assert np.array_equal(rhs(0.3, x), first_before)
+        assert np.array_equal(rhs(1.1, y), second_before)
 
     @pytest.mark.parametrize("scale,root", [(-1.3, 1.1), (0.7, 0.0), (0.0, 0.5)])
     def test_generic_structure_matches_lifted(self, scale, root):
@@ -386,7 +418,7 @@ class TestStructuredRom:
             forcing_signals=lambda t: (math.sin(t), math.cos(t)),
             forcing_rates=lambda t: (math.cos(t), -math.sin(t)),
         )
-        system = OdeSystem(dimension=n, rhs=rhs, structure=structure)
+        system = OdeSystem(dimension=n, rhs=writes_into(rhs), structure=structure)
         columns = orthonormal_columns(n, 3, seed=6)
         rom = build_rom(system, basis_from_columns(columns))
         for _ in range(5):
