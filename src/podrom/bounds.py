@@ -61,6 +61,10 @@ _EPS = float(np.finfo(float).eps)
 # The sampled Lambda takes Jacobian norms at this many trajectory samples.
 _JACOBIAN_SAMPLES = 9
 
+# The linear route takes solution norms this many rows at a time, so its
+# temporaries stay small however long the trajectory.
+_NORM_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -172,14 +176,14 @@ def _interval_max(values: np.ndarray, slices: List[Tuple[int, int]]) -> np.ndarr
 
 
 def _interval_slices(
-    fom_times: np.ndarray, snapshot_times: np.ndarray, min_count: int
+    sample_times: np.ndarray, snapshot_times: np.ndarray, min_count: int
 ) -> List[Tuple[int, int]]:
-    if snapshot_times[0] < fom_times[0] or snapshot_times[-1] > fom_times[-1]:
+    if snapshot_times[0] < sample_times[0] or snapshot_times[-1] > sample_times[-1]:
         raise InvalidInputError("snapshot_times extend beyond the trajectory range")
     slices = []
     for i in range(snapshot_times.size - 1):
-        left = int(np.searchsorted(fom_times, snapshot_times[i], side="left"))
-        right = int(np.searchsorted(fom_times, snapshot_times[i + 1], side="right"))
+        left = int(np.searchsorted(sample_times, snapshot_times[i], side="left"))
+        right = int(np.searchsorted(sample_times, snapshot_times[i + 1], side="right"))
         if right - left < min_count:
             raise InvalidInputError(
                 f"interval [{snapshot_times[i]!r}, {snapshot_times[i + 1]!r}] holds "
@@ -189,28 +193,66 @@ def _interval_slices(
     return slices
 
 
-def bound_constants(system: OdeSystem, fom: Trajectory, snapshot_times) -> BoundConstants:
+def _sample_grid(
+    fom: Trajectory, snapshot_times, sample_times, min_count: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Tuple[int, int]]]:
+    """The snapshot grid, the sample grid, its rows in ``fom``, and each interval's slice of them.
+
+    Without ``sample_times`` every sample of ``fom`` is used.
+    """
+    times = as_time_grid(snapshot_times, "snapshot_times", 2)
+    if sample_times is None:
+        grid = fom.times
+        rows = np.arange(grid.size)
+    else:
+        grid = as_time_grid(sample_times, "sample_times")
+        rows = fom.rows(grid)
+    return times, grid, rows, _interval_slices(grid, times, min_count)
+
+
+def _row_norms(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(states[rows], axis=1)``, gathering ``_NORM_BLOCK`` rows at a time.
+
+    Each row reduces on its own, so the values are the same bits.
+    """
+    norms = np.empty(rows.size)
+    for start in range(0, rows.size, _NORM_BLOCK):
+        block = rows[start : start + _NORM_BLOCK]
+        norms[start : start + block.size] = np.linalg.norm(states[block], axis=1)
+    return norms
+
+
+def bound_constants(
+    system: OdeSystem, fom: Trajectory, snapshot_times, sample_times=None
+) -> BoundConstants:
     """Bound constants of ``system`` along ``fom``, per interval of ``snapshot_times``.
 
-    The exact route (``linear_bound_constants``) is taken when the system's
-    structure is ``affine``, with A the structure's linear operator applied
-    to the identity.  Any other system takes the sampled route
-    (``sampled_bound_constants``), which raises ``InvalidInputError`` for a
-    system without a structure.
+    The constants are taken over the samples of ``fom`` at ``sample_times``,
+    each of which must be a time of ``fom`` (``InvalidInputError``
+    otherwise), or over all of its samples when ``sample_times`` is None.
+    The rows are read in place, so ``fom`` may be a truth on a finer union
+    grid.  The exact route (``linear_bound_constants``) is taken when the
+    system's structure is ``affine``, with A the structure's linear
+    operator applied to the identity.  Any other system takes the sampled
+    route (``sampled_bound_constants``), which raises ``InvalidInputError``
+    for a system without a structure.
     """
     structure = system.structure
     if structure is not None and structure.affine:
         matrix = structure.apply_linear(np.eye(system.dimension))
-        return linear_bound_constants(matrix, fom, snapshot_times)
-    return sampled_bound_constants(system, fom, snapshot_times)
+        return linear_bound_constants(matrix, fom, snapshot_times, sample_times)
+    return sampled_bound_constants(system, fom, snapshot_times, sample_times)
 
 
-def linear_bound_constants(A, fom: Trajectory, snapshot_times) -> BoundConstants:
+def linear_bound_constants(
+    A, fom: Trajectory, snapshot_times, sample_times=None
+) -> BoundConstants:
     """Exact constants for x' = A x + b(t).
 
     Lambda is the largest singular value of A, padded for rounding; theta_i
-    the max solution norm over the interval's trajectory samples,
-    Psi_i = Lambda theta_i, Phi_i = Lambda^3 theta_i.
+    the max solution norm over the interval's trajectory samples (those at
+    ``sample_times``, or all when it is None), Psi_i = Lambda theta_i,
+    Phi_i = Lambda^3 theta_i.
     """
     matrix = as_matrix(A, "A")
     if matrix.shape[0] != matrix.shape[1]:
@@ -220,13 +262,12 @@ def linear_bound_constants(A, fom: Trajectory, snapshot_times) -> BoundConstants
             f"A dimension {matrix.shape[0]} does not match trajectory "
             f"dimension {fom.dimension}"
         )
-    times = as_time_grid(snapshot_times, "snapshot_times", 2)
-    slices = _interval_slices(fom.times, times, 2)
+    times, _, rows, slices = _sample_grid(fom, snapshot_times, sample_times, 2)
     # LAPACK's sigma_1 is exact for some A + E with ||E|| of order n eps ||A||,
     # and sigma_1 moves by at most ||E|| (Weyl), so the pad keeps Lambda at
     # or above the true sigma_1(A).
     lam = float(np.linalg.norm(matrix, 2)) * (1.0 + matrix.shape[0] * _EPS)
-    theta = _interval_max(np.linalg.norm(fom.states, axis=1), slices)
+    theta = _interval_max(_row_norms(fom.states, rows), slices)
     return BoundConstants(
         snapshot_times=times,
         lambda_=lam,
@@ -238,11 +279,12 @@ def linear_bound_constants(A, fom: Trajectory, snapshot_times) -> BoundConstants
 
 
 def sampled_bound_constants(
-    system: OdeSystem, fom: Trajectory, snapshot_times
+    system: OdeSystem, fom: Trajectory, snapshot_times, sample_times=None
 ) -> BoundConstants:
     """Bound constants from the exact Jacobian, sampled along a trajectory.
 
-    The system must carry an ``RhsStructure``; J(x) is its
+    The samples are those of ``fom`` at ``sample_times``, or all of them
+    when it is None.  The system must carry an ``RhsStructure``; J(x) is its
     ``apply_jacobian``.  All values are maxima over finitely many samples,
     so they are heuristic lower approximations of the true suprema:
 
@@ -252,49 +294,52 @@ def sampled_bound_constants(
       requires a uniform sample grid of at least 5 points per interval.
     - Lambda: the largest ||J(x)||_2 (LAPACK) over a thinned set of
       trajectory samples.
+
+    One interval's samples are gathered and evaluated at a time, so an
+    endpoint shared by two intervals is evaluated in both.
     """
     structure = system.structure
     if structure is None:
         raise InvalidInputError("sampled bound constants need a system with a structure")
-    times = as_time_grid(snapshot_times, "snapshot_times", 2)
-    slices = _interval_slices(fom.times, times, 5)
+    times, grid, rows, slices = _sample_grid(fom, snapshot_times, sample_times, 5)
 
-    f_columns = sample_rhs(system, fom)
-    states = fom.states.T
-    theta = _interval_max(np.linalg.norm(fom.states, axis=1), slices)
-
-    m = fom.times.size
-    rates = np.array([structure.forcing_rates(float(t)) for t in fom.times], dtype=float)
-    # k x m and C-ordered, the layout the product has always been given;
-    # with no forcing vectors the block is 0 x m
-    rates = np.ascontiguousarray(rates.reshape(m, -1).T)
-    slopes = structure.apply_jacobian(states, f_columns)
-    slopes += structure.forcing_vectors @ rates
-    psi = _interval_max(np.linalg.norm(slopes, axis=0), slices)
-
+    theta = np.empty(len(slices))
+    psi = np.empty(len(slices))
     phi = np.empty(len(slices))
     for pos, (left, right) in enumerate(slices):
-        local_times = fom.times[left:right]
-        spacings = np.diff(local_times)
+        local = Trajectory(times=grid[left:right], states=fom.states[rows[left:right]])
+        spacings = np.diff(local.times)
         mean_h = float(np.mean(spacings))
         if float(np.max(np.abs(spacings - mean_h))) > 1e-9 * mean_h:
             raise InvalidInputError(
                 "third-derivative estimation needs a uniform sample grid "
                 f"inside [{times[pos]!r}, {times[pos + 1]!r}]"
             )
-        block = f_columns[:, left:right]
+        # n x k and C-ordered: the axis-0 sums below add the rows in order,
+        # as they did over the whole trajectory at once
+        f_block = sample_rhs(system, local)
+        theta[pos] = float(np.max(np.linalg.norm(local.states, axis=1)))
+
+        k = local.times.size
+        rates = np.array([structure.forcing_rates(float(t)) for t in local.times], dtype=float)
+        # with no forcing vectors the block is 0 x k
+        rates = np.ascontiguousarray(rates.reshape(k, -1).T)
+        slopes = structure.apply_jacobian(local.states.T, f_block)
+        slopes += structure.forcing_vectors @ rates
+        psi[pos] = float(np.max(np.linalg.norm(slopes, axis=0)))
+
         third = (
-            -block[:, :-4] + 2.0 * block[:, 1:-3] - 2.0 * block[:, 3:-1] + block[:, 4:]
+            -f_block[:, :-4] + 2.0 * f_block[:, 1:-3] - 2.0 * f_block[:, 3:-1] + f_block[:, 4:]
         ) / (2.0 * mean_h**3)
         phi[pos] = float(np.max(np.sqrt(np.sum(third * third, axis=0))))
 
     n = system.dimension
-    sample_count = min(_JACOBIAN_SAMPLES, fom.times.size)
-    picks = np.unique(np.linspace(0, fom.times.size - 1, sample_count).astype(int))
+    sample_count = min(_JACOBIAN_SAMPLES, grid.size)
+    picks = rows[np.unique(np.linspace(0, grid.size - 1, sample_count).astype(int))]
     identity = np.eye(n)
     lam = 0.0
-    for idx in picks:
-        at_sample = np.broadcast_to(states[:, idx : idx + 1], (n, n))
+    for row in picks:
+        at_sample = np.broadcast_to(fom.states[row][:, None], (n, n))
         jacobian = structure.apply_jacobian(at_sample, identity)
         lam = max(lam, float(np.linalg.norm(jacobian, 2)))
 

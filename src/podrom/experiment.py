@@ -228,7 +228,7 @@ class RunReport:
     truth solve, and ``factorizations`` maps (method, delta) to the SVD of
     the snapshot matrix built from it, with its numerical rank and Jacobi
     work.  ``timings`` holds wall-clock seconds per stage that ran without
-    raising, in the order fom, snapshots, svd, constants, rom, bounds,
+    raising, in the order fom, snapshots, constants, svd, rom, bounds,
     total.  ``counters``
     holds only the work the report cannot show otherwise (a run makes one
     truth solve).  The integrator's work counters (``step_attempts``,
@@ -254,11 +254,8 @@ def _uniform_grid(horizon: float, intervals: int) -> np.ndarray:
 
 
 def _restrict(fom: Trajectory, grid: np.ndarray) -> Trajectory:
-    """The samples of ``fom`` on ``grid``, whose points must all be on its grid."""
-    idx = np.searchsorted(fom.times, grid)
-    if idx[-1] >= fom.times.size or not np.array_equal(fom.times[idx], grid):
-        raise RuntimeError("internal grid alignment failure")
-    return Trajectory(times=grid, states=fom.states[idx])
+    """A copy of the samples of ``fom`` on ``grid``, whose points must all be on its grid."""
+    return Trajectory(times=grid, states=fom.states[fom.rows(grid)])
 
 
 _WORK_COUNTERS = ("step_attempts", "rejected_steps")
@@ -282,10 +279,13 @@ def run_experiment(config: RunConfig) -> RunReport:
     """Run the full sweep and collect every cell (or its failure record).
 
     The truth trajectory is integrated once on the union of the evaluation
-    grid, all snapshot grids, and (with bounds on) the dense sampling grids;
-    every later stage slices it.  A cell failure is recorded with its stage
-    and message and the remaining cells still run.  A config without rules
-    gives the truth solve, the snapshot sets and the factorizations only.
+    grid, all snapshot grids, and (with bounds on) the dense sampling grids.
+    The snapshot sets and the evaluation-grid truth are copied out of it,
+    the bound constants read their dense rows from it in place, and it is
+    released before the first factorization.  A cell failure is recorded
+    with its stage and message and the remaining cells still run.  A config
+    without rules gives the truth solve, the snapshot sets and the
+    factorizations only.
     """
     start = time.perf_counter()
     timings: Dict[str, float] = {}
@@ -324,11 +324,17 @@ def run_experiment(config: RunConfig) -> RunReport:
             delta: collect_snapshots(system, _restrict(fom, grid))
             for delta, grid in snap_grids.items()
         }
-        dense_trajectories = {
-            delta: _restrict(fom, grid) for delta, grid in dense_grids.items()
-        }
     fom_eval = _restrict(fom, eval_times)
-    # The union-grid truth is the run's largest array: free it before the SVDs.
+
+    constants: Dict[float, BoundConstants] = {}
+    if config.evaluate_bounds:
+        with _timed(timings, "constants"):
+            constants = {
+                delta: bound_constants(system, fom, snaps.times, dense_grids[delta])
+                for delta, snaps in snapshots.items()
+            }
+    # The union-grid truth is the run's largest array, and the bound
+    # constants read their dense rows from it in place: free it before the SVDs.
     del fom
 
     svds: Dict[Tuple[str, float], SvdResult] = {}
@@ -337,14 +343,6 @@ def run_experiment(config: RunConfig) -> RunReport:
             with _timed(timings, "svd"):
                 matrix = build_snapshot_matrix(snapshots[delta], method)
                 svds[(method, delta)] = svd_one_sided_jacobi(matrix)
-
-    constants: Dict[float, BoundConstants] = {}
-    if config.evaluate_bounds:
-        with _timed(timings, "constants"):
-            constants = {
-                delta: bound_constants(system, dense_trajectories[delta], snaps.times)
-                for delta, snaps in snapshots.items()
-            }
 
     cells = []
     failures = []

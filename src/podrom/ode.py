@@ -267,6 +267,18 @@ class Trajectory:
     def dimension(self) -> int:
         return int(self.states.shape[1])
 
+    def rows(self, times) -> np.ndarray:
+        """Indices of the rows sampled at ``times``, a strictly increasing grid.
+
+        Every point must be one of ``self.times``, bit for bit; otherwise
+        :class:`InvalidInputError` is raised.
+        """
+        grid = as_time_grid(times, "times")
+        idx = np.searchsorted(self.times, grid)
+        if idx[-1] >= self.times.size or not np.array_equal(self.times[idx], grid):
+            raise InvalidInputError("times are not all on the trajectory's grid")
+        return idx
+
 
 def _output_grid(output_times) -> np.ndarray:
     """A copy of the checked grid, which the trajectory keeps a view of; no time < 0."""

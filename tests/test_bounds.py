@@ -1,6 +1,9 @@
 """Tests for the interpolants, bound constants, and bound curves."""
 
+import dataclasses
 import math
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from podrom.errors import InvalidInputError
 from podrom.experiment import preset
 from podrom.fhn import FhnParams, Waveform, build_fhn
 from podrom.linalg import svd_one_sided_jacobi
-from podrom.ode import OdeSystem, Trajectory, integrate
+from podrom.ode import OdeSystem, Trajectory, integrate, sample_rhs
 from podrom.pod import ErrorCurve, SnapshotSet
 
 from conftest import linear_structure, writes_into
@@ -520,6 +523,87 @@ class TestBoundConstantsRoute:
         if lam == 0.0:
             expect = system.structure.apply_linear(np.eye(params.dimension))
             assert len(matrices) == 1 and np.array_equal(matrices[0], expect)
+
+
+def whole_trajectory_estimates(system, fom, snapshot_times):
+    """theta_i, Psi_i and Phi_i from whole-trajectory arrays, the sampled
+    route's formulas as they were before it went one interval at a time."""
+    structure = system.structure
+    f_columns = sample_rhs(system, fom)
+    rates = np.array([structure.forcing_rates(float(t)) for t in fom.times], dtype=float)
+    rates = rates.reshape(fom.times.size, -1).T.copy()
+    slopes = structure.apply_jacobian(fom.states.T, f_columns)
+    slopes += structure.forcing_vectors @ rates
+    state_norms = np.linalg.norm(fom.states, axis=1)
+    slope_norms = np.linalg.norm(slopes, axis=0)
+    theta, psi, phi = [], [], []
+    for start, end in zip(snapshot_times[:-1], snapshot_times[1:]):
+        left = np.searchsorted(fom.times, start, side="left")
+        right = np.searchsorted(fom.times, end, side="right")
+        h = float(np.mean(np.diff(fom.times[left:right])))
+        block = f_columns[:, left:right]
+        third = (
+            -block[:, :-4] + 2.0 * block[:, 1:-3] - 2.0 * block[:, 3:-1] + block[:, 4:]
+        ) / (2.0 * h**3)
+        theta.append(np.max(state_norms[left:right]))
+        psi.append(np.max(slope_norms[left:right]))
+        phi.append(np.max(np.sqrt(np.sum(third * third, axis=0))))
+    return np.array(theta), np.array(psi), np.array(phi)
+
+
+@pytest.fixture(scope="module", params=["affine", "sampled"])
+def union_case(request):
+    """A small preset-A (affine) or preset-B (sampled) cable solved on a
+    union grid as `run_experiment` builds it: 64 snapshot intervals, 64 dense
+    samples per interval, and a 400-point evaluation grid off both."""
+    kind, horizon = {"affine": ("A", 0.05), "sampled": ("B", 0.2)}[request.param]
+    system = build_fhn(dataclasses.replace(preset(kind).params, L=30))
+    intervals = 64
+    snapshot_times = (horizon * np.arange(intervals + 1)) / intervals
+    dense = (horizon * np.arange(64 * intervals + 1)) / (64 * intervals)
+    union = reduce(np.union1d, [snapshot_times, dense], (horizon * np.arange(400)) / 399)
+    fom = integrate(system, np.zeros(system.dimension), 1e-10, 1e-12, union)
+    return system, fom, snapshot_times, dense
+
+
+class TestUnionTruth:
+    def test_in_place_rows_give_the_same_bits(self, union_case):
+        system, fom, snapshot_times, dense = union_case
+        copy = Trajectory(times=dense, states=fom.states[fom.rows(dense)])
+        in_place = bound_constants(system, fom, snapshot_times, dense)
+        copied = bound_constants(system, copy, snapshot_times)
+        assert in_place.lambda_ == copied.lambda_
+        for name in ("psi", "phi", "theta"):
+            assert np.array_equal(getattr(in_place, name), getattr(copied, name)), name
+        theta, psi, phi = whole_trajectory_estimates(system, copy, snapshot_times)
+        assert np.array_equal(in_place.theta, theta)
+        if in_place.provenance == "sampled_estimate":
+            assert np.array_equal(in_place.psi, psi)
+            assert np.array_equal(in_place.phi, phi)
+
+    def test_no_copy_of_the_sampled_rows(self, union_case):
+        # A copy of the sampled rows, or one temporary of their size, would
+        # take four times the allowance.
+        system, fom, snapshot_times, dense = union_case
+        bound_constants(system, fom, snapshot_times, dense)
+        tracemalloc.start()
+        try:
+            bound_constants(system, fom, snapshot_times, dense)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense.size * system.dimension * 8 / 4
+
+    @pytest.mark.parametrize("where", ["between", "beyond"])
+    def test_grid_off_the_truth_rejected(self, union_case, where):
+        system, fom, snapshot_times, dense = union_case
+        grid = dense.copy()
+        if where == "between":
+            grid[5] = np.nextafter(grid[5], 1.0)
+        else:
+            grid[-1] += 1e-3
+        with pytest.raises(InvalidInputError, match="trajectory's grid"):
+            bound_constants(system, fom, snapshot_times, grid)
 
 
 class TestSampledConstants:

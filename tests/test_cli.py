@@ -316,7 +316,7 @@ class TestRunExperiment:
         assert list(spectra_only.timings) == ["fom", "snapshots", "svd", "total"]
         with_bounds = run_experiment(tiny_config(evaluate_bounds=True))
         assert list(with_bounds.timings) == [
-            "fom", "snapshots", "svd", "constants", "rom", "bounds", "total"
+            "fom", "snapshots", "constants", "svd", "rom", "bounds", "total"
         ]
         assert all(seconds >= 0.0 for seconds in with_bounds.timings.values())
 
@@ -449,9 +449,9 @@ class TestRunExperiment:
         calls = []
         constants_of = experiment.bound_constants
 
-        def spy(system, fom, snapshot_times):
+        def spy(system, fom, snapshot_times, sample_times):
             calls.append(snapshot_times)
-            return constants_of(system, fom, snapshot_times)
+            return constants_of(system, fom, snapshot_times, sample_times)
 
         monkeypatch.setattr(experiment, "bound_constants", spy)
         config = tiny_config(methods=("Y", "Z"), deltas=(0.05, 0.025), evaluate_bounds=True)

@@ -593,6 +593,14 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             Trajectory(times=np.array([0.0]), states=np.array([[float("inf")]]))
 
+    def test_trajectory_rows_of_a_subgrid(self):
+        times = np.array([0.0, 0.1, 0.25, 0.3, 0.5])
+        traj = Trajectory(times=times, states=np.zeros((5, 1)))
+        np.testing.assert_array_equal(traj.rows([0.1, 0.3, 0.5]), [1, 3, 4])
+        for off_grid in ([0.1, np.nextafter(0.3, 1.0)], [0.0, 0.6], [0.3, 0.1]):
+            with pytest.raises(InvalidInputError):
+                traj.rows(off_grid)
+
     def test_system_rejects_bad_dimension(self):
         with pytest.raises(InvalidInputError):
             OdeSystem(dimension=0, rhs=writes_into(lambda t, x: x))
