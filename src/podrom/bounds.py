@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -60,10 +60,6 @@ _EPS = float(np.finfo(float).eps)
 
 # The sampled Lambda takes Jacobian norms at this many trajectory samples.
 _JACOBIAN_SAMPLES = 9
-
-# The linear route takes solution norms this many rows at a time, so its
-# temporaries stay small however long the trajectory.
-_NORM_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -171,71 +167,53 @@ def hermite_piecewise(snapshots: SnapshotSet, t: float) -> np.ndarray:
     )
 
 
-def _interval_max(values: np.ndarray, slices: List[Tuple[int, int]]) -> np.ndarray:
-    return np.array([float(np.max(values[left:right])) for left, right in slices])
-
-
-def _interval_slices(
-    sample_times: np.ndarray, snapshot_times: np.ndarray, min_count: int
-) -> List[Tuple[int, int]]:
-    if snapshot_times[0] < sample_times[0] or snapshot_times[-1] > sample_times[-1]:
-        raise InvalidInputError("snapshot_times extend beyond the trajectory range")
-    slices = []
-    for i in range(snapshot_times.size - 1):
-        left = int(np.searchsorted(sample_times, snapshot_times[i], side="left"))
-        right = int(np.searchsorted(sample_times, snapshot_times[i + 1], side="right"))
-        if right - left < min_count:
-            raise InvalidInputError(
-                f"interval [{snapshot_times[i]!r}, {snapshot_times[i + 1]!r}] holds "
-                f"{right - left} trajectory samples, need at least {min_count}"
-            )
-        slices.append((left, right))
-    return slices
-
-
-def _sample_grid(
+def _interval_samples(
     fom: Trajectory, snapshot_times, sample_times, min_count: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Tuple[int, int]]]:
-    """The snapshot grid, the sample grid, its rows in ``fom``, and each interval's slice of them.
+) -> Tuple[np.ndarray, np.ndarray, Iterator[Trajectory]]:
+    """The snapshot grid, the rows of ``fom`` at ``sample_times``, and each interval's samples.
 
-    Without ``sample_times`` every sample of ``fom`` is used.
+    Both grids and every interval's sample count (ends included, at least
+    ``min_count``) are checked up front; the intervals then come one at a
+    time, each a ``Trajectory`` of its own gathered rows.
     """
     times = as_time_grid(snapshot_times, "snapshot_times", 2)
-    if sample_times is None:
-        grid = fom.times
-        rows = np.arange(grid.size)
-    else:
-        grid = as_time_grid(sample_times, "sample_times")
-        rows = fom.rows(grid)
-    return times, grid, rows, _interval_slices(grid, times, min_count)
-
-
-def _row_norms(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(states[rows], axis=1)``, gathering ``_NORM_BLOCK`` rows at a time.
-
-    Each row reduces on its own, so the values are the same bits.
-    """
-    norms = np.empty(rows.size)
-    for start in range(0, rows.size, _NORM_BLOCK):
-        block = rows[start : start + _NORM_BLOCK]
-        norms[start : start + block.size] = np.linalg.norm(states[block], axis=1)
-    return norms
+    grid = as_time_grid(sample_times, "sample_times")
+    rows = fom.rows(grid)
+    if times[0] < grid[0] or times[-1] > grid[-1]:
+        raise InvalidInputError("snapshot_times extend beyond the sample grid")
+    # first sample at or after each snapshot time; one past the last at or
+    # before it, so a snapshot time on the grid belongs to both its intervals
+    first = np.searchsorted(grid, times)
+    stop = first + (grid[first] == times)
+    counts = stop[1:] - first[:-1]
+    short = np.flatnonzero(counts < min_count)
+    if short.size:
+        i = int(short[0])
+        raise InvalidInputError(
+            f"interval [{float(times[i])!r}, {float(times[i + 1])!r}] holds "
+            f"{counts[i]} trajectory samples, need at least {min_count}"
+        )
+    intervals = (
+        Trajectory(times=grid[left:right], states=fom.states[rows[left:right]])
+        for left, right in zip(first[:-1].tolist(), stop[1:].tolist())
+    )
+    return times, rows, intervals
 
 
 def bound_constants(
-    system: OdeSystem, fom: Trajectory, snapshot_times, sample_times=None
+    system: OdeSystem, fom: Trajectory, snapshot_times, sample_times
 ) -> BoundConstants:
     """Bound constants of ``system`` along ``fom``, per interval of ``snapshot_times``.
 
     The constants are taken over the samples of ``fom`` at ``sample_times``,
     each of which must be a time of ``fom`` (``InvalidInputError``
-    otherwise), or over all of its samples when ``sample_times`` is None.
-    The rows are read in place, so ``fom`` may be a truth on a finer union
-    grid.  The exact route (``linear_bound_constants``) is taken when the
-    system's structure is ``affine``, with A the structure's linear
-    operator applied to the identity.  Any other system takes the sampled
-    route (``sampled_bound_constants``), which raises ``InvalidInputError``
-    for a system without a structure.
+    otherwise).  The rows are read in place, one interval at a time, so
+    ``fom`` may be a truth on a finer union grid.  The exact route
+    (``linear_bound_constants``) is taken when the system's structure is
+    ``affine``, with A the structure's linear operator applied to the
+    identity.  Any other system takes the sampled route
+    (``sampled_bound_constants``), which raises ``InvalidInputError`` for a
+    system without a structure.
     """
     structure = system.structure
     if structure is not None and structure.affine:
@@ -245,14 +223,13 @@ def bound_constants(
 
 
 def linear_bound_constants(
-    A, fom: Trajectory, snapshot_times, sample_times=None
+    A, fom: Trajectory, snapshot_times, sample_times
 ) -> BoundConstants:
     """Exact constants for x' = A x + b(t).
 
     Lambda is the largest singular value of A, padded for rounding; theta_i
-    the max solution norm over the interval's trajectory samples (those at
-    ``sample_times``, or all when it is None), Psi_i = Lambda theta_i,
-    Phi_i = Lambda^3 theta_i.
+    the max solution norm over the interval's samples of ``fom`` at
+    ``sample_times``, Psi_i = Lambda theta_i, Phi_i = Lambda^3 theta_i.
     """
     matrix = as_matrix(A, "A")
     if matrix.shape[0] != matrix.shape[1]:
@@ -262,12 +239,12 @@ def linear_bound_constants(
             f"A dimension {matrix.shape[0]} does not match trajectory "
             f"dimension {fom.dimension}"
         )
-    times, _, rows, slices = _sample_grid(fom, snapshot_times, sample_times, 2)
+    times, _, intervals = _interval_samples(fom, snapshot_times, sample_times, 2)
     # LAPACK's sigma_1 is exact for some A + E with ||E|| of order n eps ||A||,
     # and sigma_1 moves by at most ||E|| (Weyl), so the pad keeps Lambda at
     # or above the true sigma_1(A).
     lam = float(np.linalg.norm(matrix, 2)) * (1.0 + matrix.shape[0] * _EPS)
-    theta = _interval_max(_row_norms(fom.states, rows), slices)
+    theta = np.array([np.max(np.linalg.norm(local.states, axis=1)) for local in intervals])
     return BoundConstants(
         snapshot_times=times,
         lambda_=lam,
@@ -279,14 +256,14 @@ def linear_bound_constants(
 
 
 def sampled_bound_constants(
-    system: OdeSystem, fom: Trajectory, snapshot_times, sample_times=None
+    system: OdeSystem, fom: Trajectory, snapshot_times, sample_times
 ) -> BoundConstants:
     """Bound constants from the exact Jacobian, sampled along a trajectory.
 
-    The samples are those of ``fom`` at ``sample_times``, or all of them
-    when it is None.  The system must carry an ``RhsStructure``; J(x) is its
-    ``apply_jacobian``.  All values are maxima over finitely many samples,
-    so they are heuristic lower approximations of the true suprema:
+    The samples are those of ``fom`` at ``sample_times``.  The system must
+    carry an ``RhsStructure``; J(x) is its ``apply_jacobian``.  All values
+    are maxima over finitely many samples, so they are heuristic lower
+    approximations of the true suprema:
 
     - Psi_i: max over the interval's samples of ||d/dt f|| =
       ||J(x) f + B s'(t)||, with s' the structure's forcing rates.
@@ -301,22 +278,21 @@ def sampled_bound_constants(
     structure = system.structure
     if structure is None:
         raise InvalidInputError("sampled bound constants need a system with a structure")
-    times, grid, rows, slices = _sample_grid(fom, snapshot_times, sample_times, 5)
+    times, rows, intervals = _interval_samples(fom, snapshot_times, sample_times, 5)
 
-    theta = np.empty(len(slices))
-    psi = np.empty(len(slices))
-    phi = np.empty(len(slices))
-    for pos, (left, right) in enumerate(slices):
-        local = Trajectory(times=grid[left:right], states=fom.states[rows[left:right]])
+    theta = np.empty(times.size - 1)
+    psi = np.empty(times.size - 1)
+    phi = np.empty(times.size - 1)
+    for pos, local in enumerate(intervals):
         spacings = np.diff(local.times)
         mean_h = float(np.mean(spacings))
         if float(np.max(np.abs(spacings - mean_h))) > 1e-9 * mean_h:
             raise InvalidInputError(
                 "third-derivative estimation needs a uniform sample grid "
-                f"inside [{times[pos]!r}, {times[pos + 1]!r}]"
+                f"inside [{float(times[pos])!r}, {float(times[pos + 1])!r}]"
             )
-        # n x k and C-ordered: the axis-0 sums below add the rows in order,
-        # as they did over the whole trajectory at once
+        # n x k and C-ordered, so the axis-0 sums below add the rows in
+        # order and give the bits a copy of the rows would
         f_block = sample_rhs(system, local)
         theta[pos] = float(np.max(np.linalg.norm(local.states, axis=1)))
 
@@ -334,8 +310,8 @@ def sampled_bound_constants(
         phi[pos] = float(np.max(np.sqrt(np.sum(third * third, axis=0))))
 
     n = system.dimension
-    sample_count = min(_JACOBIAN_SAMPLES, grid.size)
-    picks = rows[np.unique(np.linspace(0, grid.size - 1, sample_count).astype(int))]
+    sample_count = min(_JACOBIAN_SAMPLES, rows.size)
+    picks = rows[np.unique(np.linspace(0, rows.size - 1, sample_count).astype(int))]
     identity = np.eye(n)
     lam = 0.0
     for row in picks:

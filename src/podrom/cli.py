@@ -452,9 +452,7 @@ def _write_run(report: RunReport, out_dir: str, render_plots: bool) -> int:
             f"FAIL {failure.method} delta={failure.delta:g} {failure.rule.label()} "
             f"[{failure.stage}]: {failure.message}"
         )
-    stage_text = " ".join(
-        f"{stage}={seconds:.2f}s" for stage, seconds in sorted(report.timings.items())
-    )
+    stage_text = " ".join(f"{stage}={seconds:.2f}s" for stage, seconds in report.timings.items())
     print(f"cells: {len(report.cells)} ok, {len(report.failures)} failed; {stage_text}")
     for path in written:
         print(f"wrote {path}")

@@ -755,5 +755,5 @@ def sample_rhs(system: OdeSystem, trajectory: Trajectory) -> np.ndarray:
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise RhsEvaluationError(f"rhs is not finite at t={times[np.argmin(finite)]!r}")
-    # C-ordered n x m, the layout the snapshot and bound code has always been given
+    # C-ordered n x m: axis-0 sums add rows in order, giving the bits a copy of the rows would
     return np.ascontiguousarray(values.T)

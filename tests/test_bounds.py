@@ -7,6 +7,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from podrom import bounds
 from podrom.bounds import (
@@ -427,7 +429,7 @@ def reaction_diffusion_case(name):
 class TestLinearConstants:
     def test_zero_matrix(self):
         fom = synthetic_trajectory(lambda t: np.array([3.0, 4.0]), 11)
-        constants = linear_bound_constants(np.zeros((2, 2)), fom, [0.0, 0.5, 1.0])
+        constants = linear_bound_constants(np.zeros((2, 2)), fom, [0.0, 0.5, 1.0], fom.times)
         assert constants.lambda_ == 0.0
         np.testing.assert_array_equal(constants.psi, 0.0)
         np.testing.assert_array_equal(constants.phi, 0.0)
@@ -437,7 +439,7 @@ class TestLinearConstants:
 
     def test_identity_constant_trajectory(self):
         fom = synthetic_trajectory(lambda t: np.array([3.0, 4.0]), 11)
-        constants = linear_bound_constants(np.eye(2), fom, [0.0, 0.5, 1.0])
+        constants = linear_bound_constants(np.eye(2), fom, [0.0, 0.5, 1.0], fom.times)
         np.testing.assert_allclose(constants.lambda_, 1.0, rtol=1e-12)
         np.testing.assert_allclose(constants.theta, 5.0, rtol=1e-12)
         np.testing.assert_allclose(constants.psi, 5.0, rtol=1e-12)
@@ -445,7 +447,7 @@ class TestLinearConstants:
 
     def test_lambda_enters_cubed(self):
         fom = synthetic_trajectory(lambda t: np.array([3.0, 4.0]), 11)
-        constants = linear_bound_constants(2.0 * np.eye(2), fom, [0.0, 1.0])
+        constants = linear_bound_constants(2.0 * np.eye(2), fom, [0.0, 1.0], fom.times)
         np.testing.assert_allclose(constants.lambda_, 2.0, rtol=1e-12)
         np.testing.assert_allclose(constants.psi, 10.0, rtol=1e-12)
         np.testing.assert_allclose(constants.phi, 40.0, rtol=1e-12)
@@ -453,7 +455,7 @@ class TestLinearConstants:
     def test_lambda_padded_above_lapack_norm(self):
         matrix = np.random.default_rng(5).standard_normal((6, 6))
         fom = synthetic_trajectory(lambda t: np.ones(6), 11)
-        constants = linear_bound_constants(matrix, fom, [0.0, 1.0])
+        constants = linear_bound_constants(matrix, fom, [0.0, 1.0], fom.times)
         sigma1 = float(np.linalg.norm(matrix, 2))
         eps = np.finfo(float).eps
         assert sigma1 < constants.lambda_ <= sigma1 * (1.0 + 2.0 * 6 * eps)
@@ -461,13 +463,13 @@ class TestLinearConstants:
 
     def test_interval_max_includes_shared_endpoint(self):
         fom = synthetic_trajectory(lambda t: np.array([t]), 11)
-        constants = linear_bound_constants(np.eye(1), fom, [0.0, 0.5, 1.0])
+        constants = linear_bound_constants(np.eye(1), fom, [0.0, 0.5, 1.0], fom.times)
         np.testing.assert_allclose(constants.theta, [0.5, 1.0], rtol=1e-12)
 
     def test_sparse_interval_rejected(self):
         fom = synthetic_trajectory(lambda t: np.array([1.0]), 2)
-        with pytest.raises(InvalidInputError):
-            linear_bound_constants(np.eye(1), fom, [0.0, 0.5, 1.0])
+        with pytest.raises(InvalidInputError, match="holds 1 .*need at least 2"):
+            linear_bound_constants(np.eye(1), fom, [0.0, 0.5, 1.0], fom.times)
 
     def test_experiment_matrix_sigma_dual_backend(self):
         # the stiff preset-A operator: the linear route's Lambda (LAPACK)
@@ -476,8 +478,49 @@ class TestLinearConstants:
         matrix = build_fhn(params).structure.apply_linear(np.eye(params.dimension))
         jacobi_sigma = float(svd_one_sided_jacobi(matrix).singular_values[0])
         fom = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, params.dimension)))
-        lam = linear_bound_constants(matrix, fom, [0.0, 1.0]).lambda_
+        lam = linear_bound_constants(matrix, fom, [0.0, 1.0], fom.times).lambda_
         assert abs(lam - jacobi_sigma) <= 1e-8 * jacobi_sigma
+
+
+ROUTES = {
+    "linear": lambda fom, snapshot_times, grid: linear_bound_constants(
+        np.eye(1), fom, snapshot_times, grid
+    ),
+    "sampled": lambda fom, snapshot_times, grid: sampled_bound_constants(
+        decay_system(), fom, snapshot_times, grid
+    ),
+}
+
+
+class TestIntervalReader:
+    """How both routes split the sample grid into snapshot intervals."""
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @pytest.mark.parametrize("kept", [slice(None, 65), slice(64, None)], ids=["end", "start"])
+    def test_snapshot_grid_beyond_the_sample_grid(self, route, kept):
+        fom = synthetic_trajectory(lambda t: np.exp(-t), 129)
+        with pytest.raises(InvalidInputError, match="extend beyond"):
+            ROUTES[route](fom, [0.0, 0.5, 1.0], fom.times[kept])
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0], ids=["rising", "falling"])
+    @given(
+        inner=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=6),
+        on_grid=st.lists(st.integers(1, 127), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_intervals_take_the_samples_between_their_ends(self, slope, inner, on_grid):
+        # a monotone state peaks at an interval's last sample when rising and
+        # at its first when falling; snapshot times fall on and off the grid
+        fom = synthetic_trajectory(lambda t: np.array([2.0 + slope * t]), 129)
+        snapshot_times = np.unique(np.concatenate([[0.0, 1.0], inner, fom.times[on_grid]]))
+        masks = [
+            (fom.times >= a) & (fom.times <= b)
+            for a, b in zip(snapshot_times[:-1], snapshot_times[1:])
+        ]
+        assume(min(np.count_nonzero(mask) for mask in masks) >= 2)
+        theta = ROUTES["linear"](fom, snapshot_times, fom.times).theta
+        expect = [np.max(fom.states[mask, 0]) for mask in masks]
+        np.testing.assert_allclose(theta, expect, rtol=1e-15)
 
 
 class TestBoundConstantsRoute:
@@ -517,7 +560,7 @@ class TestBoundConstantsRoute:
         # 64 uniform samples per snapshot interval of 0.1, as the driver takes
         dense = (0.5 * np.arange(321)) / 320
         fom = integrate(system, np.zeros(params.dimension), 1e-10, 1e-12, dense)
-        constants = bound_constants(system, fom, (0.5 * np.arange(6)) / 5)
+        constants = bound_constants(system, fom, (0.5 * np.arange(6)) / 5, fom.times)
         assert constants.provenance == route
         assert provenances == [route]
         if lam == 0.0:
@@ -571,7 +614,7 @@ class TestUnionTruth:
         system, fom, snapshot_times, dense = union_case
         copy = Trajectory(times=dense, states=fom.states[fom.rows(dense)])
         in_place = bound_constants(system, fom, snapshot_times, dense)
-        copied = bound_constants(system, copy, snapshot_times)
+        copied = bound_constants(system, copy, snapshot_times, copy.times)
         assert in_place.lambda_ == copied.lambda_
         for name in ("psi", "phi", "theta"):
             assert np.array_equal(getattr(in_place, name), getattr(copied, name)), name
@@ -614,7 +657,7 @@ class TestSampledConstants:
             structure=linear_structure(np.zeros((2, 2))),
         )
         fom = synthetic_trajectory(lambda t: np.array([3.0, 4.0]), 129)
-        constants = sampled_bound_constants(system, fom, [0.0, 0.5, 1.0])
+        constants = sampled_bound_constants(system, fom, [0.0, 0.5, 1.0], fom.times)
         assert constants.lambda_ == 0.0
         np.testing.assert_array_equal(constants.psi, 0.0)
         np.testing.assert_array_equal(constants.phi, 0.0)
@@ -624,7 +667,7 @@ class TestSampledConstants:
     def test_exponential_decay_oracle(self):
         system = decay_system()
         fom = synthetic_trajectory(lambda t: np.exp(-t), 129)
-        constants = sampled_bound_constants(system, fom, [0.0, 0.5, 1.0])
+        constants = sampled_bound_constants(system, fom, [0.0, 0.5, 1.0], fom.times)
         expected = np.exp([-0.0, -0.5])
         assert abs(constants.lambda_ - 1.0) <= 1e-4
         np.testing.assert_allclose(constants.psi, expected, rtol=1e-4)
@@ -635,12 +678,10 @@ class TestSampledConstants:
 
     def test_sampling_density_robustness(self):
         system = decay_system()
-        coarse = sampled_bound_constants(
-            system, synthetic_trajectory(lambda t: np.exp(-t), 65), [0.0, 1.0]
-        )
-        fine = sampled_bound_constants(
-            system, synthetic_trajectory(lambda t: np.exp(-t), 129), [0.0, 1.0]
-        )
+        coarse_fom = synthetic_trajectory(lambda t: np.exp(-t), 65)
+        fine_fom = synthetic_trajectory(lambda t: np.exp(-t), 129)
+        coarse = sampled_bound_constants(system, coarse_fom, [0.0, 1.0], coarse_fom.times)
+        fine = sampled_bound_constants(system, fine_fom, [0.0, 1.0], fine_fom.times)
         assert abs(coarse.lambda_ - fine.lambda_) <= 1e-3 * fine.lambda_
         np.testing.assert_allclose(coarse.psi, fine.psi, rtol=1e-3)
         np.testing.assert_allclose(coarse.theta, fine.theta, rtol=1e-3)
@@ -659,7 +700,7 @@ class TestSampledConstants:
             fd = (system.rhs(t, x + h * v) - system.rhs(t, x - h * v)) / (2.0 * h)
             exact = structure.apply_jacobian(x, v)
             assert np.max(np.abs(exact - fd)) <= 1e-7 * np.max(np.abs(fd)), t
-        constants = sampled_bound_constants(system, fom, snapshot_times)
+        constants = sampled_bound_constants(system, fom, snapshot_times, fom.times)
         assert constants.lambda_ > 0.0 and math.isfinite(constants.lambda_)
         oracle = tangent_difference_psi(system, fom, snapshot_times)
         np.testing.assert_allclose(constants.psi, oracle, rtol=1e-6)
@@ -672,8 +713,8 @@ class TestSampledConstants:
         fom = integrate(system, np.zeros(params.dimension), 1e-10, 1e-12, grid)
         snapshot_times = [0.0, 0.005, 0.01]
         matrix = system.structure.apply_linear(np.eye(params.dimension))
-        linear = linear_bound_constants(matrix, fom, snapshot_times)
-        sampled = sampled_bound_constants(system, fom, snapshot_times)
+        linear = linear_bound_constants(matrix, fom, snapshot_times, fom.times)
+        sampled = sampled_bound_constants(system, fom, snapshot_times, fom.times)
         pad = params.dimension * np.finfo(float).eps
         assert sampled.lambda_ < linear.lambda_ <= sampled.lambda_ * (1.0 + 2.0 * pad)
         np.testing.assert_array_equal(sampled.theta, linear.theta)
@@ -682,20 +723,20 @@ class TestSampledConstants:
         system = decay_system()
         times = np.array([0.0, 0.1, 0.15, 0.35, 0.5])
         fom = Trajectory(times=times, states=np.exp(-times)[:, None])
-        with pytest.raises(InvalidInputError):
-            sampled_bound_constants(system, fom, [0.0, 0.5])
+        with pytest.raises(InvalidInputError, match=r"uniform sample grid inside \[0.0, 0.5\]"):
+            sampled_bound_constants(system, fom, [0.0, 0.5], fom.times)
 
     def test_sparse_interval_rejected(self):
         system = decay_system()
         fom = synthetic_trajectory(lambda t: np.exp(-t), 4)
-        with pytest.raises(InvalidInputError):
-            sampled_bound_constants(system, fom, [0.0, 1.0])
+        with pytest.raises(InvalidInputError, match="holds 4 .*need at least 5"):
+            sampled_bound_constants(system, fom, [0.0, 1.0], fom.times)
 
     def test_requires_structure(self):
         system = OdeSystem(dimension=1, rhs=writes_into(lambda t, x: -x))
         fom = synthetic_trajectory(lambda t: np.exp(-t), 9)
         with pytest.raises(InvalidInputError):
-            sampled_bound_constants(system, fom, [0.0, 1.0])
+            sampled_bound_constants(system, fom, [0.0, 1.0], fom.times)
 
     def test_dimension_mismatch_rejected(self):
         system = OdeSystem(
@@ -705,4 +746,4 @@ class TestSampledConstants:
         )
         fom = synthetic_trajectory(lambda t: np.array([1.0]), 9)
         with pytest.raises(InvalidInputError):
-            sampled_bound_constants(system, fom, [0.0, 1.0])
+            sampled_bound_constants(system, fom, [0.0, 1.0], fom.times)

@@ -635,6 +635,14 @@ class TestCommandLine:
         lines = (out / ERROR_CSV_NAME).read_text().splitlines()
         assert len(lines) == 1 + 400
 
+    def test_stage_timings_printed_in_run_order(self, tmp_path, capsys):
+        assert main(self.run_args(tmp_path / "out", "--bounds")) == 0
+        summary = next(
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("cells:")
+        )
+        stages = [item.split("=")[0] for item in summary.split("; ")[1].split()]
+        assert stages == ["fom", "snapshots", "constants", "svd", "rom", "bounds", "total"]
+
     def test_config_errors_exit_code(self, tmp_path, capsys):
         assert main(["run", "--preset", "Q", "--out", str(tmp_path)]) == 1
         assert main(["run", "--out", str(tmp_path)]) == 1

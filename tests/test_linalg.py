@@ -432,6 +432,7 @@ GRID_OWNERS = {
         np.zeros((1, 1)),
         Trajectory(times=np.linspace(0.0, 1.0, 11), states=np.ones((11, 1))),
         g,
+        np.linspace(0.0, 1.0, 11),
     ),
     "solve_rom_lifted": lambda g: solve_rom_lifted(
         _decay(), PodBasis(reduced_vectors=np.eye(1), sigma_next=0.0),
