@@ -18,14 +18,17 @@ grid.  They come from the system's ``RhsStructure``, and
 when the structure is affine (Lambda = ||A||_2), and otherwise from the exact
 Jacobian J(x) = A + diag(g'(x)) sampled along a dense reference
 trajectory (Lambda = max ||J||_2, Psi = max ||J f + B s'||).  Every
-spectral norm is LAPACK's.
+spectral norm is LAPACK's.  Either route folds the trajectory's samples
+one snapshot interval at a time, in an ``IntervalReader`` that takes them
+in time order, so a truth solve can feed it as it lands on them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from functools import partial
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -37,9 +40,11 @@ from .pod import SnapshotSet
 __all__ = [
     "BoundConstants",
     "BoundCurve",
+    "IntervalReader",
     "lagrange_piecewise",
     "hermite_piecewise",
     "bound_constants",
+    "interval_reader",
     "linear_bound_constants",
     "sampled_bound_constants",
     "method1_bound",
@@ -126,7 +131,7 @@ def _bracket_indices(grid: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _check_range(times: np.ndarray, t: float) -> None:
     if not (times[0] <= t <= times[-1]):
         raise InvalidInputError(
-            f"t = {t!r} outside the snapshot range [{times[0]!r}, {times[-1]!r}]"
+            f"t = {t!r} outside the snapshot range [{float(times[0])!r}, {float(times[-1])!r}]"
         )
 
 
@@ -167,37 +172,225 @@ def hermite_piecewise(snapshots: SnapshotSet, t: float) -> np.ndarray:
     )
 
 
-def _interval_samples(
-    fom: Trajectory, snapshot_times, sample_times, min_count: int
-) -> Tuple[np.ndarray, np.ndarray, Iterator[Trajectory]]:
-    """The snapshot grid, the rows of ``fom`` at ``sample_times``, and each interval's samples.
+class IntervalReader:
+    """Bound constants folded from a truth's states as they arrive, in time order.
 
-    Both grids and every interval's sample count (ends included, at least
-    ``min_count``) are checked up front; the intervals then come one at a
-    time, each a ``Trajectory`` of its own gathered rows.
+    ``interval_reader`` builds one on a snapshot grid and a sample grid and
+    checks both up front: the snapshot grid lies within the sample grid and
+    each of its intervals holds enough samples, ends included.
+    ``take(state)`` hands it the state at the next point of
+    ``sample_times``; a state at a snapshot time on the sample grid belongs
+    to both intervals that share it.  The reader holds one interval's
+    states in a C-ordered block and folds the block into that interval's
+    constants as its last sample arrives, so the truth need never be
+    stored.  Once every sample is taken, ``constants()`` gives the
+    ``BoundConstants``.
     """
-    times = as_time_grid(snapshot_times, "snapshot_times", 2)
-    grid = as_time_grid(sample_times, "sample_times")
-    rows = fom.rows(grid)
-    if times[0] < grid[0] or times[-1] > grid[-1]:
-        raise InvalidInputError("snapshot_times extend beyond the sample grid")
-    # first sample at or after each snapshot time; one past the last at or
-    # before it, so a snapshot time on the grid belongs to both its intervals
-    first = np.searchsorted(grid, times)
-    stop = first + (grid[first] == times)
-    counts = stop[1:] - first[:-1]
-    short = np.flatnonzero(counts < min_count)
-    if short.size:
-        i = int(short[0])
-        raise InvalidInputError(
-            f"interval [{float(times[i])!r}, {float(times[i + 1])!r}] holds "
-            f"{counts[i]} trajectory samples, need at least {min_count}"
+
+    # samples an interval needs, its ends included
+    _min_count = 2
+
+    def __init__(self, dimension: int, snapshot_times, sample_times) -> None:
+        times = as_time_grid(snapshot_times, "snapshot_times", 2)
+        grid = as_time_grid(sample_times, "sample_times")
+        if times[0] < grid[0] or times[-1] > grid[-1]:
+            raise InvalidInputError("snapshot_times extend beyond the sample grid")
+        # first sample at or after each snapshot time; one past the last at or
+        # before it, so a snapshot time on the grid belongs to both its intervals
+        first = np.searchsorted(grid, times)
+        stop = first + (grid[first] == times)
+        counts = stop[1:] - first[:-1]
+        short = np.flatnonzero(counts < self._min_count)
+        if short.size:
+            i = int(short[0])
+            raise InvalidInputError(
+                f"interval [{float(times[i])!r}, {float(times[i + 1])!r}] holds "
+                f"{counts[i]} trajectory samples, need at least {self._min_count}"
+            )
+        self.dimension = dimension
+        self.snapshot_times = times
+        self.sample_times = grid
+        self._theta = np.empty(times.size - 1)
+        self._starts = first[:-1].tolist()
+        self._stops = stop[1:].tolist()
+        self._block = np.empty((int(np.max(counts)), dimension))
+        self._taken = 0
+        self._open = 0
+
+    def take(self, state: np.ndarray) -> None:
+        """Take the state at the next sample time, copying what the reader keeps."""
+        if state.shape != (self.dimension,):
+            raise InvalidInputError(
+                f"state has shape {state.shape}, the reader takes ({self.dimension},)"
+            )
+        index = self._taken
+        if index == self.sample_times.size:
+            raise InvalidInputError("every sample has been taken")
+        self._taken = index + 1
+        self._keep(index, state)
+        pos = self._open
+        if pos == len(self._starts) or index < self._starts[pos]:
+            return
+        start = self._starts[pos]
+        self._block[index - start] = state
+        stop = index + 1
+        if stop == self._stops[pos]:
+            self._fold(pos, self.sample_times[start:stop], self._block[: stop - start])
+            self._open = pos + 1
+            # a snapshot time on the grid also opens the next interval
+            if self._open < len(self._starts) and self._starts[self._open] == index:
+                self._block[0] = state
+
+    def constants(self) -> BoundConstants:
+        """The constants, once every sample is taken (``InvalidInputError`` before)."""
+        if self._taken < self.sample_times.size:
+            raise InvalidInputError(
+                f"{self._taken} of {self.sample_times.size} samples taken"
+            )
+        return self._constants()
+
+    def _keep(self, index: int, state: np.ndarray) -> None:
+        """Keep what ``constants`` needs of the sample at ``index`` beyond its interval."""
+
+    def _fold(self, pos: int, times: np.ndarray, states: np.ndarray) -> None:
+        """Fold interval ``pos``'s samples, a C-ordered block of states at ``times``."""
+        self._theta[pos] = float(np.max(np.linalg.norm(states, axis=1)))
+
+    def _constants(self) -> BoundConstants:
+        raise NotImplementedError
+
+
+class _LinearReader(IntervalReader):
+    """``linear_bound_constants``' route: theta_i per interval, the rest from
+    A = ``operator()``, formed only when the constants are asked for."""
+
+    def __init__(
+        self, dimension: int, snapshot_times, sample_times, operator: Callable[[], np.ndarray]
+    ) -> None:
+        super().__init__(dimension, snapshot_times, sample_times)
+        self._operator = operator
+
+    def _constants(self) -> BoundConstants:
+        matrix = self._operator()
+        # LAPACK's sigma_1 is exact for some A + E with ||E|| of order n eps ||A||,
+        # and sigma_1 moves by at most ||E|| (Weyl), so the pad keeps Lambda at
+        # or above the true sigma_1(A).
+        lam = float(np.linalg.norm(matrix, 2)) * (1.0 + matrix.shape[0] * _EPS)
+        return BoundConstants(
+            snapshot_times=self.snapshot_times,
+            lambda_=lam,
+            psi=lam * self._theta,
+            phi=lam**3 * self._theta,
+            theta=self._theta,
+            provenance="linear_exact",
         )
-    intervals = (
-        Trajectory(times=grid[left:right], states=fom.states[rows[left:right]])
-        for left, right in zip(first[:-1].tolist(), stop[1:].tolist())
-    )
-    return times, rows, intervals
+
+
+class _SampledReader(IntervalReader):
+    """``sampled_bound_constants``' route: theta_i, Psi_i and Phi_i per interval,
+    and the states Lambda's Jacobians are taken at."""
+
+    _min_count = 5
+
+    def __init__(self, system: OdeSystem, snapshot_times, sample_times) -> None:
+        if system.structure is None:
+            raise InvalidInputError("sampled bound constants need a system with a structure")
+        super().__init__(system.dimension, snapshot_times, sample_times)
+        self._system = system
+        grid = self.sample_times
+        times = self.snapshot_times
+        self._mean_h = []
+        for pos, (start, stop) in enumerate(zip(self._starts, self._stops)):
+            spacings = np.diff(grid[start:stop])
+            mean_h = float(np.mean(spacings))
+            if float(np.max(np.abs(spacings - mean_h))) > 1e-9 * mean_h:
+                raise InvalidInputError(
+                    "third-derivative estimation needs a uniform sample grid "
+                    f"inside [{float(times[pos])!r}, {float(times[pos + 1])!r}]"
+                )
+            self._mean_h.append(mean_h)
+        self._psi = np.empty(times.size - 1)
+        self._phi = np.empty(times.size - 1)
+        size = grid.size
+        count = min(_JACOBIAN_SAMPLES, size)
+        self._picks = set(np.unique(np.linspace(0, size - 1, count).astype(int)).tolist())
+        self._picked = []
+
+    def _keep(self, index: int, state: np.ndarray) -> None:
+        if index in self._picks:
+            self._picked.append(np.array(state))
+
+    def _fold(self, pos: int, times: np.ndarray, states: np.ndarray) -> None:
+        super()._fold(pos, times, states)
+        structure = self._system.structure
+        local = Trajectory(times=times, states=states)
+        # n x k and C-ordered, so the axis-0 sums below add the rows in
+        # order and give the bits a copy of the rows would
+        f_block = sample_rhs(self._system, local)
+
+        k = times.size
+        rates = np.array([structure.forcing_rates(float(t)) for t in times], dtype=float)
+        # with no forcing vectors the block is 0 x k
+        rates = np.ascontiguousarray(rates.reshape(k, -1).T)
+        slopes = structure.apply_jacobian(local.states.T, f_block)
+        slopes += structure.forcing_vectors @ rates
+        self._psi[pos] = float(np.max(np.linalg.norm(slopes, axis=0)))
+
+        mean_h = self._mean_h[pos]
+        third = (
+            -f_block[:, :-4] + 2.0 * f_block[:, 1:-3] - 2.0 * f_block[:, 3:-1] + f_block[:, 4:]
+        ) / (2.0 * mean_h**3)
+        self._phi[pos] = float(np.max(np.sqrt(np.sum(third * third, axis=0))))
+
+    def _constants(self) -> BoundConstants:
+        structure = self._system.structure
+        n = self.dimension
+        identity = np.eye(n)
+        lam = 0.0
+        for state in self._picked:
+            at_sample = np.broadcast_to(state[:, None], (n, n))
+            jacobian = structure.apply_jacobian(at_sample, identity)
+            lam = max(lam, float(np.linalg.norm(jacobian, 2)))
+        return BoundConstants(
+            snapshot_times=self.snapshot_times,
+            lambda_=lam,
+            psi=self._psi,
+            phi=self._phi,
+            theta=self._theta,
+            provenance="sampled_estimate",
+        )
+
+
+def _affine(system: OdeSystem) -> bool:
+    """Whether ``system`` takes the exact route: its structure is affine."""
+    return system.structure is not None and system.structure.affine
+
+
+def _linear_operator(system: OdeSystem) -> np.ndarray:
+    """A, the structure's linear operator applied to the identity."""
+    return system.structure.apply_linear(np.eye(system.dimension))
+
+
+def interval_reader(system: OdeSystem, snapshot_times, sample_times) -> IntervalReader:
+    """The ``IntervalReader`` of ``system``'s route, as ``bound_constants`` picks it.
+
+    Its ``constants()`` are those of ``linear_bound_constants`` on A when
+    the system's structure is ``affine`` and of ``sampled_bound_constants``
+    otherwise, bit for bit, once it has taken the truth's states at every
+    point of ``sample_times``.
+    """
+    if _affine(system):
+        return _LinearReader(
+            system.dimension, snapshot_times, sample_times, partial(_linear_operator, system)
+        )
+    return _SampledReader(system, snapshot_times, sample_times)
+
+
+def _read(reader: IntervalReader, fom: Trajectory) -> BoundConstants:
+    """The reader's constants from the rows of ``fom`` at its sample times, fed one by one."""
+    for row in fom.rows(reader.sample_times).tolist():
+        reader.take(fom.states[row])
+    return reader.constants()
 
 
 def bound_constants(
@@ -207,18 +400,16 @@ def bound_constants(
 
     The constants are taken over the samples of ``fom`` at ``sample_times``,
     each of which must be a time of ``fom`` (``InvalidInputError``
-    otherwise).  The rows are read in place, one interval at a time, so
-    ``fom`` may be a truth on a finer union grid.  The exact route
-    (``linear_bound_constants``) is taken when the system's structure is
-    ``affine``, with A the structure's linear operator applied to the
-    identity.  Any other system takes the sampled route
-    (``sampled_bound_constants``), which raises ``InvalidInputError`` for a
-    system without a structure.
+    otherwise).  The rows are fed in time order, without a copy of them
+    all, to the route's ``IntervalReader``, so ``fom`` may be a truth on a
+    finer grid.  The exact route (``linear_bound_constants``) is
+    taken when the system's structure is ``affine``, with A the structure's
+    linear operator applied to the identity.  Any other system takes the
+    sampled route (``sampled_bound_constants``), which raises
+    ``InvalidInputError`` for a system without a structure.
     """
-    structure = system.structure
-    if structure is not None and structure.affine:
-        matrix = structure.apply_linear(np.eye(system.dimension))
-        return linear_bound_constants(matrix, fom, snapshot_times, sample_times)
+    if _affine(system):
+        return linear_bound_constants(_linear_operator(system), fom, snapshot_times, sample_times)
     return sampled_bound_constants(system, fom, snapshot_times, sample_times)
 
 
@@ -239,20 +430,8 @@ def linear_bound_constants(
             f"A dimension {matrix.shape[0]} does not match trajectory "
             f"dimension {fom.dimension}"
         )
-    times, _, intervals = _interval_samples(fom, snapshot_times, sample_times, 2)
-    # LAPACK's sigma_1 is exact for some A + E with ||E|| of order n eps ||A||,
-    # and sigma_1 moves by at most ||E|| (Weyl), so the pad keeps Lambda at
-    # or above the true sigma_1(A).
-    lam = float(np.linalg.norm(matrix, 2)) * (1.0 + matrix.shape[0] * _EPS)
-    theta = np.array([np.max(np.linalg.norm(local.states, axis=1)) for local in intervals])
-    return BoundConstants(
-        snapshot_times=times,
-        lambda_=lam,
-        psi=lam * theta,
-        phi=lam**3 * theta,
-        theta=theta,
-        provenance="linear_exact",
-    )
+    reader = _LinearReader(matrix.shape[0], snapshot_times, sample_times, lambda: matrix)
+    return _read(reader, fom)
 
 
 def sampled_bound_constants(
@@ -272,61 +451,10 @@ def sampled_bound_constants(
     - Lambda: the largest ||J(x)||_2 (LAPACK) over a thinned set of
       trajectory samples.
 
-    One interval's samples are gathered and evaluated at a time, so an
-    endpoint shared by two intervals is evaluated in both.
+    One interval's samples are evaluated at a time, so an endpoint shared
+    by two intervals is evaluated in both.
     """
-    structure = system.structure
-    if structure is None:
-        raise InvalidInputError("sampled bound constants need a system with a structure")
-    times, rows, intervals = _interval_samples(fom, snapshot_times, sample_times, 5)
-
-    theta = np.empty(times.size - 1)
-    psi = np.empty(times.size - 1)
-    phi = np.empty(times.size - 1)
-    for pos, local in enumerate(intervals):
-        spacings = np.diff(local.times)
-        mean_h = float(np.mean(spacings))
-        if float(np.max(np.abs(spacings - mean_h))) > 1e-9 * mean_h:
-            raise InvalidInputError(
-                "third-derivative estimation needs a uniform sample grid "
-                f"inside [{float(times[pos])!r}, {float(times[pos + 1])!r}]"
-            )
-        # n x k and C-ordered, so the axis-0 sums below add the rows in
-        # order and give the bits a copy of the rows would
-        f_block = sample_rhs(system, local)
-        theta[pos] = float(np.max(np.linalg.norm(local.states, axis=1)))
-
-        k = local.times.size
-        rates = np.array([structure.forcing_rates(float(t)) for t in local.times], dtype=float)
-        # with no forcing vectors the block is 0 x k
-        rates = np.ascontiguousarray(rates.reshape(k, -1).T)
-        slopes = structure.apply_jacobian(local.states.T, f_block)
-        slopes += structure.forcing_vectors @ rates
-        psi[pos] = float(np.max(np.linalg.norm(slopes, axis=0)))
-
-        third = (
-            -f_block[:, :-4] + 2.0 * f_block[:, 1:-3] - 2.0 * f_block[:, 3:-1] + f_block[:, 4:]
-        ) / (2.0 * mean_h**3)
-        phi[pos] = float(np.max(np.sqrt(np.sum(third * third, axis=0))))
-
-    n = system.dimension
-    sample_count = min(_JACOBIAN_SAMPLES, rows.size)
-    picks = rows[np.unique(np.linspace(0, rows.size - 1, sample_count).astype(int))]
-    identity = np.eye(n)
-    lam = 0.0
-    for row in picks:
-        at_sample = np.broadcast_to(fom.states[row][:, None], (n, n))
-        jacobian = structure.apply_jacobian(at_sample, identity)
-        lam = max(lam, float(np.linalg.norm(jacobian, 2)))
-
-    return BoundConstants(
-        snapshot_times=times,
-        lambda_=lam,
-        psi=psi,
-        phi=phi,
-        theta=theta,
-        provenance="sampled_estimate",
-    )
+    return _read(_SampledReader(system, snapshot_times, sample_times), fom)
 
 
 def _evaluate_bound(

@@ -3,7 +3,8 @@
 One shared high-accuracy reference solve per run, a snapshot matrix and
 its SVD per (method, spacing), a reduced solve per cell, and optional
 a-priori bound curves, with one set of bound constants per spacing
-(``bounds.bound_constants`` picks their route).  No stage draws random
+(``bounds.interval_reader`` picks their route, as ``bound_constants``
+does).  No stage draws random
 numbers, so a run's outputs depend on its configuration alone.  The
 paper's three experiments are bundled as ``preset`` A, B and C.
 """
@@ -19,7 +20,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .bounds import BoundConstants, BoundCurve, bound_constants, method1_bound, method2_bound
+from .bounds import BoundConstants, BoundCurve, interval_reader, method1_bound, method2_bound
 from .errors import InvalidInputError, PodromError
 from .fhn import FhnParams, Waveform, build_fhn
 from .linalg import SvdResult, svd_one_sided_jacobi
@@ -279,13 +280,14 @@ def run_experiment(config: RunConfig) -> RunReport:
     """Run the full sweep and collect every cell (or its failure record).
 
     The truth trajectory is integrated once on the union of the evaluation
-    grid, all snapshot grids, and (with bounds on) the dense sampling grids.
-    The snapshot sets and the evaluation-grid truth are copied out of it,
-    the bound constants read their dense rows from it in place, and it is
-    released before the first factorization.  A cell failure is recorded
-    with its stage and message and the remaining cells still run.  A config
-    without rules gives the truth solve, the snapshot sets and the
-    factorizations only.
+    grid, all snapshot grids, and (with bounds on) the dense sampling grids,
+    and stores only its rows on the evaluation and snapshot grids: the
+    states on each spacing's dense grid go to that spacing's
+    ``bounds.interval_reader`` as the solve lands on them, and are folded
+    into the bound constants one snapshot interval at a time.  A cell
+    failure is recorded with its stage and message and the remaining cells
+    still run.  A config without rules gives the truth solve, the snapshot
+    sets and the factorizations only.
     """
     start = time.perf_counter()
     timings: Dict[str, float] = {}
@@ -303,21 +305,43 @@ def run_experiment(config: RunConfig) -> RunReport:
         delta: _uniform_grid(horizon, _grid_intervals(horizon, delta))
         for delta in config.deltas
     }
-    dense_grids: Dict[float, np.ndarray] = {}
+    readers = {}
     if config.evaluate_bounds:
-        dense_grids = {
-            delta: _uniform_grid(
-                horizon, _BOUND_SAMPLES_PER_INTERVAL * _grid_intervals(horizon, delta)
+        readers = {
+            delta: interval_reader(
+                system,
+                grid,
+                _uniform_grid(horizon, _BOUND_SAMPLES_PER_INTERVAL * (grid.size - 1)),
             )
-            for delta in config.deltas
+            for delta, grid in snap_grids.items()
         }
-    union = reduce(
-        np.union1d, list(snap_grids.values()) + list(dense_grids.values()), eval_times
-    )
+    kept = reduce(np.union1d, snap_grids.values(), eval_times)
+    union = reduce(np.union1d, [reader.sample_times for reader in readers.values()], kept)
+
+    def marks(grid: np.ndarray) -> list:
+        """Per union row, whether its time is a point of ``grid``."""
+        on_grid = [False] * union.size
+        for index in np.searchsorted(union, grid).tolist():
+            on_grid[index] = True
+        return on_grid
+
+    feeds = [(marks(reader.sample_times), reader.take) for reader in readers.values()]
+    kept_rows = dict(zip(np.searchsorted(union, kept).tolist(), range(kept.size)))
+    states = np.empty((kept.size, system.dimension))
+
+    def sink(index: int, state: np.ndarray) -> None:
+        for on_grid, take in feeds:
+            if on_grid[index]:
+                take(state)
+        row = kept_rows.get(index)
+        if row is not None:
+            states[row] = state
 
     with _timed(timings, "fom"):
-        fom = integrate(system, x0, config.rel_tol, config.abs_tol, union)
-        _add_work(counters, "fom_", fom)
+        # with a sink, the trajectory returned holds only the last state
+        end = integrate(system, x0, config.rel_tol, config.abs_tol, union, sink=sink)
+        _add_work(counters, "fom_", end)
+    fom = Trajectory(times=kept, states=states)
 
     with _timed(timings, "snapshots"):
         snapshots = {
@@ -329,13 +353,9 @@ def run_experiment(config: RunConfig) -> RunReport:
     constants: Dict[float, BoundConstants] = {}
     if config.evaluate_bounds:
         with _timed(timings, "constants"):
-            constants = {
-                delta: bound_constants(system, fom, snaps.times, dense_grids[delta])
-                for delta, snaps in snapshots.items()
-            }
-    # The union-grid truth is the run's largest array, and the bound
-    # constants read their dense rows from it in place: free it before the SVDs.
-    del fom
+            constants = {delta: reader.constants() for delta, reader in readers.items()}
+    # the kept truth lives on in its copies: free it before the SVDs
+    del end, fom, states
 
     svds: Dict[Tuple[str, float], SvdResult] = {}
     for method in config.methods:

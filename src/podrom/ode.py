@@ -327,13 +327,16 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-def _drive_dp5(kernel, x0: np.ndarray, out: np.ndarray) -> Trajectory:
+def _drive_dp5(kernel, x0: np.ndarray, out: np.ndarray, emit) -> Tuple[int, int, np.ndarray]:
     """The one DP5 step controller: landing, step control, work cap and typed errors.
 
     ``x0`` is the initial state and ``out`` a grid checked by
     ``_output_grid``.  The controller shortens steps to land on every output
     time, accepts or rejects each attempt by its error norm, and picks the
-    next step by PI control.  It raises what ``integrate`` documents.
+    next step by PI control.  It hands the state at each output time to
+    ``emit(index, state)``, in order, and returns the work counters
+    (attempts, rejected) and the last state.  It raises what ``integrate``
+    documents.
 
     The ``kernel`` (start, attempt, accept) does every vector operation on
     the state and stages it owns.  ``start()`` evaluates the first stage at
@@ -342,7 +345,7 @@ def _drive_dp5(kernel, x0: np.ndarray, out: np.ndarray) -> Trajectory:
     output time it lands on) and returns its scaled RMS error norm,
     non-finite when the trial overflowed; ``accept()`` makes the trial the
     state, reuses its last stage as the next first one, and returns the
-    state, which the controller copies before the next attempt.
+    state, which ``emit`` must copy if the kernel reuses its memory.
     """
     start, attempt, accept = kernel
     span = float(out[-1])
@@ -351,7 +354,6 @@ def _drive_dp5(kernel, x0: np.ndarray, out: np.ndarray) -> Trajectory:
     snap_tol = 32.0 * np.finfo(float).eps * max(span, 1.0)
     cap = MAX_STEP_ATTEMPTS
 
-    states_out = np.empty((out.size, x0.size))
     state = x0
     index = 0
     t = 0.0
@@ -366,14 +368,14 @@ def _drive_dp5(kernel, x0: np.ndarray, out: np.ndarray) -> Trajectory:
         if not start():
             raise RhsEvaluationError("rhs is not finite at t=0.0")
         if out[0] == 0.0:
-            states_out[0] = state
+            emit(0, state)
             index = 1
         while index < out.size:
             target = float(out[index])
             remaining = target - t
             if remaining <= snap_tol:
                 t = target
-                states_out[index] = state
+                emit(index, state)
                 index += 1
                 continue
             if h < min_step:
@@ -404,7 +406,7 @@ def _drive_dp5(kernel, x0: np.ndarray, out: np.ndarray) -> Trajectory:
             state = accept()
             t = t_end
             if landing:
-                states_out[index] = state
+                emit(index, state)
                 index += 1
 
             if err == 0.0:
@@ -418,12 +420,14 @@ def _drive_dp5(kernel, x0: np.ndarray, out: np.ndarray) -> Trajectory:
             prev_err = max(err, 1e-10)
             h = h_step * factor
 
-    return Trajectory(
-        times=out,
-        states=states_out,
-        step_attempts=attempts,
-        rejected_steps=rejected,
-    )
+    return attempts, rejected, state
+
+
+def _stored(kernel, x0: np.ndarray, out: np.ndarray) -> Trajectory:
+    """The trajectory of a ``_drive_dp5`` solve, every output state copied into one array."""
+    states = np.empty((out.size, x0.size))
+    attempts, rejected, _ = _drive_dp5(kernel, x0, out, states.__setitem__)
+    return Trajectory(times=out, states=states, step_attempts=attempts, rejected_steps=rejected)
 
 
 def _evaluate(rhs, t: float, x: np.ndarray, out: np.ndarray) -> None:
@@ -447,6 +451,7 @@ def integrate(
     rel_tol: float,
     abs_tol: float,
     output_times,
+    sink: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> Trajectory:
     """Integrate ``system`` from x(0) = ``x0`` to its last output time.
 
@@ -454,9 +459,18 @@ def integrate(
     time may be negative, and the grid [0.0] alone gives ``x0`` back with
     no step taken.  The returned trajectory holds exactly ``output_times``
     (bit-for-bit), the states the integrator produced there, and the work
-    counters (``step_attempts``, ``rejected_steps``).  Steps are shortened so each
-    output time coincides with a step endpoint.  The local error per step
-    is controlled in a scaled RMS norm with per-component scale
+    counters (``step_attempts``, ``rejected_steps``).
+
+    With a ``sink``, no output state is stored: each is handed to
+    ``sink(index, state)`` as the solve lands on ``output_times[index]``,
+    once per index and in order, as a fresh array that the sink may keep,
+    with the bits a solve without a sink stores.  The returned trajectory
+    then holds only the last output time and state, and the same work
+    counters.
+
+    Steps are shortened so each output time coincides with a step
+    endpoint.  The local error per step is controlled in a scaled RMS norm
+    with per-component scale
     ``abs_tol + rel_tol * max(|x_old|, |x_new|)``; both tolerances must be
     positive and finite.  Each trial step calls ``system.rhs`` six times,
     ``rhs(t_i, x_i, out)``, with ``out`` the row of the stage array that
@@ -545,7 +559,13 @@ def integrate(
         first[...] = last
         return state
 
-    return _drive_dp5((start, attempt, accept), x0, out)
+    kernel = (start, attempt, accept)
+    if sink is None:
+        return _stored(kernel, x0, out)
+    attempts, rejected, last = _drive_dp5(kernel, x0, out, sink)
+    return Trajectory(
+        times=out[-1:], states=last[None], step_attempts=attempts, rejected_steps=rejected
+    )
 
 
 # The tableau as rows over the stages [k_0; ...; k_6]: rows 0-4 form the
@@ -681,7 +701,7 @@ def integrate_galerkin(
         abs_state, abs_trial = abs_trial, abs_state
         return z
 
-    return _drive_dp5((start, attempt, accept), z, out)
+    return _stored((start, attempt, accept), z, out)
 
 
 def affine_flow(matrix, shift, x0, output_times) -> Trajectory:
@@ -754,6 +774,6 @@ def sample_rhs(system: OdeSystem, trajectory: Trajectory) -> np.ndarray:
         _evaluate(system.rhs, t, x, row)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        raise RhsEvaluationError(f"rhs is not finite at t={times[np.argmin(finite)]!r}")
+        raise RhsEvaluationError(f"rhs is not finite at t={float(times[np.argmin(finite)])!r}")
     # C-ordered n x m: axis-0 sums add rows in order, giving the bits a copy of the rows would
     return np.ascontiguousarray(values.T)

@@ -70,7 +70,7 @@ class SnapshotSet:
     def __post_init__(self) -> None:
         times = read_only(as_time_grid(self.times, "times", 2))
         if times[0] != 0.0:
-            raise InvalidInputError(f"snapshot grid must start at 0, got {times[0]!r}")
+            raise InvalidInputError(f"snapshot grid must start at 0, got {float(times[0])!r}")
         solution = read_only(as_matrix(self.solution_columns, "solution_columns"))
         if solution.shape[1] != times.size:
             raise InvalidInputError(

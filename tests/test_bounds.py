@@ -16,6 +16,7 @@ from podrom.bounds import (
     BoundCurve,
     bound_constants,
     hermite_piecewise,
+    interval_reader,
     lagrange_piecewise,
     linear_bound_constants,
     method1_bound,
@@ -109,7 +110,7 @@ class TestLagrange:
     def test_outside_range_rejected(self):
         snaps = snapshots_from(trig_pair, 3)
         for t in (-0.01, 1.01):
-            with pytest.raises(InvalidInputError):
+            with pytest.raises(InvalidInputError, match=r"range \[0\.0, 1\.0\]$"):
                 lagrange_piecewise(snaps, t)
 
 
@@ -168,7 +169,9 @@ class TestHermite:
 
     def test_outside_range_rejected(self):
         snaps = snapshots_from(trig_pair, 3, derivative=trig_pair_derivative)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(
+            InvalidInputError, match=r"^t = 1\.5 outside the snapshot range \[0\.0, 1\.0\]$"
+        ):
             hermite_piecewise(snaps, 1.5)
 
 
@@ -522,6 +525,24 @@ class TestIntervalReader:
         expect = [np.max(fom.states[mask, 0]) for mask in masks]
         np.testing.assert_allclose(theta, expect, rtol=1e-15)
 
+    def test_reader_checks_what_it_takes(self):
+        reader = interval_reader(decay_system(), [0.0, 1.0], np.linspace(0.0, 1.0, 5))
+        with pytest.raises(InvalidInputError, match=r"shape \(2,\), the reader takes \(1,\)"):
+            reader.take(np.zeros(2))
+        for _ in range(4):
+            reader.take(np.ones(1))
+        with pytest.raises(InvalidInputError, match="4 of 5 samples taken"):
+            reader.constants()
+        reader.take(np.ones(1))
+        np.testing.assert_array_equal(reader.constants().theta, [1.0])
+        with pytest.raises(InvalidInputError, match="every sample has been taken"):
+            reader.take(np.ones(1))
+
+    def test_reader_of_a_system_without_structure_rejected(self):
+        system = OdeSystem(dimension=1, rhs=writes_into(lambda t, x: -x))
+        with pytest.raises(InvalidInputError, match="need a system with a structure"):
+            interval_reader(system, [0.0, 1.0], np.linspace(0.0, 1.0, 9))
+
 
 class TestBoundConstantsRoute:
     @pytest.mark.parametrize(
@@ -636,6 +657,29 @@ class TestUnionTruth:
         finally:
             tracemalloc.stop()
         assert peak < dense.size * system.dimension * 8 / 4
+
+    @pytest.mark.parametrize("feed", ["rows", "solve"])
+    def test_reader_fed_in_time_order_gives_the_same_bits(self, union_case, feed):
+        # the stored rows one at a time, or the truth solved again with its
+        # dense states streamed to the reader as the solve lands on them
+        system, fom, snapshot_times, dense = union_case
+        reader = interval_reader(system, snapshot_times, dense)
+        if feed == "rows":
+            for row in fom.rows(dense):
+                reader.take(np.array(fom.states[row]))
+        else:
+            taken = np.isin(fom.times, dense).tolist()
+
+            def sink(index, state):
+                if taken[index]:
+                    reader.take(state)
+
+            integrate(system, np.zeros(system.dimension), 1e-10, 1e-12, fom.times, sink=sink)
+        fed = reader.constants()
+        direct = bound_constants(system, fom, snapshot_times, dense)
+        assert (fed.lambda_, fed.provenance) == (direct.lambda_, direct.provenance)
+        for name in ("snapshot_times", "psi", "phi", "theta"):
+            assert np.array_equal(getattr(fed, name), getattr(direct, name)), name
 
     @pytest.mark.parametrize("where", ["between", "beyond"])
     def test_grid_off_the_truth_rejected(self, union_case, where):

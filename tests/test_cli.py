@@ -446,14 +446,22 @@ class TestRunExperiment:
         assert np.all(cell.bound.values >= cell.curve.norms)
 
     def test_bound_constants_once_per_spacing(self, monkeypatch):
+        # one interval reader per spacing, asked for its constants once
         calls = []
-        constants_of = experiment.bound_constants
+        reader_of = experiment.interval_reader
 
-        def spy(system, fom, snapshot_times, sample_times):
-            calls.append(snapshot_times)
-            return constants_of(system, fom, snapshot_times, sample_times)
+        def spy(system, snapshot_times, sample_times):
+            reader = reader_of(system, snapshot_times, sample_times)
+            constants_of = reader.constants
 
-        monkeypatch.setattr(experiment, "bound_constants", spy)
+            def constants():
+                calls.append(snapshot_times)
+                return constants_of()
+
+            reader.constants = constants
+            return reader
+
+        monkeypatch.setattr(experiment, "interval_reader", spy)
         config = tiny_config(methods=("Y", "Z"), deltas=(0.05, 0.025), evaluate_bounds=True)
         report = run_experiment(config)
         assert report.failures == ()

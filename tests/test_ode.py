@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -400,6 +401,62 @@ class TestIntegrate:
         assert np.all(traj.states[:, 0] == 3.0)
 
 
+def van_der_pol():
+    """Van der Pol at mu = 5, which rejects some trial steps at a loose tolerance."""
+    return OdeSystem(
+        dimension=2,
+        rhs=writes_into(lambda t, x: np.array([x[1], 5.0 * (1.0 - x[0] ** 2) * x[1] - x[0]])),
+    )
+
+
+class TestSink:
+    """``integrate(..., sink=...)`` hands each output state over as it lands."""
+
+    OUT = np.linspace(0.0, 10.0, 41)
+
+    def solve(self, sink=None):
+        return integrate(van_der_pol(), np.array([2.0, 0.0]), 1e-6, 1e-8, self.OUT, sink=sink)
+
+    def test_every_index_once_in_order_as_a_fresh_array(self):
+        plain = self.solve()
+        seen = []
+        end = self.solve(lambda index, state: seen.append((index, state)))
+        assert [index for index, _ in seen] == list(range(self.OUT.size))
+        states = [state for _, state in seen]
+        # kept past the solve, each state still holds its own values
+        assert np.array_equal(np.array(states), plain.states)
+        assert not any(
+            np.shares_memory(a, b) for i, a in enumerate(states) for b in states[i + 1 :]
+        )
+        assert (end.step_attempts, end.rejected_steps) == (
+            plain.step_attempts,
+            plain.rejected_steps,
+        )
+        assert plain.rejected_steps > 0
+        # the returned trajectory holds the last output time and state only
+        assert np.array_equal(end.times, plain.times[-1:])
+        assert np.array_equal(end.states, plain.states[-1:])
+
+    def test_no_array_of_every_state(self):
+        # The stored solve allocates the out.size x n array; with a sink the
+        # peak stays under a quarter of it.
+        n = 64
+        system = linear_system(-np.diag(np.linspace(1.0, 2.0, n)))
+        out = np.linspace(0.0, 1.0, 4000)
+        full = out.size * n * 8
+
+        def peak(sink):
+            tracemalloc.start()
+            try:
+                integrate(system, np.ones(n), 1e-6, 1e-8, out, sink=sink)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(None) >= full
+        assert peak(lambda index, state: None) < full / 4
+
+
 class TestAffineFlow:
     @pytest.mark.parametrize("a", [-1.7, 0.8])
     def test_scalar_closed_form(self, a):
@@ -554,9 +611,11 @@ class TestSampleRhs:
         assert np.array_equal(sampled[:, 1], states[1] + 1.0)
 
     def test_nan_raises_evaluation_error(self):
-        system = OdeSystem(dimension=1, rhs=writes_into(lambda t, x: np.array([float("nan")])))
-        traj = Trajectory(times=np.array([0.0]), states=np.array([[1.0]]))
-        with pytest.raises(RhsEvaluationError):
+        system = OdeSystem(
+            dimension=1, rhs=writes_into(lambda t, x: np.array([math.nan]) if t > 0.25 else x)
+        )
+        traj = Trajectory(times=np.array([0.0, 0.5]), states=np.array([[1.0], [1.0]]))
+        with pytest.raises(RhsEvaluationError, match=r"^rhs is not finite at t=0\.5$"):
             sample_rhs(system, traj)
 
     def test_dimension_mismatch(self):

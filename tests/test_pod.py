@@ -95,7 +95,7 @@ class TestSnapshotSet:
             )
 
     def test_rejects_grid_not_starting_at_zero(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"must start at 0, got 0\.1$"):
             SnapshotSet(times=np.array([0.1, 0.5]), solution_columns=np.ones((2, 2)))
 
     def test_rejects_mismatched_derivatives(self):
