@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Tuple
 
 import numpy as np
@@ -262,20 +261,19 @@ class IntervalReader:
 
 class _LinearReader(IntervalReader):
     """``linear_bound_constants``' route: theta_i per interval, the rest from
-    A = ``operator()``, formed only when the constants are asked for."""
+    sigma_1(A) = ``norm()``, asked for only when the constants are."""
 
     def __init__(
-        self, dimension: int, snapshot_times, sample_times, operator: Callable[[], np.ndarray]
+        self, dimension: int, snapshot_times, sample_times, norm: Callable[[], float]
     ) -> None:
         super().__init__(dimension, snapshot_times, sample_times)
-        self._operator = operator
+        self._norm = norm
 
     def _constants(self) -> BoundConstants:
-        matrix = self._operator()
         # LAPACK's sigma_1 is exact for some A + E with ||E|| of order n eps ||A||,
         # and sigma_1 moves by at most ||E|| (Weyl), so the pad keeps Lambda at
         # or above the true sigma_1(A).
-        lam = float(np.linalg.norm(matrix, 2)) * (1.0 + matrix.shape[0] * _EPS)
+        lam = self._norm() * (1.0 + self.dimension * _EPS)
         return BoundConstants(
             snapshot_times=self.snapshot_times,
             lambda_=lam,
@@ -380,8 +378,9 @@ def interval_reader(system: OdeSystem, snapshot_times, sample_times) -> Interval
     point of ``sample_times``.
     """
     if _affine(system):
+        structure = system.structure
         return _LinearReader(
-            system.dimension, snapshot_times, sample_times, partial(_linear_operator, system)
+            system.dimension, snapshot_times, sample_times, lambda: structure.linear_norm
         )
     return _SampledReader(system, snapshot_times, sample_times)
 
@@ -430,7 +429,9 @@ def linear_bound_constants(
             f"A dimension {matrix.shape[0]} does not match trajectory "
             f"dimension {fom.dimension}"
         )
-    reader = _LinearReader(matrix.shape[0], snapshot_times, sample_times, lambda: matrix)
+    reader = _LinearReader(
+        matrix.shape[0], snapshot_times, sample_times, lambda: float(np.linalg.norm(matrix, 2))
+    )
     return _read(reader, fom)
 
 

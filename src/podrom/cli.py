@@ -19,7 +19,7 @@ import sys
 from typing import Dict, Tuple
 
 from .errors import InvalidInputError, PodromError
-from .experiment import RunConfig, RunReport, preset, run_experiment
+from .experiment import FLOOR_FRACTION, RunConfig, RunReport, preset, run_experiment
 
 __all__ = [
     "write_error_csv",
@@ -268,8 +268,12 @@ _SETTINGS = {
     "evaluate_bounds": ("run.bounds", _boolean, "--bounds", "evaluate a-priori bound curves"),
     "plots": ("run.plots", _boolean, "--plots", "render the emitted plot script to PNG files"),
     "seed": ("run.seed", int, "--seed", "accepted for compatibility; no output depends on it"),
-    "rel_tol": ("integrator.rel_tol", float, "--rel-tol", "integrator relative tolerance"),
-    "abs_tol": ("integrator.abs_tol", float, "--abs-tol", "integrator absolute tolerance"),
+    "rel_tol": ("integrator.rel_tol", float, "--rel-tol",
+                "the truth solve's relative tolerance; a DP5 reduced solve runs at it times "
+                f"k = max(1, {FLOOR_FRACTION:g} rho / rel_tol), rho its relative projection error"),
+    "abs_tol": ("integrator.abs_tol", float, "--abs-tol",
+                "the truth solve's absolute tolerance; a DP5 reduced solve runs at it times "
+                "the same k"),
 }
 
 # Defaults of the CLI's own settings; every other default is RunConfig's.

@@ -7,6 +7,13 @@ a-priori bound curves, with one set of bound constants per spacing
 does).  No stage draws random
 numbers, so a run's outputs depend on its configuration alone.  The
 paper's three experiments are bundled as ``preset`` A, B and C.
+
+The truth solve runs at the configured tolerances.  A reduced solve that
+goes through DP5 runs at them times k = max(1, f rho / rel_tol), with
+f = ``FLOOR_FRACTION`` and rho the cell's relative projection error on the
+evaluation grid: the lifted error e = (I - U U^T) x + U (U^T x - z) is at
+least ||(I - U U^T) x|| at every time, so an integration error a thousandth
+of that floor does not show in it.  An exact flow takes no tolerance.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .pod import (
 
 __all__ = [
     "EVAL_GRID_SIZE",
+    "FLOOR_FRACTION",
     "RunConfig",
     "preset",
     "CellResult",
@@ -54,6 +62,10 @@ EVAL_GRID_SIZE = 400
 # Dense trajectory samples per snapshot interval for the bound constants;
 # the sampled route's third differences need at least 5 per interval.
 _BOUND_SAMPLES_PER_INTERVAL = 64
+
+# f: a DP5 reduced solve's tolerances grow until its relative tolerance is
+# f times the cell's relative projection error, a floor under its error.
+FLOOR_FRACTION = 1e-3
 
 
 def _grid_intervals(horizon: float, delta: float) -> int:
@@ -195,7 +207,11 @@ def preset(
 
 @dataclass(frozen=True)
 class CellResult:
-    """One populated grid cell: its truncation, error curve and optional bound."""
+    """One populated grid cell: its truncation, error curve and optional bound.
+
+    ``rom_rel_tol`` is the relative tolerance its reduced solve ran at, the
+    run's own times the cell's ``_tolerance_scale``, or None for an exact flow.
+    """
 
     method: str
     delta: float
@@ -204,6 +220,7 @@ class CellResult:
     sigma_next: float
     curve: ErrorCurve
     bound: Optional[BoundCurve] = None
+    rom_rel_tol: Optional[float] = None
 
     @property
     def max_error(self) -> float:
@@ -268,6 +285,27 @@ def _add_work(counters: Dict[str, int], prefix: str, trajectory: Trajectory) -> 
         counters[prefix + name] += getattr(trajectory, name)
 
 
+def _largest_row_norm(rows: np.ndarray) -> float:
+    return math.sqrt(float(np.max(np.einsum("ij,ij->i", rows, rows))))
+
+
+def _projection_floor(states: np.ndarray, vectors: np.ndarray, peak: float) -> float:
+    """rho = max_t ||x(t) - U U^T x(t)|| / peak over the rows x(t) of ``states``.
+
+    ``peak`` is the largest norm of those rows.  The residual is formed in
+    one temporary of the states' size: U U^T x - x, not ||x||^2 - ||U^T x||^2,
+    which cancels to noise when rho is small.
+    """
+    residual = (states @ vectors) @ vectors.T
+    residual -= states
+    return _largest_row_norm(residual) / peak if peak > 0.0 else 0.0
+
+
+def _tolerance_scale(rho: float, rel_tol: float) -> float:
+    """k = max(1, f rho / rel_tol), by which a DP5 reduced solve loosens the truth's tolerances."""
+    return max(1.0, FLOOR_FRACTION * rho / rel_tol)
+
+
 @contextmanager
 def _timed(timings: Dict[str, float], stage: str):
     """Add the block's wall-clock seconds to ``timings[stage]``; a block that raises adds none."""
@@ -287,7 +325,9 @@ def run_experiment(config: RunConfig) -> RunReport:
     into the bound constants one snapshot interval at a time.  A cell
     failure is recorded with its stage and message and the remaining cells
     still run.  A config without rules gives the truth solve, the snapshot
-    sets and the factorizations only.
+    sets and the factorizations only.  A fresh reduced solve through DP5
+    runs at the config's tolerances times its cell's ``_tolerance_scale``
+    (see the module docstring); an exact flow computes no floor.
     """
     start = time.perf_counter()
     timings: Dict[str, float] = {}
@@ -364,9 +404,14 @@ def run_experiment(config: RunConfig) -> RunReport:
                 matrix = build_snapshot_matrix(snapshots[delta], method)
                 svds[(method, delta)] = svd_one_sided_jacobi(matrix)
 
+    # an exact flow takes no tolerance, so only a DP5 reduced solve needs the floor
+    exact_flow = system.structure.linear_time_invariant
+    peak = 0.0 if exact_flow else _largest_row_norm(fom_eval.states)
+
     cells = []
     failures = []
-    curve_cache: Dict[Tuple[str, float, int], ErrorCurve] = {}
+    # (method, delta, l) -> the error curve and the relative tolerance it was solved at
+    curve_cache: Dict[Tuple[str, float, int], Tuple[ErrorCurve, Optional[float]]] = {}
     for method in config.methods:
         for delta in config.deltas:
             for rule in config.rules:
@@ -376,20 +421,29 @@ def run_experiment(config: RunConfig) -> RunReport:
 
                     stage = "rom"
                     cache_key = (method, delta, basis.l)
-                    curve = curve_cache.get(cache_key)
-                    if curve is None:
+                    cached = curve_cache.get(cache_key)
+                    if cached is None:
                         with _timed(timings, "rom"):
+                            rel_tol, abs_tol = config.rel_tol, config.abs_tol
+                            if not exact_flow:
+                                rho = _projection_floor(
+                                    fom_eval.states, basis.reduced_vectors, peak
+                                )
+                                scale = _tolerance_scale(rho, rel_tol)
+                                rel_tol, abs_tol = scale * rel_tol, scale * abs_tol
                             lifted = solve_rom_lifted(
-                                system, basis, x0, fom_eval.times,
-                                config.rel_tol, config.abs_tol,
+                                system, basis, x0, fom_eval.times, rel_tol, abs_tol
                             )
                             counters["rom_solves"] += 1
                             _add_work(counters, "rom_", lifted)
 
                         stage = "error"
-                        curve = curve_cache[cache_key] = error_curve(fom_eval, lifted)
+                        cached = curve_cache[cache_key] = (
+                            error_curve(fom_eval, lifted), None if exact_flow else rel_tol
+                        )
                     else:
                         counters["rom_cache_hits"] += 1
+                    curve, rom_rel_tol = cached
 
                     bound = None
                     if config.evaluate_bounds:
@@ -407,6 +461,7 @@ def run_experiment(config: RunConfig) -> RunReport:
                             sigma_next=basis.sigma_next,
                             curve=curve,
                             bound=bound,
+                            rom_rel_tol=rom_rel_tol,
                         )
                     )
                 except PodromError as err:

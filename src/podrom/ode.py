@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,6 +109,16 @@ class RhsStructure:
     def linear_time_invariant(self) -> bool:
         """Whether f(t, x) = A x + b with a fixed b: affine, constant forcing."""
         return self.affine and self.forcing_constant
+
+    @cached_property
+    def linear_norm(self) -> float:
+        """sigma_1(A), LAPACK's spectral norm of A = ``apply_linear`` on the identity.
+
+        Formed on first use and kept, so the bound constants of every
+        snapshot grid of one system share one.
+        """
+        operator = self.apply_linear(np.eye(self.forcing_vectors.shape[0]))
+        return float(np.linalg.norm(operator, 2))
 
     def apply_jacobian(self, x: np.ndarray, directions: np.ndarray) -> np.ndarray:
         """The Jacobian J(x) = A + diag(g'(x)) applied to ``directions``.

@@ -538,6 +538,33 @@ class TestIntervalReader:
         with pytest.raises(InvalidInputError, match="every sample has been taken"):
             reader.take(np.ones(1))
 
+    def test_readers_of_one_system_form_lambda_once(self):
+        # a run builds one reader per spacing: A and sigma_1(A) are formed once
+        matrix = np.array([[-2.0, 1.0], [0.5, -1.0]])
+        applied = []
+
+        def apply_linear(x):
+            applied.append(x.shape)
+            return matrix @ x
+
+        structure = dataclasses.replace(linear_structure(matrix), apply_linear=apply_linear)
+        system = OdeSystem(
+            dimension=2, rhs=writes_into(lambda t, x: matrix @ x), structure=structure
+        )
+        fom = synthetic_trajectory(lambda t: np.array([np.exp(-t), np.cos(t)]), 9)
+        grids = ([0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0])
+        readers = [interval_reader(system, grid, fom.times) for grid in grids]
+        assert applied == []
+        for reader, grid in zip(readers, grids):
+            for state in fom.states:
+                reader.take(state)
+            constants = reader.constants()
+            expect = linear_bound_constants(matrix, fom, grid, fom.times)
+            assert constants.lambda_ == expect.lambda_
+            for name in ("psi", "phi", "theta"):
+                assert np.array_equal(getattr(constants, name), getattr(expect, name)), name
+        assert applied == [(2, 2)]
+
     def test_reader_of_a_system_without_structure_rejected(self):
         system = OdeSystem(dimension=1, rhs=writes_into(lambda t, x: -x))
         with pytest.raises(InvalidInputError, match="need a system with a structure"):

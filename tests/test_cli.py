@@ -24,6 +24,7 @@ from podrom.cli import (
     write_spectrum_csv,
 )
 from podrom.bounds import BoundCurve
+from podrom.fhn import build_fhn
 from podrom.errors import (
     ConvergenceError,
     InvalidInputError,
@@ -32,8 +33,15 @@ from podrom.errors import (
 )
 from podrom.experiment import CellResult, RunConfig, RunReport, preset, run_experiment
 from podrom.linalg import SvdResult
-from podrom.ode import MAX_STEP_ATTEMPTS
-from podrom.pod import ErrorCurve, TruncationRule, build_snapshot_matrix, truncate_basis
+from podrom.ode import MAX_STEP_ATTEMPTS, Trajectory, integrate
+from podrom.pod import (
+    ErrorCurve,
+    TruncationRule,
+    build_snapshot_matrix,
+    error_curve,
+    solve_rom_lifted,
+    truncate_basis,
+)
 
 
 # One instance of each error type the library raises on purpose.
@@ -477,6 +485,128 @@ class TestRunExperiment:
             first.factorizations[("Y", 0.01)].singular_values,
             second.factorizations[("Y", 0.01)].singular_values,
         )
+
+
+@pytest.fixture(scope="module")
+def short_b():
+    """A short preset-B run whose DP5 reduced solves are loosened, with the
+    identity basis (l = n, no projection error) among its cells, and its
+    truth on the evaluation grid: the run's, bit for bit, solved on the same
+    union grid."""
+    n = preset("B").params.dimension
+    config = preset(
+        "B", final_time=0.05, deltas=(0.01,), epsilons=(), dims=(3, 5, n),
+        rel_tol=1e-13, abs_tol=1e-15,
+    )
+    report = run_experiment(config)
+    assert report.failures == ()
+    system = build_fhn(config.params)
+    eval_times = report.cells[0].curve.times
+    union = np.union1d(eval_times, report.snapshots[0.01].times)
+    solved = integrate(system, np.zeros(n), config.rel_tol, config.abs_tol, union)
+    truth = solved.states[solved.rows(eval_times)]
+    return config, report, system, eval_times, truth
+
+
+def cell_basis(report, cell):
+    return truncate_basis(report.factorizations[(cell.method, cell.delta)], cell.rule)
+
+
+def largest_row_norm(rows):
+    return float(np.max(np.linalg.norm(rows, axis=1)))
+
+
+def spy_on_the_floor(monkeypatch):
+    """The argument tuples of every projection floor the driver computes."""
+    calls = []
+    floor_of = experiment._projection_floor
+
+    def spy(*args):
+        calls.append(args)
+        return floor_of(*args)
+
+    monkeypatch.setattr(experiment, "_projection_floor", spy)
+    return calls
+
+
+class TestReducedTolerance:
+    """A DP5 reduced solve runs at the truth's tolerances times
+    k = max(1, f rho / rel_tol), rho the cell's relative projection error."""
+
+    def test_max_error_is_at_least_the_projection_floor(self, short_b):
+        _, report, _, _, truth = short_b
+        for cell in report.cells:
+            vectors = cell_basis(report, cell).reduced_vectors
+            floor = largest_row_norm(truth - (truth @ vectors) @ vectors.T)
+            assert cell.max_error >= floor, (cell.method, cell.l)
+
+    def test_agrees_with_a_solve_at_the_run_tolerances(self, short_b):
+        # k = 1 on the identity basis, which has no projection error: the
+        # unloosened solve, bit for bit
+        config, report, system, eval_times, truth = short_b
+        loosened = 0
+        for cell in report.cells:
+            lifted = solve_rom_lifted(
+                system, cell_basis(report, cell), np.zeros(system.dimension), eval_times,
+                config.rel_tol, config.abs_tol,
+            )
+            tight = error_curve(Trajectory(times=eval_times, states=truth), lifted)
+            assert abs(cell.max_error - tight.max_norm) <= 1e-5 * tight.max_norm, cell.l
+            if cell.l == system.dimension:
+                assert cell.rom_rel_tol == config.rel_tol
+                assert np.array_equal(cell.curve.norms, tight.norms)
+            else:
+                loosened += cell.rom_rel_tol > config.rel_tol
+        assert loosened == 4
+
+    def test_tolerance_follows_the_floor(self, short_b):
+        config, report, _, _, truth = short_b
+        peak = largest_row_norm(truth)
+        for cell in report.cells:
+            vectors = cell_basis(report, cell).reduced_vectors
+            rho = largest_row_norm(truth - (truth @ vectors) @ vectors.T) / peak
+            expect = max(config.rel_tol, experiment.FLOOR_FRACTION * rho)
+            assert cell.rom_rel_tol == pytest.approx(expect, rel=1e-12), (cell.method, cell.l)
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-12, 9.9e-11])
+    def test_scale_is_one_while_the_floor_is_below_the_tolerance(self, rho):
+        assert experiment.FLOOR_FRACTION * rho <= 1e-13
+        assert experiment._tolerance_scale(rho, 1e-13) == 1.0
+
+    def test_scale_grows_with_the_floor(self):
+        assert experiment._tolerance_scale(1e-6, 1e-13) == pytest.approx(1e4, rel=1e-12)
+        assert experiment._tolerance_scale(0.5, 1e-9) == pytest.approx(5e5, rel=1e-12)
+
+    def test_floor_of_a_small_residual_does_not_cancel(self):
+        # the Pythagoras form ||x||^2 - ||U^T x||^2 reads 0 here: 1 + 1e-18 rounds to 1
+        states = np.array([[1.0, 0.0, 1e-9], [0.0, 2.0, 0.0]])
+        vectors = np.eye(3)[:, :2]
+        assert experiment._projection_floor(states, vectors, 2.0) == pytest.approx(5e-10, rel=1e-12)
+
+    def test_exact_flow_computes_no_floor(self, monkeypatch):
+        calls = spy_on_the_floor(monkeypatch)
+        report = run_experiment(tiny_config(methods=("Y", "Z"), dims=(5, 10)))
+        assert report.failures == () and report.counters["rom_solves"] == 4
+        assert calls == []
+        assert all(cell.rom_rel_tol is None for cell in report.cells)
+        for name in ("step_attempts", "rejected_steps"):
+            assert report.counters[f"rom_{name}"] == 0
+
+    def test_one_floor_per_fresh_dp5_solve(self, monkeypatch):
+        # the cutoff at sigma_3 of Y shares its solve with l = 3
+        config = preset("B", final_time=0.05, deltas=(0.01,), epsilons=(), dims=(3, 4))
+        cutoff = cutoff_keeping(config, "Y", 0.01, 3)
+        config = preset(
+            "B", final_time=0.05, methods=("Y",), deltas=(0.01,),
+            epsilons=(cutoff.cutoff_epsilon,), dims=(3, 4),
+        )
+        calls = spy_on_the_floor(monkeypatch)
+        report = run_experiment(config)
+        assert report.failures == ()
+        assert report.counters["rom_cache_hits"] == 1
+        assert len(calls) == report.counters["rom_solves"] == 2
+        shared = [cell for cell in report.cells if cell.l == 3]
+        assert len(shared) == 2 and shared[0].rom_rel_tol == shared[1].rom_rel_tol > config.rel_tol
 
 
 class TestCsvWriters:
